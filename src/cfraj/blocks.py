@@ -60,7 +60,7 @@ class NuMeasure:
         return tuple(block) in self._index
 
     def to_json_doc(self) -> dict:
-        return {
+        doc = {
             "N": self.n_bound,
             "p": self.p,
             "sigma": self.sigma,
@@ -68,6 +68,10 @@ class NuMeasure:
             "support": [list(b) for b in self.support],
             "beta_achieved": self.beta_achieved,
         }
+        # the window is certified against the anchor, not the float sigma
+        if self.sigma_anchor is not None:
+            doc["sigma_anchor"] = list(self.sigma_anchor)
+        return doc
 
     def serialize(self) -> str:
         return json.dumps(self.to_json_doc(), sort_keys=True)
@@ -75,15 +79,17 @@ class NuMeasure:
     @classmethod
     def from_json_doc(cls, doc: dict) -> "NuMeasure":
         support = tuple(tuple(int(d) for d in b) for b in doc["support"])
-        nu = cls(
+        anchor = doc.get("sigma_anchor")
+        return cls(
             n_bound=int(doc["N"]),
             p=int(doc["p"]),
             sigma=float(doc["sigma"]),
             eps_window=Fraction(doc["eps_window"]),
             support=support,
             beta_achieved=float(doc["beta_achieved"]),
+            sigma_anchor=None if anchor is None
+            else (int(anchor[0]), int(anchor[1])),
         )
-        return nu
 
 
 def _window_bounds(sigma: float, eps: Fraction,
@@ -328,16 +334,13 @@ class FrostmanScan:
     fitted_exponent: float
 
 
-def product_convergent_matrices(nu: NuMeasure, depth: int,
-                                budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """[[q, q'], [p, p']] for every depth-level word, head 0, C order.
+def _block_matrices(nu: NuMeasure, depth: int) -> np.ndarray:
+    """int64 convergent matrix of each support block, in support order.
 
-    Row order matches lexicographic order over support-block sequences.
+    Raises BudgetExceeded unless every product of depth of them fits
+    in int64.
     """
-    s = len(nu.support)
-    if s**depth > budget:
-        raise BudgetExceeded(f"{s}^{depth} cylinders exceed budget {budget}")
-    base = np.empty((s, 2, 2), dtype=np.int64)
+    base = np.empty((len(nu.support), 2, 2), dtype=np.int64)
     for i, b in enumerate(nu.support):
         m = np.eye(2, dtype=np.int64)
         for d in b:
@@ -350,7 +353,19 @@ def product_convergent_matrices(nu: NuMeasure, depth: int,
         raise BudgetExceeded(
             f"depth-{depth} continuants would overflow 64-bit integers"
         )
-    mats = base
+    return base
+
+
+def product_convergent_matrices(nu: NuMeasure, depth: int,
+                                budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    """[[q, q'], [p, p']] for every depth-level word, head 0, C order.
+
+    Row order matches lexicographic order over support-block sequences.
+    """
+    s = len(nu.support)
+    if s**depth > budget:
+        raise BudgetExceeded(f"{s}^{depth} cylinders exceed budget {budget}")
+    mats = base = _block_matrices(nu, depth)
     for _ in range(depth - 1):
         mats = np.einsum("aij,bjk->abik", mats, base).reshape(-1, 2, 2)
     return mats

@@ -401,15 +401,9 @@ def cmd_fourier_scan(args) -> int:
         xi_list = [2**k for k in range(lo, hi + 1)]
     method = "montecarlo" if args.method == "mc" else args.method
     if args.measure == "lambda":
-        measure, cfg = _lambda_from_args(args, budget)
+        measure, _ = _lambda_from_args(args, budget)
     else:
-        measure, cfg = _nu_from_args(args, budget)
-    cfg.method = method
-    cfg.depth = args.depth
-    cfg.samples = args.samples
-    cfg.seed = args.seed
-    cfg.alpha = args.alpha
-    cfg.xi = [str(x) for x in xi_list]
+        measure, _ = _nu_from_args(args, budget)
     table = decay_scan(
         measure, xi_list, method, args.depth,
         samples=args.samples, seed=args.seed,
@@ -417,7 +411,7 @@ def cmd_fourier_scan(args) -> int:
     )
     if args.out:
         table.write_csv(args.out)
-        print(f"scan: {len(table.rows)} rows, config {cfg.config_hash} "
+        print(f"scan: {len(table.rows)} rows, config {table.config_hash} "
               f"-> {args.out}")
     else:
         sys.stdout.write(table.serialize_csv())

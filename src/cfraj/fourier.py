@@ -7,9 +7,12 @@ error bound carried on every estimate. Negative frequencies are served
 by conjugating the positive-frequency estimate, so conjugate symmetry
 holds to the last bit.
 
-Phases are folded modulo 1 in exact rational arithmetic whenever the
-frequency is an int or Fraction and large enough for float products to
-lose the fractional part.
+Every estimate is one pipeline: an atom set (the cylinders or the
+sample paths of a nu or cascade measure), one phase fold, one evaluator
+and one error model. An int or Fraction frequency is folded exactly, by
+integer reduction of the exact midpoints: always on cascade atoms, and
+on nu atoms from EXACT_FOLD_THRESHOLD up, where float products lose the
+fractional part.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .blocks import NuMeasure, cylinder_geometry, product_convergent_matrices
+from .blocks import (
+    NuMeasure,
+    _block_matrices,
+    cylinder_geometry,
+    product_convergent_matrices,
+)
 from .cascade import (
     ALPHA_DEFAULT,
     LambdaMeasure,
@@ -55,28 +63,6 @@ class FourierEstimate:
     samples: Optional[int] = None
 
 
-def _fold_phase(xi, pn: int, pp: int, q: int, qp: int) -> float:
-    """Fractional part of xi * midpoint, exact when xi is rational."""
-    num = 2 * pn * q + pn * qp + pp * q
-    den = 2 * q * (q + qp)
-    if isinstance(xi, (int, Fraction)):
-        ph = Fraction(xi) * Fraction(num, den)
-        return float(ph - math.floor(ph))
-    return (xi * (num / den)) % 1.0
-
-
-def _unit(frac: float) -> complex:
-    a = TWO_PI * frac
-    return complex(math.cos(a), math.sin(a))
-
-
-def _xi_times(xi, frac: Fraction) -> float:
-    """float(xi * frac) without overflowing intermediate floats."""
-    if isinstance(xi, (int, Fraction)):
-        return float(Fraction(xi) * frac)
-    return xi * float(frac)
-
-
 # --------------------------------------------------------------- leaves
 
 
@@ -88,9 +74,6 @@ class _Leaf:
     q: int
     qp: int
     chain: tuple[int, ...]
-
-    def phase(self, xi) -> float:
-        return _fold_phase(xi, self.pn, self.pp, self.q, self.qp)
 
     @property
     def width(self) -> Fraction:
@@ -152,82 +135,6 @@ def _lambda_leaves(lm: LambdaMeasure, depth: int,
     return out
 
 
-def _sum_estimate(xi, terms) -> complex:
-    """Fixed-order compensated sum of (weight, phase) contributions."""
-    res = math.fsum(w * math.cos(TWO_PI * f) for w, f in terms)
-    ims = math.fsum(w * math.sin(TWO_PI * f) for w, f in terms)
-    return complex(res, ims)
-
-
-def _leaf_value(xi, leaves) -> complex:
-    return _sum_estimate(xi, [(float(lf.mass), lf.phase(xi)) for lf in leaves])
-
-
-# summing mass * width as exact rationals is quadratic in the leaf count
-# (denominators share no structure), so the error integral is accumulated
-# in floats and inflated to stay an upper bound
-_FLOAT_SLACK = 1.0 + 1e-9
-
-
-def _leaf_mass_width(leaves) -> float:
-    return math.fsum(
-        float(lf.mass) * float(lf.width) for lf in leaves
-    ) * _FLOAT_SLACK
-
-
-# ------------------------------------------------------ cylinder method
-
-
-def fourier_cylinder_sum(measure: Measure, xi, depth: int,
-                         budget: int = CYLINDER_BUDGET) -> FourierEstimate:
-    """Exact-decomposition estimate: sum of mass * e(xi mid) per cylinder.
-
-    err_bound = sum of mass * pi |xi| width. At xi = 0 the value is the
-    total mass exactly and the bound is zero.
-    """
-    if xi == 0:
-        return FourierEstimate(xi=xi, value=complex(1.0), err_bound=0.0,
-                               method="cylinder", depth=depth)
-    if xi < 0:
-        pos = fourier_cylinder_sum(measure, -xi, depth, budget)
-        return FourierEstimate(xi=xi, value=pos.value.conjugate(),
-                               err_bound=pos.err_bound,
-                               method="cylinder", depth=depth)
-
-    if isinstance(measure, LambdaMeasure):
-        leaves = _lambda_leaves(measure, depth, budget)
-        value = _leaf_value(xi, leaves)
-        err = math.pi * float(xi) * _leaf_mass_width(leaves)
-        return FourierEstimate(xi=xi, value=value, err_bound=err,
-                               method="cylinder", depth=depth)
-
-    nu = measure
-    mats = product_convergent_matrices(nu, depth, budget)
-    atom = nu.atom**depth
-    if isinstance(xi, (int, Fraction)) and abs(xi) >= EXACT_FOLD_THRESHOLD:
-        w = float(atom)
-        pairs = (
-            (w, _fold_phase(xi, int(m[1, 0]), int(m[1, 1]),
-                            int(m[0, 0]), int(m[0, 1])))
-            for m in mats
-        )
-        value = _sum_estimate(xi, list(pairs))
-        widths = 1.0 / (mats[:, 0, 0].astype(float)
-                        * (mats[:, 0, 0] + mats[:, 0, 1]).astype(float))
-        err = math.pi * float(xi * atom) * float(widths.sum())
-    else:
-        mids, widths = cylinder_geometry(mats)
-        phases = (float(xi) * mids) % 1.0
-        vals = np.exp(2j * math.pi * phases)
-        value = complex(float(atom) * vals.sum())
-        err = math.pi * abs(float(xi)) * float(atom) * float(widths.sum())
-    return FourierEstimate(xi=xi, value=value, err_bound=err,
-                           method="cylinder", depth=depth)
-
-
-# --------------------------------------------------- monte carlo method
-
-
 def _min_block_continuant(nu: NuMeasure) -> int:
     best = None
     for blk in nu.support:
@@ -256,20 +163,9 @@ def _width_ceiling(measure: Measure, depth: int) -> Fraction:
 
 def _nu_sample_matrices(nu: NuMeasure, samples: int, depth: int,
                         seed: int) -> np.ndarray:
-    s = len(nu.support)
-    base = np.empty((s, 2, 2), dtype=np.int64)
-    for i, b in enumerate(nu.support):
-        m = np.eye(2, dtype=np.int64)
-        for d in b:
-            m = m @ np.array([[d, 1], [1, 0]], dtype=np.int64)
-        base[i] = m
-    row_sum_max = int(base.sum(axis=2).max())
-    if row_sum_max**depth >= 2**62:
-        raise BudgetExceeded(
-            f"depth-{depth} sampled continuants would overflow 64-bit integers"
-        )
+    base = _block_matrices(nu, depth)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, s, size=(samples, depth))
+    idx = rng.integers(0, len(base), size=(samples, depth))
     mats = np.broadcast_to(np.eye(2, dtype=np.int64), (samples, 2, 2)).copy()
     for k in range(depth):
         mats = mats @ base[idx[:, k]]
@@ -291,6 +187,181 @@ def _lambda_sample_leaves(lm: LambdaMeasure, samples: int, depth: int,
     return out
 
 
+# ---------------------------------------------------------------- atoms
+
+
+def _midpoints(pn, pp, q, qp) -> tuple[list[int], list[int]]:
+    """Exact cylinder midpoints num / den from convergent columns."""
+    num = [2 * a * c + a * d + b * c for a, b, c, d in zip(pn, pp, q, qp)]
+    den = [2 * c * (c + d) for c, d in zip(q, qp)]
+    return num, den
+
+
+@dataclass
+class _Atoms:
+    """The points an estimate sums over, from one of four sources.
+
+    weight is one float for uniform sources (nu cylinders and every
+    sample set) and a float per atom for cascade cylinders. Midpoints
+    are held as floats and exactly as num / den in Python ints; a nu
+    source keeps its int64 convergent matrices and derives num / den
+    only when a frequency needs the exact fold. Cylinder sources carry
+    widths; sample sources carry the sample count and the width ceiling.
+    chains holds each cascade atom's label chain.
+    """
+
+    weight: Union[float, np.ndarray]
+    mids: np.ndarray
+    cascade: bool
+    widths: Optional[np.ndarray] = None
+    samples: Optional[int] = None
+    width_ceiling: Optional[Fraction] = None
+    chains: Optional[list[tuple[int, ...]]] = None
+    num: Optional[list[int]] = None
+    den: Optional[list[int]] = None
+    mats: Optional[np.ndarray] = None
+
+    def exact_mids(self) -> tuple[list[int], list[int]]:
+        if self.num is None:
+            m = self.mats
+            self.num, self.den = _midpoints(
+                m[:, 1, 0].tolist(), m[:, 1, 1].tolist(),
+                m[:, 0, 0].tolist(), m[:, 0, 1].tolist())
+        return self.num, self.den
+
+
+def _cascade_atoms(leaves: list[_Leaf], weight, **source) -> _Atoms:
+    num, den = _midpoints([lf.pn for lf in leaves], [lf.pp for lf in leaves],
+                          [lf.q for lf in leaves], [lf.qp for lf in leaves])
+    return _Atoms(weight=weight,
+                  mids=np.array([n / d for n, d in zip(num, den)]),
+                  cascade=True, chains=[lf.chain for lf in leaves],
+                  num=num, den=den, **source)
+
+
+def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
+           seed: int = 0, budget: int = CYLINDER_BUDGET) -> _Atoms:
+    """Every depth-level cylinder (samples None) or seeded sample paths."""
+    if samples is not None and samples < 1:
+        raise PreconditionViolated("samples must be >= 1")
+    if isinstance(measure, LambdaMeasure):
+        if samples is None:
+            leaves = _lambda_leaves(measure, depth, budget)
+            return _cascade_atoms(
+                leaves, np.array([float(lf.mass) for lf in leaves]),
+                widths=np.array([1 / (lf.q * (lf.q + lf.qp))
+                                 for lf in leaves]))
+        return _cascade_atoms(
+            _lambda_sample_leaves(measure, samples, depth, seed),
+            1.0 / samples, samples=samples,
+            width_ceiling=_width_ceiling(measure, depth))
+    if samples is None:
+        mats = product_convergent_matrices(measure, depth, budget)
+        mids, widths = cylinder_geometry(mats)
+        return _Atoms(weight=float(measure.atom)**depth, mids=mids,
+                      cascade=False, widths=widths, mats=mats)
+    mats = _nu_sample_matrices(measure, samples, depth, seed)
+    mids, _ = cylinder_geometry(mats)
+    return _Atoms(weight=1.0 / samples, mids=mids, cascade=False,
+                  samples=samples,
+                  width_ceiling=_width_ceiling(measure, depth), mats=mats)
+
+
+# ------------------------------------------- fold, evaluator, error model
+
+
+def _fold(atoms: _Atoms, xi) -> np.ndarray:
+    """Fractional part of xi * midpoint for every atom, xi > 0.
+
+    An int or Fraction xi = a / b folds exactly on cascade atoms, and on
+    nu atoms from EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one
+    integer reduction, and dividing by b den rounds once. Otherwise the
+    fold is a float product.
+    """
+    if isinstance(xi, (int, Fraction)) and (
+            atoms.cascade or xi >= EXACT_FOLD_THRESHOLD):
+        a, b = xi.numerator, xi.denominator
+        num, den = atoms.exact_mids()
+        return np.array([(a * n) % (b * d) / (b * d)
+                         for n, d in zip(num, den)])
+    return (float(xi) * atoms.mids) % 1.0
+
+
+def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> complex:
+    """Sum of weight * e(xi mid) over the atoms, or over those keep marks.
+
+    Cascade atoms are summed term by term with math.fsum; nu atoms, up
+    to millions of them, in one numpy sum.
+    """
+    if xi < 0:
+        return _evaluate(atoms, -xi, keep).conjugate()
+    if xi == 0 and keep is None:
+        return complex(1.0)
+    phases, weight = _fold(atoms, xi), atoms.weight
+    if keep is not None:
+        phases = phases[keep]
+        if not np.isscalar(weight):
+            weight = weight[keep]
+    if not atoms.cascade:
+        return complex(weight * np.exp(2j * math.pi * phases).sum())
+    angles = (TWO_PI * phases).tolist()
+    weights = weight.tolist() if not np.isscalar(weight) \
+        else [weight] * len(angles)
+    return complex(
+        math.fsum(w * math.cos(a) for w, a in zip(weights, angles)),
+        math.fsum(w * math.sin(a) for w, a in zip(weights, angles)))
+
+
+# summing mass * width as exact rationals is quadratic in the leaf count
+# (denominators share no structure), so the error integral is accumulated
+# in floats and inflated to stay an upper bound
+_FLOAT_SLACK = 1.0 + 1e-9
+
+
+def _error(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> float:
+    """Midpoint-rule error bound of _evaluate.
+
+    Cylinders: pi |xi| * sum of mass * width. Samples: 3 / sqrt(n)
+    + pi |xi| * width ceiling.
+    """
+    x = abs(xi)
+    if atoms.samples is not None:
+        cap = atoms.width_ceiling
+        geo = float(x * cap) if isinstance(x, (int, Fraction)) \
+            else x * float(cap)
+        return 3.0 / math.sqrt(atoms.samples) + math.pi * geo
+    weight, widths = atoms.weight, atoms.widths
+    if np.isscalar(weight):
+        mass_width = weight * float(widths.sum())
+    else:
+        if keep is not None:
+            weight, widths = weight[keep], widths[keep]
+        mass_width = math.fsum(weight * widths) * _FLOAT_SLACK
+    return math.pi * float(x) * mass_width
+
+
+def _estimate(atoms: _Atoms, xi, depth: int,
+              keep: Optional[np.ndarray] = None) -> FourierEstimate:
+    return FourierEstimate(
+        xi=xi, value=_evaluate(atoms, xi, keep),
+        err_bound=_error(atoms, xi, keep),
+        method="cylinder" if atoms.samples is None else "montecarlo",
+        depth=depth, samples=atoms.samples)
+
+
+# ---------------------------------------------- single-frequency methods
+
+
+def fourier_cylinder_sum(measure: Measure, xi, depth: int,
+                         budget: int = CYLINDER_BUDGET) -> FourierEstimate:
+    """Exact-decomposition estimate: sum of mass * e(xi mid) per cylinder.
+
+    err_bound = sum of mass * pi |xi| width. At xi = 0 the value is the
+    total mass exactly and the bound is zero.
+    """
+    return _estimate(_atoms(measure, depth, budget=budget), xi, depth)
+
+
 def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
                         seed: int = 0) -> FourierEstimate:
     """Sampled estimate: mean of e(xi mid) over drawn depth-level paths.
@@ -298,46 +369,7 @@ def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
     err_bound = 3 / sqrt(samples) + pi |xi| * (worst cylinder width at
     the depth); deterministic in the seed.
     """
-    if samples < 1:
-        raise PreconditionViolated("samples must be >= 1")
-    if xi < 0:
-        pos = fourier_monte_carlo(measure, -xi, samples, depth, seed)
-        return FourierEstimate(xi=xi, value=pos.value.conjugate(),
-                               err_bound=pos.err_bound, method="montecarlo",
-                               depth=depth, samples=samples)
-    stat = 3.0 / math.sqrt(samples)
-    geo = math.pi * _xi_times(abs(xi), _width_ceiling(measure, depth))
-
-    if isinstance(measure, LambdaMeasure):
-        if depth > measure.horizon:
-            raise DepthExceeded(
-                f"depth {depth} beyond horizon {measure.horizon}"
-            )
-        leaves = _lambda_sample_leaves(measure, samples, depth, seed)
-        if xi == 0:
-            value = complex(1.0)
-        else:
-            w = 1.0 / samples
-            value = _sum_estimate(xi, [(w, lf.phase(xi)) for lf in leaves])
-    else:
-        mats = _nu_sample_matrices(measure, samples, depth, seed)
-        if xi == 0:
-            value = complex(1.0)
-        else:
-            mids, _ = cylinder_geometry(mats)
-            if isinstance(xi, (int, Fraction)) and abs(xi) >= EXACT_FOLD_THRESHOLD:
-                w = 1.0 / samples
-                pairs = [
-                    (w, _fold_phase(xi, int(m[1, 0]), int(m[1, 1]),
-                                    int(m[0, 0]), int(m[0, 1])))
-                    for m in mats
-                ]
-                value = _sum_estimate(xi, pairs)
-            else:
-                phases = (float(xi) * mids) % 1.0
-                value = complex(np.exp(2j * math.pi * phases).mean())
-    return FourierEstimate(xi=xi, value=value, err_bound=stat + geo,
-                           method="montecarlo", depth=depth, samples=samples)
+    return _estimate(_atoms(measure, depth, samples, seed), xi, depth)
 
 
 # ------------------------------------------------------------ decay scan
@@ -422,90 +454,25 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     if any(xs[k] >= xs[k + 1] for k in range(len(xs) - 1)):
         raise PreconditionViolated("xi_list must be strictly ascending")
 
-    is_lambda = isinstance(measure, LambdaMeasure)
-    if is_lambda:
-        if method == "cylinder":
-            leaves = _lambda_leaves(measure, depth, budget)
-            mass_width = _leaf_mass_width(leaves)
-        else:
-            leaves = _lambda_sample_leaves(measure, samples, depth, seed)
-    else:
-        if method == "cylinder":
-            mats = product_convergent_matrices(measure, depth, budget)
-        else:
-            mats = _nu_sample_matrices(measure, samples, depth, seed)
-        mids, widths = cylinder_geometry(mats)
-        atom = (float(measure.atom)**depth if method == "cylinder"
-                else 1.0 / samples)
-        err_geo_cyl = float(measure.atom)**depth * float(widths.sum())
-
+    atoms = _atoms(measure, depth,
+                   samples if method == "montecarlo" else None, seed, budget)
     rows = []
-    count = samples if method == "montecarlo" else None
     for xi in xs:
-        if is_lambda:
+        full = _estimate(atoms, xi, depth)
+        split = None
+        if atoms.cascade and abs(xi) > 1:
             try:
-                split = split_typ_exc(measure, abs(xi), alpha) if abs(xi) > 1 \
-                    else None
+                split = split_typ_exc(measure, abs(xi), alpha)
             except PreconditionViolated:
-                split = None
-            if method == "cylinder":
-                full_v = _leaf_value(xi, leaves) if xi != 0 else complex(1.0)
-                err_full = math.pi * abs(float(xi)) * mass_width
-                if split is None:
-                    typ_v, err_typ = full_v, err_full
-                else:
-                    typ_leaves = [lf for lf in leaves
-                                  if not split.is_exceptional(lf.chain)]
-                    typ_v = _leaf_value(xi, typ_leaves) if xi != 0 \
-                        else complex(float(sum(
-                            (lf.mass for lf in typ_leaves), Fraction(0))))
-                    err_typ = math.pi * abs(float(xi)) * _leaf_mass_width(
-                        typ_leaves)
-            else:
-                w = 1.0 / samples
-                geo = math.pi * _xi_times(abs(xi),
-                                          _width_ceiling(measure, depth))
-                err_full = 3.0 / math.sqrt(samples) + geo
-                if xi == 0:
-                    full_v = complex(1.0)
-                else:
-                    full_v = _sum_estimate(
-                        xi, [(w, lf.phase(xi)) for lf in leaves])
-                if split is None:
-                    typ_v, err_typ = full_v, err_full
-                else:
-                    sel = [lf for lf in leaves
-                           if not split.is_exceptional(lf.chain)]
-                    typ_v = _sum_estimate(
-                        xi, [(w, lf.phase(xi)) for lf in sel]) \
-                        if xi != 0 else complex(len(sel) * w)
-                    err_typ = err_full
-            n_idx = split.n_index if split is not None else 0
-            exc = split.exc_mass if split is not None else Fraction(0)
-        else:
-            if xi == 0:
-                full_v, err_full = complex(1.0), (
-                    0.0 if method == "cylinder" else 3.0 / math.sqrt(samples))
-            else:
-                phases = (float(xi) * mids) % 1.0
-                vals = np.exp(2j * math.pi * phases)
-                full_v = complex(atom * vals.sum())
-                if method == "cylinder":
-                    err_full = math.pi * abs(float(xi)) * err_geo_cyl
-                else:
-                    err_full = 3.0 / math.sqrt(samples) + math.pi * _xi_times(
-                        abs(xi), _width_ceiling(measure, depth))
-            typ_v, err_typ = full_v, err_full
-            n_idx, exc = 0, Fraction(0)
-        rows.append(DecayRow(
-            xi=xi,
-            full=FourierEstimate(xi=xi, value=full_v, err_bound=err_full,
-                                 method=method, depth=depth, samples=count),
-            typ=FourierEstimate(xi=xi, value=typ_v, err_bound=err_typ,
-                                method=method, depth=depth, samples=count),
-            n_index=n_idx,
-            exc_tv=exc,
-        ))
+                pass
+        if split is None:
+            rows.append(DecayRow(xi=xi, full=full, typ=full, n_index=0,
+                                 exc_tv=Fraction(0)))
+            continue
+        keep = np.array([not split.is_exceptional(c) for c in atoms.chains])
+        rows.append(DecayRow(xi=xi, full=full,
+                             typ=_estimate(atoms, xi, depth, keep),
+                             n_index=split.n_index, exc_tv=split.exc_mass))
     cfg = _scan_config(measure, xs, method, depth, samples, seed, alpha)
     return DecayTable(rows=tuple(rows), method=method, depth=depth, config=cfg)
 

@@ -84,18 +84,6 @@ class LogFloat:
     log: float
 
     @classmethod
-    def from_int(cls, n: int) -> "LogFloat":
-        if n == 0:
-            return cls(0, float("-inf"))
-        return cls(1 if n > 0 else -1, ln_int(abs(n)))
-
-    @classmethod
-    def from_fraction(cls, x: Fraction) -> "LogFloat":
-        if x == 0:
-            return cls(0, float("-inf"))
-        return cls(1 if x > 0 else -1, ln_fraction(abs(x)))
-
-    @classmethod
     def from_float(cls, x: float) -> "LogFloat":
         if x == 0.0:
             return cls(0, float("-inf"))
@@ -251,11 +239,3 @@ def ceil_exp_over_square(q: int, max_prec: int = 1 << 16) -> int:
             return cl
         prec *= 2
     raise CertificationFailed(f"ceil(e^{q}/{q}^2) undecided at precision {max_prec}")
-
-
-def fsum_complex(values) -> complex:
-    """Deterministic complex sum: exact-rounding fsum per component."""
-    vals = list(values)
-    re = math.fsum(v.real for v in vals)
-    im = math.fsum(v.imag for v in vals)
-    return complex(re, im)

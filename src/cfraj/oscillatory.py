@@ -21,10 +21,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.integrate import quad
 
-from .blocks import NuMeasure, cylinder_geometry, product_convergent_matrices
+from .blocks import NuMeasure
 from .cascade import ALPHA_DEFAULT, LambdaMeasure, scale_index
 from .errors import BudgetExceeded, CertificationFailed, PreconditionViolated
-from .fourier import _lambda_leaves
+from .fourier import _atoms, _lambda_leaves
 
 GRID_POINTS = 4096
 TWO_PI = 2.0 * math.pi
@@ -263,24 +263,6 @@ def _window_max_mass(mids: np.ndarray, masses: np.ndarray, u: float) -> float:
     return float((csum[right] - csum[idx]).max())
 
 
-def _measure_mids_widths_masses(measure, depth: int, budget: int):
-    if isinstance(measure, LambdaMeasure):
-        leaves = _lambda_leaves(measure, depth, budget)
-        mids = np.array([
-            float(Fraction(2 * lf.pn * lf.q + lf.pn * lf.qp + lf.pp * lf.q,
-                           2 * lf.q * (lf.q + lf.qp))) for lf in leaves
-        ])
-        widths = np.array([float(lf.width) for lf in leaves])
-        masses = np.array([float(lf.mass) for lf in leaves])
-        return mids, widths, masses
-    mats = product_convergent_matrices(measure, depth, budget)
-    mids, widths = cylinder_geometry(mats)
-    s = len(measure.support)
-    masses = np.full(mids.shape, float(measure.atom)**depth)
-    assert s**depth == mids.shape[0]
-    return mids, widths, masses
-
-
 def check_integral_inequality(case: OscillatoryTestCase, measure,
                               depth: int = 4,
                               budget: int = 10**6) -> OscillatoryReport:
@@ -302,7 +284,9 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
     _certify_at_most(case.phase, hull, 1.0, "|f|")
     _certify_at_most(case.phase.derivative(), hull, m_big, "|f'|")
 
-    mids, widths, masses = _measure_mids_widths_masses(measure, depth, budget)
+    atoms = _atoms(measure, depth, budget=budget)
+    mids, widths = atoms.mids, atoms.widths
+    masses = np.broadcast_to(atoms.weight, mids.shape)
     fvals = np.abs(case.phase(mids))
     lhs = float((masses * fvals).sum())
     lhs_err = m_big * float((masses * widths).sum())

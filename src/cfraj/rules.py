@@ -71,15 +71,6 @@ class PsiFamily:
                 break
         return val
 
-    def log_psi(self, q: int) -> float:
-        """ln psi(q) as a float, for reporting."""
-        if self.form == "power":
-            return -float(self.tau) * ln_int(q)
-        if self.form == "exp":
-            return -float(q)
-        v = self.table_value(q)
-        return math.log(v.numerator) - math.log(v.denominator)
-
 
 def check_q2psi_nonincreasing(psi: PsiFamily, probes: Sequence[int]) -> bool:
     """q^2 psi(q) nonincreasing across the probe points (exact where possible)."""

@@ -221,8 +221,10 @@ def test_a07_decay_trend_and_ball_growth_thresholds(reference_nu, oracle):
         f"ball-growth fitted exponent {fitted:.4f} is below the "
         f"pre-registered threshold {recorded['frostman_threshold']}; the "
         f"committed oracle run records the same value "
-        f"({frost_cfg['fitted']:.4f}), so the shortfall is a resolution "
-        f"cap of the depth-{frost_cfg['depth']} scan, not a regression"
+        f"({frost_cfg['fitted']:.4f}), so the shortfall is not a "
+        f"regression; nor is it a resolution cap of the "
+        f"depth-{frost_cfg['depth']} scan, since the depth-3 scan of the "
+        f"same measure fits 0.6951"
     )
 
 

@@ -107,15 +107,27 @@ def test_verify_window_detects_tampering():
 def test_serialization_round_trip():
     nu = small_nu()
     doc = json.loads(nu.serialize())
-    assert set(doc) == {"N", "p", "sigma", "eps_window", "support", "beta_achieved"}
+    assert set(doc) == {"N", "p", "sigma", "eps_window", "support",
+                        "beta_achieved", "sigma_anchor"}
     assert doc["eps_window"] == "3/10"
     back = NuMeasure.from_json_doc(doc)
-    assert back.support == nu.support
-    assert back.eps_window == nu.eps_window
-    assert back.sigma == nu.sigma
-    assert back.beta_achieved == nu.beta_achieved
-    # anchor is not part of the wire format; the float path must still certify
+    assert back == nu
+    assert back.sigma_anchor == (5, 1)
+    # a document without an anchor reads as unanchored; the float path
+    # must still certify
+    del doc["sigma_anchor"]
+    back = NuMeasure.from_json_doc(doc)
     assert back.sigma_anchor is None
+    assert verify_window(back)
+
+
+@pytest.mark.parametrize("n_bound,anchor", [(4, (9, 1)), (11, (100, 1))])
+def test_anchored_round_trip_keeps_window(n_bound, anchor):
+    # the atoms 3 and 10 sit exactly on the lower window edge; only the
+    # anchored integer test certifies them, the float sigma does not
+    nu = build_nu(n_bound, 1, None, Fraction(1, 2), sigma_anchor=anchor)
+    back = NuMeasure.from_json_doc(json.loads(nu.serialize()))
+    assert back == nu
     assert verify_window(back)
 
 

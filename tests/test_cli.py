@@ -165,6 +165,19 @@ def test_fourier_scan_deterministic_bytes(capsys, tmp_path):
     assert [r["xi"] for r in rows] == ["1", "2", "4", "8"]
 
 
+def test_fourier_scan_prints_the_hash_its_file_carries(capsys, tmp_path):
+    out_path = tmp_path / "decay.csv"
+    code, out, _ = run_cli(capsys, [
+        "fourier", "scan", "--N", "3", "--p", "1", "--sigma-log", "6",
+        "--sigma-k", "2", "--eps", "1/4", "--measure", "nu",
+        "--xi-dyadic", "0:11", "--method", "cylinder", "--depth", "6",
+        "--out", str(out_path)])
+    assert code == 0
+    printed = out.split("config ")[1].split()[0]
+    header = out_path.read_text().splitlines()[0]
+    assert header.endswith(f"config_hash={printed}")
+
+
 def test_fourier_scan_methods_agree(capsys):
     shared = ["fourier", "scan", "--N", "3", "--p", "1", "--sigma-log",
               "6", "--sigma-k", "2", "--eps", "1/4", "--xi", "1,4,16",

@@ -3,15 +3,20 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfraj import __version__
 from cfraj.blocks import NuMeasure, build_nu
 from cfraj.cascade import build_lambda, split_typ_exc, xn_mass
 from cfraj.errors import BudgetExceeded, PreconditionViolated
 from cfraj.fourier import (
+    _Atoms,
+    _fold,
     _lambda_leaves,
     _width_ceiling,
     decay_scan,
@@ -244,6 +249,72 @@ def test_decay_scan_product_measure_and_slope():
     want = float(np.polyfit(logs_x, logs_y, 1)[0])
     assert slope == pytest.approx(want, rel=1e-12)
     assert math.isfinite(slope)
+
+
+def bits(est):
+    return (est.value.real.hex(), est.value.imag.hex(), est.err_bound.hex(),
+            est.method, est.depth, est.samples)
+
+
+# negative, zero, float, int, Fraction, a float above the exact-fold
+# threshold and an int above it
+SCAN_XIS = [-7, 0, 2.5, 3, Fraction(7, 2), 2.0**41, 2**45 + 1]
+
+
+@pytest.mark.parametrize("source", ["nu", "lambda"])
+def test_scan_rows_equal_single_frequency_estimates(source):
+    measure, depth = ((nu_two_digit(), 4) if source == "nu"
+                      else (toy_lambda(), 9))
+    cyl = decay_scan(measure, SCAN_XIS, "cylinder", depth)
+    mc = decay_scan(measure, SCAN_XIS, "montecarlo", depth, samples=300,
+                    seed=4)
+    for xi, crow, mrow in zip(SCAN_XIS, cyl.rows, mc.rows):
+        assert bits(crow.full) == bits(fourier_cylinder_sum(measure, xi, depth))
+        assert bits(mrow.full) == bits(
+            fourier_monte_carlo(measure, xi, 300, depth, seed=4))
+    for table in (cyl, mc):
+        neg, pos = table.rows[0].full, decay_scan(
+            measure, [7], table.method, depth, samples=300, seed=4).rows[0].full
+        assert neg.value == pos.value.conjugate()
+        assert neg.err_bound == pos.err_bound
+
+
+def test_nu_scan_folds_huge_integers_exactly():
+    nu = nu_two_digit()
+    xi = 2**45 + 1
+    want = 0j
+    for word in iter_product(nu.support, repeat=4):
+        q, qp, pn, pp = 1, 0, 0, 1
+        for (d,) in word:
+            q, qp = d * q + qp, q
+            pn, pp = d * pn + pp, pn
+        frac = Fraction(2 * pn * q + pn * qp + pp * q, 2 * q * (q + qp)) * xi
+        frac -= math.floor(frac)
+        want += cmath.exp(2j * math.pi * float(frac)) / 16
+    row = decay_scan(nu, [xi], "cylinder", 4).rows[0]
+    assert row.full.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert row.full.value != 1 + 0j
+
+
+rationals = st.one_of(
+    st.integers(1, 2**220),
+    st.builds(Fraction, st.integers(1, 2**220), st.integers(1, 2**220)),
+)
+
+
+@settings(max_examples=300)
+@given(xi=rationals,
+       mids=st.lists(st.tuples(st.integers(0, 2**220), st.integers(1, 2**220)),
+                     min_size=1, max_size=8))
+def test_integer_fold_matches_fraction_reference(xi, mids):
+    num, den = [n for n, _ in mids], [d for _, d in mids]
+    atoms = _Atoms(weight=1.0, mids=np.array([n / d for n, d in mids]),
+                   cascade=True, num=num, den=den)
+    want = []
+    for n, d in mids:
+        ph = Fraction(xi) * Fraction(n, d)
+        want.append(float(ph - math.floor(ph)))
+    assert _fold(atoms, xi).tolist() == want
 
 
 def test_csv_format():
