@@ -360,26 +360,46 @@ def product_convergent_matrices(nu: NuMeasure, depth: int,
                                 budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """[[q, q'], [p, p']] for every depth-level word, head 0, C order.
 
-    Row order matches lexicographic order over support-block sequences.
+    Row order matches lexicographic order over support-block sequences:
+    row a * s + b of each step is (row a of the previous step) @ block b.
     """
     s = len(nu.support)
     if s**depth > budget:
         raise BudgetExceeded(f"{s}^{depth} cylinders exceed budget {budget}")
     mats = base = _block_matrices(nu, depth)
     for _ in range(depth - 1):
-        mats = np.einsum("aij,bjk->abik", mats, base).reshape(-1, 2, 2)
+        mats = np.matmul(mats[:, None], base[None]).reshape(-1, 2, 2)
     return mats
 
 
+# rows per slice of cylinder_geometry; bounds its float temporaries
+_GEOMETRY_CHUNK = 1 << 14
+
+
 def cylinder_geometry(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(midpoints, widths) as float arrays from convergent matrices."""
-    q = mats[:, 0, 0].astype(np.float64)
-    qp = mats[:, 0, 1].astype(np.float64)
-    pn = mats[:, 1, 0].astype(np.float64)
-    pp = mats[:, 1, 1].astype(np.float64)
-    mids = (2 * pn * q + pn * qp + pp * q) / (2 * q * (q + qp))
-    widths = 1.0 / (q * (q + qp))
+    """(midpoints, widths) as float arrays from convergent matrices.
+
+    With q, q', p, p' the matrix entries as floats, every row is
+    mid = (2 p q + p q' + p' q) / (2 q (q + q')) and
+    width = 1 / (q (q + q')), evaluated in that order. The rows are
+    filled in slices of _GEOMETRY_CHUNK, which changes no bit of the
+    result and keeps the temporaries to one slice.
+    """
+    n = len(mats)
+    entries = mats.reshape(n, 4)
+    mids = np.empty(n, dtype=np.float64)
+    widths = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, _GEOMETRY_CHUNK):
+        q, qp, pn, pp = entries[lo:lo + _GEOMETRY_CHUNK].T.astype(
+            np.float64, order="C")
+        hi = lo + len(q)
+        mids[lo:hi] = (2 * pn * q + pn * qp + pp * q) / (2 * q * (q + qp))
+        widths[lo:hi] = 1.0 / (q * (q + qp))
     return mids, widths
+
+
+# sliding_max_mass searches every _WINDOW_STRIDE-th start first
+_WINDOW_STRIDE = 64
 
 
 def sliding_max_mass(mids_sorted: np.ndarray, atom_mass: float,
@@ -387,14 +407,32 @@ def sliding_max_mass(mids_sorted: np.ndarray, atom_mass: float,
     """Max captured mass of a width-u window, per width.
 
     A window captures an atom when the atom's midpoint lies inside it;
-    left edges at atom midpoints suffice for the max.
+    left edges at atom midpoints suffice for the max. With right(i) the
+    number of midpoints <= mids[i] + u, the count from start i is
+    right(i) - i, and right is nondecreasing in i. So every start in
+    [s, t) counts at most right(t) - s, where t = s + _WINDOW_STRIDE
+    (right(n) = n). The starts s are searched first; only the strides
+    whose bound exceeds the best sampled count are searched in full.
+    The maximum is exact: equal to the largest right(i) - i over all i.
     """
-    out = []
     n = len(mids_sorted)
-    idx = np.arange(n)
+    starts = np.arange(0, n, _WINDOW_STRIDE)
+    offsets = np.arange(_WINDOW_STRIDE)
+    out = []
     for u in widths:
-        right = np.searchsorted(mids_sorted, mids_sorted + float(u), side="right")
-        out.append(float((right - idx).max()) * atom_mass)
+        u = float(u)
+        right = np.searchsorted(mids_sorted, mids_sorted[starts] + u,
+                                side="right")
+        best = int((right - starts).max())
+        cap = np.append(right[1:], n) - starts
+        open_starts = starts[cap > best]
+        if len(open_starts):
+            idx = (open_starts[:, None] + offsets).reshape(-1)
+            idx = idx[idx < n]
+            right = np.searchsorted(mids_sorted, mids_sorted[idx] + u,
+                                    side="right")
+            best = max(best, int((right - idx).max()))
+        out.append(float(best) * atom_mass)
     return out
 
 
@@ -405,7 +443,8 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
         raise PreconditionViolated("depth must be >= 1")
     mats = product_convergent_matrices(nu, depth, budget)
     mids, _ = cylinder_geometry(mats)
-    mids = np.sort(mids)
+    del mats
+    mids.sort()
     atom = 1.0 / float(len(nu.support)) ** depth
     widths_f = tuple(float(u) for u in widths)
     omega = sliding_max_mass(mids, atom, widths_f)
@@ -415,3 +454,19 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
     return FrostmanScan(
         depth=depth, widths=widths_f, omega=tuple(omega), fitted_exponent=fitted
     )
+
+
+def frostman_ceiling(nu: NuMeasure) -> tuple[float, float]:
+    """(log s / (2 log q_max), log s / (2 mean log q)) over the support.
+
+    s is the support size and q a support block's continuant. The
+    cylinder of k copies of the largest-q block has mass s^-k and, as
+    continuants are supermultiplicative, width at most q_max^-2k. So a
+    window of that width holds mass at least width^c, c the first
+    value, and no bound omega(u) <= C u^alpha valid at every scale has
+    alpha above c. The second value is the same ratio at the mean
+    log q: the exponent of a typical cylinder.
+    """
+    ln_s = ln_int(len(nu.support))
+    ln_q = [ln_int(continuant(b)) for b in nu.support]
+    return ln_s / (2 * max(ln_q)), ln_s / (2 * math.fsum(ln_q) / len(ln_q))

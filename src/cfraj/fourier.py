@@ -206,8 +206,9 @@ class _Atoms:
     are held as floats and exactly as num / den in Python ints; a nu
     source keeps its int64 convergent matrices and derives num / den
     only when a frequency needs the exact fold. Cylinder sources carry
-    widths; sample sources carry the sample count and the width ceiling.
-    chains holds each cascade atom's label chain.
+    widths, and nu cylinders also mass_width, a sound upper bound on
+    the sum of mass * width; sample sources carry the sample count and
+    the width ceiling. chains holds each cascade atom's label chain.
     """
 
     weight: Union[float, np.ndarray]
@@ -220,6 +221,7 @@ class _Atoms:
     num: Optional[list[int]] = None
     den: Optional[list[int]] = None
     mats: Optional[np.ndarray] = None
+    mass_width: Optional[float] = None
 
     def exact_mids(self) -> tuple[list[int], list[int]]:
         if self.num is None:
@@ -258,8 +260,16 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
     if samples is None:
         mats = product_convergent_matrices(measure, depth, budget)
         mids, widths = cylinder_geometry(mats)
-        return _Atoms(weight=float(measure.atom)**depth, mids=mids,
-                      cascade=False, widths=widths, mats=mats)
+        weight = float(measure.atom)**depth
+        # roundings between the float terms and the true bound
+        # pi |xi| sum s^-depth / (q (q + q')), each worth at most a
+        # factor 1 / (1 - u): n - 1 in the sum, 5 within any one width,
+        # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
+        steps = (len(widths) - 1) + 5 + (depth + 2) + 2 + 4
+        return _Atoms(weight=weight, mids=mids, cascade=False,
+                      widths=widths, mats=mats,
+                      mass_width=weight * float(widths.sum())
+                      * _inflation(steps))
     mats = _nu_sample_matrices(measure, samples, depth, seed)
     mids, _ = cylinder_geometry(mats)
     return _Atoms(weight=1.0 / samples, mids=mids, cascade=False,
@@ -276,7 +286,8 @@ def _fold(atoms: _Atoms, xi) -> np.ndarray:
     An int or Fraction xi = a / b folds exactly on cascade atoms, and on
     nu atoms from EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one
     integer reduction, and dividing by b den rounds once. Otherwise the
-    fold is a float product.
+    fold is a float product minus its floor: for a nonnegative float
+    that difference is exact, so it equals % 1.0 bit for bit.
     """
     if isinstance(xi, (int, Fraction)) and (
             atoms.cascade or xi >= EXACT_FOLD_THRESHOLD):
@@ -284,14 +295,17 @@ def _fold(atoms: _Atoms, xi) -> np.ndarray:
         num, den = atoms.exact_mids()
         return np.array([(a * n) % (b * d) / (b * d)
                          for n, d in zip(num, den)])
-    return (float(xi) * atoms.mids) % 1.0
+    phases = float(xi) * atoms.mids
+    phases -= np.floor(phases)
+    return phases
 
 
 def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> complex:
     """Sum of weight * e(xi mid) over the atoms, or over those keep marks.
 
     Cascade atoms are summed term by term with math.fsum; nu atoms, up
-    to millions of them, in one numpy sum.
+    to millions of them, in one numpy sum of exp(i 2 pi phase), built
+    and exponentiated in one complex buffer.
     """
     if xi < 0:
         return _evaluate(atoms, -xi, keep).conjugate()
@@ -303,7 +317,10 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> complex:
         if not np.isscalar(weight):
             weight = weight[keep]
     if not atoms.cascade:
-        return complex(weight * np.exp(2j * math.pi * phases).sum())
+        terms = np.zeros(len(phases), dtype=np.complex128)
+        np.multiply(phases, TWO_PI, out=terms.imag)
+        del phases
+        return complex(weight * np.exp(terms, out=terms).sum())
     angles = (TWO_PI * phases).tolist()
     weights = weight.tolist() if not np.isscalar(weight) \
         else [weight] * len(angles)
@@ -318,11 +335,21 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> complex:
 _FLOAT_SLACK = 1.0 + 1e-9
 
 
+def _inflation(steps: int) -> float:
+    """A float >= 1 + gamma_steps = 1 / (1 - steps u), u = 2^-53.
+
+    Higham's gamma bounds the relative error of that many roundings:
+    (1 - u)^-steps <= 1 + gamma_steps.
+    """
+    return math.nextafter(float(Fraction(2**53, 2**53 - steps)), math.inf)
+
+
 def _error(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> float:
     """Midpoint-rule error bound of _evaluate.
 
-    Cylinders: pi |xi| * sum of mass * width. Samples: 3 / sqrt(n)
-    + pi |xi| * width ceiling.
+    Cylinders: pi |xi| * sum of mass * width, with the float sum
+    inflated to an upper bound. Samples: 3 / sqrt(n) + pi |xi| * width
+    ceiling.
     """
     x = abs(xi)
     if atoms.samples is not None:
@@ -330,10 +357,9 @@ def _error(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> float:
         geo = float(x * cap) if isinstance(x, (int, Fraction)) \
             else x * float(cap)
         return 3.0 / math.sqrt(atoms.samples) + math.pi * geo
-    weight, widths = atoms.weight, atoms.widths
-    if np.isscalar(weight):
-        mass_width = weight * float(widths.sum())
-    else:
+    mass_width = atoms.mass_width
+    if mass_width is None:
+        weight, widths = atoms.weight, atoms.widths
         if keep is not None:
             weight, widths = weight[keep], widths[keep]
         mass_width = math.fsum(weight * widths) * _FLOAT_SLACK

@@ -24,6 +24,7 @@ import pytest
 from cfraj.audit import exponent_audit, format_audit
 from cfraj.blocks import (
     build_nu,
+    frostman_ceiling,
     frostman_scan,
     median_log_continuant,
     top_half_split,
@@ -217,6 +218,7 @@ def test_a07_decay_trend_and_ball_growth_thresholds(reference_nu, oracle):
     scan = frostman_scan(nu, frost_cfg["depth"], widths)
     fitted = scan.fitted_exponent
     assert fitted == pytest.approx(frost_cfg["fitted"], abs=1e-9)
+    worst, mean = frostman_ceiling(nu)
     assert fitted >= recorded["frostman_threshold"], (
         f"ball-growth fitted exponent {fitted:.4f} is below the "
         f"pre-registered threshold {recorded['frostman_threshold']}; the "
@@ -224,7 +226,9 @@ def test_a07_decay_trend_and_ball_growth_thresholds(reference_nu, oracle):
         f"({frost_cfg['fitted']:.4f}), so the shortfall is not a "
         f"regression; nor is it a resolution cap of the "
         f"depth-{frost_cfg['depth']} scan, since the depth-3 scan of the "
-        f"same measure fits 0.6951"
+        f"same measure fits 0.6951; frostman_ceiling caps any Frostman "
+        f"exponent valid at every scale at log s / (2 log q_max) = "
+        f"{worst:.4f} (mean block: {mean:.4f})"
     )
 
 

@@ -7,13 +7,16 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cfraj.blocks import (
     NuMeasure,
+    _GEOMETRY_CHUNK,
+    _WINDOW_STRIDE,
     blocks_to_word,
     build_nu,
     cylinder_geometry,
+    frostman_ceiling,
     frostman_scan,
     greedy_half,
     median_log_continuant,
@@ -31,7 +34,7 @@ from cfraj.errors import (
     NotInSupport,
     PreconditionViolated,
 )
-from cfraj.words import Word, continuant, cylinder_interval
+from cfraj.words import Word, _convergents, continuant, cylinder_interval
 
 
 def small_nu():
@@ -276,15 +279,31 @@ def test_qnu_exponent_repeated_block():
 
 def test_cylinder_geometry_matches_word_oracle():
     nu = small_nu()
-    for depth in (1, 2):
+    for depth in (1, 2, 3):
         mats = product_convergent_matrices(nu, depth)
         mids, widths = cylinder_geometry(mats)
         seqs = list(iter_product(nu.support, repeat=depth))
         assert len(seqs) == len(mids)
         for row, seq in enumerate(seqs):
-            iv = cylinder_interval(blocks_to_word(seq))
+            word = blocks_to_word(seq)
+            pn, q, pp, qp = _convergents(word)
+            assert mats[row].tolist() == [[q, qp], [pn, pp]]
+            iv = cylinder_interval(word)
             assert mids[row] == pytest.approx(float(iv.midpoint), rel=1e-13)
             assert widths[row] == pytest.approx(float(iv.width), rel=1e-13)
+
+
+def test_cylinder_geometry_equals_unchunked_expression():
+    mats = product_convergent_matrices(small_nu(), 7)
+    assert len(mats) > 4 * _GEOMETRY_CHUNK
+    assert len(mats) % _GEOMETRY_CHUNK
+    q, qp, pn, pp = (mats[:, i, j].astype(np.float64)
+                     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    mids, widths = cylinder_geometry(mats)
+    want_mids = (2 * pn * q + pn * qp + pp * q) / (2 * q * (q + qp))
+    want_widths = 1.0 / (q * (q + qp))
+    assert mids.tobytes() == want_mids.tobytes()
+    assert widths.tobytes() == want_widths.tobytes()
 
 
 def test_matrix_chain_budget():
@@ -320,6 +339,55 @@ def test_sliding_max_mass_against_brute_force():
             sum(1 for m in mids if left <= m <= left + u) for left in mids
         )
         assert val == pytest.approx(best * atom)
+
+
+def full_search_max_mass(mids_sorted, atom_mass, widths):
+    """Reference: the count from every left edge, searched in full."""
+    idx = np.arange(len(mids_sorted))
+    return [float((np.searchsorted(mids_sorted, mids_sorted + float(u),
+                                   side="right") - idx).max()) * atom_mass
+            for u in widths]
+
+
+@st.composite
+def sorted_midpoints(draw):
+    n = draw(st.one_of(st.integers(1, 3 * _WINDOW_STRIDE),
+                       st.integers(1, 3000)))
+    kind = draw(st.sampled_from(["uniform", "clustered", "even", "dupes"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        mids = rng.uniform(0.0, 1.0, n)
+    elif kind == "clustered":
+        centres = rng.uniform(0.0, 1.0, draw(st.integers(1, 6)))
+        mids = (rng.choice(centres, n)
+                + rng.normal(0.0, draw(st.sampled_from([1e-9, 1e-4, 1e-2])), n))
+    elif kind == "even":
+        mids = np.linspace(0.0, 1.0, n)
+    else:
+        mids = rng.choice(rng.uniform(0.0, 1.0, draw(st.integers(1, 20))), n)
+    return np.sort(mids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mids=sorted_midpoints(),
+       widths=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-12, 3.0]),
+                                 st.floats(0.0, 1.5)),
+                       min_size=1, max_size=6))
+def test_sliding_max_mass_equals_full_search(mids, widths):
+    atom = 1.0 / len(mids)
+    assert sliding_max_mass(mids, atom, widths) == full_search_max_mass(
+        mids, atom, widths)
+
+
+def test_frostman_ceiling_of_reference_measure():
+    sigma, anchor = median_log_continuant(100, 3, weighting="lebesgue")
+    nu = build_nu(100, 3, None, Fraction(1, 4), sigma_anchor=anchor)
+    qs = [continuant(b) for b in nu.support]
+    assert (len(qs), min(qs), max(qs)) == (190, 9, 34)
+    worst, mean = frostman_ceiling(nu)
+    assert worst == pytest.approx(math.log(190) / (2 * math.log(34)))
+    assert worst == pytest.approx(0.744, abs=5e-4)
+    assert mean == pytest.approx(0.851, abs=5e-4)
 
 
 def test_frostman_scan_endpoints():

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfraj import __version__
-from cfraj.blocks import NuMeasure, build_nu
+from cfraj.blocks import (
+    NuMeasure,
+    build_nu,
+    cylinder_geometry,
+    product_convergent_matrices,
+)
 from cfraj.cascade import build_lambda, split_typ_exc, xn_mass
 from cfraj.errors import BudgetExceeded, PreconditionViolated
 from cfraj.fourier import (
@@ -277,6 +282,46 @@ def test_scan_rows_equal_single_frequency_estimates(source):
             measure, [7], table.method, depth, samples=300, seed=4).rows[0].full
         assert neg.value == pos.value.conjugate()
         assert neg.err_bound == pos.err_bound
+
+
+# float-fold frequencies below EXACT_FOLD_THRESHOLD: int, float, Fraction
+FLOAT_FOLD_XIS = [2.5, 3, Fraction(7, 2), 12345.678, 1e11 + 0.25,
+                  Fraction(2**39, 3), 2**39 - 5]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 12])
+def test_nu_scan_values_equal_reference_expression(depth):
+    nu = nu_two_digit()
+    mids, _ = cylinder_geometry(product_convergent_matrices(nu, depth))
+    weight = float(nu.atom)**depth
+    table = decay_scan(nu, FLOAT_FOLD_XIS, "cylinder", depth)
+    for xi, row in zip(FLOAT_FOLD_XIS, table.rows):
+        want = complex(weight * np.exp(
+            2j * math.pi * ((float(xi) * mids) % 1.0)).sum())
+        assert row.full.value.real.hex() == want.real.hex()
+        assert row.full.value.imag.hex() == want.imag.hex()
+
+
+# pi rounded up at 20 decimals: an upper bound on the true pi
+PI_UP = Fraction(314159265358979323847, 10**20)
+
+
+@pytest.mark.parametrize("measure,depth", [
+    (nu_two_digit(), 2), (nu_two_digit(), 7),
+    (build_nu(3, 2, None, Fraction(3, 10), sigma_anchor=(5, 1)), 3),
+])
+def test_nu_cylinder_bound_covers_exact_width_sum(measure, depth):
+    mats = product_convergent_matrices(measure, depth)
+    _, widths = cylinder_geometry(mats)
+    weight = float(measure.atom)**depth
+    float_widths = sum(Fraction(w) for w in widths.tolist())
+    exact_widths = sum(Fraction(1, q * (q + qp))
+                       for q, qp in mats[:, 0, :].tolist())
+    for xi in (1, 3, 2.5, Fraction(7, 2), 2**20 + 1, 2**45 + 1):
+        bound = Fraction(fourier_cylinder_sum(measure, xi, depth).err_bound)
+        x = Fraction(xi)
+        assert bound >= PI_UP * x * Fraction(weight) * float_widths
+        assert bound >= PI_UP * x * measure.atom**depth * exact_widths
 
 
 def test_nu_scan_folds_huge_integers_exactly():
