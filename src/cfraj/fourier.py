@@ -203,9 +203,11 @@ class _Atoms:
 
     weight is one float for uniform sources (nu cylinders and every
     sample set) and a float per atom for cascade cylinders. Midpoints
-    are held as floats and exactly as num / den in Python ints; a nu
-    source keeps its int64 convergent matrices and derives num / den
-    only when a frequency needs the exact fold. Cylinder sources carry
+    are held as floats and exactly as num / den in Python ints. A nu
+    source derives num / den only when a frequency needs the exact
+    fold: nu samples from the int64 convergent matrices they keep, nu
+    cylinders from matrices enumerated again from cylinders, the
+    (measure, depth, budget) they came from. Cylinder sources carry
     widths, and nu cylinders also mass_width, a sound upper bound on
     the sum of mass * width; sample sources carry the sample count and
     the width ceiling. chains holds each cascade atom's label chain.
@@ -221,11 +223,14 @@ class _Atoms:
     num: Optional[list[int]] = None
     den: Optional[list[int]] = None
     mats: Optional[np.ndarray] = None
+    cylinders: Optional[tuple[NuMeasure, int, int]] = None
     mass_width: Optional[float] = None
 
     def exact_mids(self) -> tuple[list[int], list[int]]:
         if self.num is None:
             m = self.mats
+            if m is None:
+                m = product_convergent_matrices(*self.cylinders)
             self.num, self.den = _midpoints(
                 m[:, 1, 0].tolist(), m[:, 1, 1].tolist(),
                 m[:, 0, 0].tolist(), m[:, 0, 1].tolist())
@@ -266,8 +271,10 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         # factor 1 / (1 - u): n - 1 in the sum, 5 within any one width,
         # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
         steps = (len(widths) - 1) + 5 + (depth + 2) + 2 + 4
+        # the matrices (32 B a cylinder) are dropped here; the rare exact
+        # fold enumerates them again
         return _Atoms(weight=weight, mids=mids, cascade=False,
-                      widths=widths, mats=mats,
+                      widths=widths, cylinders=(measure, depth, budget),
                       mass_width=weight * float(widths.sum())
                       * _inflation(steps))
     mats = _nu_sample_matrices(measure, samples, depth, seed)

@@ -41,11 +41,17 @@ class PhaseFunction:
 
     poly holds rational coefficients, low degree first. Each trig term
     is (kind, amp, freq, k); closing the family under differentiation
-    is what keeps every derived bound exact.
+    is what keeps every derived bound exact. Evaluation reads floats
+    converted once at construction: the Horner coefficients, high
+    degree first, and per trig term (is_sin, float(amp) * (2 pi)^k,
+    2 pi * float(freq)).
     """
 
     poly: tuple[Fraction, ...] = ()
     trig: tuple[tuple[str, Fraction, Fraction, int], ...] = ()
+    _horner: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _waves: tuple[tuple[bool, float, float], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -56,17 +62,33 @@ class PhaseFunction:
                 raise PreconditionViolated(f"unknown trig kind {kind!r}")
             norm.append((kind, Fraction(amp), Fraction(freq), int(k)))
         object.__setattr__(self, "trig", tuple(norm))
+        object.__setattr__(
+            self, "_horner", tuple(float(c) for c in reversed(self.poly)))
+        object.__setattr__(self, "_waves", tuple(
+            (kind == "sin", float(amp) * TWO_PI**k, TWO_PI * float(freq))
+            for kind, amp, freq, k in self.trig))
 
     def __call__(self, t):
-        acc = np.zeros_like(np.asarray(t, dtype=float)) if not np.isscalar(t) \
-            else 0.0
-        for c in reversed(self.poly):
-            acc = acc * t + float(c)
-        for kind, amp, freq, k in self.trig:
-            w = float(amp) * TWO_PI**k
-            arg = TWO_PI * float(freq) * np.asarray(t, dtype=float) \
-                if not np.isscalar(t) else TWO_PI * float(freq) * t
-            acc = acc + w * (np.sin(arg) if kind == "sin" else np.cos(arg))
+        # scipy quad passes a plain float: math.sin / math.cos give the
+        # same bits as np.sin / np.cos there, at a fraction of the cost
+        if type(t) is float:
+            acc = 0.0
+            for c in self._horner:
+                acc = acc * t + c
+            for is_sin, w, omega in self._waves:
+                acc = acc + w * (math.sin(omega * t) if is_sin
+                                 else math.cos(omega * t))
+            return acc
+        if np.isscalar(t):
+            x, acc = t, 0.0
+        else:
+            x = np.asarray(t, dtype=float)
+            acc = np.zeros_like(x)
+        for c in self._horner:
+            acc = acc * x + c
+        for is_sin, w, omega in self._waves:
+            arg = omega * x
+            acc = acc + w * (np.sin(arg) if is_sin else np.cos(arg))
         return acc
 
     def derivative(self) -> "PhaseFunction":

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated
-from .numeric import LogFloat, guard_int, ln_fraction, ln_int
+from .numeric import LogFloat, guard_int, ln_int
 
 
 def continuant(entries: Sequence[int]) -> int:
@@ -160,10 +160,12 @@ def joining_defect(a: Word, b: Word, n_bound: int) -> LogFloat:
     guard_int(k_join, "joined continuant")
     # K(a~b) >= K(a) K(b) holds as an exact integer inequality, so the
     # sign is decided exactly and float rounding cannot push it negative.
-    ratio = Fraction(k_join, k_a * k_b)
-    if ratio == 1:
+    k_ab = k_a * k_b
+    if k_join == k_ab:
         return LogFloat(0, float("-inf"))
-    defect = ln_fraction(ratio)
+    # the log of the ratio in lowest terms, one ln_int per term
+    g = math.gcd(k_join, k_ab)
+    defect = ln_int(k_join // g) - ln_int(k_ab // g)
     if defect <= 0.0:
-        defect = math.log1p(max(float(ratio - 1), 5e-324))
-    return LogFloat.from_float(defect)
+        defect = math.log1p(max(float(Fraction(k_join, k_ab) - 1), 5e-324))
+    return LogFloat(1, math.log(defect))

@@ -21,6 +21,7 @@ from cfraj.cascade import build_lambda, split_typ_exc, xn_mass
 from cfraj.errors import BudgetExceeded, PreconditionViolated
 from cfraj.fourier import (
     _Atoms,
+    _atoms,
     _fold,
     _lambda_leaves,
     _width_ceiling,
@@ -339,6 +340,16 @@ def test_nu_scan_folds_huge_integers_exactly():
     row = decay_scan(nu, [xi], "cylinder", 4).rows[0]
     assert row.full.value == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert row.full.value != 1 + 0j
+
+
+def test_nu_cylinder_atoms_enumerate_matrices_again_for_the_exact_fold():
+    nu = nu_two_digit()
+    atoms = _atoms(nu, 4)
+    assert atoms.mats is None
+    num, den = atoms.exact_mids()
+    assert [n / d for n, d in zip(num, den)] == pytest.approx(
+        atoms.mids.tolist(), rel=1e-15)
+    assert _atoms(nu, 4, samples=10).mats is not None
 
 
 rationals = st.one_of(

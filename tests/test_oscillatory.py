@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import fresnel
 
 from cfraj.blocks import build_nu
 from cfraj.errors import BudgetExceeded, CertificationFailed, \
     PreconditionViolated
 from cfraj.oscillatory import (
+    TWO_PI,
     M2Report,
     OscillatoryTestCase,
     PhaseFunction,
@@ -57,6 +60,63 @@ def test_trig_derivative_matches_finite_differences():
     d2 = d.derivative()
     fd2 = (d(0.3 + h) - d(0.3 - h)) / (2 * h)
     assert d2(0.3) == pytest.approx(fd2, rel=1e-5, abs=1e-4)
+
+
+def reference_call(f, t):
+    """PhaseFunction evaluation that converts every Fraction per call."""
+    acc = np.zeros_like(np.asarray(t, dtype=float)) if not np.isscalar(t) \
+        else 0.0
+    for c in reversed(f.poly):
+        acc = acc * t + float(c)
+    for kind, amp, freq, k in f.trig:
+        w = float(amp) * TWO_PI**k
+        arg = TWO_PI * float(freq) * np.asarray(t, dtype=float) \
+            if not np.isscalar(t) else TWO_PI * float(freq) * t
+        acc = acc + w * (np.sin(arg) if kind == "sin" else np.cos(arg))
+    return acc
+
+
+small_fractions = st.builds(Fraction, st.integers(-64, 64), st.integers(1, 16))
+
+
+@st.composite
+def phase_functions(draw):
+    """Polynomial, trig or mixed phases, and derivatives with k > 0."""
+    poly = draw(st.lists(small_fractions, max_size=5))
+    trig = draw(st.lists(st.tuples(st.sampled_from(("sin", "cos")),
+                                   small_fractions, small_fractions,
+                                   st.just(0)), max_size=3))
+    f = PhaseFunction(poly=tuple(poly), trig=tuple(trig))
+    for _ in range(draw(st.integers(0, 2))):
+        f = f.derivative()
+    return f
+
+
+finite = st.floats(-8, 8, allow_nan=False)
+phase_inputs = st.one_of(
+    finite,
+    st.integers(-8, 8),
+    finite.map(np.float64),
+    finite.map(np.array),
+    st.lists(finite, min_size=1, max_size=6).map(np.array),
+)
+
+
+@settings(max_examples=200)
+@given(f=phase_functions(), t=phase_inputs)
+def test_call_equals_fraction_reference_bit_for_bit(f, t):
+    got, want = f(t), reference_call(f, t)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() \
+        == np.asarray(want, dtype=float).tobytes()
+
+
+def test_float_cache_is_not_part_of_identity():
+    a = PhaseFunction(poly=(1, 2))
+    b = PhaseFunction(poly=(Fraction(1), Fraction(2)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == \
+        "PhaseFunction(poly=(Fraction(1, 1), Fraction(2, 1)), trig=())"
 
 
 def test_coefficient_bound_dominates_dense_sampling():

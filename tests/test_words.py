@@ -3,10 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfraj.errors import PreconditionViolated
+from cfraj.numeric import LogFloat, ln_fraction
 from cfraj.words import (
     CylinderInterval,
     Word,
@@ -175,6 +176,40 @@ def test_word_rejects_bad_entries():
 def test_joining_defect_nonnegative(a_tail, b_head, b_tail):
     d = joining_defect(Word(0, tuple(a_tail)), Word(b_head, tuple(b_tail)), 5)
     assert float(d) >= -1e-12
+
+
+def reference_defect(a, b):
+    """joining_defect through a Fraction ratio and ln_fraction."""
+    k_join = continuant(a.tail + (b.head,) + b.tail)
+    ratio = Fraction(k_join, continuant(a.tail) * continuant(b.tail))
+    if ratio == 1:
+        return LogFloat(0, float("-inf"))
+    defect = ln_fraction(ratio)
+    if defect <= 0.0:
+        defect = math.log1p(max(float(ratio - 1), 5e-324))
+    return LogFloat.from_float(defect)
+
+
+@st.composite
+def word_pairs(draw):
+    n_bound = draw(st.integers(1, 1000))
+    digit = st.integers(1, n_bound)
+    a = Word(draw(st.integers(0, n_bound)),
+             tuple(draw(st.lists(digit, max_size=39))))
+    b = Word(draw(digit), tuple(draw(st.lists(digit, max_size=39))))
+    return a, b, n_bound
+
+
+# K(M, 1, M) / M^2 = 1 + 2/M: both logs round to the same float, so the
+# log1p fallback decides the defect
+@example((Word(0, (10**17,)), Word(1, (10**17,)), 10**17))
+@example((Word(0, ()), Word(1, ()), 1))
+@settings(max_examples=300)
+@given(word_pairs())
+def test_joining_defect_equals_fraction_reference(pair):
+    a, b, n_bound = pair
+    got, want = joining_defect(a, b, n_bound), reference_defect(a, b)
+    assert got.sign == want.sign and got.log.hex() == want.log.hex()
 
 
 def test_parity_alternates():
