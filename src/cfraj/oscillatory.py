@@ -69,8 +69,12 @@ class PhaseFunction:
             for kind, amp, freq, k in self.trig))
 
     def __call__(self, t):
-        # scipy quad passes a plain float: math.sin / math.cos give the
-        # same bits as np.sin / np.cos there, at a fraction of the cost
+        # Scalars (scipy quad passes plain floats) take float arithmetic
+        # and math.sin / math.cos. These match np.sin / np.cos bit for
+        # bit on the build measured (numpy 2.4.6, x86-64 AVX-512), not
+        # on every build: both are valid roundings.
+        if type(t) is not float and np.isscalar(t):
+            t = float(t)
         if type(t) is float:
             acc = 0.0
             for c in self._horner:
@@ -79,11 +83,8 @@ class PhaseFunction:
                 acc = acc + w * (math.sin(omega * t) if is_sin
                                  else math.cos(omega * t))
             return acc
-        if np.isscalar(t):
-            x, acc = t, 0.0
-        else:
-            x = np.asarray(t, dtype=float)
-            acc = np.zeros_like(x)
+        x = np.asarray(t, dtype=float)
+        acc = np.zeros_like(x)
         for c in self._horner:
             acc = acc * x + c
         for is_sin, w, omega in self._waves:

@@ -63,16 +63,23 @@ def test_trig_derivative_matches_finite_differences():
 
 
 def reference_call(f, t):
-    """PhaseFunction evaluation that converts every Fraction per call."""
-    acc = np.zeros_like(np.asarray(t, dtype=float)) if not np.isscalar(t) \
-        else 0.0
+    """PhaseFunction evaluation that converts every Fraction per call.
+
+    Scalars use math.sin / math.cos and arrays np.sin / np.cos, as
+    __call__ does, so the comparison checks the float conversions and
+    the expression order, not which sine implementation rounds how.
+    """
+    if np.isscalar(t):
+        x, acc, sin, cos = float(t), 0.0, math.sin, math.cos
+    else:
+        x = np.asarray(t, dtype=float)
+        acc, sin, cos = np.zeros_like(x), np.sin, np.cos
     for c in reversed(f.poly):
-        acc = acc * t + float(c)
+        acc = acc * x + float(c)
     for kind, amp, freq, k in f.trig:
         w = float(amp) * TWO_PI**k
-        arg = TWO_PI * float(freq) * np.asarray(t, dtype=float) \
-            if not np.isscalar(t) else TWO_PI * float(freq) * t
-        acc = acc + w * (np.sin(arg) if kind == "sin" else np.cos(arg))
+        arg = TWO_PI * float(freq) * x
+        acc = acc + w * (sin(arg) if kind == "sin" else cos(arg))
     return acc
 
 
