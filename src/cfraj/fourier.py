@@ -1,18 +1,29 @@
 """Fourier transforms of the constructed measures, with rigorous errors.
 
 Both estimators evaluate e(xi x) = exp(2 pi i xi x) at cylinder
-midpoints; replacing the integrand by its midpoint value costs at most
-pi |xi| width per cylinder (mean value theorem), which is exactly the
-error bound carried on every estimate. Negative frequencies are served
-by conjugating the positive-frequency estimate, so conjugate symmetry
-holds to the last bit.
+midpoints. The error bound carried on every estimate has two terms:
+
+- the midpoint term: replacing the integrand by its midpoint value
+  costs at most pi |xi| width per cylinder (mean value theorem), or
+  the width ceiling per sample path;
+- on nu atoms, the evaluation term: the distance between the computed
+  float sum and the exact sum at the exact midpoints (float midpoints,
+  the phase product, 2 pi phase, complex exp, the pairwise sum and the
+  weight). _error derives it.
+
+Negative frequencies are served by conjugating the positive-frequency
+estimate, so conjugate symmetry holds to the last bit.
 
 Every estimate is one pipeline: an atom set (the cylinders or the
 sample paths of a nu or cascade measure), one phase fold, one evaluator
 and one error model. An int or Fraction frequency is folded exactly, by
 integer reduction of the exact midpoints: always on cascade atoms, and
 on nu atoms from EXACT_FOLD_THRESHOLD up, where float products lose the
-fractional part.
+fractional part. On nu atoms a scan whose next frequency is 2^m times
+the last one squares the last row's complex terms in place m times,
+since e(2 xi x) = e(xi x)^2, instead of calling exp again; it restarts
+from exp when the squared terms' bound would exceed twice a direct
+evaluation's.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from .cascade import (
 )
 from .errors import BudgetExceeded, DepthExceeded, PreconditionViolated
 from .rules import rho_value
+from .words import continuant
 
 Measure = Union[NuMeasure, LambdaMeasure]
 
@@ -51,6 +63,18 @@ CYLINDER_BUDGET = 10**6
 EXACT_FOLD_THRESHOLD = 2**40
 
 TWO_PI = 2.0 * math.pi
+
+# unit roundoff of float64
+U = 2.0**-53
+# Stated libm assumption behind every nu evaluation term: each part of
+# np.exp(1j * theta) is within EXP_ULPS ulp of cos theta, sin theta.
+# Both are below 1 in magnitude, where an ulp is at most U. glibc
+# documents at most 1 ulp for its double sin and cos.
+EXP_ULPS = 2
+# constants rounded up: math.pi, sqrt(2) and sqrt(5) each round once
+PI_UP = math.nextafter(math.pi, math.inf)
+SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
+SQRT5_UP = math.nextafter(math.sqrt(5.0), math.inf)
 
 
 @dataclass(frozen=True)
@@ -135,16 +159,6 @@ def _lambda_leaves(lm: LambdaMeasure, depth: int,
     return out
 
 
-def _min_block_continuant(nu: NuMeasure) -> int:
-    best = None
-    for blk in nu.support:
-        q, qp = 1, 0
-        for d in blk:
-            q, qp = d * q + qp, q
-        best = q if best is None else min(best, q)
-    return best
-
-
 def _width_ceiling(measure: Measure, depth: int) -> Fraction:
     """Sound upper bound for the width of any depth-level cylinder.
 
@@ -152,12 +166,12 @@ def _width_ceiling(measure: Measure, depth: int) -> Fraction:
     (min block continuant)^(number of typical blocks); forced blocks
     only count for >= 1.
     """
+    nu = measure.nu if isinstance(measure, LambdaMeasure) else measure
+    kmin = min(continuant(b) for b in nu.support)
     if isinstance(measure, LambdaMeasure):
-        kmin = _min_block_continuant(measure.nu)
-        typical_floor = max(depth - sum(measure.schedule.r), 0)
-        qmin = kmin**typical_floor
+        qmin = kmin**max(depth - sum(measure.schedule.r), 0)
     else:
-        qmin = _min_block_continuant(measure)**depth
+        qmin = kmin**depth
     return Fraction(1, qmin * qmin)
 
 
@@ -211,6 +225,9 @@ class _Atoms:
     widths, and nu cylinders also mass_width, a sound upper bound on
     the sum of mass * width; sample sources carry the sample count and
     the width ceiling. chains holds each cascade atom's label chain.
+    Nu sources also carry what their evaluation term needs: mid_steps,
+    the roundings in one float midpoint, and weight_err, a bound on
+    |weight - exact weight| / exact weight.
     """
 
     weight: Union[float, np.ndarray]
@@ -225,6 +242,8 @@ class _Atoms:
     mats: Optional[np.ndarray] = None
     cylinders: Optional[tuple[NuMeasure, int, int]] = None
     mass_width: Optional[float] = None
+    mid_steps: int = 0
+    weight_err: float = 0.0
 
     def exact_mids(self) -> tuple[list[int], list[int]]:
         if self.num is None:
@@ -276,70 +295,158 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         return _Atoms(weight=weight, mids=mids, cascade=False,
                       widths=widths, cylinders=(measure, depth, budget),
                       mass_width=weight * float(widths.sum())
-                      * _inflation(steps))
+                      * _inflation(steps),
+                      **_nu_rounding(widths, weight, measure.atom**depth))
     mats = _nu_sample_matrices(measure, samples, depth, seed)
-    mids, _ = cylinder_geometry(mats)
-    return _Atoms(weight=1.0 / samples, mids=mids, cascade=False,
+    mids, widths = cylinder_geometry(mats)
+    weight = 1.0 / samples
+    return _Atoms(weight=weight, mids=mids, cascade=False,
                   samples=samples,
-                  width_ceiling=_width_ceiling(measure, depth), mats=mats)
+                  width_ceiling=_width_ceiling(measure, depth), mats=mats,
+                  **_nu_rounding(widths, weight, Fraction(1, samples)))
+
+
+# roundings in a float midpoint when cylinder_geometry's integers are not
+# all exact in floats: 4 conversions, 3 products, 2 sums and 1 division,
+# at most 10 on any path into N / D
+_MID_STEPS_INEXACT = 10
+
+
+def _nu_rounding(widths: np.ndarray, weight: float,
+                 exact_weight: Fraction) -> dict:
+    """mid_steps and weight_err of a nu atom set.
+
+    A width above 2^-52 means q (q + q') < 2^52, since rounding is
+    monotone. If every row has one, the numerator and denominator of
+    every midpoint, 2 p q + p q' + p' q <= 2 q (q + q') < 2^53, are
+    exact integers in floats, and fl(N / D) rounds once.
+    """
+    mid_steps = 1 if widths.min() > 2.0**-52 else _MID_STEPS_INEXACT
+    rel = abs(Fraction(weight) - exact_weight) / exact_weight
+    return {"mid_steps": mid_steps,
+            "weight_err": math.nextafter(float(rel), math.inf)}
 
 
 # ------------------------------------------- fold, evaluator, error model
 
 
-def _fold(atoms: _Atoms, xi) -> np.ndarray:
+def _folds_exactly(atoms: _Atoms, xi) -> bool:
+    return isinstance(xi, (int, Fraction)) and (
+        atoms.cascade or xi >= EXACT_FOLD_THRESHOLD)
+
+
+def _fold(atoms: _Atoms, xi, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Fractional part of xi * midpoint for every atom, xi > 0.
 
     An int or Fraction xi = a / b folds exactly on cascade atoms, and on
     nu atoms from EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one
     integer reduction, and dividing by b den rounds once. Otherwise the
     fold is a float product minus its floor: for a nonnegative float
-    that difference is exact, so it equals % 1.0 bit for bit.
+    that difference is exact, so it equals % 1.0 bit for bit. The
+    phases are written to out when it is given.
     """
-    if isinstance(xi, (int, Fraction)) and (
-            atoms.cascade or xi >= EXACT_FOLD_THRESHOLD):
+    if _folds_exactly(atoms, xi):
         a, b = xi.numerator, xi.denominator
         num, den = atoms.exact_mids()
-        return np.array([(a * n) % (b * d) / (b * d)
-                         for n, d in zip(num, den)])
-    phases = float(xi) * atoms.mids
+        phases = np.array([(a * n) % (b * d) / (b * d)
+                           for n, d in zip(num, den)])
+        if out is None:
+            return phases
+        out[...] = phases
+        return out
+    phases = np.multiply(atoms.mids, float(xi), out=out)
     phases -= np.floor(phases)
     return phases
 
 
-def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> complex:
-    """Sum of weight * e(xi mid) over the atoms, or over those keep marks.
+@dataclass
+class _Chain:
+    """The complex terms of a nu scan's last row, kept for squaring.
 
-    Cascade atoms are summed term by term with math.fsum; nu atoms, up
-    to millions of them, in one numpy sum of exp(i 2 pi phase), built
-    and exponentiated in one complex buffer.
+    terms is the one buffer every row of the scan is evaluated in; it
+    holds exp(i 2 pi phase) at the last frequency xi, and eps bounds
+    |term - e(xi mid)| for every term at its exact midpoint.
+    """
+
+    terms: Optional[np.ndarray] = None
+    xi: Union[int, float, Fraction, None] = None
+    eps: float = 0.0
+
+    def doublings(self, atoms: _Atoms, xi) -> int:
+        """m when xi = 2^m * self.xi exactly, m >= 1, folded in floats.
+
+        Scaling by 2^m is exact in floats, so float(xi) * mid is 2^m
+        times the last product and its phase is 2^m times the last
+        phase, mod 1, bit for bit.
+        """
+        if self.terms is None or _folds_exactly(atoms, xi):
+            return 0
+        ratio = Fraction(xi) / Fraction(self.xi)
+        n = ratio.numerator
+        if ratio.denominator != 1 or n < 2 or n & (n - 1):
+            return 0
+        return n.bit_length() - 1
+
+
+def _direct_terms(atoms: _Atoms, xi,
+                  terms: Optional[np.ndarray]) -> np.ndarray:
+    """exp(i 2 pi phase) for every atom, xi > 0, written to terms."""
+    if terms is None:
+        terms = np.empty(len(atoms.mids), dtype=np.complex128)
+    terms.real = 0.0
+    phases = _fold(atoms, xi, out=terms.imag)
+    np.multiply(phases, TWO_PI, out=phases)
+    return np.exp(terms, out=terms)
+
+
+def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
+              chain: Optional[_Chain] = None) -> tuple[complex, float]:
+    """Sum of weight * e(xi mid) over the atoms, and its per-term bound.
+
+    Cascade atoms, optionally only those keep marks, are summed term by
+    term with math.fsum; their per-term bound is reported as 0. Nu
+    atoms, up to millions of them, are summed in one numpy sum of the
+    complex terms in chain.terms. When xi is 2^m times the chain's last
+    frequency, those terms are squared in place m times, carrying the
+    bound of _squared_eps; otherwise, or when that bound would exceed
+    twice the bound of a direct evaluation at xi, the phases are folded
+    and exponentiated in the buffer again. Without a chain the estimate
+    is a chain of length 1.
     """
     if xi < 0:
-        return _evaluate(atoms, -xi, keep).conjugate()
+        value, eps = _evaluate(atoms, -xi, keep, chain)
+        return value.conjugate(), eps
     if xi == 0 and keep is None:
-        return complex(1.0)
-    phases, weight = _fold(atoms, xi), atoms.weight
+        return complex(1.0), 0.0
+    if atoms.cascade:
+        phases, weight = _fold(atoms, xi), atoms.weight
+        if keep is not None:
+            phases = phases[keep]
+            if not np.isscalar(weight):
+                weight = weight[keep]
+        angles = (TWO_PI * phases).tolist()
+        weights = weight.tolist() if not np.isscalar(weight) \
+            else [weight] * len(angles)
+        return complex(
+            math.fsum(w * math.cos(a) for w, a in zip(weights, angles)),
+            math.fsum(w * math.sin(a) for w, a in zip(weights, angles))), 0.0
     if keep is not None:
-        phases = phases[keep]
-        if not np.isscalar(weight):
-            weight = weight[keep]
-    if not atoms.cascade:
-        terms = np.zeros(len(phases), dtype=np.complex128)
-        np.multiply(phases, TWO_PI, out=terms.imag)
-        del phases
-        return complex(weight * np.exp(terms, out=terms).sum())
-    angles = (TWO_PI * phases).tolist()
-    weights = weight.tolist() if not np.isscalar(weight) \
-        else [weight] * len(angles)
-    return complex(
-        math.fsum(w * math.cos(a) for w, a in zip(weights, angles)),
-        math.fsum(w * math.sin(a) for w, a in zip(weights, angles)))
-
-
-# summing mass * width as exact rationals is quadratic in the leaf count
-# (denominators share no structure), so the error integral is accumulated
-# in floats and inflated to stay an upper bound
-_FLOAT_SLACK = 1.0 + 1e-9
+        raise PreconditionViolated("a keep mask needs cascade atoms")
+    if chain is None:
+        chain = _Chain()
+    eps = _direct_eps(atoms, xi)
+    m = chain.doublings(atoms, xi)
+    squared = chain.eps
+    for _ in range(m):
+        squared = _squared_eps(squared)
+    if m and squared <= 2.0 * eps:
+        for _ in range(m):
+            np.multiply(chain.terms, chain.terms, out=chain.terms)
+        eps = squared
+    else:
+        chain.terms = _direct_terms(atoms, xi, chain.terms)
+    chain.xi, chain.eps = xi, eps
+    return complex(atoms.weight * chain.terms.sum()), eps
 
 
 def _inflation(steps: int) -> float:
@@ -351,33 +458,130 @@ def _inflation(steps: int) -> float:
     return math.nextafter(float(Fraction(2**53, 2**53 - steps)), math.inf)
 
 
-def _error(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None) -> float:
-    """Midpoint-rule error bound of _evaluate.
+def _gamma(steps: int) -> float:
+    """A float >= gamma_steps = steps u / (1 - steps u)."""
+    return math.nextafter(float(Fraction(steps, 2**53 - steps)), math.inf)
 
-    Cylinders: pi |xi| * sum of mass * width, with the float sum
-    inflated to an upper bound. Samples: 3 / sqrt(n) + pi |xi| * width
-    ceiling.
+
+_BOUND_UP = _inflation(16)
+
+
+def _up(bound: float) -> float:
+    """A bound of nonnegative terms, computed with at most 15 roundings
+    on any path, raised past its exact value."""
+    return bound * _BOUND_UP
+
+
+# |exp(i theta) computed - exp(i theta)| <= sqrt(2) EXP_ULPS u; the
+# product is exact, as 2 EXP_ULPS u is a power-of-two multiple
+_EXP_ERR = SQRT2_UP * EXP_ULPS * U
+_TWO_PI_UP = 2.0 * PI_UP
+
+
+def _direct_eps(atoms: _Atoms, x) -> float:
+    """Per-term bound of a direct nu evaluation at x > 0 (see _error).
+
+    float(x) may lie u below x; _up covers that factor too.
+    """
+    angle = _EXP_ERR + _TWO_PI_UP * _gamma(2)
+    if _folds_exactly(atoms, x):
+        return _up(angle + _TWO_PI_UP * U)
+    xf = float(x)
+    steps = (atoms.mid_steps + (xf != x)
+             + (math.frexp(xf)[0] != 0.5))
+    return _up(angle + _TWO_PI_UP * xf * _gamma(steps))
+
+
+def _squared_eps(eps: float) -> float:
+    """Per-term bound after one in-place complex square (see _error)."""
+    return _up(eps * (2.0 + eps) + SQRT5_UP * U * (1.0 + eps)**2)
+
+
+def _evaluation_term(atoms: _Atoms, eps: float) -> float:
+    """|computed nu value - exact midpoint sum| from the per-term bound."""
+    n = len(atoms.mids)
+    # numpy's pairwise sum: at most 20 additions inside a block of 64
+    # terms, then one per halving
+    adds = 20 + (n - 1).bit_length()
+    sum_err = eps + SQRT2_UP * _gamma(adds) * (1.0 + eps)
+    rho = atoms.weight_err
+    return _up((U * (1.0 + rho) + rho) * (1.0 + sum_err) + sum_err)
+
+
+def _error(atoms: _Atoms, xi, eps: float,
+           keep: Optional[np.ndarray] = None) -> float:
+    """Error bound of an _evaluate value whose per-term bound is eps.
+
+    Midpoint term. Cylinders: pi |xi| * sum of mass * width, with the
+    float sum inflated to an upper bound. Samples: 3 / sqrt(n) +
+    pi |xi| * width ceiling.
+
+    Evaluation term, nu atoms only: the distance between the computed
+    value and w sum e(xi m), the exact weight w = 1 / n times the sum
+    over the exact midpoints m = N / D. Proof sketch, with u = 2^-53
+    and gamma_k = k u / (1 - k u), assuming no float underflows:
+
+    1. Fold. In floats, fl(m) = m (1 + d) with |d| <= gamma_mid_steps;
+       float(xi) rounds once unless it equals xi; the product rounds
+       once unless float(xi) is a power of two; the floor subtraction
+       is exact. So the float phase differs from xi m, mod 1, by at
+       most gamma_j xi m <= gamma_j xi, j the roundings counted. The
+       exact fold (xi >= 2^40) rounds the exact phase once: at most u.
+    2. Angle. TWO_PI and the product each round once: the angle is
+       within 2 pi gamma_2 of 2 pi phase, as phase < 1.
+    3. exp. Each part of np.exp is within EXP_ULPS ulp (the stated
+       libm assumption), so the term is within sqrt(2) EXP_ULPS u of
+       exp(i angle). As e is 2 pi-Lipschitz and 1-periodic, every term
+       is within eps = sqrt(2) EXP_ULPS u + 2 pi gamma_2 + (2 pi gamma_j
+       xi, or 2 pi u) of e(xi m).
+    4. Squaring. A term within eps of t, |t| = 1, squares to within
+       eps (2 + eps) of t^2, and the naive complex product, with or
+       without FMA, adds at most sqrt(5) u |term|^2 <= sqrt(5) u
+       (1 + eps)^2 (Brent, Percival, Zimmermann 2007). A chained row
+       restarts from exp when this bound would exceed twice the direct
+       eps at its frequency.
+    5. Sum. numpy's pairwise sum passes each part of a term through at
+       most h = 20 + ceil(log2 n) additions, so the float sum is within
+       sqrt(2) gamma_h n (1 + eps) of the sum of the computed terms.
+    6. Weight. The float weight is within rho w of w, computed exactly
+       when the atoms are built, and the last product rounds each part
+       once. With w n = 1 and s = eps + sqrt(2) gamma_h (1 + eps), the
+       term is (u (1 + rho) + rho) (1 + s) + s.
+
+    Each bound is computed from nonnegative floats and raised by _up,
+    and the sum of the two terms is rounded up. At xi = 0 the value is
+    exact and the evaluation term is 0.
     """
     x = abs(xi)
     if atoms.samples is not None:
         cap = atoms.width_ceiling
         geo = float(x * cap) if isinstance(x, (int, Fraction)) \
             else x * float(cap)
-        return 3.0 / math.sqrt(atoms.samples) + math.pi * geo
-    mass_width = atoms.mass_width
-    if mass_width is None:
-        weight, widths = atoms.weight, atoms.widths
-        if keep is not None:
-            weight, widths = weight[keep], widths[keep]
-        mass_width = math.fsum(weight * widths) * _FLOAT_SLACK
-    return math.pi * float(x) * mass_width
+        bound = 3.0 / math.sqrt(atoms.samples) + math.pi * geo
+    else:
+        mass_width = atoms.mass_width
+        if mass_width is None:
+            weight, widths = atoms.weight, atoms.widths
+            if keep is not None:
+                weight, widths = weight[keep], widths[keep]
+            # summing mass * width as exact rationals is quadratic in the
+            # leaf count (denominators share no structure), so the float
+            # sum is inflated instead: 1 rounding each in float(mass),
+            # the width division, their product and fsum, 1 each in pi
+            # and float(xi), 3 products
+            mass_width = math.fsum(weight * widths) * _inflation(9)
+        bound = math.pi * float(x) * mass_width
+    if atoms.cascade or x == 0:
+        return bound
+    return math.nextafter(bound + _evaluation_term(atoms, eps), math.inf)
 
 
 def _estimate(atoms: _Atoms, xi, depth: int,
-              keep: Optional[np.ndarray] = None) -> FourierEstimate:
+              keep: Optional[np.ndarray] = None,
+              chain: Optional[_Chain] = None) -> FourierEstimate:
+    value, eps = _evaluate(atoms, xi, keep, chain)
     return FourierEstimate(
-        xi=xi, value=_evaluate(atoms, xi, keep),
-        err_bound=_error(atoms, xi, keep),
+        xi=xi, value=value, err_bound=_error(atoms, xi, eps, keep),
         method="cylinder" if atoms.samples is None else "montecarlo",
         depth=depth, samples=atoms.samples)
 
@@ -389,8 +593,9 @@ def fourier_cylinder_sum(measure: Measure, xi, depth: int,
                          budget: int = CYLINDER_BUDGET) -> FourierEstimate:
     """Exact-decomposition estimate: sum of mass * e(xi mid) per cylinder.
 
-    err_bound = sum of mass * pi |xi| width. At xi = 0 the value is the
-    total mass exactly and the bound is zero.
+    err_bound = sum of mass * pi |xi| width, plus on nu measures the
+    evaluation term of _error. At xi = 0 the value is the total mass
+    exactly and the bound is zero.
     """
     return _estimate(_atoms(measure, depth, budget=budget), xi, depth)
 
@@ -400,7 +605,8 @@ def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
     """Sampled estimate: mean of e(xi mid) over drawn depth-level paths.
 
     err_bound = 3 / sqrt(samples) + pi |xi| * (worst cylinder width at
-    the depth); deterministic in the seed.
+    the depth), plus on nu measures the evaluation term of _error;
+    deterministic in the seed.
     """
     return _estimate(_atoms(measure, depth, samples, seed), xi, depth)
 
@@ -477,9 +683,11 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     """Per-frequency estimates with the typical/exceptional decomposition.
 
     One cylinder enumeration (or one sample draw) is shared by all
-    frequencies, so a fixed seed gives a byte-reproducible table. For a
-    plain product measure there is no exceptional part: n_index = 0 and
-    exc_tv = 0 on every row.
+    frequencies, so a fixed seed gives a byte-reproducible table. On nu
+    atoms the rows share one complex buffer, and a row whose frequency
+    is 2^m times the last one squares the last row's terms (see
+    _evaluate). For a plain product measure there is no exceptional
+    part: n_index = 0 and exc_tv = 0 on every row.
     """
     if method not in ("cylinder", "montecarlo"):
         raise PreconditionViolated(f"unknown method {method!r}")
@@ -489,9 +697,10 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
 
     atoms = _atoms(measure, depth,
                    samples if method == "montecarlo" else None, seed, budget)
+    chain = _Chain()
     rows = []
     for xi in xs:
-        full = _estimate(atoms, xi, depth)
+        full = _estimate(atoms, xi, depth, chain=chain)
         split = None
         if atoms.cascade and abs(xi) > 1:
             try:

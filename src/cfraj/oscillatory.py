@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .blocks import NuMeasure
 from .cascade import ALPHA_DEFAULT, LambdaMeasure, scale_index
@@ -298,6 +299,10 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
 
         LHS <= 2 M^(1/10) m2^(3/10)
                + Omega(M^(-9/10) m2^(3/10)) (1 + M^(7/10) m2^(1/10)).
+
+    m2's slack is quad's error estimate, which is not certified;
+    detail["m2_quad_warned"] is True when scipy warned that the
+    estimate may be unreliable.
     """
     if case.m_bound is None:
         raise PreconditionViolated("inequality check needs m_bound")
@@ -314,8 +319,11 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
     lhs = float((masses * fvals).sum())
     lhs_err = m_big * float((masses * widths).sum())
 
-    m2, m2_err = quad(lambda t: case.phase(t)**2, float(lo), float(hi),
-                      limit=400)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        m2, m2_err = quad(lambda t: case.phase(t)**2, float(lo), float(hi),
+                          limit=400)
+    warned = any(issubclass(w.category, IntegrationWarning) for w in caught)
     m2_hi = m2 + m2_err + 1e-15
 
     u = m_big**-0.9 * m2_hi**0.3
@@ -326,7 +334,7 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
     return OscillatoryReport(
         ok=lhs <= rhs + slack, lhs=lhs, rhs=rhs, slack=slack,
         detail={"m2": m2, "m2_hi": m2_hi, "omega": omega, "u": u,
-                "lhs_err": lhs_err},
+                "lhs_err": lhs_err, "m2_quad_warned": warned},
     )
 
 

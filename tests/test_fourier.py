@@ -3,8 +3,10 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,21 @@ from cfraj.blocks import (
     NuMeasure,
     build_nu,
     cylinder_geometry,
+    median_log_continuant,
     product_convergent_matrices,
 )
 from cfraj.cascade import build_lambda, split_typ_exc, xn_mass
 from cfraj.errors import BudgetExceeded, PreconditionViolated
+from cfraj import fourier
 from cfraj.fourier import (
+    EXP_ULPS,
+    SQRT5_UP,
+    U,
     _Atoms,
     _atoms,
+    _error,
+    _evaluate,
+    _evaluation_term,
     _fold,
     _lambda_leaves,
     _width_ceiling,
@@ -43,6 +53,13 @@ def nu_single():
 def nu_two_digit():
     # p=1 alphabet {2, 3}, sigma = log sqrt(6)
     return build_nu(3, 1, None, Fraction(1, 4), sigma_anchor=(6, 2))
+
+
+@lru_cache(maxsize=1)
+def reference_nu():
+    """The paper's reference block measure: N = 100, p = 3, 190 atoms."""
+    _, anchor = median_log_continuant(100, 3, weighting="lebesgue")
+    return build_nu(100, 3, None, Fraction(1, 4), sigma_anchor=anchor)
 
 
 def oracle_transform(oracle, xi):
@@ -323,6 +340,148 @@ def test_nu_cylinder_bound_covers_exact_width_sum(measure, depth):
         x = Fraction(xi)
         assert bound >= PI_UP * x * Fraction(weight) * float_widths
         assert bound >= PI_UP * x * measure.atom**depth * exact_widths
+
+
+@pytest.mark.parametrize("lm,depth", [(toy_lambda(), 13),
+                                      (scan_lambda(), 10)])
+def test_cascade_cylinder_bound_covers_exact_width_sum(lm, depth):
+    leaves = _lambda_leaves(lm, depth)
+    atoms = _atoms(lm, depth)
+    rng = np.random.default_rng(depth)
+    for keep in (None, rng.random(len(leaves)) < 0.5):
+        kept = leaves if keep is None else [
+            lf for lf, k in zip(leaves, keep) if k]
+        exact = sum(Fraction(lf.mass) * lf.width for lf in kept)
+        for xi in (1, 3, 2.5, Fraction(7, 2), 2**20 + 1, 2**45 + 1):
+            bound = Fraction(_error(atoms, xi, 0.0, keep))
+            assert bound >= PI_UP * Fraction(xi) * exact
+
+
+def sampled_atoms(measure, depth):
+    return _atoms(measure, depth, samples=256, seed=depth)
+
+
+# every power-of-two product is exact, the others round
+EVAL_XIS = ([2**k for k in (0, 4, 11, 18, 29, 39)]
+            + [12345.678, 2**39 - 5, Fraction(2**39, 3)])
+
+
+@pytest.mark.parametrize("source,depth", [
+    ("reference samples", 2), ("reference samples", 3),
+    ("two-digit samples", 2), ("two-digit samples", 3),
+    ("two-digit cylinders", 2), ("two-digit cylinders", 3),
+    # midpoint denominators above 2^53: the float midpoints round more
+    ("two-digit samples", 30),
+])
+def test_nu_evaluation_term_covers_exact_midpoint_sum(source, depth):
+    if source == "two-digit cylinders":
+        nu = nu_two_digit()
+        atoms, weight = _atoms(nu, depth), nu.atom**depth
+    else:
+        nu = reference_nu() if source.startswith("reference") \
+            else nu_two_digit()
+        atoms = sampled_atoms(nu, depth)
+        weight = Fraction(1, atoms.samples)
+    num, den = atoms.exact_mids()
+    with mpmath.workdps(50):
+        for xi in EVAL_XIS:
+            exact = mpmath.mpc(0)
+            for n, d in zip(num, den):
+                phase = Fraction(xi) * Fraction(n, d) % 1
+                exact += mpmath.expjpi(2 * mpmath.mpf(phase.numerator)
+                                       / phase.denominator)
+            exact *= mpmath.mpf(weight.numerator) / weight.denominator
+            value, eps = _evaluate(atoms, xi)
+            term = _evaluation_term(atoms, eps)
+            assert abs(mpmath.mpc(value) - exact) <= term, xi
+            assert term < 1e-2
+
+
+def test_dyadic_scan_rows_lie_within_their_evaluation_terms(monkeypatch):
+    nu = reference_nu()
+    xs = [2.0**k for k in range(-20, 40)]
+    direct, terms = [], []
+
+    def direct_terms(atoms, xi, buf):
+        direct.append(xi)
+        return real_direct(atoms, xi, buf)
+
+    def evaluation_term(atoms, eps):
+        terms.append(real_term(atoms, eps))
+        return terms[-1]
+
+    real_direct, real_term = fourier._direct_terms, fourier._evaluation_term
+    monkeypatch.setattr(fourier, "_direct_terms", direct_terms)
+    monkeypatch.setattr(fourier, "_evaluation_term", evaluation_term)
+    table = decay_scan(nu, xs, "cylinder", 2)
+    assert len(terms) == len(xs)
+    # the chain starts with a direct evaluation and restarts at least
+    # once, yet squares at least one row
+    assert direct[0] == xs[0] and 1 < len(direct) < len(xs)
+    for xi, row, term in zip(xs, table.rows, terms):
+        want = fourier_cylinder_sum(nu, xi, 2)
+        assert abs(row.full.value - want.value) <= term, xi
+        assert row.full.err_bound >= term
+
+
+def test_complex_exp_is_within_the_stated_ulps():
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([rng.random(3000) * 2 * math.pi,
+                            rng.random(500) * 1e-6,
+                            math.pi / 2 + (rng.random(500) - 0.5) * 1e-6])
+    terms = np.exp(1j * theta)
+    with mpmath.workdps(40):
+        for t, z in zip(theta.tolist(), terms.tolist()):
+            t = mpmath.mpf(t)
+            assert abs(z.real - mpmath.cos(t)) <= EXP_ULPS * U
+            assert abs(z.imag - mpmath.sin(t)) <= EXP_ULPS * U
+
+
+def test_complex_square_is_within_sqrt5_u():
+    rng = np.random.default_rng(6)
+    z = np.exp(2j * math.pi * rng.random(3000)) * (1 + 1e-9 * rng.random(3000))
+    sq = z.copy()
+    np.multiply(sq, sq, out=sq)
+    for a, b in zip(z.tolist(), sq.tolist()):
+        x, y = Fraction(a.real), Fraction(a.imag)
+        err2 = (Fraction(b.real) - (x * x - y * y))**2 \
+            + (Fraction(b.imag) - 2 * x * y)**2
+        assert err2 <= (Fraction(SQRT5_UP) * Fraction(U) * (x * x + y * y))**2
+
+
+def pairwise_sum(terms):
+    """numpy's pairwise sum of complex terms, replayed in Python floats."""
+    def part(lo, n):  # n counts float parts, two a term
+        if n < 8:
+            rr = ri = -0.0
+            for z in terms[lo:lo + n // 2]:
+                rr, ri = rr + z.real, ri + z.imag
+            return rr, ri
+        if n <= 128:
+            acc = [[z.real, z.imag] for z in terms[lo:lo + 4]]
+            i = 8
+            while i < n - n % 8:
+                for j, z in enumerate(terms[lo + i // 2:lo + i // 2 + 4]):
+                    acc[j][0] += z.real
+                    acc[j][1] += z.imag
+                i += 8
+            rr = (acc[0][0] + acc[1][0]) + (acc[2][0] + acc[3][0])
+            ri = (acc[0][1] + acc[1][1]) + (acc[2][1] + acc[3][1])
+            for z in terms[lo + i // 2:lo + n // 2]:
+                rr, ri = rr + z.real, ri + z.imag
+            return rr, ri
+        half = n // 2 - (n // 2) % 8
+        a, b = part(lo, half), part(lo + half // 2, n - half)
+        return a[0] + b[0], a[1] + b[1]
+    return part(0, 2 * len(terms))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 63, 64, 65, 131, 1000, 36100])
+def test_numpy_complex_sum_is_the_pairwise_sum_the_bound_counts(n):
+    rng = np.random.default_rng(n)
+    terms = np.exp(2j * math.pi * rng.random(n)) * 10.0**rng.integers(-6, 6, n)
+    total = terms.sum()
+    assert (total.real, total.imag) == pairwise_sum(terms.tolist())
 
 
 def test_nu_scan_folds_huge_integers_exactly():

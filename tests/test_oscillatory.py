@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from cfraj.oscillatory import (
     check_integral_inequality,
     check_nonstationary,
     check_stationary,
+    integral_sweep_case,
     m2_empirical,
     run_sweep,
     stationary_case,
@@ -313,6 +316,22 @@ def test_integral_inequality_lambda_measure():
     assert rep.ok
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)
     assert rep.detail["m2"] == pytest.approx(5.0, rel=1e-12)
+
+
+def test_integral_inequality_reports_quad_warning():
+    # lemma-sweep seed 0 draws its integral cases from this stream; on
+    # case 67 (three sines, frequencies 4, 4 and 20, on [1, 4]) quad
+    # warns that roundoff may make its error estimate unreliable
+    rng = random.Random("0:integral")
+    cases = [integral_sweep_case(rng) for _ in range(68)]
+    nu = nu23()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warned = check_integral_inequality(cases[67], nu, depth=5)
+        quiet = check_integral_inequality(cases[0], nu, depth=5)
+    assert warned.detail["m2_quad_warned"] is True
+    assert warned.ok
+    assert quiet.detail["m2_quad_warned"] is False
 
 
 def test_integral_inequality_certification():
