@@ -166,12 +166,11 @@ def _width_ceiling(measure: Measure, depth: int) -> Fraction:
     (min block continuant)^(number of typical blocks); forced blocks
     only count for >= 1.
     """
-    nu = measure.nu if isinstance(measure, LambdaMeasure) else measure
-    kmin = min(continuant(b) for b in nu.support)
     if isinstance(measure, LambdaMeasure):
-        qmin = kmin**max(depth - sum(measure.schedule.r), 0)
+        nu, typical = measure.nu, max(depth - sum(measure.schedule.r), 0)
     else:
-        qmin = kmin**depth
+        nu, typical = measure, depth
+    qmin = min(continuant(b) for b in nu.support)**typical
     return Fraction(1, qmin * qmin)
 
 
@@ -307,8 +306,8 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
 
 
 # roundings in a float midpoint when cylinder_geometry's integers are not
-# all exact in floats: 4 conversions, 3 products, 2 sums and 1 division,
-# at most 10 on any path into N / D
+# all exact in floats: at most 5 on any path into the numerator (2
+# conversions, 1 product, 2 sums), 4 into the denominator and 1 division
 _MID_STEPS_INEXACT = 10
 
 
