@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .blocks import Block, NuMeasure, TopHalfSplit, top_half_split
 from .errors import (
@@ -139,7 +142,6 @@ def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
 
     label, chain = 1, [1]
     seg_rank = 0
-    mass = Fraction(1)
     typical = 0
     q, qp = 1, 0
     dsum = 0
@@ -174,13 +176,13 @@ def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
         if blk not in nu:
             return dead(label)
         seg_rank = seg_rank * s + nu.block_index(blk)
-        mass *= atom
         typical += 1
         for d in blk:
             q, qp = d * q + qp, q
             dsum += d
         b += 1
-    return PathState(True, mass, tuple(chain), label, typical, q, qp, dsum)
+    return PathState(True, atom**typical, tuple(chain), label, typical,
+                     q, qp, dsum)
 
 
 def cylinder_mass(lm: LambdaMeasure, prefix: Sequence[Block]) -> Fraction:
@@ -210,28 +212,90 @@ def xn_mass(lm: LambdaMeasure, n: int) -> Fraction:
 
 
 def sample_path(lm: LambdaMeasure, depth: int, seed: int) -> list[Block]:
-    """Draw one path to the given block depth; deterministic in the seed."""
-    rng = random.Random(seed)
-    return _sample_with_chain(lm, depth, rng)[0]
+    """Draw one path to the given block depth; deterministic in the seed.
+
+    Typical block indices are exactly the values
+    random.Random(seed).randrange(len(lm.nu.support)) returns, one per
+    typical block in path order; forced blocks draw nothing.
+    """
+    stream = _IndexStream(random.Random(seed), len(lm.nu.support), depth)
+    return _sample_with_chain(lm, depth, stream)[0]
 
 
-def _sample_with_chain(lm: LambdaMeasure, depth: int,
-                       rng: random.Random) -> tuple[list[Block], tuple[int, ...]]:
-    """Sampling core shared with the Monte Carlo estimators."""
+# the most 32-bit words one refill of an _IndexStream draws (64 KiB)
+_STREAM_CHUNK = 1 << 14
+
+
+class _IndexStream:
+    """The values rng.randrange(s) would return, drawn in bulk.
+
+    randrange(s) takes getrandbits(k), k = s.bit_length(), and draws again
+    while the result is >= s. For k <= 32, getrandbits(k) is the top k bits
+    of the generator's next 32-bit word, and getrandbits(32 m) is the next
+    m words with the first in the least significant place. So the words of
+    one bulk draw, shifted right by 32 - k and filtered to those below s,
+    are the draws randrange would accept, in the same order.
+
+    The stream reads ahead of what it hands out, so its owner must make no
+    other use of rng. blocks bounds the indices the owner will take; each
+    refill draws the words expected to cover the rest, at most
+    _STREAM_CHUNK.
+    """
+
+    def __init__(self, rng: random.Random, s: int, blocks: int):
+        if s >= 2**32:
+            raise PreconditionViolated(f"{s} atoms exceed a 32-bit draw")
+        self._rng, self._s, self._k = rng, s, s.bit_length()
+        self._left = blocks
+        self._buf: list[int] = []
+        self._pos = 0
+
+    def take(self, n: int) -> list[int]:
+        """The next n indices."""
+        while len(self._buf) - self._pos < n:
+            self._refill(n)
+        out = self._buf[self._pos:self._pos + n]
+        self._pos += n
+        self._left -= n
+        return out
+
+    def _refill(self, n: int) -> None:
+        want = max(self._left, n) - (len(self._buf) - self._pos)
+        m = min(_STREAM_CHUNK, -(-(want << self._k) // self._s))
+        # sys.byteorder with native uint32 reads word i at bytes 4i..4i+3
+        # on either byte order
+        raw = self._rng.getrandbits(32 * m).to_bytes(4 * m, sys.byteorder)
+        words = np.frombuffer(raw, dtype=np.uint32) >> (32 - self._k)
+        self._buf = (self._buf[self._pos:]
+                     + words[words < self._s].tolist())
+        self._pos = 0
+
+
+def _sample_with_chain(lm: LambdaMeasure, depth: int, stream: _IndexStream
+                       ) -> tuple[list[Block], tuple[int, ...],
+                                  int, int, int, int]:
+    """Sampling core shared with the Monte Carlo estimators.
+
+    Returns the blocks, the label chain and the path's convergent columns
+    pn, pp, q, qp. Each typical segment takes its block indices from the
+    stream in one call.
+    """
     if depth > lm.horizon:
         raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
     nu, sch = lm.nu, lm.schedule
     p, sdepth = sch.p, sch.depth
-    s = len(nu.support)
+    support = nu.support
+    s = len(support)
 
     out: list[Block] = []
     label, chain = 1, [1]
     seg_rank = 0
-    q, qp = 1, 0
+    q, qp, pn, pp = 1, 0, 0, 1
     dsum = 0
     b = 0
     while b < depth:
-        if label <= sdepth and b == sch.i[label - 1]:
+        stage = sch.i[label - 1] if label <= sdepth else None
+        if b == stage:
             split = lm.stage_split(label)
             child = 2 * label + (0 if seg_rank < split.count else 1)
             chain.append(child)
@@ -243,6 +307,7 @@ def _sample_with_chain(lm: LambdaMeasure, depth: int,
                     d = rho_value(lm.rule, q, dsum)
                     digits.append(d)
                     q, qp = d * q + qp, q
+                    pn, pp = d * pn + pp, pn
                     dsum += d
                 guard_int(q, "forced-run continuant")
                 out.append(tuple(digits))
@@ -251,14 +316,21 @@ def _sample_with_chain(lm: LambdaMeasure, depth: int,
                 break
             seg_rank = 0
             continue
-        blk = nu.support[rng.randrange(s)]
-        out.append(blk)
-        seg_rank = seg_rank * s + nu.block_index(blk)
-        for d in blk:
-            q, qp = d * q + qp, q
-            dsum += d
-        b += 1
-    return out, tuple(chain)
+        stop = depth if stage is None else min(stage, depth)
+        idxs = stream.take(stop - b)
+        for idx in idxs:
+            blk = support[idx]
+            out.append(blk)
+            for d in blk:
+                q, qp = d * q + qp, q
+                pn, pp = d * pn + pp, pn
+                dsum += d
+        if stop == stage:
+            # the segment's rank settles the next stage's split
+            for idx in idxs:
+                seg_rank = seg_rank * s + idx
+        b = stop
+    return out, tuple(chain), pn, pp, q, qp
 
 
 def scale_index(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT) -> tuple[int, int]:

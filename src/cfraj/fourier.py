@@ -23,7 +23,8 @@ fractional part. On nu atoms a scan whose next frequency is 2^m times
 the last one squares the last row's complex terms in place m times,
 since e(2 xi x) = e(xi x)^2, instead of calling exp again; it restarts
 from exp when the squared terms' bound would exceed twice a direct
-evaluation's.
+evaluation's. On cascade atoms a scan row folds its frequency once, and
+its typical estimate sums a subset of the full estimate's terms.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .blocks import (
 from .cascade import (
     ALPHA_DEFAULT,
     LambdaMeasure,
+    TypExcSplit,
+    _IndexStream,
     _sample_with_chain,
     split_typ_exc,
 )
@@ -114,19 +117,21 @@ def _lambda_leaves(lm: LambdaMeasure, depth: int,
     nu, sch = lm.nu, lm.schedule
     p, sdepth = sch.p, sch.depth
     s = len(nu.support)
+    # a leaf's mass is atom^(typical blocks); forced blocks pass it through
+    masses = [nu.atom**k for k in range(depth + 1)]
     out: list[_Leaf] = []
 
-    def emit(mass, q, qp, pn, pp, chain):
+    def emit(typical, q, qp, pn, pp, chain):
         if len(out) >= budget:
             raise BudgetExceeded(f"cylinder count exceeds budget {budget}")
-        out.append(_Leaf(mass, pn, pp, q, qp, tuple(chain)))
+        out.append(_Leaf(masses[typical], pn, pp, q, qp, tuple(chain)))
 
-    def walk(b, label, chain, seg_rank, mass, q, qp, pn, pp, dsum):
+    def walk(b, label, chain, seg_rank, typical, q, qp, pn, pp, dsum):
         while True:
             # order matters: a prefix ending exactly at i_label keeps
             # label unrefined, matching the classify walker
             if b == depth:
-                emit(mass, q, qp, pn, pp, chain)
+                emit(typical, q, qp, pn, pp, chain)
                 return
             if label <= sdepth and b == sch.i[label - 1]:
                 split = lm.stage_split(label)
@@ -152,10 +157,10 @@ def _lambda_leaves(lm: LambdaMeasure, depth: int,
                     pn2, pp2 = d * pn2 + pp2, pn2
                     d2 += d
                 walk(b + 1, label, chain, seg_rank * s + idx,
-                     mass * nu.atom, q2, qp2, pn2, pp2, d2)
+                     typical + 1, q2, qp2, pn2, pp2, d2)
             return
 
-    walk(0, 1, [1], 0, Fraction(1), 1, 0, 0, 1, 0)
+    walk(0, 1, [1], 0, 0, 1, 0, 0, 1, 0)
     return out
 
 
@@ -187,15 +192,11 @@ def _nu_sample_matrices(nu: NuMeasure, samples: int, depth: int,
 
 def _lambda_sample_leaves(lm: LambdaMeasure, samples: int, depth: int,
                           seed: int) -> list[_Leaf]:
-    rng = random.Random(seed)
+    stream = _IndexStream(random.Random(seed), len(lm.nu.support),
+                          samples * depth)
     out = []
     for _ in range(samples):
-        blocks, chain = _sample_with_chain(lm, depth, rng)
-        q, qp, pn, pp = 1, 0, 0, 1
-        for blk in blocks:
-            for d in blk:
-                q, qp = d * q + qp, q
-                pn, pp = d * pn + pp, pn
+        _, chain, pn, pp, q, qp = _sample_with_chain(lm, depth, stream)
         out.append(_Leaf(Fraction(0), pn, pp, q, qp, chain))
     return out
 
@@ -223,7 +224,9 @@ class _Atoms:
     (measure, depth, budget) they came from. Cylinder sources carry
     widths, and nu cylinders also mass_width, a sound upper bound on
     the sum of mass * width; sample sources carry the sample count and
-    the width ceiling. chains holds each cascade atom's label chain.
+    the width ceiling. Cascade sources carry their distinct label chains
+    in first-seen order, labels, and each atom's index into it,
+    label_ids.
     Nu sources also carry what their evaluation term needs: mid_steps,
     the roundings in one float midpoint, and weight_err, a bound on
     |weight - exact weight| / exact weight.
@@ -235,7 +238,8 @@ class _Atoms:
     widths: Optional[np.ndarray] = None
     samples: Optional[int] = None
     width_ceiling: Optional[Fraction] = None
-    chains: Optional[list[tuple[int, ...]]] = None
+    labels: Optional[list[tuple[int, ...]]] = None
+    label_ids: Optional[np.ndarray] = None
     num: Optional[list[int]] = None
     den: Optional[list[int]] = None
     mats: Optional[np.ndarray] = None
@@ -254,13 +258,22 @@ class _Atoms:
                 m[:, 0, 0].tolist(), m[:, 0, 1].tolist())
         return self.num, self.den
 
+    def typical_mask(self, split: TypExcSplit) -> np.ndarray:
+        """keep mask of the cascade atoms whose label chain avoids
+        split's exceptional labels, tested once per distinct chain."""
+        typical = [not split.is_exceptional(c) for c in self.labels]
+        return np.array(typical)[self.label_ids]
+
 
 def _cascade_atoms(leaves: list[_Leaf], weight, **source) -> _Atoms:
     num, den = _midpoints([lf.pn for lf in leaves], [lf.pp for lf in leaves],
                           [lf.q for lf in leaves], [lf.qp for lf in leaves])
+    ids: dict[tuple[int, ...], int] = {}
+    label_ids = np.array([ids.setdefault(lf.chain, len(ids))
+                          for lf in leaves])
     return _Atoms(weight=weight,
                   mids=np.array([n / d for n, d in zip(num, den)]),
-                  cascade=True, chains=[lf.chain for lf in leaves],
+                  cascade=True, labels=list(ids), label_ids=label_ids,
                   num=num, den=den, **source)
 
 
@@ -360,16 +373,26 @@ def _fold(atoms: _Atoms, xi, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 @dataclass
 class _Chain:
-    """The complex terms of a nu scan's last row, kept for squaring.
+    """The terms of a scan's last row, kept for reuse.
 
-    terms is the one buffer every row of the scan is evaluated in; it
-    holds exp(i 2 pi phase) at the last frequency xi, and eps bounds
-    |term - e(xi mid)| for every term at its exact midpoint.
+    On nu atoms, terms is the one buffer every row of the scan is
+    evaluated in, kept for squaring; it holds exp(i 2 pi phase) at the
+    last frequency xi, and eps bounds |term - e(xi mid)| for every term
+    at its exact midpoint. On cascade atoms, cos and sin hold every
+    atom's weight * cos(2 pi phase) and weight * sin(2 pi phase) at xi,
+    kept for the row's typical estimate.
     """
 
     terms: Optional[np.ndarray] = None
     xi: Union[int, float, Fraction, None] = None
     eps: float = 0.0
+    cos: Optional[np.ndarray] = None
+    sin: Optional[np.ndarray] = None
+
+    def holds(self, xi) -> bool:
+        """Were the cascade terms folded at xi, the same way?"""
+        return (self.cos is not None and type(self.xi) is type(xi)
+                and self.xi == xi)
 
     def doublings(self, atoms: _Atoms, xi) -> int:
         """m when xi = 2^m * self.xi exactly, m >= 1, folded in floats.
@@ -403,7 +426,10 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
     """Sum of weight * e(xi mid) over the atoms, and its per-term bound.
 
     Cascade atoms, optionally only those keep marks, are summed term by
-    term with math.fsum; their per-term bound is reported as 0. Nu
+    term with math.fsum; their per-term bound is reported as 0. Their
+    terms are kept in the chain, so a scan row's typical estimate (a
+    keep mask at the row's frequency) reuses the full row's terms: it
+    sums the kept subset, in the same order, and folds nothing. Nu
     atoms, up to millions of them, are summed in one numpy sum of the
     complex terms in chain.terms. When xi is 2^m times the chain's last
     frequency, those terms are squared in place m times, carrying the
@@ -418,17 +444,22 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
     if xi == 0 and keep is None:
         return complex(1.0), 0.0
     if atoms.cascade:
-        phases, weight = _fold(atoms, xi), atoms.weight
+        if chain is None:
+            chain = _Chain()
+        if not chain.holds(xi):
+            angles = (TWO_PI * _fold(atoms, xi)).tolist()
+            weight = atoms.weight
+            weights = weight.tolist() if not np.isscalar(weight) \
+                else [weight] * len(angles)
+            chain.cos = np.array([w * math.cos(a)
+                                  for w, a in zip(weights, angles)])
+            chain.sin = np.array([w * math.sin(a)
+                                  for w, a in zip(weights, angles)])
+            chain.xi = xi
+        cos, sin = chain.cos, chain.sin
         if keep is not None:
-            phases = phases[keep]
-            if not np.isscalar(weight):
-                weight = weight[keep]
-        angles = (TWO_PI * phases).tolist()
-        weights = weight.tolist() if not np.isscalar(weight) \
-            else [weight] * len(angles)
-        return complex(
-            math.fsum(w * math.cos(a) for w, a in zip(weights, angles)),
-            math.fsum(w * math.sin(a) for w, a in zip(weights, angles))), 0.0
+            cos, sin = cos[keep], sin[keep]
+        return complex(math.fsum(cos.tolist()), math.fsum(sin.tolist())), 0.0
     if keep is not None:
         raise PreconditionViolated("a keep mask needs cascade atoms")
     if chain is None:
@@ -455,6 +486,13 @@ def _inflation(steps: int) -> float:
     (1 - u)^-steps <= 1 + gamma_steps.
     """
     return math.nextafter(float(Fraction(2**53, 2**53 - steps)), math.inf)
+
+
+def _at_least(value: float, exact: Fraction) -> float:
+    """value, raised an ulp at a time until it is >= exact."""
+    while Fraction(value) < exact:
+        value = math.nextafter(value, math.inf)
+    return value
 
 
 def _gamma(steps: int) -> float:
@@ -513,7 +551,9 @@ def _error(atoms: _Atoms, xi, eps: float,
 
     Midpoint term. Cylinders: pi |xi| * sum of mass * width, with the
     float sum inflated to an upper bound. Samples: 3 / sqrt(n) +
-    pi |xi| * width ceiling.
+    pi |xi| * width ceiling, where |xi| * width ceiling, its product with
+    PI_UP and the sum are each raised to the first float at or above
+    their exact value.
 
     Evaluation term, nu atoms only: the distance between the computed
     value and w sum e(xi m), the exact weight w = 1 / n times the sum
@@ -554,9 +594,12 @@ def _error(atoms: _Atoms, xi, eps: float,
     x = abs(xi)
     if atoms.samples is not None:
         cap = atoms.width_ceiling
-        geo = float(x * cap) if isinstance(x, (int, Fraction)) \
-            else x * float(cap)
-        bound = 3.0 / math.sqrt(atoms.samples) + math.pi * geo
+        exact = Fraction(x) * cap
+        geo = _at_least(float(exact) if isinstance(x, (int, Fraction))
+                        else x * float(cap), exact)
+        width = _at_least(PI_UP * geo, Fraction(PI_UP) * Fraction(geo))
+        stat = 3.0 / math.sqrt(atoms.samples)
+        bound = _at_least(stat + width, Fraction(stat) + Fraction(width))
     else:
         mass_width = atoms.mass_width
         if mass_width is None:
@@ -685,8 +728,10 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     frequencies, so a fixed seed gives a byte-reproducible table. On nu
     atoms the rows share one complex buffer, and a row whose frequency
     is 2^m times the last one squares the last row's terms (see
-    _evaluate). For a plain product measure there is no exceptional
-    part: n_index = 0 and exc_tv = 0 on every row.
+    _evaluate). On cascade atoms each row folds its frequency once: the
+    typical estimate sums the kept subset of the full row's terms. For a
+    plain product measure there is no exceptional part: n_index = 0 and
+    exc_tv = 0 on every row.
     """
     if method not in ("cylinder", "montecarlo"):
         raise PreconditionViolated(f"unknown method {method!r}")
@@ -710,9 +755,9 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
             rows.append(DecayRow(xi=xi, full=full, typ=full, n_index=0,
                                  exc_tv=Fraction(0)))
             continue
-        keep = np.array([not split.is_exceptional(c) for c in atoms.chains])
         rows.append(DecayRow(xi=xi, full=full,
-                             typ=_estimate(atoms, xi, depth, keep),
+                             typ=_estimate(atoms, xi, depth,
+                                           atoms.typical_mask(split), chain),
                              n_index=split.n_index, exc_tv=split.exc_mass))
     cfg = _scan_config(measure, xs, method, depth, samples, seed, alpha)
     return DecayTable(rows=tuple(rows), method=method, depth=depth, config=cfg)

@@ -1,14 +1,20 @@
 """Branching-measure bookkeeping against a materialized trie oracle."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product as iter_product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfraj import cascade
 from cfraj.blocks import build_nu
 from cfraj.cascade import (
     LambdaMeasure,
+    _IndexStream,
     build_lambda,
     classify,
     cylinder_mass,
@@ -26,7 +32,9 @@ from cfraj.errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from cfraj.rules import AssignmentRule, PsiFamily, forced_extension
+from cfraj.fourier import _lambda_sample_leaves
+from cfraj.numeric import guard_int
+from cfraj.rules import AssignmentRule, PsiFamily, forced_extension, rho_value
 from cfraj.schedule import Schedule, check_gap_condition, weight
 from cfraj.words import Word, continuant
 
@@ -189,6 +197,92 @@ def test_sample_path_deterministic_and_forced():
         assert path[2] == forced_extension(lm.rule, w, 1).tail[-1:]
     with pytest.raises(DepthExceeded):
         sample_path(lm, 14, seed=0)
+
+
+STREAM_SIZES = [2, 3, 5, 190, 2**20 + 1, 2**31, 2**32 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.sampled_from(STREAM_SIZES), seed=st.integers(0, 2**64),
+       pieces=st.lists(st.integers(0, 700), max_size=12),
+       chunk=st.sampled_from([1, 5, 64, cascade._STREAM_CHUNK]))
+def test_index_stream_replays_randrange(s, seed, pieces, chunk):
+    n = sum(pieces)
+    ref = random.Random(seed)
+    want = [ref.randrange(s) for _ in range(n)]
+    got = []
+    with mock.patch.object(cascade, "_STREAM_CHUNK", chunk):
+        stream = _IndexStream(random.Random(seed), s, n)
+        for k in pieces:
+            got += stream.take(k)
+    assert got == want
+
+
+@pytest.mark.parametrize("s", STREAM_SIZES)
+def test_index_stream_replays_randrange_past_refills(s):
+    # 5,000 indices with a chunk of 97 words: dozens of refills
+    seed = 5000 + s
+    ref = random.Random(seed)
+    with mock.patch.object(cascade, "_STREAM_CHUNK", 97):
+        stream = _IndexStream(random.Random(seed), s, 5000)
+        got = stream.take(1) + stream.take(2999) + stream.take(2000)
+    assert got == [ref.randrange(s) for _ in range(5000)]
+
+
+def test_index_stream_rejects_wide_draws():
+    with pytest.raises(PreconditionViolated):
+        _IndexStream(random.Random(0), 2**32, 1)
+
+
+def _reference_walk(lm, depth, rng):
+    """The per-block sampler: one rng.randrange per typical block.
+
+    Returns the blocks, the label chain and the convergent columns
+    pn, pp, q, qp rebuilt from the blocks.
+    """
+    nu, sch = lm.nu, lm.schedule
+    p, sdepth = sch.p, sch.depth
+    s = len(nu.support)
+    out = []
+    label, chain = 1, [1]
+    seg_rank = 0
+    q, qp = 1, 0
+    dsum = 0
+    b = 0
+    while b < depth:
+        if label <= sdepth and b == sch.i[label - 1]:
+            split = lm.stage_split(label)
+            child = 2 * label + (0 if seg_rank < split.count else 1)
+            chain.append(child)
+            run_end = b + sch.r[label - 1]
+            label = child
+            while b < run_end and b < depth:
+                digits = []
+                for _ in range(p):
+                    d = rho_value(lm.rule, q, dsum)
+                    digits.append(d)
+                    q, qp = d * q + qp, q
+                    dsum += d
+                guard_int(q, "forced-run continuant")
+                out.append(tuple(digits))
+                b += 1
+            if b < run_end:
+                break
+            seg_rank = 0
+            continue
+        blk = nu.support[rng.randrange(s)]
+        out.append(blk)
+        seg_rank = seg_rank * s + nu.block_index(blk)
+        for d in blk:
+            q, qp = d * q + qp, q
+            dsum += d
+        b += 1
+    q, qp, pn, pp = 1, 0, 0, 1
+    for blk in out:
+        for d in blk:
+            q, qp = d * q + qp, q
+            pn, pp = d * pn + pp, pn
+    return out, tuple(chain), pn, pp, q, qp
 
 
 def test_sampler_frequency_matches_mass():
@@ -461,3 +555,30 @@ def test_two_stage_forced_block_matches_rule():
     assert cylinder_mass(lm, prefix + [(2, 2)]) == 0
     st = classify(lm, prefix + [forced_block])
     assert st.chain in ((1, 2), (1, 3))
+
+
+# ------------------------------------------------- sampler against reference
+
+
+def a10_lambda():
+    nu = build_nu(3, 1, None, Fraction(1, 4), sigma_anchor=(6, 2))
+    sch = Schedule(i=(2, 4, 7, 11, 16, 22, 29), r=(1, 1, 1, 2, 2, 2, 3),
+                   p=1, sigma=nu.sigma, rule=AssignmentRule.sum_of_previous())
+    return build_lambda(nu, sch, 130)
+
+
+@pytest.mark.parametrize("make,depth", [
+    (toy_lambda, 13), (toy_lambda, 3), (a10_lambda, 128), (stage2_lambda, 98),
+])
+def test_sampler_matches_reference_walker(make, depth):
+    lm = make()
+    for seed in range(25):
+        assert sample_path(lm, depth, seed) == \
+            _reference_walk(lm, depth, random.Random(seed))[0]
+    # one rng shared by every sample of a Monte Carlo draw
+    for seed in (0, 9):
+        rng = random.Random(seed)
+        want = [_reference_walk(lm, depth, rng)[1:] for _ in range(60)]
+        got = [(lf.chain, lf.pn, lf.pp, lf.q, lf.qp)
+               for lf in _lambda_sample_leaves(lm, 60, depth, seed)]
+        assert got == want

@@ -30,10 +30,12 @@ from cfraj.fourier import (
     _Atoms,
     _atoms,
     _error,
+    _estimate,
     _evaluate,
     _evaluation_term,
     _fold,
     _lambda_leaves,
+    _lambda_sample_leaves,
     _width_ceiling,
     decay_scan,
     decay_slope,
@@ -300,6 +302,49 @@ def test_scan_rows_equal_single_frequency_estimates(source):
             measure, [7], table.method, depth, samples=300, seed=4).rows[0].full
         assert neg.value == pos.value.conjugate()
         assert neg.err_bound == pos.err_bound
+    if source == "nu":
+        return
+    # a cascade row's typical estimate reuses the full row's terms; it
+    # equals a fresh estimate under a mask built atom by atom
+    for table, atoms, leaves in (
+            (cyl, _atoms(measure, depth), _lambda_leaves(measure, depth)),
+            (mc, _atoms(measure, depth, 300, 4),
+             _lambda_sample_leaves(measure, 300, depth, 4))):
+        typed = 0
+        for xi, row in zip(SCAN_XIS, table.rows):
+            if row.n_index == 0:
+                assert row.typ is row.full
+                continue
+            split = split_typ_exc(measure, abs(xi))
+            keep = np.array([not split.is_exceptional(lf.chain)
+                             for lf in leaves])
+            assert not keep.all()
+            assert bits(row.typ) == bits(_estimate(atoms, xi, depth, keep))
+            typed += 1
+        assert typed >= 4
+
+
+# int, Fraction and float frequencies. A width term of
+# math.pi * float(|xi| * width ceiling), rounded to nearest, falls below
+# PI_UP * |xi| * width ceiling on the cascade source at every one of them
+MC_BOUND_XIS = [3**k for k in range(1, 40, 3)] + [
+    Fraction(10**k + 1, 7) for k in range(1, 30, 3)] + [
+    1.1 * 7.0**k for k in range(1, 30, 3)]
+
+
+@pytest.mark.parametrize("source", ["nu", "lambda"])
+def test_monte_carlo_width_term_is_an_upper_bound(source):
+    measure, depth = ((nu_two_digit(), 6) if source == "nu"
+                      else (toy_lambda(), 9))
+    samples = 40
+    atoms = _atoms(measure, depth, samples, 3)
+    cap = _width_ceiling(measure, depth)
+    stat = Fraction(3.0 / math.sqrt(samples))
+    for xi in MC_BOUND_XIS:
+        for x in (xi, -xi):
+            est = _estimate(atoms, x, depth)
+            assert Fraction(est.err_bound) >= (
+                stat + Fraction(fourier.PI_UP) * abs(Fraction(x)) * cap), x
 
 
 # float-fold frequencies below EXACT_FOLD_THRESHOLD: int, float, Fraction
