@@ -139,6 +139,7 @@ def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
     p, depth = sch.p, sch.depth
     s = len(nu.support)
     atom = nu.atom
+    index_of = nu._index.get
 
     label, chain = 1, [1]
     seg_rank = 0
@@ -173,9 +174,10 @@ def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
             seg_rank = 0
             continue
         blk = tuple(blocks[b])
-        if blk not in nu:
+        idx = index_of(blk)
+        if idx is None:
             return dead(label)
-        seg_rank = seg_rank * s + nu.block_index(blk)
+        seg_rank = seg_rank * s + idx
         typical += 1
         for d in blk:
             q, qp = d * q + qp, q

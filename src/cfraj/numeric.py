@@ -23,12 +23,23 @@ LN10 = math.log(10)
 DEFAULT_DIGIT_BUDGET = 20_000
 
 
-def digit_budget() -> int:
-    """Current exact-arithmetic budget in decimal digits.
+_digit_budget: int | None = None
 
-    Overridable through the CFRAJ_DIGIT_BUDGET environment variable;
-    read on each call so tests and CLI flags can adjust it.
+
+def digit_budget() -> int:
+    """Exact-arithmetic budget in decimal digits.
+
+    Overridable through the CFRAJ_DIGIT_BUDGET environment variable,
+    which is read on first use and kept for the rest of the process. An
+    invalid value raises Overflow on every call and is not kept.
     """
+    global _digit_budget
+    if _digit_budget is None:
+        _digit_budget = _read_digit_budget()
+    return _digit_budget
+
+
+def _read_digit_budget() -> int:
     raw = os.environ.get("CFRAJ_DIGIT_BUDGET")
     if raw is None:
         return DEFAULT_DIGIT_BUDGET
@@ -62,7 +73,7 @@ def guard_int(n: int, context: str = "value") -> int:
     """Raise Overflow when an integer exceeds the digit budget."""
     bits = n.bit_length() if n >= 0 else (-n).bit_length()
     # bits * log10(2) decimal digits
-    if bits * 0.30103 > digit_budget():
+    if bits * 0.30103 > (_digit_budget or digit_budget()):
         raise Overflow(
             f"{context} exceeds the digit budget "
             f"({digit_budget()} decimal digits)",

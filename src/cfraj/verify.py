@@ -66,8 +66,9 @@ def suite_cf() -> SuiteReport:
         f"{len(words)}^2 word pairs, entries <= 4"))
 
     cap = math.log(2 * 5)
-    defects = [float(joining_defect(Word(0, u), Word(v[0], v[1:]), 4))
-               for u in words for v in words[:40]]
+    lefts = [Word(0, u) for u in words]
+    rights = [Word(v[0], v[1:]) for v in words[:40]]
+    defects = [float(joining_defect(a, b, 4)) for a in lefts for b in rights]
     checks.append(CheckResult(
         "joining defect in [0, log 2(N+1)]",
         all(0.0 <= d <= cap for d in defects),

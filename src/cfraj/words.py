@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated
@@ -49,6 +50,22 @@ class Word:
     @property
     def length(self) -> int:
         return 1 + len(self.tail)
+
+    @cached_property
+    def _continuants(self) -> tuple[int, int, int]:
+        """(K(tail), K(tail minus last), K(tail minus first)), in one pass.
+
+        These are the entries of the product of [[a, 1], [1, 0]] over the
+        tail, so an empty tail gives (1, 0, 0): the recurrence's K_{-1} = 0
+        stands for both shortened words. Cached on first use; fields, eq,
+        hash and the serialized form do not see it.
+        """
+        prev, cur = 0, 1
+        prev_first, cur_first = 1, 0
+        for a in self.tail:
+            prev, cur = cur, a * cur + prev
+            prev_first, cur_first = cur_first, a * cur_first + prev_first
+        return cur, prev, cur_first
 
     def extend(self, digits: Iterable[int]) -> "Word":
         return Word(self.head, self.tail + tuple(digits))
@@ -133,13 +150,23 @@ def cylinder_interval(w: Word) -> CylinderInterval:
 
 
 def continuant_identity_check(u: Sequence[int], v: Sequence[int]) -> bool:
-    """K(u~v) == K(u) K(v) + K(u minus last) K(v minus first), exactly."""
+    """K(u~v) == K(u) K(v) + K(u minus last) K(v minus first), exactly.
+
+    The left side is one recurrence run over u and carried on through v;
+    K(u) and K(u minus last) are read where it leaves u. K(v) and
+    K(v minus first) come from a separate pass over v reversed, since a
+    continuant reads the same both ways.
+    """
     if not u or not v:
         raise PreconditionViolated("both sequences must be nonempty")
-    joined = continuant(tuple(u) + tuple(v))
-    return joined == continuant(u) * continuant(v) + continuant(
-        u[:-1]
-    ) * continuant(v[1:])
+    prev, cur = 0, 1
+    for a in u:
+        prev, cur = cur, a * cur + prev
+    k_u, k_u_last = cur, prev
+    for a in v:
+        prev, cur = cur, a * cur + prev
+    k_v, k_v_first = continuant_pair_of(v[::-1])
+    return cur == k_u * k_v + k_u_last * k_v_first
 
 
 def joining_defect(a: Word, b: Word, n_bound: int) -> LogFloat:
@@ -153,10 +180,12 @@ def joining_defect(a: Word, b: Word, n_bound: int) -> LogFloat:
         raise PreconditionViolated(
             f"joined first entry must be in [1, {n_bound}], got {b.head}"
         )
-    joined_tail = a.tail + (b.head,) + b.tail
-    k_join = continuant(joined_tail)
-    k_a = continuant(a.tail)
-    k_b = continuant(b.tail)
+    k_a, k_a_last, _ = a._continuants
+    k_b, _, k_b_first = b._continuants
+    # K(u~v) = K(u) K(v) + K(u minus last) K(v minus first), with
+    # u = a.tail and v = (b.head,) + b.tail, so K(v) = b.head K(b.tail)
+    # + K(b.tail minus first) and K(v minus first) = K(b.tail)
+    k_join = k_a * (b.head * k_b + k_b_first) + k_a_last * k_b
     guard_int(k_join, "joined continuant")
     # K(a~b) >= K(a) K(b) holds as an exact integer inequality, so the
     # sign is decided exactly and float rounding cannot push it negative.

@@ -1,0 +1,88 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cfraj import numeric
+from cfraj.errors import Overflow
+from cfraj.numeric import digit_budget, guard_int
+from cfraj.words import Word, joining_defect
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_guard_int_raises_past_resolved_budget(monkeypatch):
+    monkeypatch.setattr(numeric, "_digit_budget", 3)
+    # 9 bits are 2.7 decimal digits, 11 bits 3.3
+    assert guard_int(511) == 511
+    assert guard_int(-511) == -511
+    with pytest.raises(Overflow, match=r"\(3 decimal digits\)"):
+        guard_int(1024)
+    with pytest.raises(Overflow):
+        guard_int(-1024)
+
+
+def test_joining_defect_raises_past_resolved_budget(monkeypatch):
+    monkeypatch.setattr(numeric, "_digit_budget", 10)
+    big = 10**6
+    joining_defect(Word(0, (2, 3)), Word(1, (4,)), 5)
+    with pytest.raises(Overflow, match="joined continuant"):
+        joining_defect(Word(0, (big, big)), Word(big, (big,)), big)
+
+
+def test_budget_is_read_once_per_process(monkeypatch):
+    monkeypatch.setattr(numeric, "_digit_budget", None)
+    monkeypatch.setenv("CFRAJ_DIGIT_BUDGET", "123")
+    assert digit_budget() == 123
+    monkeypatch.setenv("CFRAJ_DIGIT_BUDGET", "7")
+    assert digit_budget() == 123
+    assert guard_int(10**100) == 10**100
+    monkeypatch.delenv("CFRAJ_DIGIT_BUDGET")
+    assert digit_budget() == 123
+    with pytest.raises(Overflow):
+        guard_int(10**130)
+
+
+def test_budget_defaults_without_environment(monkeypatch):
+    monkeypatch.setattr(numeric, "_digit_budget", None)
+    monkeypatch.delenv("CFRAJ_DIGIT_BUDGET", raising=False)
+    assert digit_budget() == numeric.DEFAULT_DIGIT_BUDGET
+
+
+INVALID_BUDGET_SCRIPT = """
+import os
+import cfraj.cli
+from cfraj.errors import Overflow
+from cfraj.numeric import digit_budget, guard_int
+for _ in range(2):
+    try:
+        guard_int(1)
+    except Overflow as exc:
+        print("overflow:", exc)
+    else:
+        print("no overflow")
+os.environ["CFRAJ_DIGIT_BUDGET"] = "50"
+print("budget:", digit_budget())
+"""
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("lots", "is not an integer: 'lots'"),
+    ("0", "must be positive, got 0"),
+])
+def test_invalid_budget_raises_at_first_use(raw, message):
+    env = dict(os.environ, CFRAJ_DIGIT_BUDGET=raw,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", INVALID_BUDGET_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    # importing reads nothing; each use raises, and the failure is not kept
+    assert done.stdout.splitlines() == [
+        f"overflow: CFRAJ_DIGIT_BUDGET {message}",
+        f"overflow: CFRAJ_DIGIT_BUDGET {message}",
+        "budget: 50",
+    ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from cfraj.words import (
     continuant,
     continuant_identity_check,
     continuant_pair,
+    continuant_pair_of,
     cylinder_interval,
     evaluate,
     joining_defect,
@@ -128,6 +130,78 @@ def test_identity_exhaustive_small():
                     assert continuant_identity_check(u, v)
 
 
+def identity_reference(u, v):
+    """The splitting identity from continuants of the joined tuple and of
+    separately sliced pieces."""
+    u, v = tuple(u), tuple(v)
+    return continuant(u + v) == (continuant(u) * continuant(v)
+                                 + continuant(u[:-1]) * continuant(v[1:]))
+
+
+@example([10**6], [1])
+@example([1], [1, 10**6, 1])
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1,
+                max_size=20),
+       st.lists(st.integers(min_value=1, max_value=10**6), min_size=1,
+                max_size=20))
+def test_identity_check_on_lists_tuples_and_ranges(u, v):
+    want = identity_reference(u, v)
+    assert continuant_identity_check(u, v) == want
+    assert continuant_identity_check(tuple(u), tuple(v)) == want
+    assert continuant_identity_check(u, tuple(v)) == want
+
+
+@pytest.mark.parametrize("u, v", [
+    (range(1, 2), range(1, 2)),
+    (range(1, 7), range(3, 40, 5)),
+    (range(9, 0, -1), range(10**6, 10**6 - 30, -1)),
+    (range(2, 3), [5, 1, 5]),
+])
+def test_identity_check_on_ranges(u, v):
+    assert continuant_identity_check(u, v) == identity_reference(u, v)
+    assert continuant_identity_check(v, u) == identity_reference(v, u)
+
+
+@pytest.mark.parametrize("u, v", [
+    ((), (1,)), ((1,), ()), ([], [2]), ([2], []), (range(0), range(1, 3)),
+    (range(1, 3), range(5, 5)),
+])
+def test_identity_check_rejects_empty(u, v):
+    with pytest.raises(PreconditionViolated):
+        continuant_identity_check(u, v)
+
+
+@example(())
+@example((1,))
+@example((10**6,))
+@example((10**6, 1, 10**6))
+@given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=25)
+       .map(tuple))
+def test_cached_continuants_match_slices(tail):
+    k, k_last, k_first = Word(3, tail)._continuants
+    assert k == continuant(tail)
+    assert (k, k_last) == continuant_pair_of(tail)
+    if tail:
+        assert k_last == continuant(tail[:-1])
+        assert k_first == continuant(tail[1:])
+    else:
+        # no shortened word exists; the recurrence's K_{-1} = 0 stands in,
+        # which is what the joining formula needs
+        assert (k_last, k_first) == (0, 0)
+
+
+def test_cached_continuants_leave_the_value_alone():
+    cached, fresh = Word(2, (3, 1, 4)), Word(2, (3, 1, 4))
+    # K(3, 1, 4), K(3, 1), K(1, 4)
+    assert cached._continuants == (19, 4, 5)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    assert cached.serialize() == fresh.serialize() == "2,3,1,4"
+    assert dataclasses.asdict(cached) == {"head": 2, "tail": (3, 1, 4)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cached.tail = ()
+
+
 def test_joining_defect_examples():
     d = joining_defect(Word(0, (1,)), Word(1, (1,)), 2)
     assert math.isclose(float(d), math.log(3), rel_tol=1e-12)
@@ -210,6 +284,26 @@ def test_joining_defect_equals_fraction_reference(pair):
     a, b, n_bound = pair
     got, want = joining_defect(a, b, n_bound), reference_defect(a, b)
     assert got.sign == want.sign and got.log.hex() == want.log.hex()
+
+
+@example((Word(0, ()), Word(1, ()), 1))
+@example((Word(0, ()), Word(7, (10**3,)), 10**3))
+@example((Word(5, (2,)), Word(1, ()), 9))
+@settings(max_examples=200)
+@given(word_pairs())
+def test_joined_continuant_equals_continuant_of_joined_tail(pair):
+    a, b, n_bound = pair
+    guarded = []
+
+    def record(n, context="value"):
+        guarded.append((context, n))
+        return n
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cfraj.words.guard_int", record)
+        joining_defect(a, b, n_bound)
+    assert guarded == [("joined continuant",
+                        continuant(a.tail + (b.head,) + b.tail))]
 
 
 def test_parity_alternates():
