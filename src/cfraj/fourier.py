@@ -29,6 +29,7 @@ its typical estimate sums a subset of the full estimate's terms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -479,6 +480,7 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
     return complex(atoms.weight * chain.terms.sum()), eps
 
 
+@functools.lru_cache(maxsize=256)
 def _inflation(steps: int) -> float:
     """A float >= 1 + gamma_steps = 1 / (1 - steps u), u = 2^-53.
 
@@ -495,6 +497,7 @@ def _at_least(value: float, exact: Fraction) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=256)
 def _gamma(steps: int) -> float:
     """A float >= gamma_steps = steps u / (1 - steps u)."""
     return math.nextafter(float(Fraction(steps, 2**53 - steps)), math.inf)
@@ -543,6 +546,24 @@ def _evaluation_term(atoms: _Atoms, eps: float) -> float:
     sum_err = eps + SQRT2_UP * _gamma(adds) * (1.0 + eps)
     rho = atoms.weight_err
     return _up((U * (1.0 + rho) + rho) * (1.0 + sum_err) + sum_err)
+
+
+def _mass_width(atoms: _Atoms, keep: Optional[np.ndarray] = None) -> float:
+    """Upper bound on the sum of mass * width over cylinder atoms.
+
+    Nu cylinders carry it, already inflated. On cascade cylinders
+    (optionally the keep subset) summing mass * width as exact rationals
+    is quadratic in the leaf count (denominators share no structure), so
+    the float sum is inflated instead: 1 rounding each in float(mass),
+    the width division, their product and fsum, and room for 5 more in
+    the caller (pi, float(xi) and 3 products in _error).
+    """
+    if atoms.mass_width is not None:
+        return atoms.mass_width
+    weight, widths = atoms.weight, atoms.widths
+    if keep is not None:
+        weight, widths = weight[keep], widths[keep]
+    return math.fsum(weight * widths) * _inflation(9)
 
 
 def _error(atoms: _Atoms, xi, eps: float,
@@ -601,18 +622,7 @@ def _error(atoms: _Atoms, xi, eps: float,
         stat = 3.0 / math.sqrt(atoms.samples)
         bound = _at_least(stat + width, Fraction(stat) + Fraction(width))
     else:
-        mass_width = atoms.mass_width
-        if mass_width is None:
-            weight, widths = atoms.weight, atoms.widths
-            if keep is not None:
-                weight, widths = weight[keep], widths[keep]
-            # summing mass * width as exact rationals is quadratic in the
-            # leaf count (denominators share no structure), so the float
-            # sum is inflated instead: 1 rounding each in float(mass),
-            # the width division, their product and fsum, 1 each in pi
-            # and float(xi), 3 products
-            mass_width = math.fsum(weight * widths) * _inflation(9)
-        bound = math.pi * float(x) * mass_width
+        bound = math.pi * float(x) * _mass_width(atoms, keep)
     if atoms.cascade or x == 0:
         return bound
     return math.nextafter(bound + _evaluation_term(atoms, eps), math.inf)

@@ -5,27 +5,40 @@ trigonometric terms amp * (2 pi)^k * sin/cos(2 pi freq t) whose
 derivatives stay in the same family. Stated bounds (|f| <= 1, f' >= a,
 |f''| <= b, ...) are certified before use: a coefficient-norm bound, or
 a 4096-point grid with a Lipschitz slack term derived from coefficient
-norms. Integrals use adaptive quadrature with the reported error
-estimate carried as slack; a check only fails when the violation
-exceeds that slack.
+norms. Integrals use composite Gauss-Legendre quadrature whose slack
+is a proved bound: a Bernstein-ellipse remainder bound from the same
+coefficients plus a floating-point evaluation term (_certified_integral
+derives both); a check only fails when the violation exceeds that
+slack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .blocks import NuMeasure
 from .cascade import ALPHA_DEFAULT, LambdaMeasure, scale_index
 from .errors import BudgetExceeded, CertificationFailed, PreconditionViolated
-from .fourier import _atoms, _lambda_leaves
+from .fourier import (
+    EXP_ULPS,
+    PI_UP,
+    SQRT2_UP,
+    U,
+    _at_least,
+    _atoms,
+    _gamma,
+    _inflation,
+    _lambda_leaves,
+    _mass_width,
+    _up,
+)
 
 GRID_POINTS = 4096
 TWO_PI = 2.0 * math.pi
@@ -70,20 +83,7 @@ class PhaseFunction:
             for kind, amp, freq, k in self.trig))
 
     def __call__(self, t):
-        # Scalars (scipy quad passes plain floats) take float arithmetic
-        # and math.sin / math.cos. These match np.sin / np.cos bit for
-        # bit on the build measured (numpy 2.4.6, x86-64 AVX-512), not
-        # on every build: both are valid roundings.
-        if type(t) is not float and np.isscalar(t):
-            t = float(t)
-        if type(t) is float:
-            acc = 0.0
-            for c in self._horner:
-                acc = acc * t + c
-            for is_sin, w, omega in self._waves:
-                acc = acc + w * (math.sin(omega * t) if is_sin
-                                 else math.cos(omega * t))
-            return acc
+        # one array path; a scalar argument gives a Python float
         x = np.asarray(t, dtype=float)
         acc = np.zeros_like(x)
         for c in self._horner:
@@ -91,7 +91,7 @@ class PhaseFunction:
         for is_sin, w, omega in self._waves:
             arg = omega * x
             acc = acc + w * (np.sin(arg) if is_sin else np.cos(arg))
-        return acc
+        return float(acc) if np.isscalar(t) else acc
 
     def derivative(self) -> "PhaseFunction":
         dpoly = tuple(j * c for j, c in enumerate(self.poly))[1:]
@@ -206,14 +206,313 @@ class OscillatoryReport:
         return self.ok
 
 
-def _unit_integral(phase: PhaseFunction, interval) -> tuple[float, float]:
-    """(|integral of e(phase)|, quadrature slack) via two real quads."""
+# ----------------------------------------------------------- quadrature
+
+# Gauss-Legendre points per panel
+GL_ORDER = 32
+# panels double until the remainder bound is at or below this
+QUAD_TARGET = 1e-12
+# an integral that would need more nodes raises BudgetExceeded
+QUAD_MAX_NODES = 1 << 16
+# Stated assumption behind every evaluation term, tested against
+# 50-digit values: leggauss(GL_ORDER)'s nodes are within NODE_ULPS ulp
+# and its weights within WEIGHT_ULPS ulp of the exact ones. The end
+# weights are the worst, at 472 ulp on numpy 2.4.
+NODE_ULPS = 2
+WEIGHT_ULPS = 1024
+# Bernstein ellipse parameters the remainder bound is minimised over
+_RHOS = (Fraction(3), Fraction(4), Fraction(6), Fraction(8))
+_TWO_PI_UP = 2.0 * PI_UP
+
+
+def _ellipse(rho: Fraction) -> tuple[float, float, float]:
+    """Floats at or above (rho + 1/rho)/2 - 1, (rho - 1/rho)/2 and
+    (64/15) rho^(-2 (GL_ORDER - 1)) / (rho^2 - 1)."""
+    exact = ((rho + 1 / rho) / 2 - 1, (rho - 1 / rho) / 2,
+             Fraction(64, 15) / rho**(2 * (GL_ORDER - 1)) / (rho**2 - 1))
+    return tuple(_at_least(float(v), v) for v in exact)
+
+
+_ELLIPSES = tuple(_ellipse(rho) for rho in _RHOS)
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
+def _gl_nodes(interval, panels: int, order: int = GL_ORDER):
+    """Composite Gauss-Legendre nodes and weights on equal panels, and
+    the panels' half-widths."""
     lo, hi = float(interval[0]), float(interval[1])
-    re, re_err = quad(lambda t: math.cos(TWO_PI * phase(t)), lo, hi,
-                      limit=400)
-    im, im_err = quad(lambda t: math.sin(TWO_PI * phase(t)), lo, hi,
-                      limit=400)
-    return math.hypot(re, im), re_err + im_err + 1e-12
+    xs, ws = _leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = np.diff(edges) / 2
+    nodes = (xs + 1) * half[:, None] + edges[:-1, None]
+    return nodes.ravel(), (ws * half[:, None]).ravel(), half
+
+
+@dataclass(frozen=True)
+class _Majorant:
+    """Floats at or above the moduli of a phase's coefficients.
+
+    poly: |c_j|, low degree first; dpoly: |j c_j|, the derivative's;
+    waves: per trig term (|w|, |omega|, |w omega|) with
+    w = amp (2 pi)^k and omega = 2 pi freq. kmax is the largest k.
+    """
+
+    poly: tuple[float, ...]
+    dpoly: tuple[float, ...]
+    waves: tuple[tuple[float, float, float], ...]
+    kmax: int
+
+    @classmethod
+    def of(cls, f: PhaseFunction) -> "_Majorant":
+        def up(v: Fraction) -> float:
+            return _at_least(float(v), v)
+
+        two_pi = 2 * Fraction(PI_UP)
+        waves = []
+        for _, amp, freq, k in f.trig:
+            w, om = abs(amp) * two_pi**k, two_pi * abs(freq)
+            waves.append((up(w), up(om), up(w * om)))
+        return cls(poly=tuple(up(abs(c)) for c in f.poly),
+                   dpoly=tuple(up(j * abs(c))
+                               for j, c in enumerate(f.poly))[1:],
+                   waves=tuple(waves),
+                   kmax=max((k for *_, k in f.trig), default=0))
+
+    def sup(self, x: float) -> float:
+        """Bound on |f| over [-x, x]: the coefficient bound."""
+        return _up(_horner_up(self.poly, x)
+                   + math.fsum(w for w, _, _ in self.waves))
+
+    def dsup(self, x: float) -> float:
+        """Bound on |f'| over [-x, x]: the coefficient bound of f'."""
+        return _up(_horner_up(self.dpoly, x)
+                   + math.fsum(wo for _, _, wo in self.waves))
+
+    def growth(self, x: float, y: float) -> float:
+        """Bound on |f(z) - f(Re z)| for |Re z| <= x, |Im z| <= y.
+
+        A coefficient c_j adds |c_j| ((x + y)^j - x^j), summed as
+        y S_j with S_j = sum_{i<j} (x + y)^i x^(j-1-i) = x^(j-1) +
+        (x + y) S_(j-1), free of cancellation. A trig term adds
+        |w| (cosh(omega y) - 1 + sinh(omega y)) = |w| expm1(omega y),
+        as |sin(a + ib) - sin a| and |cos(a + ib) - cos a| are at most
+        cosh b - 1 + |sinh b|. expm1 counts as 2 EXP_ULPS roundings, so
+        no path has more than 3 (d + 1) + 2 EXP_ULPS + 4, d the degree.
+        """
+        z = x + y
+        s, xp, total = 0.0, 1.0, 0.0
+        for a in self.poly[1:]:
+            s = xp + z * s
+            xp *= x
+            total += a * s
+        trig = []
+        for w, om, _ in self.waves:
+            arg = math.nextafter(om * y, math.inf)
+            if arg > 700.0:
+                return math.inf
+            trig.append(w * math.expm1(arg))
+        d = y * total + math.fsum(trig)
+        if not d < math.inf:  # overflow, or 0 * inf
+            return math.inf
+        return d * _inflation(3 * len(self.poly) + 2 * EXP_ULPS + 4)
+
+    def eval_error(self, x: float) -> float:
+        """Bound on |PhaseFunction.__call__(t) - f(t)| for |t| <= x.
+
+        Horner over d + 1 float coefficients is within gamma_(2 d + 1)
+        sum |c_j| x^j (Higham, with one rounding in float(c_j)). A trig
+        term's float w is within gamma_(k + 3 + 2 EXP_ULPS) |w| (pi,
+        k powers, pow, float(amp), the product), its argument within
+        gamma_4 |omega| x, and sin / cos within EXP_ULPS ulp <= EXP_ULPS
+        u, so the term is within |w| (gamma (1 + a) + a) with
+        a = EXP_ULPS u + gamma_4 |omega| x. The n trig additions add
+        gamma_n of the computed terms. All together, with
+        s = max(2 d + 1, kmax + 3 + 2 EXP_ULPS) + n:
+        gamma_s (sum |c_j| x^j + sum |w| (1 + a)) + sum |w| a.
+        """
+        g = _gamma(max(2 * len(self.poly) - 1,
+                       self.kmax + 3 + 2 * EXP_ULPS) + len(self.waves))
+        g4 = _gamma(4)
+        wave = math.fsum(w * (EXP_ULPS * U + g4 * om * x)
+                         for w, om, _ in self.waves)
+        return _up(g * (_horner_up(self.poly, x)
+                        + math.fsum(w for w, _, _ in self.waves) + wave)
+                   + wave)
+
+
+def _horner_up(coeffs: tuple[float, ...], x: float) -> float:
+    """Upper bound on sum coeffs[j] x^j for nonnegative floats: Horner
+    rounds at most twice per coefficient on any path."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc * _inflation(2 * len(coeffs) + 1)
+
+
+def _remainder(maj: _Majorant, square: bool, lo: float, hi: float,
+               length: float, half_width: float) -> float:
+    """Bound on |exact - Gauss-Legendre| over panels no wider than
+    2 half_width (see _certified_integral)."""
+    reach = max(abs(lo), abs(hi))
+    best = math.inf
+    for ax, ay, coef in _ELLIPSES:
+        y = _up(half_width * ay)
+        x = _up(reach + half_width * ax)
+        d = maj.growth(x, y)
+        if square:
+            m = maj.sup(x) + d
+            m = _up(m * m)
+        else:
+            arg = math.nextafter(_TWO_PI_UP * d, math.inf)
+            if arg > 700.0:
+                continue
+            m = math.exp(arg) * _inflation(2 * EXP_ULPS + 1)
+        best = min(best, _up(length / 2 * coef * m))
+    return best
+
+
+def _panel_remainder(maj: _Majorant, square: bool, lo: float, hi: float,
+                     length: float, panels: int) -> float:
+    """_remainder at the nominal half-width of that many equal panels."""
+    return _remainder(maj, square, lo, hi, length,
+                      _up(length / (2 * panels)))
+
+
+def _evaluation(maj: _Majorant, square: bool, lo: float, hi: float,
+                length: float, half_width: float, nodes: int) -> float:
+    """Bound on |computed sum - exact Gauss-Legendre sum| (see
+    _certified_integral)."""
+    reach = max(abs(lo), abs(hi))
+    node_err = _up(U * ((NODE_ULPS + 7) * half_width + 2 * reach))
+    x = _up(reach + node_err)
+    sup = maj.sup(x)
+    err = _up(maj.eval_error(x) + maj.dsup(x) * node_err)
+    g2 = _gamma(2)
+    if square:
+        f_max = _up((sup + err) * (sup + err))
+        f_err = _up(err * (2 * sup + err) + U * f_max)
+        parts = 1.0
+    else:
+        f_err = _up(SQRT2_UP * EXP_ULPS * U
+                    + _TWO_PI_UP * (err * (1 + g2) + sup * g2))
+        f_max = _up(1.0 + SQRT2_UP * EXP_ULPS * U)
+        parts = SQRT2_UP
+    theta = _gamma(2 * WEIGHT_ULPS + 2)
+    g_sum = _gamma(20 + (nodes - 1).bit_length())
+    return _up(length * (f_err + f_max * (
+        theta + (1 + theta) * (U + parts * g_sum * (1 + U)))))
+
+
+def _certified_integral(phase: PhaseFunction, interval, square: bool
+                        ) -> tuple[Union[complex, float], float, int]:
+    """(Q, err, nodes): Q approximates the integral of e(phase) or, when
+    square, of phase^2 over the interval, and |Q - exact| <= err.
+
+    Q is composite Gauss-Legendre with GL_ORDER points on equal panels.
+    Their count starts at |interval| / 32 times the coefficient bound
+    of phase', and doubles until _panel_remainder is at or below
+    QUAD_TARGET; past QUAD_MAX_NODES nodes it raises BudgetExceeded.
+    err, from _gauss_legendre, is the remainder plus the evaluation
+    term, each computed from nonnegative floats and raised past its
+    exact value.
+
+    Remainder (Trefethen, Approximation Theory and Approximation
+    Practice, Thm 19.3). If g is analytic inside the Bernstein ellipse
+    E_rho of [-1, 1] with |g| <= M there, the n + 1 point Gauss rule
+    misses its integral by at most (64/15) M rho^(-2n) / (rho^2 - 1).
+    On a panel of half-width h the rule scales by h and the ellipse maps
+    to one with real semi-axis h (rho + 1/rho) / 2 and imaginary
+    semi-axis Y = h (rho - 1/rho) / 2. Every panel's ellipse therefore
+    lies in the strip |Im z| <= Y over the widened interval
+    |Re z| <= X = max(|lo|, |hi|) + h ((rho + 1/rho) / 2 - 1), h the
+    widest half-width. There |phase(z) - phase(Re z)| <= D, the
+    coefficient growth bound of _Majorant.growth, and phase(Re z) is
+    real, so |e(phase(z))| = exp(-2 pi Im phase(z)) <= exp(2 pi D) and
+    |phase(z)^2| <= (sup |phase| + D)^2, sup |phase| the coefficient
+    bound over [-X, X]. As the half-widths sum to |interval| / 2, the
+    panels together miss by at most
+    (|interval| / 2) (64/15) M rho^(-2 (GL_ORDER - 1)) / (rho^2 - 1),
+    minimised over _RHOS. The choice of the panel count uses the
+    nominal half-width; the reported remainder uses the widest actual
+    float panel.
+
+    Evaluation term. The reference is the exact Gauss rule on the float
+    panels. With u = 2^-53, gamma_k = k u / (1 - k u), the stated
+    assumptions (leggauss within NODE_ULPS / WEIGHT_ULPS ulp, libm
+    within EXP_ULPS ulp) and no underflow:
+
+    1. Nodes. fl(x + 1), the half-width, the product and the shift add
+       to the node error at most u ((NODE_ULPS + 7) h + 2 max(|lo|,
+       |hi|)) =: dt, worth sup |phase'| dt in the phase.
+    2. Phase. PhaseFunction's float evaluation is within
+       _Majorant.eval_error, so each computed phase is within
+       E = eval_error + sup |phase'| dt of the exact phase at the exact
+       node.
+    3. Integrand. e(phase): 2 pi and the product round once each, and
+       each part of np.exp is within EXP_ULPS ulp: within
+       sqrt(2) EXP_ULPS u + 2 pi (E (1 + gamma_2) + sup |phase| gamma_2)
+       =: eps, and at most F = 1 + sqrt(2) EXP_ULPS u in modulus.
+       phase^2: one rounding: eps = E (2 sup + E) + u (sup + E)^2,
+       F = (sup + E)^2.
+    4. Weights are within theta = gamma_(2 WEIGHT_ULPS + 2) relative
+       (leggauss, the half-width, the product); the exact weights sum to
+       |interval|.
+    5. Sum. Each product rounds once per part, and numpy's pairwise sum
+       passes each part through at most 20 + ceil(log2 n) additions, a
+       c = sqrt(2) (complex) or 1 (real) factor on the modulus.
+
+    Together: |interval| (eps + F (theta + (1 + theta) (u + c
+    gamma_h (1 + u)))).
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    length = _at_least(hi - lo, Fraction(hi) - Fraction(lo))
+    maj = _Majorant.of(phase)
+    panels = max(1, math.ceil(length * maj.dsup(max(abs(lo), abs(hi))) / 32))
+    while True:
+        if panels * GL_ORDER > QUAD_MAX_NODES:
+            raise BudgetExceeded(
+                f"certified quadrature needs more than {QUAD_MAX_NODES} "
+                f"nodes on [{lo}, {hi}]")
+        if _panel_remainder(maj, square, lo, hi, length,
+                            panels) <= QUAD_TARGET:
+            return _gauss_legendre(phase, maj, square, lo, hi, length,
+                                   panels)
+        panels *= 2
+
+
+def _gauss_legendre(phase: PhaseFunction, maj: _Majorant, square: bool,
+                    lo: float, hi: float, length: float, panels: int
+                    ) -> tuple[Union[complex, float], float, int]:
+    """(Q, err, nodes) of _certified_integral on that many panels;
+    length is at or above hi - lo."""
+    ts, ws, half = _gl_nodes((lo, hi), panels)
+    vals = phase(ts)
+    if square:
+        value = float((ws * (vals * vals)).sum())
+    else:
+        value = complex((ws * np.exp(1j * (TWO_PI * vals))).sum())
+    widest = float(half.max()) * _inflation(2)
+    err = _up(_remainder(maj, square, lo, hi, length, widest)
+              + _evaluation(maj, square, lo, hi, length, widest, len(ts)))
+    return value, err, len(ts)
+
+
+def _unit_integral(phase: PhaseFunction, interval) -> tuple[float, float,
+                                                            int]:
+    """(|integral of e(phase)|, proved slack, nodes).
+
+    math.hypot is within 1 ulp (Python 3.10 and later), which the
+    2 u |Q| term covers.
+    """
+    q, err, nodes = _certified_integral(phase, interval, square=False)
+    lhs = math.hypot(q.real, q.imag)
+    return lhs, _up(err + 2 * U * lhs) + 1e-12, nodes
 
 
 def check_nonstationary(case: OscillatoryTestCase) -> OscillatoryReport:
@@ -234,10 +533,10 @@ def check_nonstationary(case: OscillatoryTestCase) -> OscillatoryReport:
             f"cannot certify |f'| >= {float(a)}: range [{low}, {high}]"
         )
     _certify_at_most(d1.derivative(), case.interval, float(b), "|f''|")
-    lhs, slack = _unit_integral(case.phase, case.interval)
+    lhs, slack, nodes = _unit_integral(case.phase, case.interval)
     rhs = float(1 / a + b / a**2)
     return OscillatoryReport(ok=lhs < rhs + slack, lhs=lhs, rhs=rhs,
-                             slack=slack)
+                             slack=slack, detail={"nodes": nodes})
 
 
 def check_stationary(case: OscillatoryTestCase) -> OscillatoryReport:
@@ -271,10 +570,10 @@ def check_stationary(case: OscillatoryTestCase) -> OscillatoryReport:
         raise CertificationFailed(
             f"phase derivative does not match (a1 x + a2) g: gap {mism}"
         )
-    lhs, slack = _unit_integral(case.phase, case.interval)
+    lhs, slack, nodes = _unit_integral(case.phase, case.interval)
     rhs = 6.0 * float(b) * float(a) ** -1.5 * abs(float(a1)) ** -0.5
     return OscillatoryReport(ok=lhs < rhs + slack, lhs=lhs, rhs=rhs,
-                             slack=slack)
+                             slack=slack, detail={"nodes": nodes})
 
 
 def _window_max_mass(mids: np.ndarray, masses: np.ndarray, u: float) -> float:
@@ -300,9 +599,9 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
         LHS <= 2 M^(1/10) m2^(3/10)
                + Omega(M^(-9/10) m2^(3/10)) (1 + M^(7/10) m2^(1/10)).
 
-    m2's slack is quad's error estimate, which is not certified;
-    detail["m2_quad_warned"] is True when scipy warned that the
-    estimate may be unreliable.
+    LHS's slack is M times the sum of mass * width, the Fourier error
+    model's bound, rounded up. m2 comes from _certified_integral, and
+    m2_hi adds its proved error (detail["m2_err"]).
     """
     if case.m_bound is None:
         raise PreconditionViolated("inequality check needs m_bound")
@@ -313,17 +612,14 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
     _certify_at_most(case.phase.derivative(), hull, m_big, "|f'|")
 
     atoms = _atoms(measure, depth, budget=budget)
-    mids, widths = atoms.mids, atoms.widths
+    mids = atoms.mids
     masses = np.broadcast_to(atoms.weight, mids.shape)
     fvals = np.abs(case.phase(mids))
     lhs = float((masses * fvals).sum())
-    lhs_err = m_big * float((masses * widths).sum())
+    lhs_err = math.nextafter(m_big * _mass_width(atoms), math.inf)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        m2, m2_err = quad(lambda t: case.phase(t)**2, float(lo), float(hi),
-                          limit=400)
-    warned = any(issubclass(w.category, IntegrationWarning) for w in caught)
+    m2, m2_err, nodes = _certified_integral(case.phase, (lo, hi),
+                                            square=True)
     m2_hi = m2 + m2_err + 1e-15
 
     u = m_big**-0.9 * m2_hi**0.3
@@ -333,8 +629,8 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
     slack = lhs_err + 1e-12
     return OscillatoryReport(
         ok=lhs <= rhs + slack, lhs=lhs, rhs=rhs, slack=slack,
-        detail={"m2": m2, "m2_hi": m2_hi, "omega": omega, "u": u,
-                "lhs_err": lhs_err, "m2_quad_warned": warned},
+        detail={"m2": m2, "m2_hi": m2_hi, "m2_err": m2_err, "omega": omega,
+                "u": u, "lhs_err": lhs_err, "nodes": nodes},
     )
 
 
@@ -448,18 +744,6 @@ class M2Report:
     sum_sq_mass: float
 
 
-def _gl_nodes(interval, panels: int, order: int = 32):
-    lo, hi = float(interval[0]), float(interval[1])
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    nodes, weights = [], []
-    for k in range(panels):
-        a, b = edges[k], edges[k + 1]
-        nodes.append((xs + 1) * (b - a) / 2 + a)
-        weights.append(ws * (b - a) / 2)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _pair_sums(leaves, xi: float, ts, ws):
     pn = np.array([lf.pn for lf in leaves], dtype=float)
     pp = np.array([lf.pp for lf in leaves], dtype=float)
@@ -502,8 +786,8 @@ def m2_empirical(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT, *,
     xf = abs(float(xi))
     if panels is None:
         panels = max(4, min(256, int(xf) + 4))
-    coarse = _pair_sums(leaves, xf, *_gl_nodes(interval, panels))
-    fine = _pair_sums(leaves, xf, *_gl_nodes(interval, 2 * panels))
+    coarse = _pair_sums(leaves, xf, *_gl_nodes(interval, panels)[:2])
+    fine = _pair_sums(leaves, xf, *_gl_nodes(interval, 2 * panels)[:2])
     err = max(abs(c - f) for c, f in zip(coarse, fine))
     total, shared, distinct, diag = fine
     ssq = math.fsum(float(lf.mass)**2 for lf in leaves)

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,20 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, cfraj.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert not any("scipy" in path.read_text()
+                   for path in (src / "cfraj").glob("*.py"))
 
 
 def test_runconfig_roundtrip_bit_exact():

@@ -1,22 +1,32 @@
 import math
 import random
-import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import fresnel
 
-from cfraj.blocks import build_nu
+from cfraj.blocks import build_nu, product_convergent_matrices
+from cfraj.fourier import _lambda_leaves
 from cfraj.errors import BudgetExceeded, CertificationFailed, \
     PreconditionViolated
 from cfraj.oscillatory import (
+    GL_ORDER,
+    NODE_ULPS,
+    QUAD_MAX_NODES,
+    QUAD_TARGET,
     TWO_PI,
+    WEIGHT_ULPS,
     M2Report,
     OscillatoryTestCase,
     PhaseFunction,
+    _certified_integral,
+    _gauss_legendre,
+    _leggauss,
+    _Majorant,
+    _panel_remainder,
     _window_max_mass,
     certified_inf_abs,
     certified_range,
@@ -26,14 +36,52 @@ from cfraj.oscillatory import (
     check_stationary,
     integral_sweep_case,
     m2_empirical,
+    nonstationary_sweep_case,
     run_sweep,
     stationary_case,
+    stationary_sweep_case,
 )
 from test_cascade import nu_digits45, toy_lambda
 
 
 def nu23():
     return build_nu(3, 1, None, Fraction(1, 4), sigma_anchor=(6, 2))
+
+
+def fresnel(z):
+    """(S(z), C(z)) with S(z) = integral_0^z sin(pi t^2 / 2) dt."""
+    return float(mpmath.fresnels(z)), float(mpmath.fresnelc(z))
+
+
+def mp_integral(f, interval, square):
+    """30-digit mpmath.quad of e(f) or, when square, f^2: Gauss-Legendre
+    on pieces a few oscillations wide, its own error estimate checked."""
+    with mpmath.workdps(30):
+        def mpf(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        poly = [mpf(c) for c in reversed(f.poly)]
+        trig = [(kind == "sin", mpf(amp) * (2 * mpmath.pi)**k,
+                 2 * mpmath.pi * mpf(freq)) for kind, amp, freq, k in f.trig]
+
+        def phi(t):
+            acc = mpmath.polyval(poly, t) if poly else mpmath.mpf(0)
+            for is_sin, w, om in trig:
+                acc += w * (mpmath.sin(om * t) if is_sin
+                            else mpmath.cos(om * t))
+            return acc
+
+        lo, hi = mpf(Fraction(interval[0])), mpf(Fraction(interval[1]))
+        reach = float(max(abs(lo), abs(hi)))
+        pieces = max(4, math.ceil(
+            float(hi - lo) * _Majorant.of(f).dsup(reach) / 16))
+        value, err = mpmath.quad(
+            (lambda t: phi(t)**2) if square
+            else (lambda t: mpmath.expjpi(2 * phi(t))),
+            mpmath.linspace(lo, hi, pieces + 1), error=True,
+            method="gauss-legendre")
+        assert err < 1e-25
+        return complex(value)
 
 
 # ------------------------------------------------------ phase objects
@@ -318,20 +366,47 @@ def test_integral_inequality_lambda_measure():
     assert rep.detail["m2"] == pytest.approx(5.0, rel=1e-12)
 
 
-def test_integral_inequality_reports_quad_warning():
-    # lemma-sweep seed 0 draws its integral cases from this stream; on
-    # case 67 (three sines, frequencies 4, 4 and 20, on [1, 4]) quad
-    # warns that roundoff may make its error estimate unreliable
+def test_integral_inequality_case_67_m2_within_slack():
+    # lemma-sweep seed 0 draws its integral cases from this stream; case
+    # 67 (three sines, frequencies 4, 4 and 20, on [1, 4]) is where the
+    # former adaptive quadrature warned that its error estimate might be
+    # too low
     rng = random.Random("0:integral")
-    cases = [integral_sweep_case(rng) for _ in range(68)]
-    nu = nu23()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        warned = check_integral_inequality(cases[67], nu, depth=5)
-        quiet = check_integral_inequality(cases[0], nu, depth=5)
-    assert warned.detail["m2_quad_warned"] is True
-    assert warned.ok
-    assert quiet.detail["m2_quad_warned"] is False
+    case = [integral_sweep_case(rng) for _ in range(68)][67]
+    rep = check_integral_inequality(case, nu23(), depth=5)
+    want = mp_integral(case.phase, case.interval, square=True).real
+    assert rep.ok
+    assert abs(rep.detail["m2"] - want) <= rep.detail["m2_err"]
+    assert rep.detail["m2_hi"] >= want
+    assert rep.detail["m2_err"] < 1e-11
+
+
+def test_integral_inequality_lhs_err_is_mass_width_bound():
+    # M times sum of mass / (q (q + q')), exact, from the cylinders'
+    # integers: nu cylinders at depths 3 (where the plain float sum
+    # comes out low) and 5, and the toy cascade at depth 13
+    nu, lm = nu23(), toy_lambda()
+
+    def nu_exact(depth):
+        mats = product_convergent_matrices(nu, depth)
+        return nu.atom**depth * sum(
+            (Fraction(1, q * (q + qp)) for q, qp in
+             zip(mats[:, 0, 0].tolist(), mats[:, 0, 1].tolist())),
+            Fraction(0))
+
+    lm_exact = sum((lf.mass / (lf.q * (lf.q + lf.qp))
+                    for lf in _lambda_leaves(lm, 13, 10**6)), Fraction(0))
+    for measure, depth, interval, m_big, exact in (
+            (nu, 3, (1, 4), 1.0, nu_exact(3)),
+            (nu, 5, (1, 4), 1.0, nu_exact(5)),
+            (lm, 13, (1, 6), Fraction(7, 3), lm_exact)):
+        rep = check_integral_inequality(
+            OscillatoryTestCase(phase=PhaseFunction(poly=(1,)),
+                                interval=interval, m_bound=float(m_big)),
+            measure, depth=depth)
+        bound = Fraction(float(m_big)) * exact
+        assert Fraction(rep.detail["lhs_err"]) >= bound
+        assert rep.detail["lhs_err"] <= float(bound) * (1 + 1e-12)
 
 
 def test_integral_inequality_certification():
@@ -349,6 +424,100 @@ def test_integral_inequality_certification():
     with pytest.raises(PreconditionViolated):
         check_integral_inequality(
             OscillatoryTestCase(phase=fast, interval=(1, 4)), nu)
+
+
+# ------------------------------------------------ certified quadrature
+
+
+def mp_leggauss(n):
+    """50-digit Gauss-Legendre nodes and weights, Newton from numpy's."""
+    with mpmath.workdps(50):
+        out = []
+        for x0 in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.findroot(lambda t: mpmath.legendre(n, t),
+                                mpmath.mpf(x0))
+            dp = n * mpmath.legendre(n - 1, x) / (1 - x**2)
+            out.append((x, 2 / ((1 - x**2) * dp**2)))
+        return out
+
+
+def test_leggauss_within_stated_ulps():
+    xs, ws = _leggauss(GL_ORDER)
+    assert _leggauss(GL_ORDER)[0] is xs
+    with mpmath.workdps(50):
+        for x, w, (x_exact, w_exact) in zip(xs, ws, mp_leggauss(GL_ORDER)):
+            assert abs(mpmath.mpf(x) - x_exact) \
+                <= NODE_ULPS * np.spacing(abs(x))
+            assert abs(mpmath.mpf(w) - w_exact) <= WEIGHT_ULPS * np.spacing(w)
+
+
+SWEEP_LEMMAS = (("nonstationary", nonstationary_sweep_case, False),
+                ("stationary", stationary_sweep_case, False),
+                ("integral", integral_sweep_case, True))
+
+
+def sweep_integrals(count=20):
+    """(lemma, phase, interval, square) of the first seed-0 lemma-sweep
+    cases of each lemma."""
+    for lemma, make, square in SWEEP_LEMMAS:
+        rng = random.Random(f"0:{lemma}")
+        for _ in range(count):
+            case = make(rng)
+            yield lemma, case.phase, case.interval, square
+
+
+def test_quadrature_within_slack_of_mpmath():
+    # at the chosen panel count, and at a half and a quarter of it, where
+    # the remainder term dominates and the rule is visibly off
+    coarse_misses = 0
+    for lemma, phase, interval, square in sweep_integrals():
+        want = mp_integral(phase, interval, square)
+        got, err, nodes = _certified_integral(phase, interval, square)
+        assert abs(got - want) <= err, lemma
+        panels = nodes // GL_ORDER
+        lo, hi = float(interval[0]), float(interval[1])
+        for fewer in (panels // 2, panels // 4):
+            if fewer:
+                got, err, _ = _gauss_legendre(phase, _Majorant.of(phase),
+                                              square, lo, hi, hi - lo, fewer)
+                assert abs(got - want) <= err, (lemma, fewer)
+                coarse_misses += abs(got - want) > 1e-9
+    assert coarse_misses >= 20
+
+
+def test_unit_integral_reports_quadrature_slack():
+    rng = random.Random("0:nonstationary")
+    case = nonstationary_sweep_case(rng)
+    rep = check_nonstationary(case)
+    want = abs(mp_integral(case.phase, case.interval, square=False))
+    assert abs(rep.lhs - want) <= rep.slack - 1e-12
+    assert rep.detail["nodes"] % GL_ORDER == 0
+
+
+def test_chosen_panel_count_is_the_first_doubling_under_target():
+    for lemma, phase, interval, square in sweep_integrals():
+        lo, hi = float(interval[0]), float(interval[1])
+        maj = _Majorant.of(phase)
+        panels = _certified_integral(phase, interval, square)[2] // GL_ORDER
+        assert _panel_remainder(maj, square, lo, hi, hi - lo,
+                                panels) <= QUAD_TARGET
+        if panels > 1:
+            assert _panel_remainder(maj, square, lo, hi, hi - lo,
+                                    panels // 2) > QUAD_TARGET, lemma
+
+
+def test_quadrature_node_cap_raises_budget_exceeded():
+    steep = PhaseFunction(poly=(0, 10**5))
+    with pytest.raises(BudgetExceeded):
+        check_nonstationary(OscillatoryTestCase(phase=steep, a=10**5, b=0))
+    # starts under the cap, and doubling crosses it
+    start = PhaseFunction(poly=(0, 40000))
+    assert 40000 // 32 * GL_ORDER < QUAD_MAX_NODES
+    with pytest.raises(BudgetExceeded):
+        _certified_integral(start, (0, 1), square=False)
+    # just under the cap still integrates
+    _certified_integral(PhaseFunction(poly=(0, 10000)), (0, 1),
+                        square=False)
 
 
 # --------------------------------------------------------- L2 expansion
