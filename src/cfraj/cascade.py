@@ -19,7 +19,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,6 +38,7 @@ from .rules import AssignmentRule, rho_value
 from .schedule import Schedule, weight
 
 ALPHA_DEFAULT = Fraction(50, 358)
+CYLINDER_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,189 @@ def build_lambda(nu: NuMeasure, schedule: Schedule, horizon: int) -> LambdaMeasu
     return LambdaMeasure(nu=nu, schedule=schedule, horizon=horizon)
 
 
+# ------------------------------------------------------------ transition
+#
+# Every walker crosses a stage the same way: a label-n path is tested at
+# block i_n (_stage_block), then refines to a child and appends the forced
+# run (_cross_stage). _walk follows one path; _lambda_leaves branches over
+# every typical block.
+
+
+def _stage_block(sch: Schedule, label: int) -> Optional[int]:
+    """Block index at which a label-`label` path is tested; None for a
+    label with no scheduled stage."""
+    return sch.i[label - 1] if label <= len(sch.i) else None
+
+
+def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
+                 q: int, qp: int, pn: int, pp: int, dsum: int,
+                 given: Optional[Sequence[Block]] = None,
+                 at: int = 0) -> tuple:
+    """The transition at label's stage of a path at the word with columns
+    (q, qp), (pn, pp) and digit sum dsum.
+
+    The path refines to 2 label when its typical segment since the
+    parent's run (of rank seg_rank among the segments of its length) lies
+    in the stage's top half, else to 2 label + 1. It then takes the r_label
+    blocks of the forced run, at most room of them: each digit is the
+    rule's least admissible digit for the word so far, and each block's
+    continuant is guarded. With given, the run stops before the first of
+    given[at], given[at + 1], ... whose digits differ from the forced ones.
+
+    Returns (child, the child's stage block, whether no block differed,
+    the run's blocks, q, qp, pn, pp, dsum after them).
+    """
+    sch, rule = lm.schedule, lm.rule
+    split = lm._splits[label]
+    child = 2 * label + (0 if seg_rank < split.count else 1)
+    stage = _stage_block(sch, child)
+    run: list[Block] = []
+    for k in range(min(sch.r[label - 1], room)):
+        start = q, qp, pn, pp, dsum
+        digits = []
+        for j in range(sch.p):
+            d = rho_value(rule, q, dsum)
+            if given is not None and given[at + k][j] != d:
+                return (child, stage, False, run, *start)
+            digits.append(d)
+            q, qp = d * q + qp, q
+            pn, pp = d * pn + pp, pn
+            dsum += d
+        guard_int(q, "forced-run continuant")
+        run.append(tuple(digits))
+    return child, stage, True, run, q, qp, pn, pp, dsum
+
+
+def _walk(lm: LambdaMeasure, depth: int,
+          stream: Optional[_IndexStream] = None,
+          given: Optional[Sequence[Block]] = None) -> tuple:
+    """The linear walk: one path of depth blocks.
+
+    Each typical segment (the blocks up to the next stage or depth) takes
+    its block indices in one call: from stream, or from the blocks of the
+    given path through nu's index. The walk of a given path ends, invalid,
+    before its first off-support typical block or its first forced block
+    that differs from the forced digits, with the state of the blocks
+    before it. A path ending at a stage's block index keeps its label
+    unrefined.
+
+    Returns (valid, blocks, chain, label, typical, pn, pp, q, qp, dsum):
+    the blocks walked, the label chain and last label, the typical block
+    count, the convergent columns and the digit sum.
+    """
+    if depth > lm.horizon:
+        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
+    nu, sch = lm.nu, lm.schedule
+    support = nu.support
+    s = len(support)
+    index_of = nu._index.get
+
+    out: list[Block] = []
+    label, chain, stage = 1, [1], _stage_block(sch, 1)
+    seg_rank = typical = 0
+    q, qp, pn, pp = 1, 0, 0, 1
+    dsum = 0
+    b = 0
+    valid = True
+    while b < depth:
+        if b == stage:
+            label, stage, valid, run, q, qp, pn, pp, dsum = _cross_stage(
+                lm, label, seg_rank, depth - b, q, qp, pn, pp, dsum, given, b)
+            chain.append(label)
+            seg_rank = 0
+            out += run
+            b += len(run)
+            if not valid:
+                break
+            continue
+        stop = depth if stage is None else min(stage, depth)
+        if given is None:
+            idxs = stream.take(stop - b)
+        else:
+            idxs = []
+            for blk in given[b:stop]:
+                idx = index_of(tuple(blk))
+                if idx is None:
+                    break
+                idxs.append(idx)
+        for idx in idxs:
+            blk = support[idx]
+            out.append(blk)
+            for d in blk:
+                q, qp = d * q + qp, q
+                pn, pp = d * pn + pp, pn
+                dsum += d
+        k = len(idxs)
+        typical += k
+        b += k
+        if b < stop:
+            valid = False
+            break
+        if stop == stage:
+            # the segment's rank settles the next stage's split
+            for idx in idxs:
+                seg_rank = seg_rank * s + idx
+    return valid, out, tuple(chain), label, typical, pn, pp, q, qp, dsum
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    mass: Fraction
+    pn: int
+    pp: int
+    q: int
+    qp: int
+    chain: tuple[int, ...]
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(1, self.q * (self.q + self.qp))
+
+
+def _lambda_leaves(lm: LambdaMeasure, depth: int,
+                   budget: int = CYLINDER_BUDGET,
+                   labels: Optional[set[int]] = None) -> list[_Leaf]:
+    """Every positive-mass depth-block prefix, in lexicographic order.
+
+    With labels, only the prefixes whose every label lies in labels.
+    """
+    if depth < 1:
+        raise PreconditionViolated("depth must be >= 1")
+    if depth > lm.horizon:
+        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
+    nu, sch = lm.nu, lm.schedule
+    support = nu.support
+    s = len(support)
+    # a leaf's mass is atom^(typical blocks); forced blocks pass it through
+    masses = [nu.atom**k for k in range(depth + 1)]
+    out: list[_Leaf] = []
+
+    def walk(b, label, stage, chain, seg_rank, typical, q, qp, pn, pp, dsum):
+        if b == depth:
+            if len(out) >= budget:
+                raise BudgetExceeded(f"cylinder count exceeds budget {budget}")
+            out.append(_Leaf(masses[typical], pn, pp, q, qp, chain))
+            return
+        if b == stage:
+            child, stage, _, run, q, qp, pn, pp, dsum = _cross_stage(
+                lm, label, seg_rank, depth - b, q, qp, pn, pp, dsum)
+            if labels is None or child in labels:
+                walk(b + len(run), child, stage, chain + (child,), 0,
+                     typical, q, qp, pn, pp, dsum)
+            return
+        for idx, blk in enumerate(support):
+            q2, qp2, pn2, pp2, d2 = q, qp, pn, pp, dsum
+            for d in blk:
+                q2, qp2 = d * q2 + qp2, q2
+                pn2, pp2 = d * pn2 + pp2, pn2
+                d2 += d
+            walk(b + 1, label, stage, chain, seg_rank * s + idx,
+                 typical + 1, q2, qp2, pn2, pp2, d2)
+
+    walk(0, 1, _stage_block(sch, 1), (1,), 0, 0, 1, 0, 0, 1, 0)
+    return out
+
+
 @dataclass(frozen=True)
 class PathState:
     """Walker verdict for a block prefix."""
@@ -129,62 +313,17 @@ class PathState:
 def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
     """Single deterministic walk: label chain, exact mass, continuants.
 
-    Invalid prefixes (off-support typical block, or a forced position
-    not matching the forced digit) come back with mass 0 and the chain
-    accumulated so far.
+    Invalid prefixes (off-support typical block, or a forced block not
+    matching the forced digits) come back with mass 0, the chain
+    accumulated so far, and the continuants and digit sum of the longest
+    valid block prefix.
     """
     if len(blocks) > lm.horizon:
         raise DepthExceeded(f"prefix length {len(blocks)} beyond horizon {lm.horizon}")
-    nu, sch = lm.nu, lm.schedule
-    p, depth = sch.p, sch.depth
-    s = len(nu.support)
-    atom = nu.atom
-    index_of = nu._index.get
-
-    label, chain = 1, [1]
-    seg_rank = 0
-    typical = 0
-    q, qp = 1, 0
-    dsum = 0
-
-    def dead(cur_label):
-        return PathState(False, Fraction(0), tuple(chain), cur_label,
-                         typical, q, qp, dsum)
-
-    b = 0
-    while b < len(blocks):
-        if label <= depth and b == sch.i[label - 1]:
-            split = lm.stage_split(label)
-            child = 2 * label + (0 if seg_rank < split.count else 1)
-            chain.append(child)
-            run_end = b + sch.r[label - 1]
-            label = child
-            while b < run_end and b < len(blocks):
-                blk = tuple(blocks[b])
-                for j in range(p):
-                    d = rho_value(lm.rule, q, dsum)
-                    if blk[j] != d:
-                        return dead(label)
-                    q, qp = d * q + qp, q
-                    dsum += d
-                guard_int(q, "forced-run continuant")
-                b += 1
-            if b < run_end:
-                break
-            seg_rank = 0
-            continue
-        blk = tuple(blocks[b])
-        idx = index_of(blk)
-        if idx is None:
-            return dead(label)
-        seg_rank = seg_rank * s + idx
-        typical += 1
-        for d in blk:
-            q, qp = d * q + qp, q
-            dsum += d
-        b += 1
-    return PathState(True, atom**typical, tuple(chain), label, typical,
-                     q, qp, dsum)
+    valid, _, chain, label, typical, _, _, q, qp, dsum = _walk(
+        lm, len(blocks), given=blocks)
+    mass = lm.nu.atom**typical if valid else Fraction(0)
+    return PathState(valid, mass, chain, label, typical, q, qp, dsum)
 
 
 def cylinder_mass(lm: LambdaMeasure, prefix: Sequence[Block]) -> Fraction:
@@ -221,7 +360,7 @@ def sample_path(lm: LambdaMeasure, depth: int, seed: int) -> list[Block]:
     typical block in path order; forced blocks draw nothing.
     """
     stream = _IndexStream(random.Random(seed), len(lm.nu.support), depth)
-    return _sample_with_chain(lm, depth, stream)[0]
+    return _walk(lm, depth, stream)[1]
 
 
 # the most 32-bit words one refill of an _IndexStream draws (64 KiB)
@@ -271,68 +410,6 @@ class _IndexStream:
         self._buf = (self._buf[self._pos:]
                      + words[words < self._s].tolist())
         self._pos = 0
-
-
-def _sample_with_chain(lm: LambdaMeasure, depth: int, stream: _IndexStream
-                       ) -> tuple[list[Block], tuple[int, ...],
-                                  int, int, int, int]:
-    """Sampling core shared with the Monte Carlo estimators.
-
-    Returns the blocks, the label chain and the path's convergent columns
-    pn, pp, q, qp. Each typical segment takes its block indices from the
-    stream in one call.
-    """
-    if depth > lm.horizon:
-        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
-    nu, sch = lm.nu, lm.schedule
-    p, sdepth = sch.p, sch.depth
-    support = nu.support
-    s = len(support)
-
-    out: list[Block] = []
-    label, chain = 1, [1]
-    seg_rank = 0
-    q, qp, pn, pp = 1, 0, 0, 1
-    dsum = 0
-    b = 0
-    while b < depth:
-        stage = sch.i[label - 1] if label <= sdepth else None
-        if b == stage:
-            split = lm.stage_split(label)
-            child = 2 * label + (0 if seg_rank < split.count else 1)
-            chain.append(child)
-            run_end = b + sch.r[label - 1]
-            label = child
-            while b < run_end and b < depth:
-                digits = []
-                for _ in range(p):
-                    d = rho_value(lm.rule, q, dsum)
-                    digits.append(d)
-                    q, qp = d * q + qp, q
-                    pn, pp = d * pn + pp, pn
-                    dsum += d
-                guard_int(q, "forced-run continuant")
-                out.append(tuple(digits))
-                b += 1
-            if b < run_end:
-                break
-            seg_rank = 0
-            continue
-        stop = depth if stage is None else min(stage, depth)
-        idxs = stream.take(stop - b)
-        for idx in idxs:
-            blk = support[idx]
-            out.append(blk)
-            for d in blk:
-                q, qp = d * q + qp, q
-                pn, pp = d * pn + pp, pn
-                dsum += d
-        if stop == stage:
-            # the segment's rank settles the next stage's split
-            for idx in idxs:
-                seg_rank = seg_rank * s + idx
-        b = stop
-    return out, tuple(chain), pn, pp, q, qp
 
 
 def scale_index(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT) -> tuple[int, int]:
@@ -455,61 +532,28 @@ def max_phi_over_stage(nu: NuMeasure, sch: Schedule, rule: AssignmentRule,
                        n: int, budget: int = 10**6) -> int:
     """Exhaustive max of the post-run continuant over stage-n prefixes.
 
-    Walks every path whose labels stay on n's ancestor line up to block
-    i_n, then appends the p * r_n forced digits and takes the largest
-    resulting continuant. Only viable at toy sizes; guarded by a node
-    budget.
+    Enumerates, under rule, every path whose labels stay on n's ancestor
+    line up to block i_n, each with its stage-n child and its r_n forced
+    blocks, and takes the largest resulting continuant. Only viable at toy
+    sizes; guarded by a node budget.
     """
     if not 1 <= n <= sch.depth:
         raise PreconditionViolated(f"stage {n} outside schedule depth {sch.depth}")
     ancestors = {n >> k for k in range(n.bit_length())}
     s = len(nu.support)
-    p = sch.p
     i_n = sch.i[n - 1]
     run_blocks = sum(sch.r[m - 1] for m in ancestors if m != n)
     typ = i_n - run_blocks
     if typ < 0 or s**typ > budget:
         raise BudgetExceeded(f"{s}^{typ} stage-{n} paths exceed budget {budget}")
 
-    lm = LambdaMeasure(nu=nu, schedule=sch, horizon=max(i_n + sch.r[n - 1], 1))
-    best = 0
-
-    def advance_run(label: int, b: int, q: int, qp: int, dsum: int):
-        run_end = b + sch.r[label - 1]
-        while b < run_end:
-            for _ in range(p):
-                d = rho_value(rule, q, dsum)
-                q, qp = d * q + qp, q
-                dsum += d
-            b += 1
-        return b, q, qp, dsum
-
-    def walk(b, label, seg_rank, q, qp, dsum):
-        nonlocal best
-        if label <= sch.depth and b == sch.i[label - 1]:
-            if label == n:
-                _, phi, _, _ = advance_run(n, b, q, qp, dsum)
-                best = max(best, phi)
-                return
-            split = lm.stage_split(label)
-            child = 2 * label + (0 if seg_rank < split.count else 1)
-            if child not in ancestors:
-                return
-            b, q, qp, dsum = advance_run(label, b, q, qp, dsum)
-            walk(b, child, 0, q, qp, dsum)
-            return
-        for idx in range(s):
-            blk = nu.support[idx]
-            q2, qp2, d2 = q, qp, dsum
-            for d in blk:
-                q2, qp2 = d * q2 + qp2, q2
-                d2 += d
-            walk(b + 1, label, seg_rank * s + idx, q2, qp2, d2)
-
-    walk(0, 1, 0, 1, 0, 0)
-    if best == 0:
+    lm = LambdaMeasure(nu=nu, schedule=replace(sch, rule=rule),
+                       horizon=i_n + sch.r[n - 1])
+    leaves = _lambda_leaves(lm, lm.horizon, budget,
+                            labels=ancestors | {2 * n, 2 * n + 1})
+    if not leaves:
         raise PreconditionViolated(f"no path reaches stage {n}")
-    return best
+    return max(lf.q for lf in leaves)
 
 
 def weight_ratio_bound(lm: LambdaMeasure, n: int) -> Fraction:

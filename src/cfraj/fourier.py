@@ -50,19 +50,20 @@ from .blocks import (
 )
 from .cascade import (
     ALPHA_DEFAULT,
+    CYLINDER_BUDGET,
     LambdaMeasure,
     TypExcSplit,
     _IndexStream,
-    _sample_with_chain,
+    _Leaf,
+    _lambda_leaves,
+    _walk,
     split_typ_exc,
 )
-from .errors import BudgetExceeded, DepthExceeded, PreconditionViolated
-from .rules import rho_value
+from .errors import PreconditionViolated
 from .words import continuant
 
 Measure = Union[NuMeasure, LambdaMeasure]
 
-CYLINDER_BUDGET = 10**6
 # above this, float(xi) * float(mid) has absolute error comparable to 1
 EXACT_FOLD_THRESHOLD = 2**40
 
@@ -89,80 +90,6 @@ class FourierEstimate:
     method: str
     depth: int
     samples: Optional[int] = None
-
-
-# --------------------------------------------------------------- leaves
-
-
-@dataclass(frozen=True)
-class _Leaf:
-    mass: Fraction
-    pn: int
-    pp: int
-    q: int
-    qp: int
-    chain: tuple[int, ...]
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(1, self.q * (self.q + self.qp))
-
-
-def _lambda_leaves(lm: LambdaMeasure, depth: int,
-                   budget: int = CYLINDER_BUDGET) -> list[_Leaf]:
-    """Every positive-mass depth-block prefix, in lexicographic order."""
-    if depth < 1:
-        raise PreconditionViolated("depth must be >= 1")
-    if depth > lm.horizon:
-        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
-    nu, sch = lm.nu, lm.schedule
-    p, sdepth = sch.p, sch.depth
-    s = len(nu.support)
-    # a leaf's mass is atom^(typical blocks); forced blocks pass it through
-    masses = [nu.atom**k for k in range(depth + 1)]
-    out: list[_Leaf] = []
-
-    def emit(typical, q, qp, pn, pp, chain):
-        if len(out) >= budget:
-            raise BudgetExceeded(f"cylinder count exceeds budget {budget}")
-        out.append(_Leaf(masses[typical], pn, pp, q, qp, tuple(chain)))
-
-    def walk(b, label, chain, seg_rank, typical, q, qp, pn, pp, dsum):
-        while True:
-            # order matters: a prefix ending exactly at i_label keeps
-            # label unrefined, matching the classify walker
-            if b == depth:
-                emit(typical, q, qp, pn, pp, chain)
-                return
-            if label <= sdepth and b == sch.i[label - 1]:
-                split = lm.stage_split(label)
-                child = 2 * label + (0 if seg_rank < split.count else 1)
-                chain = chain + [child]
-                for _ in range(sch.r[label - 1]):
-                    if b == depth:
-                        break
-                    for _j in range(p):
-                        d = rho_value(lm.rule, q, dsum)
-                        q, qp = d * q + qp, q
-                        pn, pp = d * pn + pp, pn
-                        dsum += d
-                    b += 1
-                label = child
-                seg_rank = 0
-                continue
-            for idx in range(s):
-                blk = nu.support[idx]
-                q2, qp2, pn2, pp2, d2 = q, qp, pn, pp, dsum
-                for d in blk:
-                    q2, qp2 = d * q2 + qp2, q2
-                    pn2, pp2 = d * pn2 + pp2, pn2
-                    d2 += d
-                walk(b + 1, label, chain, seg_rank * s + idx,
-                     typical + 1, q2, qp2, pn2, pp2, d2)
-            return
-
-    walk(0, 1, [1], 0, 0, 1, 0, 0, 1, 0)
-    return out
 
 
 def _width_ceiling(measure: Measure, depth: int) -> Fraction:
@@ -195,10 +122,11 @@ def _lambda_sample_leaves(lm: LambdaMeasure, samples: int, depth: int,
                           seed: int) -> list[_Leaf]:
     stream = _IndexStream(random.Random(seed), len(lm.nu.support),
                           samples * depth)
+    zero = Fraction(0)
     out = []
     for _ in range(samples):
-        _, chain, pn, pp, q, qp = _sample_with_chain(lm, depth, stream)
-        out.append(_Leaf(Fraction(0), pn, pp, q, qp, chain))
+        _, _, chain, _, _, pn, pp, q, qp, _ = _walk(lm, depth, stream)
+        out.append(_Leaf(zero, pn, pp, q, qp, chain))
     return out
 
 

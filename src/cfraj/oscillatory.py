@@ -104,7 +104,11 @@ class PhaseFunction:
         return PhaseFunction(poly=dpoly, trig=tuple(dtrig))
 
     def coeff_bound(self, interval) -> float:
-        """Sound sup-norm bound from coefficient norms alone."""
+        """Sound sup-norm bound from coefficient norms alone.
+
+        The rational part is rounded up to the first float at or above
+        it, and its sum with the trig part is rounded up.
+        """
         lo, hi = (Fraction(interval[0]), Fraction(interval[1]))
         big = max(abs(lo), abs(hi))
         total = sum((abs(c) * big**j for j, c in enumerate(self.poly)),
@@ -116,7 +120,10 @@ class PhaseFunction:
             abs(float(amp)) * TWO_PI**k
             for _, amp, _, k in self.trig if k > 0
         )
-        return float(total) + trig_part * (1.0 + 1e-12)
+        bound = _at_least(float(total), total)
+        if trig_part:
+            bound = math.nextafter(bound + trig_part * (1.0 + 1e-12), math.inf)
+        return bound
 
 
 def _grid(interval, points=GRID_POINTS):

@@ -32,7 +32,7 @@ from cfraj.errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from cfraj.fourier import _lambda_sample_leaves
+from cfraj.fourier import _lambda_leaves, _lambda_sample_leaves
 from cfraj.numeric import guard_int
 from cfraj.rules import AssignmentRule, PsiFamily, forced_extension, rho_value
 from cfraj.schedule import Schedule, check_gap_condition, weight
@@ -557,6 +557,26 @@ def test_two_stage_forced_block_matches_rule():
     assert st.chain in ((1, 2), (1, 3))
 
 
+def test_dead_prefix_keeps_longest_valid_block_prefix():
+    lm = stage2_lambda()
+    prefix = [(1, 3), (2, 2), (3, 1), (2, 3)]
+    digits = tuple(d for blk in prefix for d in blk)
+    forced = forced_extension(lm.rule, Word(0, digits), 2).tail[-2:]
+    # the forced block's first digit matches, its second does not: the
+    # state is still that of the four typical blocks
+    st = classify(lm, prefix + [(forced[0], forced[1] + 1)])
+    assert not st.valid and st.mass == 0
+    assert (st.chain, st.label, st.typical_count) == ((1, 2), 2, 4)
+    assert (st.q, st.q_prev, st.digit_sum) == (
+        continuant(digits), continuant(digits[:-1]), sum(digits))
+    # the same rule for an off-support typical block after the run
+    st = classify(lm, prefix + [forced, (9, 9)])
+    digits += forced
+    assert not st.valid and st.typical_count == 4
+    assert (st.q, st.q_prev, st.digit_sum) == (
+        continuant(digits), continuant(digits[:-1]), sum(digits))
+
+
 # ------------------------------------------------- sampler against reference
 
 
@@ -582,3 +602,48 @@ def test_sampler_matches_reference_walker(make, depth):
         got = [(lf.chain, lf.pn, lf.pp, lf.q, lf.qp)
                for lf in _lambda_sample_leaves(lm, 60, depth, seed)]
         assert got == want
+
+
+# ------------------------------------------------- walkers against each other
+
+
+RULES = (AssignmentRule.sum_of_previous(),
+         AssignmentRule.psi_power(Fraction(5, 2)),
+         AssignmentRule.psi_power(3))
+
+
+@st.composite
+def small_cascades(draw):
+    """Random schedules of 1-3 stages over the p = 1 alphabet {4, 5} or
+    the 5 blocks of stage2_lambda's p = 2 measure, with horizons of at
+    most 7 or 4 blocks: at most 2^7 or 5^4 cylinders."""
+    p = draw(st.sampled_from([1, 2]))
+    nu = nu_digits45() if p == 1 else stage2_lambda().nu
+    i, r = [], []
+    b = draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        i.append(b)
+        r.append(draw(st.integers(r[-1] if r else 1, 2)))
+        b += r[-1] + draw(st.integers(1, 2))
+    sch = Schedule(i=tuple(i), r=tuple(r), p=p, sigma=nu.sigma,
+                   rule=draw(st.sampled_from(RULES)))
+    return build_lambda(nu, sch, draw(st.integers(1, 7 if p == 1 else 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lm=small_cascades(), seed=st.integers(0, 2**32))
+def test_walkers_agree_on_small_cascades(lm, seed):
+    depth = lm.horizon
+    leaves = _lambda_leaves(lm, depth)
+    assert sum(lf.mass for lf in leaves) == 1
+    cylinders = {(lf.chain, lf.pn, lf.pp, lf.q, lf.qp): lf.mass
+                 for lf in leaves}
+    for k in range(5):
+        path = sample_path(lm, depth, seed + k)
+        (leaf,) = _lambda_sample_leaves(lm, 1, depth, seed + k)
+        state = classify(lm, path)
+        assert state.valid
+        assert (leaf.chain, leaf.q, leaf.qp) == \
+            (state.chain, state.q, state.q_prev)
+        key = (leaf.chain, leaf.pn, leaf.pp, leaf.q, leaf.qp)
+        assert cylinders[key] == state.mass

@@ -6,9 +6,13 @@ from pathlib import Path
 import pytest
 
 from cfraj import numeric
+from cfraj.cascade import max_phi_over_stage
 from cfraj.errors import Overflow
+from cfraj.fourier import _lambda_leaves
 from cfraj.numeric import digit_budget, guard_int
 from cfraj.words import Word, joining_defect
+
+from test_cascade import toy_lambda
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,6 +34,16 @@ def test_joining_defect_raises_past_resolved_budget(monkeypatch):
     joining_defect(Word(0, (2, 3)), Word(1, (4,)), 5)
     with pytest.raises(Overflow, match="joined continuant"):
         joining_defect(Word(0, (big, big)), Word(big, (big,)), big)
+
+
+def test_every_cascade_walker_guards_forced_runs(monkeypatch):
+    lm = toy_lambda()
+    monkeypatch.setattr(numeric, "_digit_budget", 2)
+    # the first forced block already takes q past 99, e.g. 8 * 17 + 4
+    with pytest.raises(Overflow, match="forced-run continuant"):
+        _lambda_leaves(lm, 13)
+    with pytest.raises(Overflow, match="forced-run continuant"):
+        max_phi_over_stage(lm.nu, lm.schedule, lm.rule, 1)
 
 
 def test_budget_is_read_once_per_process(monkeypatch):

@@ -187,6 +187,15 @@ def test_coefficient_bound_dominates_dense_sampling():
     assert float(np.abs(f(xs)).max()) <= f.coeff_bound((0, 2))
 
 
+def test_coefficient_bound_rounds_up():
+    # float(1/3) rounds down; the bound is the next float up
+    bound = PhaseFunction(poly=(Fraction(1, 3),)).coeff_bound((0, 1))
+    assert Fraction(bound) >= Fraction(1, 3)
+    assert bound == math.nextafter(1 / 3, math.inf)
+    # exact sums stay exact
+    assert PhaseFunction(poly=(Fraction(1, 2), Fraction(1, 4))).coeff_bound(
+        (-2, 1)) == 1.0
+
 def test_certified_bounds_enclose_truth():
     f = PhaseFunction(trig=(("sin", 1, 1, 0),))
     sup = certified_sup_abs(f, (0, 1))
