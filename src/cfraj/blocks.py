@@ -25,7 +25,7 @@ from .errors import (
     NotInSupport,
     PreconditionViolated,
 )
-from .numeric import LogFloat, cert_ln_ge, cert_ln_le, ln_fraction, ln_int
+from .numeric import cert_ln_ge, cert_ln_le, ln_fraction, ln_int
 from .words import Word, continuant, continuant_pair
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -312,8 +312,9 @@ def blocks_to_word(blocks: Sequence[Block]) -> Word:
     return Word(0, tuple(digits))
 
 
-def qnu_exponent_check(nu: NuMeasure, blocks: Sequence[Block]) -> LogFloat:
-    """log(product mass) / log q for the zero-head concatenation.
+def qnu_exponent_check(nu: NuMeasure, blocks: Sequence[Block]) -> float:
+    """The float ratio log(product mass) / log q for the zero-head
+    concatenation.
 
     Negative for every nonempty in-support list; a profile check passes
     when the ratio is at most -beta_prime.
@@ -322,8 +323,7 @@ def qnu_exponent_check(nu: NuMeasure, blocks: Sequence[Block]) -> LogFloat:
         raise PreconditionViolated("blocks must be nonempty")
     mass = product_mass(nu, blocks)
     q = continuant_pair(blocks_to_word(blocks)).q
-    ratio = ln_fraction(mass) / ln_int(q)
-    return LogFloat.from_float(ratio)
+    return ln_fraction(mass) / ln_int(q)
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,8 @@ def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
     blocks of the forced run, at most room of them: each digit is the
     rule's least admissible digit for the word so far, and each block's
     continuant is guarded. With given, the run stops before the first of
-    given[at], given[at + 1], ... whose digits differ from the forced ones.
+    given[at], given[at + 1], ... whose length is not p or whose digits
+    differ from the forced ones.
 
     Returns (child, the child's stage block, whether no block differed,
     the run's blocks, q, qp, pn, pp, dsum after them).
@@ -146,10 +147,13 @@ def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
     run: list[Block] = []
     for k in range(min(sch.r[label - 1], room)):
         start = q, qp, pn, pp, dsum
+        want = None if given is None else given[at + k]
+        if want is not None and len(want) != sch.p:
+            return (child, stage, False, run, *start)
         digits = []
         for j in range(sch.p):
             d = rho_value(rule, q, dsum)
-            if given is not None and given[at + k][j] != d:
+            if want is not None and want[j] != d:
                 return (child, stage, False, run, *start)
             digits.append(d)
             q, qp = d * q + qp, q
@@ -313,8 +317,8 @@ class PathState:
 def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
     """Single deterministic walk: label chain, exact mass, continuants.
 
-    Invalid prefixes (off-support typical block, or a forced block not
-    matching the forced digits) come back with mass 0, the chain
+    Invalid prefixes (off-support typical block, or a forced block that is
+    not p long or not the forced digits) come back with mass 0, the chain
     accumulated so far, and the continuants and digit sum of the longest
     valid block prefix.
     """

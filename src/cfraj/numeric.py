@@ -1,16 +1,17 @@
-"""Exact and log-domain numeric plumbing.
+"""Exact integer arithmetic, its digit budget, and logs of big integers.
 
-Two regimes: exact (int / Fraction, guarded by a decimal-digit budget) and
-log-domain (LogFloat: sign plus natural log of magnitude). Certified
-comparisons between logs of big integers and rational thresholds go
-through mpmath interval arithmetic with precision escalation.
+Exact values are ints and Fractions; `guard_int` raises Overflow when one
+passes the decimal-digit budget. Integer roots and powers stay exact.
+Logs of integers too large for a float come as plain floats from
+`ln_int`. Certified comparisons between logs of big integers and rational
+thresholds go through mpmath interval arithmetic with precision
+escalation.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -80,44 +81,6 @@ def guard_int(n: int, context: str = "value") -> int:
             log_magnitude=bits * LN2,
         )
     return n
-
-
-@dataclass(frozen=True)
-class LogFloat:
-    """sign in {-1, 0, 1} and the natural log of the magnitude.
-
-    Multiplication is float addition of the logs, so the product law
-    holds exactly at float level by construction. Zero is represented
-    as sign 0 with log -inf.
-    """
-
-    sign: int
-    log: float
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogFloat":
-        if x == 0.0:
-            return cls(0, float("-inf"))
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def __mul__(self, other: "LogFloat") -> "LogFloat":
-        if self.sign == 0 or other.sign == 0:
-            return LogFloat(0, float("-inf"))
-        return LogFloat(self.sign * other.sign, self.log + other.log)
-
-    def __pow__(self, k: int) -> "LogFloat":
-        if self.sign == 0:
-            return self if k > 0 else LogFloat(1, 0.0)
-        sign = self.sign if k % 2 else 1
-        return LogFloat(sign, self.log * k)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log)
-
-    def __float__(self) -> float:
-        return self.to_float()
 
 
 def iroot_floor(x: int, k: int) -> int:

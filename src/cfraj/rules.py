@@ -4,7 +4,8 @@ A rule assigns to every word a set of admissible next partial quotients.
 For approximation-function rules the set is every integer at or above a
 denominator-driven threshold; the sum rule admits exactly the running
 digit sum. `rho` is the least admissible digit, `rho_r`/`phi_r` iterate
-the forced extension, and `Phi` is the one-step denominator growth map.
+the forced extension, and `Phi_iter` composes the one-step denominator
+growth map q -> 1/(q psi(q)) in the log domain.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import Overflow, OutOfRange, PreconditionViolated
-from .numeric import LogFloat, ceil_exp_over_square, digit_budget, ipow_ceil, ln_int
+from .numeric import ceil_exp_over_square, digit_budget, ipow_ceil, ln_int
 from .words import Word, continuant_pair
 
 
@@ -206,13 +207,6 @@ def phi_r(rule: AssignmentRule, w: Word, r: int) -> int:
     return continuant_pair(forced_extension(rule, w, r)).q
 
 
-def Phi(psi: PsiFamily, q: int) -> LogFloat:
-    """Growth map 1/(q psi(q)) in log domain."""
-    if q < 1:
-        raise PreconditionViolated("q must be >= 1")
-    return LogFloat(1, _phi_log(psi, ln_int(q)))
-
-
 def _phi_log(psi: PsiFamily, ln_q: float) -> float:
     if psi.form == "power":
         return float(psi.tau - 1) * ln_q
@@ -228,8 +222,13 @@ def _phi_log(psi: PsiFamily, ln_q: float) -> float:
     return -ln_q - (math.log(v.numerator) - math.log(v.denominator))
 
 
-def Phi_iter(psi: PsiFamily, q: int, r: int) -> LogFloat:
-    """r-fold composition of the growth map, log domain; r=0 returns q."""
+def Phi_iter(psi: PsiFamily, q: int, r: int) -> float:
+    """log of the r-fold composition of the growth map Phi(q) = 1/(q psi(q)),
+    as a float; r=0 gives log q. The tower leaves float range long before
+    its log does, so the log is the value returned.
+    """
+    if q < 1:
+        raise PreconditionViolated("q must be >= 1")
     if r < 0:
         raise PreconditionViolated("r must be >= 0")
     x = ln_int(q)
@@ -247,7 +246,7 @@ def Phi_iter(psi: PsiFamily, q: int, r: int) -> LogFloat:
                 f"growth-map tower overflowed at iteration {i + 1} of {r}",
                 iteration=i + 1,
             )
-    return LogFloat(1, x)
+    return x
 
 
 def phir_bound_check(rule: AssignmentRule, w: Word, r: int) -> bool:
@@ -270,7 +269,7 @@ def phir_bound_check(rule: AssignmentRule, w: Word, r: int) -> bool:
         exponent = (psi.tau.numerator - 1) ** r
         if seed.bit_length() * exponent * 0.30103 <= digit_budget():
             return lhs <= seed ** exponent
-    rhs_log = Phi_iter(psi, seed, r).log
+    rhs_log = Phi_iter(psi, seed, r)
     return ln_int(lhs) <= rhs_log + 1e-9
 
 

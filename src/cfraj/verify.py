@@ -68,7 +68,7 @@ def suite_cf() -> SuiteReport:
     cap = math.log(2 * 5)
     lefts = [Word(0, u) for u in words]
     rights = [Word(v[0], v[1:]) for v in words[:40]]
-    defects = [float(joining_defect(a, b, 4)) for a in lefts for b in rights]
+    defects = [joining_defect(a, b, 4) for a in lefts for b in rights]
     checks.append(CheckResult(
         "joining defect in [0, log 2(N+1)]",
         all(0.0 <= d <= cap for d in defects),

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated
-from .numeric import LogFloat, guard_int, ln_int
+from .numeric import guard_int, ln_int
 
 
 def continuant(entries: Sequence[int]) -> int:
@@ -153,9 +153,8 @@ def continuant_identity_check(u: Sequence[int], v: Sequence[int]) -> bool:
     """K(u~v) == K(u) K(v) + K(u minus last) K(v minus first), exactly.
 
     The left side is one recurrence run over u and carried on through v;
-    K(u) and K(u minus last) are read where it leaves u. K(v) and
-    K(v minus first) come from a separate pass over v reversed, since a
-    continuant reads the same both ways.
+    K(u) and K(u minus last) are read where it leaves u. The same loop over
+    v also runs K(v), seeded (0, 1), and K(v minus first), seeded (1, 0).
     """
     if not u or not v:
         raise PreconditionViolated("both sequences must be nonempty")
@@ -163,18 +162,22 @@ def continuant_identity_check(u: Sequence[int], v: Sequence[int]) -> bool:
     for a in u:
         prev, cur = cur, a * cur + prev
     k_u, k_u_last = cur, prev
+    v_prev, k_v, f_prev, k_v_first = 0, 1, 1, 0
     for a in v:
         prev, cur = cur, a * cur + prev
-    k_v, k_v_first = continuant_pair_of(v[::-1])
+        v_prev, k_v = k_v, a * k_v + v_prev
+        f_prev, k_v_first = k_v_first, a * k_v_first + f_prev
     return cur == k_u * k_v + k_u_last * k_v_first
 
 
-def joining_defect(a: Word, b: Word, n_bound: int) -> LogFloat:
+def joining_defect(a: Word, b: Word, n_bound: int) -> float:
     """log q(a~b) - log q(a) - log q(b), guaranteed in [0, log(2(N+1))].
 
     The words join by concatenating a's digits with all of b's entries:
     b's head becomes an ordinary partial quotient of the joined word, so
     it must lie in [1, n_bound]. q(b) keeps the head-drop convention.
+    The defect is a float, exactly 0.0 when q(a~b) = q(a) q(b) and
+    positive otherwise.
     """
     if not (1 <= b.head <= n_bound):
         raise PreconditionViolated(
@@ -191,10 +194,10 @@ def joining_defect(a: Word, b: Word, n_bound: int) -> LogFloat:
     # sign is decided exactly and float rounding cannot push it negative.
     k_ab = k_a * k_b
     if k_join == k_ab:
-        return LogFloat(0, float("-inf"))
+        return 0.0
     # the log of the ratio in lowest terms, one ln_int per term
     g = math.gcd(k_join, k_ab)
     defect = ln_int(k_join // g) - ln_int(k_ab // g)
     if defect <= 0.0:
         defect = math.log1p(max(float(Fraction(k_join, k_ab) - 1), 5e-324))
-    return LogFloat(1, math.log(defect))
+    return defect

@@ -255,7 +255,8 @@ def test_blocks_to_word():
 def test_qnu_exponent_single_block():
     nu = small_nu()
     got = qnu_exponent_check(nu, [(2, 3)])
-    assert float(got) == pytest.approx(-math.log(5) / math.log(7), rel=1e-12)
+    assert type(got) is float
+    assert got == pytest.approx(-math.log(5) / math.log(7), rel=1e-12)
     with pytest.raises(PreconditionViolated):
         qnu_exponent_check(nu, [])
 
@@ -270,8 +271,9 @@ def test_qnu_exponent_repeated_block():
         seq.append((2, 3))
         word_digits.extend((2, 3))
         expected = -n * math.log(5) / math.log(continuant(word_digits))
-        assert float(qnu_exponent_check(nu, seq)) == pytest.approx(expected, rel=1e-12)
-        assert float(qnu_exponent_check(nu, seq)) < -0.75
+        got = qnu_exponent_check(nu, seq)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got < -0.75
 
 
 # ---------------------------------------------------------------- geometry

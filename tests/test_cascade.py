@@ -577,6 +577,19 @@ def test_dead_prefix_keeps_longest_valid_block_prefix():
         continuant(digits), continuant(digits[:-1]), sum(digits))
 
 
+@pytest.mark.parametrize("forced", [(8, 3), ()])
+def test_forced_block_of_wrong_length_is_a_mismatch(forced):
+    # (4, 4) forces the digit sum 8 at block index 2; a block of another
+    # length ends the walk at the two typical blocks before it, as a wrong
+    # digit does
+    lm = toy_lambda()
+    st = classify(lm, [(4,), (4,), forced])
+    assert not st.valid and st.mass == 0
+    assert (st.label, st.typical_count) == (st.chain[-1], 2)
+    assert (st.q, st.q_prev, st.digit_sum) == (17, 4, 8)
+    assert classify(lm, [(4,), (4,), (8,)]).valid
+
+
 # ------------------------------------------------- sampler against reference
 
 

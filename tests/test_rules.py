@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cfraj.errors import Overflow, OutOfRange, PreconditionViolated
 from cfraj.rules import (
     AssignmentRule,
-    Phi,
     Phi_iter,
     PsiFamily,
     check_q2psi_nonincreasing,
@@ -65,21 +64,27 @@ def test_phi_r_is_q_of_one_step_extension():
 
 
 def test_Phi_values():
-    assert math.isclose(float(Phi(PsiFamily.power(3), 10)), 100.0, rel_tol=1e-12)
+    # one step of the growth map, read back from its log
+    def phi(psi, q):
+        return math.exp(Phi_iter(psi, q, 1))
+
+    assert math.isclose(phi(PsiFamily.power(3), 10), 100.0, rel_tol=1e-12)
     expected = math.exp(5) / 5
-    assert math.isclose(float(Phi(PsiFamily.exponential(), 5)), expected, rel_tol=1e-12)
-    assert math.isclose(float(Phi(PsiFamily.power(3), 1)), 1.0, rel_tol=1e-12)
+    assert math.isclose(phi(PsiFamily.exponential(), 5), expected, rel_tol=1e-12)
+    assert math.isclose(phi(PsiFamily.power(3), 1), 1.0, rel_tol=1e-12)
+    with pytest.raises(PreconditionViolated):
+        Phi_iter(PsiFamily.power(3), 0, 1)
 
 
 def test_Phi_iter():
-    assert math.isclose(float(Phi_iter(PsiFamily.power(3), 10, 0)), 10.0)
+    assert math.isclose(math.exp(Phi_iter(PsiFamily.power(3), 10, 0)), 10.0)
     assert math.isclose(
-        Phi_iter(PsiFamily.power(3), 10, 2).log, 4 * math.log(10), rel_tol=1e-12
+        Phi_iter(PsiFamily.power(3), 10, 2), 4 * math.log(10), rel_tol=1e-12
     )
     x1 = math.exp(3) / 3
     expected_log = x1 - math.log(x1)
     assert math.isclose(
-        Phi_iter(PsiFamily.exponential(), 3, 2).log, expected_log, rel_tol=1e-12
+        Phi_iter(PsiFamily.exponential(), 3, 2), expected_log, rel_tol=1e-12
     )
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfraj.errors import PreconditionViolated
-from cfraj.numeric import LogFloat, ln_fraction
+from cfraj.numeric import ln_fraction
 from cfraj.words import (
     CylinderInterval,
     Word,
@@ -151,6 +151,21 @@ def test_identity_check_on_lists_tuples_and_ranges(u, v):
     assert continuant_identity_check(u, tuple(v)) == want
 
 
+@example([1], 1)
+@example([10**6, 1, 10**6], 10**6)
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1,
+                max_size=20),
+       st.integers(min_value=1, max_value=10**6))
+def test_identity_check_with_one_entry_v(u, x):
+    # K(v) = x and K(v minus first) = K() = 1 come out of the one pass
+    # over v, whatever sequence type carries u and v
+    for uu in (u, tuple(u), range(u[0], u[0] + len(u))):
+        want = identity_reference(uu, [x])
+        assert want
+        for v in ([x], (x,), range(x, x + 1)):
+            assert continuant_identity_check(uu, v) == want
+
+
 @pytest.mark.parametrize("u, v", [
     (range(1, 2), range(1, 2)),
     (range(1, 7), range(3, 40, 5)),
@@ -209,6 +224,8 @@ def test_joining_defect_examples():
 
     d = joining_defect(Word(0, (2,)), Word(2, (2,)), 2)
     assert math.isclose(float(d), math.log(3), rel_tol=1e-12)
+    # K(1) = K() K(): the joined continuant equals the product exactly
+    assert joining_defect(Word(0, ()), Word(1, ()), 1) == 0.0
 
 
 def test_joining_defect_precondition():
@@ -257,11 +274,11 @@ def reference_defect(a, b):
     k_join = continuant(a.tail + (b.head,) + b.tail)
     ratio = Fraction(k_join, continuant(a.tail) * continuant(b.tail))
     if ratio == 1:
-        return LogFloat(0, float("-inf"))
+        return 0.0
     defect = ln_fraction(ratio)
     if defect <= 0.0:
         defect = math.log1p(max(float(ratio - 1), 5e-324))
-    return LogFloat.from_float(defect)
+    return defect
 
 
 @st.composite
@@ -283,7 +300,7 @@ def word_pairs(draw):
 def test_joining_defect_equals_fraction_reference(pair):
     a, b, n_bound = pair
     got, want = joining_defect(a, b, n_bound), reference_defect(a, b)
-    assert got.sign == want.sign and got.log.hex() == want.log.hex()
+    assert type(got) is float and got.hex() == want.hex()
 
 
 @example((Word(0, ()), Word(1, ()), 1))
