@@ -28,6 +28,7 @@ import numpy as np
 from .blocks import Block, NuMeasure, TopHalfSplit, top_half_split
 from .errors import (
     BudgetExceeded,
+    CfrajError,
     DepthExceeded,
     OutOfRange,
     PreconditionViolated,
@@ -110,15 +111,23 @@ def build_lambda(nu: NuMeasure, schedule: Schedule, horizon: int) -> LambdaMeasu
 # ------------------------------------------------------------ transition
 #
 # Every walker crosses a stage the same way: a label-n path is tested at
-# block i_n (_stage_block), then refines to a child and appends the forced
-# run (_cross_stage). _walk follows one path; _lambda_leaves branches over
-# every typical block.
+# block i_n (_stage_block), then refines to a child (_child) and appends
+# the forced run (_cross_stage). _walk follows one path; _lambda_leaves
+# branches over every typical block; _sample_columns follows a whole draw
+# of paths, label by label, in columns.
 
 
 def _stage_block(sch: Schedule, label: int) -> Optional[int]:
     """Block index at which a label-`label` path is tested; None for a
     label with no scheduled stage."""
     return sch.i[label - 1] if label <= len(sch.i) else None
+
+
+def _child(label: int, top: bool) -> int:
+    """The label a label-`label` path refines to at its stage: 2 label when
+    its typical segment since the parent's run lies in the stage's top
+    half (top), else 2 label + 1."""
+    return 2 * label + (0 if top else 1)
 
 
 def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
@@ -128,9 +137,9 @@ def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
     """The transition at label's stage of a path at the word with columns
     (q, qp), (pn, pp) and digit sum dsum.
 
-    The path refines to 2 label when its typical segment since the
-    parent's run (of rank seg_rank among the segments of its length) lies
-    in the stage's top half, else to 2 label + 1. It then takes the r_label
+    The path refines to its _child: its typical segment since the parent's
+    run has rank seg_rank among the segments of its length, and the top
+    half holds the ranks below the split's count. It then takes the r_label
     blocks of the forced run, at most room of them: each digit is the
     rule's least admissible digit for the word so far, and each block's
     continuant is guarded. With given, the run stops before the first of
@@ -141,8 +150,7 @@ def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
     the run's blocks, q, qp, pn, pp, dsum after them).
     """
     sch, rule = lm.schedule, lm.rule
-    split = lm._splits[label]
-    child = 2 * label + (0 if seg_rank < split.count else 1)
+    child = _child(label, seg_rank < lm._splits[label].count)
     stage = _stage_block(sch, child)
     run: list[Block] = []
     for k in range(min(sch.r[label - 1], room)):
@@ -165,17 +173,17 @@ def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
 
 
 def _walk(lm: LambdaMeasure, depth: int,
-          stream: Optional[_IndexStream] = None,
+          indices: Optional[Sequence[int]] = None,
           given: Optional[Sequence[Block]] = None) -> tuple:
     """The linear walk: one path of depth blocks.
 
     Each typical segment (the blocks up to the next stage or depth) takes
-    its block indices in one call: from stream, or from the blocks of the
-    given path through nu's index. The walk of a given path ends, invalid,
-    before its first off-support typical block or its first forced block
-    that differs from the forced digits, with the state of the blocks
-    before it. A path ending at a stage's block index keeps its label
-    unrefined.
+    its block indices in one slice: the next ones of indices, or those of
+    the blocks of the given path through nu's index. The walk of a given
+    path ends, invalid, before its first off-support typical block or its
+    first forced block that differs from the forced digits, with the
+    state of the blocks before it. A path ending at a stage's block index
+    keeps its label unrefined.
 
     Returns (valid, blocks, chain, label, typical, pn, pp, q, qp, dsum):
     the blocks walked, the label chain and last label, the typical block
@@ -208,7 +216,7 @@ def _walk(lm: LambdaMeasure, depth: int,
             continue
         stop = depth if stage is None else min(stage, depth)
         if given is None:
-            idxs = stream.take(stop - b)
+            idxs = indices[typical:typical + stop - b]
         else:
             idxs = []
             for blk in given[b:stop]:
@@ -363,16 +371,16 @@ def sample_path(lm: LambdaMeasure, depth: int, seed: int) -> list[Block]:
     random.Random(seed).randrange(len(lm.nu.support)) returns, one per
     typical block in path order; forced blocks draw nothing.
     """
-    stream = _IndexStream(random.Random(seed), len(lm.nu.support), depth)
-    return _walk(lm, depth, stream)[1]
+    indices = _draw_indices(random.Random(seed), len(lm.nu.support), depth)
+    return _walk(lm, depth, indices.tolist())[1]
 
 
-# the most 32-bit words one refill of an _IndexStream draws (64 KiB)
+# the most 32-bit words one read of _draw_indices takes (64 KiB)
 _STREAM_CHUNK = 1 << 14
 
 
-class _IndexStream:
-    """The values rng.randrange(s) would return, drawn in bulk.
+def _draw_indices(rng: random.Random, s: int, n: int) -> np.ndarray:
+    """At least n of the values rng.randrange(s) would return next, in order.
 
     randrange(s) takes getrandbits(k), k = s.bit_length(), and draws again
     while the result is >= s. For k <= 32, getrandbits(k) is the top k bits
@@ -381,39 +389,310 @@ class _IndexStream:
     one bulk draw, shifted right by 32 - k and filtered to those below s,
     are the draws randrange would accept, in the same order.
 
-    The stream reads ahead of what it hands out, so its owner must make no
-    other use of rng. blocks bounds the indices the owner will take; each
-    refill draws the words expected to cover the rest, at most
-    _STREAM_CHUNK.
+    Each read takes the words expected to cover what is still missing, at
+    most _STREAM_CHUNK, and every value the words read give is returned:
+    consecutive calls on one rng continue one randrange stream, as long as
+    rng has no other use. The dtype is the narrowest unsigned one that
+    holds s - 1.
     """
-
-    def __init__(self, rng: random.Random, s: int, blocks: int):
-        if s >= 2**32:
-            raise PreconditionViolated(f"{s} atoms exceed a 32-bit draw")
-        self._rng, self._s, self._k = rng, s, s.bit_length()
-        self._left = blocks
-        self._buf: list[int] = []
-        self._pos = 0
-
-    def take(self, n: int) -> list[int]:
-        """The next n indices."""
-        while len(self._buf) - self._pos < n:
-            self._refill(n)
-        out = self._buf[self._pos:self._pos + n]
-        self._pos += n
-        self._left -= n
-        return out
-
-    def _refill(self, n: int) -> None:
-        want = max(self._left, n) - (len(self._buf) - self._pos)
-        m = min(_STREAM_CHUNK, -(-(want << self._k) // self._s))
+    if s >= 2**32:
+        raise PreconditionViolated(f"{s} atoms exceed a 32-bit draw")
+    k = s.bit_length()
+    dtype = np.min_scalar_type(s - 1)
+    parts, got = [], 0
+    while got < n:
+        m = min(_STREAM_CHUNK, -(-((n - got) << k) // s))
         # sys.byteorder with native uint32 reads word i at bytes 4i..4i+3
         # on either byte order
-        raw = self._rng.getrandbits(32 * m).to_bytes(4 * m, sys.byteorder)
-        words = np.frombuffer(raw, dtype=np.uint32) >> (32 - self._k)
-        self._buf = (self._buf[self._pos:]
-                     + words[words < self._s].tolist())
-        self._pos = 0
+        raw = rng.getrandbits(32 * m).to_bytes(4 * m, sys.byteorder)
+        words = np.frombuffer(raw, dtype=np.uint32) >> (32 - k)
+        parts.append(words[words < s].astype(dtype))
+        got += len(parts[-1])
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+# ------------------------------------------------------- columnar sampler
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Paths as columns: the convergent columns pn, pp, q, qp of each
+    distinct path as Python ints, inverse mapping every path to its
+    distinct one (None when each path is distinct), and every path's
+    label chain as chain_ids, an index into the distinct chains in
+    first-seen order."""
+
+    pn: list[int]
+    pp: list[int]
+    q: list[int]
+    qp: list[int]
+    chains: list[tuple[int, ...]]
+    chain_ids: np.ndarray
+    inverse: Optional[np.ndarray] = None
+
+    @classmethod
+    def of_leaves(cls, leaves: Sequence[_Leaf]) -> "_Columns":
+        ids: dict[tuple[int, ...], int] = {}
+        chain_ids = np.array([ids.setdefault(lf.chain, len(ids))
+                              for lf in leaves])
+        return cls([lf.pn for lf in leaves], [lf.pp for lf in leaves],
+                   [lf.q for lf in leaves], [lf.qp for lf in leaves],
+                   list(ids), chain_ids)
+
+
+# int64 columns hold values below this, so every product and sum formed
+# on the way to a value below it fits in int64 too
+_INT64_LIMIT = 2**62
+
+
+def _sample_columns(lm: LambdaMeasure, samples: int, depth: int,
+                    seed: int) -> _Columns:
+    """samples paths of depth blocks from one random.Random(seed).
+
+    Path k is the path _walk takes on the indices after those of paths
+    0 .. k - 1 in the generator's randrange stream: the draw of a loop of
+    _walk calls on one shared stream, path for path. Pass A
+    (_draw_chains) settles every path's labels and its start in the
+    stream, and finds the paths that repeat an earlier one's indices.
+    Pass B computes each distinct path once. It runs down the label
+    tree: the paths at one label share their segment's block positions,
+    so it takes each typical segment (_typical_blocks) and each forced
+    run (_forced_run) for all of them at once, in columns. Columns stay
+    int64 while every value in them is below _INT64_LIMIT and hold
+    Python ints after. Each forced block guards its largest continuant.
+    A draw that fails, with a path over the digit budget or a forced
+    digit the rule cannot give, walks its paths again one by one and
+    raises the error of the first that fails, as a per-path draw does.
+    """
+    if depth > lm.horizon:
+        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
+    nu, sch = lm.nu, lm.schedule
+    s = len(nu.support)
+    dtype = np.dtype(np.min_scalar_type(s - 1)).newbyteorder(">")
+    tree = _label_tree(lm, depth, dtype)
+    # the most typical blocks a path takes
+    most = max(node[0] + node[1] for node in tree.values())
+    starts, finals, inverse, idx = _draw_chains(
+        tree, most, samples, random.Random(seed), s, dtype)
+    n = len(starts)
+    blocks = _BlockTables(nu)
+    last = np.array(finals)
+    levels = np.array([f.bit_length() for f in finals])
+    out = [np.empty(n, dtype=object) for _ in range(4)]
+
+    def descend(label, rows, cols):
+        t, g, cut, run, kids = tree[label]
+        cols = _typical_blocks(cols, idx, starts[rows] + t, g, blocks)
+        if cut is None:
+            for column, values in zip(out, cols):
+                column[rows] = values
+            return
+        # each path's label after this stage: its last label's ancestor
+        # one level below this one
+        after = last[rows] >> (levels[rows] - label.bit_length() - 1)
+        for child in kids:
+            sel = after == child
+            if sel.any():
+                descend(child, rows[sel],
+                        _forced_run([c[sel] for c in cols], run, sch.p,
+                                    lm.rule))
+
+    one, zero = np.ones(n, np.int64), np.zeros(n, np.int64)
+    try:
+        descend(1, np.arange(n), [one, zero, zero, one, zero])
+    except CfrajError:
+        indices = idx.tolist()
+        try:
+            for start in starts.tolist():
+                _walk(lm, depth, indices[start:start + most])
+        except CfrajError as first:
+            raise first from None
+        raise
+    q, qp, pn, pp = (column.tolist() for column in out)
+    ids: dict[int, int] = {}
+    chain_ids = np.array([ids.setdefault(f, len(ids)) for f in finals])
+    chains = [tuple(f >> k for k in range(f.bit_length() - 1, -1, -1))
+              for f in ids]
+    return _Columns(pn, pp, q, qp, chains, chain_ids[inverse], inverse)
+
+
+def _label_tree(lm: LambdaMeasure, depth: int, dtype: np.dtype) -> dict:
+    """Where the typical segment of each label lies on a depth-block path.
+
+    Maps every label a path can carry to (t, g, cut, run, kids): the
+    typical blocks before the label's segment, t, and in it, g. For a
+    label tested before depth, cut is the base-s digits of its split's
+    count in dtype's big-endian bytes, run the forced blocks its children
+    take, and kids its children, the top half's first; for a label whose
+    walk ends with its segment, cut and kids are None.
+    """
+    sch, s = lm.schedule, len(lm.nu.support)
+    tree = {}
+
+    def visit(label, b, t):
+        stage = _stage_block(sch, label)
+        if stage is None or stage >= depth:
+            tree[label] = (t, depth - b, None, 0, None)
+            return
+        g = stage - b
+        count, digits = lm._splits[label].count, []
+        for _ in range(g):
+            count, d = divmod(count, s)
+            digits.append(d)
+        run = min(sch.r[label - 1], depth - stage)
+        kids = (_child(label, True), _child(label, False))
+        tree[label] = (t, g, np.array(digits[::-1], dtype).tobytes(), run,
+                       kids)
+        for child in kids:
+            visit(child, stage + run, t + g)
+
+    visit(1, 0, 0)
+    return tree
+
+
+def _draw_chains(tree: dict, most: int, samples: int, rng: random.Random,
+                 s: int, dtype: np.dtype) -> tuple:
+    """Pass A: each path's start in the index stream and its last label.
+
+    A path's labels and typical block count depend on its own indices
+    only, and each path starts where the one before it ended. A stage is
+    settled by comparing the segment's indices with the label's cut as
+    bytes: big-endian numbers of one width compare, digit by digit, as
+    their base-s values do, so the segment is in the top half exactly
+    when its bytes sort below cut. A path whose indices repeat an earlier
+    path's is that path again.
+
+    It reads ahead so that the next path's indices, most at the longest,
+    are always in the buffer. Returns the start and last label of each
+    distinct path, in first-seen order, each path's index into them, and
+    the indices read, in dtype.
+    """
+    width = dtype.itemsize
+    buf = bytearray()
+    seen: dict[bytes, int] = {}
+    starts, finals, inverse = [], [], []
+    off = 0
+    for k in range(samples):
+        short = off + most - len(buf) // width
+        if short > 0:
+            want = max(short, min((samples - k) * most, _STREAM_CHUNK))
+            buf += _draw_indices(rng, s, want).astype(dtype).tobytes()
+        label = 1
+        t, g, cut, _, kids = tree[1]
+        while cut is not None:
+            lo = (off + t) * width
+            # kids[False], the top half's child, when the segment sorts
+            # below cut
+            label = kids[buf[lo:lo + g * width] >= cut]
+            t, g, cut, _, kids = tree[label]
+        end = off + t + g
+        row = seen.setdefault(bytes(buf[off * width:end * width]), len(seen))
+        if row == len(starts):
+            starts.append(off)
+            finals.append(label)
+        inverse.append(row)
+        off = end
+    return (np.array(starts), finals, np.array(inverse),
+            np.frombuffer(buf, dtype))
+
+
+class _BlockTables:
+    """nu's support as columns: digits[e][i] is digit e of block i,
+    sums[i] its digit sum; growth bounds the factor by which one block
+    can raise the largest entry of a convergent matrix, the product of
+    d + 1 over its digits d. The columns are int64, or Python ints when
+    one block can pass _INT64_LIMIT on its own."""
+
+    def __init__(self, nu: NuMeasure):
+        support = nu.support
+        self.sum_max = max(sum(blk) for blk in support)
+        self.growth = max(math.prod(d + 1 for d in blk) for blk in support)
+        dtype = np.int64 if self.growth < _INT64_LIMIT else object
+        self.digits = [np.array([blk[e] for blk in support], dtype)
+                       for e in range(nu.p)]
+        self.sums = np.array([sum(blk) for blk in support], dtype)
+
+
+def _typical_blocks(cols: list, idx: np.ndarray, base: np.ndarray, g: int,
+                    blocks: _BlockTables) -> list:
+    """cols (q, qp, pn, pp, digit sum) after g typical blocks: the block
+    of support index idx[base + j] is the j-th of each path.
+
+    q is the largest entry of a path's matrix [[q, qp], [pn, pp]], and
+    each digit d raises the largest entry of a matrix by at most a factor
+    d + 1, so a chunk of c blocks by at most growth^c. While the columns
+    are int64, a chunk is as long as that bound keeps them below
+    _INT64_LIMIT, and its digits multiply the columns directly; a chunk
+    that cannot take one block moves them to Python ints first. Then a
+    chunk is as long as its int64 product stays below the limit, and the
+    product is folded in once.
+    """
+    q, qp, pn, pp, dsum = cols
+    j = 0
+    while j < g:
+        wide = q.dtype == object
+        top, total = (1, 0) if wide else (int(q.max()), int(dsum.max()))
+        c = 0
+        while (c < g - j and top * blocks.growth < _INT64_LIMIT
+               and total + blocks.sum_max < _INT64_LIMIT):
+            top *= blocks.growth
+            total += blocks.sum_max
+            c += 1
+        if c == 0 and not wide:
+            q, qp, pn, pp, dsum = (x.astype(object)
+                                   for x in (q, qp, pn, pp, dsum))
+            continue
+        # one block past the limit on its own goes straight into the
+        # Python ints
+        fold = wide and c > 0
+        c = max(c, 1)
+        if fold:
+            one, zero = np.ones(len(q), np.int64), np.zeros(len(q), np.int64)
+            m00, m01, m10, m11 = one, zero, zero, one
+        else:
+            m00, m01, m10, m11 = q, qp, pn, pp
+        added = 0
+        for k in range(j, j + c):
+            col = idx[base + k]
+            for digit in blocks.digits:
+                d = digit[col]
+                m00, m01 = d * m00 + m01, m00
+                m10, m11 = d * m10 + m11, m10
+            added = added + blocks.sums[col]
+        if fold:
+            q, qp = q * m00 + qp * m10, q * m01 + qp * m11
+            pn, pp = pn * m00 + pp * m10, pn * m01 + pp * m11
+        else:
+            q, qp, pn, pp = m00, m01, m10, m11
+        dsum = dsum + added
+        j += c
+    return [q, qp, pn, pp, dsum]
+
+
+def _forced_run(cols: list, run: int, p: int, rule: AssignmentRule) -> list:
+    """cols (q, qp, pn, pp, digit sum) after a forced run of `run` blocks.
+
+    Each digit is rho_value of its path's word so far. The columns move
+    to Python ints before a digit that could take a value past
+    _INT64_LIMIT, and each block guards its largest continuant.
+    """
+    q, qp, pn, pp, dsum = cols
+    for _ in range(run):
+        for _ in range(p):
+            d = [rho_value(rule, a, b) for a, b in zip(q.tolist(),
+                                                        dsum.tolist())]
+            if q.dtype != object:
+                top = max(d)
+                if ((top + 1) * int(q.max()) >= _INT64_LIMIT
+                        or int(dsum.max()) + top >= _INT64_LIMIT):
+                    q, qp, pn, pp, dsum = (x.astype(object)
+                                           for x in (q, qp, pn, pp, dsum))
+            d = np.array(d, dtype=q.dtype)
+            q, qp = d * q + qp, q
+            pn, pp = d * pn + pp, pn
+            dsum = dsum + d
+        guard_int(int(q.max()), "forced-run continuant")
+    return [q, qp, pn, pp, dsum]
 
 
 def scale_index(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT) -> tuple[int, int]:

@@ -24,7 +24,11 @@ the last one squares the last row's complex terms in place m times,
 since e(2 xi x) = e(xi x)^2, instead of calling exp again; it restarts
 from exp when the squared terms' bound would exceed twice a direct
 evaluation's. On cascade atoms a scan row folds its frequency once, and
-its typical estimate sums a subset of the full estimate's terms.
+its typical estimate sums a subset of the full estimate's terms. A
+cascade sample set is drawn in columns (cascade._sample_columns), path
+for path the draw of the per-path walk, and holds each distinct
+cylinder once: the fold and the cos and sin run over the distinct
+cylinders, and every sample takes its cylinder's terms.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import hashlib
 import json
 import math
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -53,10 +56,9 @@ from .cascade import (
     CYLINDER_BUDGET,
     LambdaMeasure,
     TypExcSplit,
-    _IndexStream,
-    _Leaf,
+    _Columns,
     _lambda_leaves,
-    _walk,
+    _sample_columns,
     split_typ_exc,
 )
 from .errors import PreconditionViolated
@@ -118,18 +120,6 @@ def _nu_sample_matrices(nu: NuMeasure, samples: int, depth: int,
     return mats
 
 
-def _lambda_sample_leaves(lm: LambdaMeasure, samples: int, depth: int,
-                          seed: int) -> list[_Leaf]:
-    stream = _IndexStream(random.Random(seed), len(lm.nu.support),
-                          samples * depth)
-    zero = Fraction(0)
-    out = []
-    for _ in range(samples):
-        _, _, chain, _, _, pn, pp, q, qp, _ = _walk(lm, depth, stream)
-        out.append(_Leaf(zero, pn, pp, q, qp, chain))
-    return out
-
-
 # ---------------------------------------------------------------- atoms
 
 
@@ -155,7 +145,9 @@ class _Atoms:
     the sum of mass * width; sample sources carry the sample count and
     the width ceiling. Cascade sources carry their distinct label chains
     in first-seen order, labels, and each atom's index into it,
-    label_ids.
+    label_ids. Cascade samples hold each distinct cylinder once in mids,
+    num and den, and inverse maps each sample, in draw order, to its
+    cylinder; every other source has one atom per point and no inverse.
     Nu sources also carry what their evaluation term needs: mid_steps,
     the roundings in one float midpoint, and weight_err, a bound on
     |weight - exact weight| / exact weight.
@@ -169,6 +161,7 @@ class _Atoms:
     width_ceiling: Optional[Fraction] = None
     labels: Optional[list[tuple[int, ...]]] = None
     label_ids: Optional[np.ndarray] = None
+    inverse: Optional[np.ndarray] = None
     num: Optional[list[int]] = None
     den: Optional[list[int]] = None
     mats: Optional[np.ndarray] = None
@@ -194,16 +187,12 @@ class _Atoms:
         return np.array(typical)[self.label_ids]
 
 
-def _cascade_atoms(leaves: list[_Leaf], weight, **source) -> _Atoms:
-    num, den = _midpoints([lf.pn for lf in leaves], [lf.pp for lf in leaves],
-                          [lf.q for lf in leaves], [lf.qp for lf in leaves])
-    ids: dict[tuple[int, ...], int] = {}
-    label_ids = np.array([ids.setdefault(lf.chain, len(ids))
-                          for lf in leaves])
+def _cascade_atoms(cols: _Columns, weight, **source) -> _Atoms:
+    num, den = _midpoints(cols.pn, cols.pp, cols.q, cols.qp)
     return _Atoms(weight=weight,
                   mids=np.array([n / d for n, d in zip(num, den)]),
-                  cascade=True, labels=list(ids), label_ids=label_ids,
-                  num=num, den=den, **source)
+                  cascade=True, labels=cols.chains, label_ids=cols.chain_ids,
+                  inverse=cols.inverse, num=num, den=den, **source)
 
 
 def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
@@ -215,12 +204,13 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         if samples is None:
             leaves = _lambda_leaves(measure, depth, budget)
             return _cascade_atoms(
-                leaves, np.array([float(lf.mass) for lf in leaves]),
+                _Columns.of_leaves(leaves),
+                np.array([float(lf.mass) for lf in leaves]),
                 widths=np.array([1 / (lf.q * (lf.q + lf.qp))
                                  for lf in leaves]))
         return _cascade_atoms(
-            _lambda_sample_leaves(measure, samples, depth, seed),
-            1.0 / samples, samples=samples,
+            _sample_columns(measure, samples, depth, seed), 1.0 / samples,
+            samples=samples,
             width_ceiling=_width_ceiling(measure, depth))
     if samples is None:
         mats = product_convergent_matrices(measure, depth, budget)
@@ -277,7 +267,8 @@ def _folds_exactly(atoms: _Atoms, xi) -> bool:
 
 
 def _fold(atoms: _Atoms, xi, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Fractional part of xi * midpoint for every atom, xi > 0.
+    """Fractional part of xi * midpoint for every atom, xi > 0; for every
+    distinct cylinder on cascade samples.
 
     An int or Fraction xi = a / b folds exactly on cascade atoms, and on
     nu atoms from EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one
@@ -309,7 +300,8 @@ class _Chain:
     last frequency xi, and eps bounds |term - e(xi mid)| for every term
     at its exact midpoint. On cascade atoms, cos and sin hold every
     atom's weight * cos(2 pi phase) and weight * sin(2 pi phase) at xi,
-    kept for the row's typical estimate.
+    one entry per sample on sample sets, kept for the row's typical
+    estimate.
     """
 
     terms: Optional[np.ndarray] = None
@@ -355,10 +347,13 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
     """Sum of weight * e(xi mid) over the atoms, and its per-term bound.
 
     Cascade atoms, optionally only those keep marks, are summed term by
-    term with math.fsum; their per-term bound is reported as 0. Their
-    terms are kept in the chain, so a scan row's typical estimate (a
-    keep mask at the row's frequency) reuses the full row's terms: it
-    sums the kept subset, in the same order, and folds nothing. Nu
+    term with math.fsum; their per-term bound is reported as 0. On a
+    sample set each distinct cylinder's term is computed once and the
+    inverse hands it to each of its samples, so the sum runs over the
+    samples in draw order. The terms are kept in the chain, so a scan
+    row's typical estimate (a keep mask at the row's frequency) reuses
+    the full row's terms: it sums the kept subset, in the same order,
+    and folds nothing. Nu
     atoms, up to millions of them, are summed in one numpy sum of the
     complex terms in chain.terms. When xi is 2^m times the chain's last
     frequency, those terms are squared in place m times, carrying the
@@ -380,11 +375,11 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
             weight = atoms.weight
             weights = weight.tolist() if not np.isscalar(weight) \
                 else [weight] * len(angles)
-            chain.cos = np.array([w * math.cos(a)
-                                  for w, a in zip(weights, angles)])
-            chain.sin = np.array([w * math.sin(a)
-                                  for w, a in zip(weights, angles)])
-            chain.xi = xi
+            cos = np.array([w * math.cos(a) for w, a in zip(weights, angles)])
+            sin = np.array([w * math.sin(a) for w, a in zip(weights, angles)])
+            if atoms.inverse is not None:
+                cos, sin = cos[atoms.inverse], sin[atoms.inverse]
+            chain.cos, chain.sin, chain.xi = cos, sin, xi
         cos, sin = chain.cos, chain.sin
         if keep is not None:
             cos, sin = cos[keep], sin[keep]

@@ -8,6 +8,7 @@ recurrence seeded (0, 1) over the tail only; the head enters numerators.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,18 +35,33 @@ def continuant_pair_of(entries: Sequence[int]) -> tuple[int, int]:
     return cur, prev
 
 
+def _entry(a) -> int:
+    """a as a plain int: integers of any type pass through operator.index;
+    bools and everything else are rejected."""
+    if isinstance(a, bool):
+        raise PreconditionViolated(f"word entries must be integers, got {a!r}")
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise PreconditionViolated(
+            f"word entries must be integers, got {a!r}") from None
+
+
 @dataclass(frozen=True)
 class Word:
     head: int
     tail: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.head < 0:
-            raise PreconditionViolated(f"head must be >= 0, got {self.head}")
-        for a in self.tail:
+        head = _entry(self.head)
+        if head < 0:
+            raise PreconditionViolated(f"head must be >= 0, got {head}")
+        tail = tuple(_entry(a) for a in self.tail)
+        for a in tail:
             if a < 1:
                 raise PreconditionViolated(f"tail entries must be >= 1, got {a}")
-        object.__setattr__(self, "tail", tuple(int(a) for a in self.tail))
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def length(self) -> int:
@@ -155,6 +171,11 @@ def continuant_identity_check(u: Sequence[int], v: Sequence[int]) -> bool:
     The left side is one recurrence run over u and carried on through v;
     K(u) and K(u minus last) are read where it leaves u. The same loop over
     v also runs K(v), seeded (0, 1), and K(v minus first), seeded (1, 0).
+
+    The entries are not validated, unlike a Word's: the a01 sweep calls
+    the check 780^2 = 608,400 times, and a type test per entry would cost
+    more than the recurrence. Pass positive ints; float entries run the
+    recurrence in float arithmetic.
     """
     if not u or not v:
         raise PreconditionViolated("both sequences must be nonempty")

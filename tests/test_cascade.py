@@ -6,15 +6,17 @@ from fractions import Fraction
 from itertools import product as iter_product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfraj import cascade
-from cfraj.blocks import build_nu
+from cfraj import cascade, numeric
+from cfraj.blocks import NuMeasure, build_nu
 from cfraj.cascade import (
     LambdaMeasure,
-    _IndexStream,
+    _draw_indices,
+    _sample_columns,
     build_lambda,
     classify,
     cylinder_mass,
@@ -30,9 +32,10 @@ from cfraj.errors import (
     BudgetExceeded,
     DepthExceeded,
     OutOfRange,
+    Overflow,
     PreconditionViolated,
 )
-from cfraj.fourier import _lambda_leaves, _lambda_sample_leaves
+from cfraj.fourier import _lambda_leaves
 from cfraj.numeric import guard_int
 from cfraj.rules import AssignmentRule, PsiFamily, forced_extension, rho_value
 from cfraj.schedule import Schedule, check_gap_condition, weight
@@ -210,28 +213,35 @@ def test_index_stream_replays_randrange(s, seed, pieces, chunk):
     n = sum(pieces)
     ref = random.Random(seed)
     want = [ref.randrange(s) for _ in range(n)]
+    # consecutive draws on one generator continue one randrange stream
+    rng = random.Random(seed)
     got = []
     with mock.patch.object(cascade, "_STREAM_CHUNK", chunk):
-        stream = _IndexStream(random.Random(seed), s, n)
         for k in pieces:
-            got += stream.take(k)
-    assert got == want
+            more = _draw_indices(rng, s, k)
+            assert len(more) >= k
+            assert more.dtype == np.min_scalar_type(s - 1)
+            got += more.tolist()
+    assert got[:n] == want
+    assert got[n:] == [ref.randrange(s) for _ in range(len(got) - n)]
 
 
 @pytest.mark.parametrize("s", STREAM_SIZES)
 def test_index_stream_replays_randrange_past_refills(s):
-    # 5,000 indices with a chunk of 97 words: dozens of refills
+    # 5,000 indices with a chunk of 97 words: dozens of reads
     seed = 5000 + s
     ref = random.Random(seed)
+    rng = random.Random(seed)
     with mock.patch.object(cascade, "_STREAM_CHUNK", 97):
-        stream = _IndexStream(random.Random(seed), s, 5000)
-        got = stream.take(1) + stream.take(2999) + stream.take(2000)
-    assert got == [ref.randrange(s) for _ in range(5000)]
+        got = [x for k in (1, 2999, 2000)
+               for x in _draw_indices(rng, s, k).tolist()]
+    assert len(got) >= 5000
+    assert got == [ref.randrange(s) for _ in range(len(got))]
 
 
 def test_index_stream_rejects_wide_draws():
     with pytest.raises(PreconditionViolated):
-        _IndexStream(random.Random(0), 2**32, 1)
+        _draw_indices(random.Random(0), 2**32, 1)
 
 
 def _reference_walk(lm, depth, rng):
@@ -600,6 +610,15 @@ def a10_lambda():
     return build_lambda(nu, sch, 130)
 
 
+def sampled_rows(lm, samples, depth, seed):
+    """(chain, pn, pp, q, qp) of each path of one shared-stream draw."""
+    cols = _sample_columns(lm, samples, depth, seed)
+    chains = [cols.chains[k] for k in cols.chain_ids.tolist()]
+    rows = list(zip(cols.pn, cols.pp, cols.q, cols.qp))
+    return [(chain, *rows[k])
+            for chain, k in zip(chains, cols.inverse.tolist())]
+
+
 @pytest.mark.parametrize("make,depth", [
     (toy_lambda, 13), (toy_lambda, 3), (a10_lambda, 128), (stage2_lambda, 98),
 ])
@@ -612,9 +631,124 @@ def test_sampler_matches_reference_walker(make, depth):
     for seed in (0, 9):
         rng = random.Random(seed)
         want = [_reference_walk(lm, depth, rng)[1:] for _ in range(60)]
-        got = [(lf.chain, lf.pn, lf.pp, lf.q, lf.qp)
-               for lf in _lambda_sample_leaves(lm, 60, depth, seed)]
+        got = sampled_rows(lm, 60, depth, seed)
         assert got == want
+
+
+def _dtype_switches(monkeypatch, name):
+    """Spy on cascade.<name>: for each call, whether it took int64 columns
+    and gave back Python ints, and its input's largest continuant."""
+    calls = []
+    real = getattr(cascade, name)
+
+    def spy(cols, *args):
+        out = real(cols, *args)
+        calls.append((cols[0].dtype != object and out[0].dtype == object,
+                      int(cols[0].max())))
+        return out
+
+    monkeypatch.setattr(cascade, name, spy)
+    return calls
+
+
+def test_sampler_moves_to_python_ints_inside_a_typical_segment(monkeypatch):
+    # a10 paths pass 2^62 in a typical segment, near block 35; the switch
+    # comes after int64 blocks of the same segment
+    lm = a10_lambda()
+    calls = _dtype_switches(monkeypatch, "_typical_blocks")
+    rng = random.Random(2)
+    want = [_reference_walk(lm, 128, rng)[1:] for _ in range(30)]
+    assert sampled_rows(lm, 30, 128, 2) == want
+    growth = cascade._BlockTables(lm.nu).growth
+    assert any(switched and top * growth < 2**62 for switched, top in calls)
+
+
+def test_sampler_moves_to_python_ints_inside_a_forced_run(monkeypatch):
+    # q = K(16 digits from {4, 5}) lies in [2^32, 2^39]; under psi(q) =
+    # q^-3 the forced digit is q itself, which takes q past 2^62
+    nu = nu_digits45()
+    sch = Schedule(i=(16,), r=(1,), p=1, sigma=nu.sigma,
+                   rule=AssignmentRule.psi_power(3))
+    lm = build_lambda(nu, sch, 20)
+    calls = _dtype_switches(monkeypatch, "_forced_run")
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        want = [_reference_walk(lm, 20, rng)[1:] for _ in range(30)]
+        assert sampled_rows(lm, 30, 20, seed) == want
+    assert calls and all(switched for switched, _ in calls)
+
+
+@pytest.mark.parametrize("limit", [2**4, 2**7, 2**20])
+@pytest.mark.parametrize("make,depth", [
+    (toy_lambda, 13), (a10_lambda, 128), (stage2_lambda, 98),
+])
+def test_sampler_matches_reference_at_any_int64_limit(monkeypatch, make,
+                                                      depth, limit):
+    # a low limit moves the columns to Python ints early, mid-chunk and
+    # mid-run; at 2^4 a single p = 2 block (growth 16) passes it alone
+    monkeypatch.setattr(cascade, "_INT64_LIMIT", limit)
+    lm = make()
+    rng = random.Random(limit)
+    want = [_reference_walk(lm, depth, rng)[1:] for _ in range(20)]
+    assert sampled_rows(lm, 20, depth, limit) == want
+
+
+def test_sampler_takes_digits_past_int64():
+    # one block alone passes int64: the tables and columns hold Python ints
+    big = 2**63
+    nu = NuMeasure(n_bound=big + 1, p=1, sigma=math.log(big),
+                   eps_window=Fraction(1, 4), support=((big,), (big + 1,)),
+                   beta_achieved=math.log(2) / math.log(big))
+    sch = Schedule(i=(2, 4), r=(1, 1), p=1, sigma=nu.sigma,
+                   rule=AssignmentRule.sum_of_previous())
+    lm = build_lambda(nu, sch, 8)
+    rng = random.Random(1)
+    want = [_reference_walk(lm, 8, rng)[1:] for _ in range(20)]
+    assert sampled_rows(lm, 20, 8, 1) == want
+
+
+def psi_gate_lambda():
+    # psi(q) = q^-3: each forced digit is q. At 4 decimal digits, label 2
+    # paths (tested at block 4) pass the digit's own check and fail the
+    # continuant guard; label 3 paths (block 6) fail the digit's check
+    nu = nu_digits45()
+    sch = Schedule(i=(2, 4, 6), r=(1, 1, 1), p=1, sigma=nu.sigma,
+                   rule=AssignmentRule.psi_power(3))
+    return build_lambda(nu, sch, 8)
+
+
+@pytest.mark.parametrize("make,depth,budget", [
+    (toy_lambda, 13, 2), (toy_lambda, 13, 7), (toy_lambda, 13, 10),
+    (toy_lambda, 13, 11), (psi_gate_lambda, 8, 4),
+])
+def test_sampler_raises_the_walks_overflow(monkeypatch, make, depth, budget):
+    # toy_lambda at 7 and 10 digits: the first paths pass and a later one
+    # overflows; at 11 none does. The psi cascade's draws fail in two
+    # ways, and which comes first depends on the seed
+    lm = make()
+    monkeypatch.setattr(numeric, "_digit_budget", budget)
+    messages = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        try:
+            want = [_reference_walk(lm, depth, rng)[1:] for _ in range(40)]
+        except Overflow as exc:
+            messages.add(str(exc))
+            with pytest.raises(Overflow) as drawn:
+                _sample_columns(lm, 40, depth, seed)
+            assert str(drawn.value) == str(exc)
+        else:
+            assert sampled_rows(lm, 40, depth, seed) == want
+        try:
+            sample_path(lm, depth, seed)
+        except Overflow as exc:
+            with pytest.raises(Overflow) as drawn:
+                _sample_columns(lm, 1, depth, seed)
+            assert str(drawn.value) == str(exc)
+        else:
+            _sample_columns(lm, 1, depth, seed)
+    if make is psi_gate_lambda:
+        assert len(messages) == 2
 
 
 # ------------------------------------------------- walkers against each other
@@ -653,10 +787,15 @@ def test_walkers_agree_on_small_cascades(lm, seed):
                  for lf in leaves}
     for k in range(5):
         path = sample_path(lm, depth, seed + k)
-        (leaf,) = _lambda_sample_leaves(lm, 1, depth, seed + k)
+        (row,) = sampled_rows(lm, 1, depth, seed + k)
         state = classify(lm, path)
         assert state.valid
-        assert (leaf.chain, leaf.q, leaf.qp) == \
-            (state.chain, state.q, state.q_prev)
-        key = (leaf.chain, leaf.pn, leaf.pp, leaf.q, leaf.qp)
-        assert cylinders[key] == state.mass
+        chain, _, _, q, qp = row
+        assert (chain, q, qp) == (state.chain, state.q, state.q_prev)
+        assert cylinders[row] == state.mass
+    # 40 paths from one shared generator, against the per-block sampler
+    rng = random.Random(seed)
+    want = [_reference_walk(lm, depth, rng)[1:] for _ in range(40)]
+    got = sampled_rows(lm, 40, depth, seed)
+    assert got == want
+    assert all(cylinders[row] > 0 for row in got)

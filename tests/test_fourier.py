@@ -1,6 +1,8 @@
 """Transform estimators: oracle sums, error-bound soundness, CSV contract."""
 
 import cmath
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +30,7 @@ from cfraj.fourier import (
     SQRT5_UP,
     U,
     _Atoms,
+    _Chain,
     _atoms,
     _error,
     _estimate,
@@ -35,7 +38,6 @@ from cfraj.fourier import (
     _evaluation_term,
     _fold,
     _lambda_leaves,
-    _lambda_sample_leaves,
     _width_ceiling,
     decay_scan,
     decay_slope,
@@ -45,7 +47,7 @@ from cfraj.fourier import (
 from cfraj.rules import AssignmentRule
 from cfraj.schedule import Schedule
 
-from test_cascade import nu_digits45, oracle_paths, toy_lambda
+from test_cascade import nu_digits45, oracle_paths, sampled_rows, toy_lambda
 
 
 def nu_single():
@@ -306,22 +308,71 @@ def test_scan_rows_equal_single_frequency_estimates(source):
         return
     # a cascade row's typical estimate reuses the full row's terms; it
     # equals a fresh estimate under a mask built atom by atom
-    for table, atoms, leaves in (
-            (cyl, _atoms(measure, depth), _lambda_leaves(measure, depth)),
+    for table, atoms, chains in (
+            (cyl, _atoms(measure, depth),
+             [lf.chain for lf in _lambda_leaves(measure, depth)]),
             (mc, _atoms(measure, depth, 300, 4),
-             _lambda_sample_leaves(measure, 300, depth, 4))):
+             [row[0] for row in sampled_rows(measure, 300, depth, 4)])):
         typed = 0
         for xi, row in zip(SCAN_XIS, table.rows):
             if row.n_index == 0:
                 assert row.typ is row.full
                 continue
             split = split_typ_exc(measure, abs(xi))
-            keep = np.array([not split.is_exceptional(lf.chain)
-                             for lf in leaves])
+            keep = np.array([not split.is_exceptional(chain)
+                             for chain in chains])
             assert not keep.all()
             assert bits(row.typ) == bits(_estimate(atoms, xi, depth, keep))
             typed += 1
         assert typed >= 4
+
+
+def scan_digest(table):
+    """sha256 of a scan's CSV plus the hex of every row's two bounds."""
+    doc = table.serialize_csv() + "".join(
+        f"{row.full.err_bound.hex()},{row.typ.err_bound.hex()}\n"
+        for row in table.rows)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+A06_XIS = [2**k for k in range(12)]
+
+
+# digests of scans drawn path by path with _walk, which the columnar
+# sampler must reproduce bit for bit
+@pytest.mark.parametrize("xis,depth,samples,seed,digest", [
+    (SCAN_XIS, 9, 300, 4,
+     "417199e9fa309952c51fa4fbd159a6dd31b3dddac3b5a221574f38489604e01e"),
+    (SCAN_XIS, 9, 300, 5,
+     "370f173f1081451ddd99a6d72a24e5f98df9fb4a8406658c1b5e6e5c99b9bebb"),
+    (A06_XIS, 13, 20000, 0,
+     "36a17c4624528fc682eb205cf60b0f9e7a2d74ad510176d0b4cded26534282a9"),
+    (A06_XIS, 13, 20000, 1,
+     "23cde7c4b83ffc89f2de80a473fe630b68221fc1fdb240f7085478bb65048e9c"),
+])
+def test_monte_carlo_scans_are_pinned(xis, depth, samples, seed, digest):
+    table = decay_scan(toy_lambda(), xis, "montecarlo", depth,
+                       samples=samples, seed=seed)
+    assert scan_digest(table) == digest
+
+
+def test_sample_atoms_evaluate_each_distinct_cylinder_once():
+    lm = toy_lambda()
+    atoms = _atoms(lm, 13, 20000, 0)
+    n = len(atoms.mids)
+    assert n == len(atoms.num) == len(atoms.den) < 20000
+    assert len(atoms.inverse) == len(atoms.label_ids) == 20000
+    assert sorted(set(atoms.inverse.tolist())) == list(range(n))
+    # the same draw with one atom per sample
+    inv = atoms.inverse.tolist()
+    each = dataclasses.replace(
+        atoms, mids=atoms.mids[atoms.inverse], inverse=None,
+        num=[atoms.num[k] for k in inv], den=[atoms.den[k] for k in inv])
+    for xi in (3, Fraction(7, 2), 2.5, 2**45 + 1, -7):
+        a, b = _Chain(), _Chain()
+        assert _evaluate(atoms, xi, chain=a) == _evaluate(each, xi, chain=b)
+        assert a.cos.tobytes() == b.cos.tobytes()
+        assert a.sin.tobytes() == b.sin.tobytes()
 
 
 # int, Fraction and float frequencies. A width term of

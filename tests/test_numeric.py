@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from cfraj import numeric
-from cfraj.cascade import max_phi_over_stage
+from cfraj.cascade import _sample_columns, max_phi_over_stage
 from cfraj.errors import Overflow
 from cfraj.fourier import _lambda_leaves
 from cfraj.numeric import digit_budget, guard_int
@@ -42,6 +42,8 @@ def test_every_cascade_walker_guards_forced_runs(monkeypatch):
     # the first forced block already takes q past 99, e.g. 8 * 17 + 4
     with pytest.raises(Overflow, match="forced-run continuant"):
         _lambda_leaves(lm, 13)
+    with pytest.raises(Overflow, match="forced-run continuant"):
+        _sample_columns(lm, 3, 13, 0)
     with pytest.raises(Overflow, match="forced-run continuant"):
         max_phi_over_stage(lm.nu, lm.schedule, lm.rule, 1)
 

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -256,6 +257,33 @@ def test_word_rejects_bad_entries():
         Word(-1, (1,))
     with pytest.raises(PreconditionViolated):
         Word(0, (0,))
+
+
+@pytest.mark.parametrize("head,tail", [
+    (0, (1.5, 2.9)), (0, (2.0,)), (0.0, (2,)), (1.5, ()), (0, (Fraction(3),)),
+    (0, ("3",)),
+])
+def test_word_rejects_non_integral_entries(head, tail):
+    with pytest.raises(PreconditionViolated):
+        Word(head, tail)
+
+
+@pytest.mark.parametrize("head,tail", [
+    (True, (True,)), (0, (True,)), (False, (2,)), (0, (np.True_,)),
+])
+def test_word_rejects_bool_entries(head, tail):
+    with pytest.raises(PreconditionViolated):
+        Word(head, tail)
+
+
+def test_word_accepts_numpy_integers_as_ints():
+    w = Word(np.int64(2), (np.uint8(3), np.int32(4)))
+    assert w == Word(2, (3, 4))
+    assert type(w.head) is int
+    assert all(type(a) is int for a in w.tail)
+    assert w.serialize() == "2,3,4"
+    with pytest.raises(PreconditionViolated):
+        Word(np.int64(0), (np.int64(0),))
 
 
 @settings(max_examples=30)
