@@ -337,23 +337,86 @@ class FrostmanScan:
 def _block_matrices(nu: NuMeasure, depth: int) -> np.ndarray:
     """int64 convergent matrix of each support block, in support order.
 
-    Raises BudgetExceeded unless every product of depth of them fits
-    in int64.
+    Block b is the product of [[d, 1], [1, 0]] over its digits d, formed
+    in Python ints. Raises BudgetExceeded unless every product of depth
+    of them fits in int64.
     """
-    base = np.empty((len(nu.support), 2, 2), dtype=np.int64)
-    for i, b in enumerate(nu.support):
-        m = np.eye(2, dtype=np.int64)
+    rows = []
+    for b in nu.support:
+        q, qp, pn, pp = 1, 0, 0, 1
         for d in b:
-            m = m @ np.array([[d, 1], [1, 0]], dtype=np.int64)
-        base[i] = m
+            q, qp, pn, pp = d * q + qp, q, d * pn + pp, pn
+        rows.append((q, qp, pn, pp))
     # entries of a product of nonnegative 2x2 matrices are bounded by
     # prod(row sums); keep everything inside int64
-    row_sum_max = int(base.sum(axis=2).max())
+    row_sum_max = max(max(q + qp, pn + pp) for q, qp, pn, pp in rows)
     if row_sum_max**depth >= 2**62:
         raise BudgetExceeded(
             f"depth-{depth} continuants would overflow 64-bit integers"
         )
-    return base
+    return np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
+
+
+def _product(left: tuple, right: tuple) -> tuple:
+    """Entries (q, q', p, p') of left @ right, each side a 2x2 matrix
+    [[q, q'], [p, p']] given as its four entries in that order.
+
+    The entries are int64 arrays, and numpy broadcasting pairs them up:
+    every left matrix with every right one for (P, 1) against (s,)
+    entries, row by row for equal shapes. Within the int64 guard of
+    _block_matrices each entry is the exact integer np.matmul computes.
+    """
+    q, qp, pn, pp = left
+    a, b, c, d = right
+    return q * a + qp * c, q * b + qp * d, pn * a + pp * c, pn * b + pp * d
+
+
+def _entries(mats: np.ndarray) -> tuple:
+    """The four entries (q, q', p, p') of a (n, 2, 2) stack, as arrays."""
+    return tuple(mats.reshape(-1, 4).T)
+
+
+def _prefix_entries(nu: NuMeasure, depth: int, budget: int) -> tuple:
+    """(entries of the depth - 1 level matrices, entries of the blocks).
+
+    The depth - 1 level has s^(depth - 1) matrices in C order (the
+    identity at depth 1); depth-level row a * s + b is prefix a times
+    block b.
+    """
+    s = len(nu.support)
+    if s**depth > budget:
+        raise BudgetExceeded(f"{s}^{depth} cylinders exceed budget {budget}")
+    base = _entries(_block_matrices(nu, depth))
+    prefix = base if depth > 1 else _entries(np.eye(2, dtype=np.int64))
+    for _ in range(depth - 2):
+        prefix = tuple(e.reshape(-1) for e in
+                       _product([e[:, None] for e in prefix], base))
+    return prefix, base
+
+
+# rows per chunk of the streamed enumeration; bounds its temporaries
+_STREAM_CHUNK = 1 << 16
+
+
+def _entry_chunks(prefix: tuple, base: tuple,
+                  bounds: Optional[Sequence[tuple[int, int]]]):
+    """Yield (lo, hi, entries of rows lo to hi) of the depth-level
+    matrices from _prefix_entries' two factors.
+
+    Each chunk multiplies the prefix rows it spans by every block and
+    keeps the rows in [lo, hi). The row ranges are bounds, in order, or
+    consecutive chunks of _STREAM_CHUNK rows.
+    """
+    s = len(base[0])
+    if bounds is None:
+        n = len(prefix[0]) * s
+        bounds = [(lo, min(lo + _STREAM_CHUNK, n))
+                  for lo in range(0, n, _STREAM_CHUNK)]
+    for lo, hi in bounds:
+        first, last = lo // s, -(-hi // s)
+        rows = slice(lo - first * s, hi - first * s)
+        cols = _product([e[first:last, None] for e in prefix], base)
+        yield lo, hi, tuple(c.reshape(-1)[rows] for c in cols)
 
 
 def product_convergent_matrices(nu: NuMeasure, depth: int,
@@ -361,15 +424,26 @@ def product_convergent_matrices(nu: NuMeasure, depth: int,
     """[[q, q'], [p, p']] for every depth-level word, head 0, C order.
 
     Row order matches lexicographic order over support-block sequences:
-    row a * s + b of each step is (row a of the previous step) @ block b.
+    row a * s + b is (row a of the depth - 1 level) @ block b.
     """
-    s = len(nu.support)
-    if s**depth > budget:
-        raise BudgetExceeded(f"{s}^{depth} cylinders exceed budget {budget}")
-    mats = base = _block_matrices(nu, depth)
-    for _ in range(depth - 1):
-        mats = np.matmul(mats[:, None], base[None]).reshape(-1, 2, 2)
-    return mats
+    prefix, base = _prefix_entries(nu, depth, budget)
+    mats = np.empty((len(prefix[0]) * len(base[0]), 4), dtype=np.int64)
+    for lo, hi, cols in _entry_chunks(prefix, base, None):
+        for k, col in enumerate(cols):
+            mats[lo:hi, k] = col
+    return mats.reshape(-1, 2, 2)
+
+
+def _geometry(q, qp, pn, pp, widths: bool = True) -> tuple:
+    """(midpoints, widths or None) as floats from convergent entries.
+
+    With q, q', p, p' the entries as floats, every row is
+    mid = (2 p q + p q' + p' q) / (2 q (q + q')) and
+    width = 1 / (q (q + q')), evaluated in that order.
+    """
+    q, qp, pn, pp = (e.astype(np.float64) for e in (q, qp, pn, pp))
+    mids = (2 * pn * q + pn * qp + pp * q) / (2 * q * (q + qp))
+    return mids, (1.0 / (q * (q + qp)) if widths else None)
 
 
 # rows per slice of cylinder_geometry; bounds its float temporaries
@@ -379,23 +453,34 @@ _GEOMETRY_CHUNK = 1 << 14
 def cylinder_geometry(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(midpoints, widths) as float arrays from convergent matrices.
 
-    With q, q', p, p' the matrix entries as floats, every row is
-    mid = (2 p q + p q' + p' q) / (2 q (q + q')) and
-    width = 1 / (q (q + q')), evaluated in that order. The rows are
-    filled in slices of _GEOMETRY_CHUNK, which changes no bit of the
-    result and keeps the temporaries to one slice.
+    Every row is _geometry's expression. The rows are filled in slices
+    of _GEOMETRY_CHUNK, which changes no bit of the result and keeps the
+    temporaries to one slice.
     """
     n = len(mats)
-    entries = mats.reshape(n, 4)
+    entries = _entries(mats)
     mids = np.empty(n, dtype=np.float64)
     widths = np.empty(n, dtype=np.float64)
     for lo in range(0, n, _GEOMETRY_CHUNK):
-        q, qp, pn, pp = entries[lo:lo + _GEOMETRY_CHUNK].T.astype(
-            np.float64, order="C")
-        hi = lo + len(q)
-        mids[lo:hi] = (2 * pn * q + pn * qp + pp * q) / (2 * q * (q + qp))
-        widths[lo:hi] = 1.0 / (q * (q + qp))
+        hi = min(lo + _GEOMETRY_CHUNK, n)
+        mids[lo:hi], widths[lo:hi] = _geometry(*(e[lo:hi] for e in entries))
     return mids, widths
+
+
+def cylinder_chunks(nu: NuMeasure, depth: int,
+                    budget: int = DEFAULT_ENUM_BUDGET,
+                    bounds: Optional[Sequence[tuple[int, int]]] = None,
+                    widths: bool = True):
+    """Iterator of (lo, hi, mids, widths) over the depth-level cylinders.
+
+    mids and widths are cylinder_geometry's values, bit for bit, at rows
+    lo to hi of product_convergent_matrices(nu, depth, budget), which is
+    never built (see _entry_chunks). widths is None unless asked for.
+    The budget is checked before the iterator is returned.
+    """
+    prefix, base = _prefix_entries(nu, depth, budget)
+    return ((lo, hi) + _geometry(*cols, widths=widths)
+            for lo, hi, cols in _entry_chunks(prefix, base, bounds))
 
 
 # sliding_max_mass searches every _WINDOW_STRIDE-th start first
@@ -438,12 +523,17 @@ def sliding_max_mass(mids_sorted: np.ndarray, atom_mass: float,
 
 def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
                   budget: int = DEFAULT_ENUM_BUDGET) -> FrostmanScan:
-    """Ball-mass growth scan of the depth-level product pushforward."""
+    """Ball-mass growth scan of the depth-level product pushforward.
+
+    The cylinder midpoints are streamed (cylinder_chunks) into one
+    array, sorted in place; no convergent matrix stack is built.
+    """
     if depth < 1:
         raise PreconditionViolated("depth must be >= 1")
-    mats = product_convergent_matrices(nu, depth, budget)
-    mids, _ = cylinder_geometry(mats)
-    del mats
+    chunks = cylinder_chunks(nu, depth, budget, widths=False)
+    mids = np.empty(len(nu.support)**depth, dtype=np.float64)
+    for lo, hi, chunk, _ in chunks:
+        mids[lo:hi] = chunk
     mids.sort()
     atom = 1.0 / float(len(nu.support)) ** depth
     widths_f = tuple(float(u) for u in widths)

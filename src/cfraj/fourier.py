@@ -23,7 +23,15 @@ fractional part. On nu atoms a scan whose next frequency is 2^m times
 the last one squares the last row's complex terms in place m times,
 since e(2 xi x) = e(xi x)^2, instead of calling exp again; it restarts
 from exp when the squared terms' bound would exceed twice a direct
-evaluation's. On cascade atoms a scan row folds its frequency once, and
+evaluation's. A nu scan plans its rows first (_nu_plan) and then makes
+one pass over the atoms for all of them (_nu_values), one leaf of
+numpy's pairwise summation tree at a time: every row's terms for the
+leaf are formed in one leaf-sized buffer and summed, and the leaf sums
+are added up the same tree, so each value has the bits of one numpy
+sum over a full-size buffer of terms, which is never allocated. The nu
+cylinders themselves are streamed (blocks.cylinder_chunks): their
+convergent matrices are never held. On cascade atoms a scan row folds
+its frequency once, and
 its typical estimate sums a subset of the full estimate's terms. A
 cascade sample set is drawn in columns (cascade._sample_columns), path
 for path the draw of the per-path walk, and holds each distinct
@@ -48,6 +56,9 @@ from . import __version__
 from .blocks import (
     NuMeasure,
     _block_matrices,
+    _entries,
+    _product,
+    cylinder_chunks,
     cylinder_geometry,
     product_convergent_matrices,
 )
@@ -111,13 +122,13 @@ def _width_ceiling(measure: Measure, depth: int) -> Fraction:
 
 def _nu_sample_matrices(nu: NuMeasure, samples: int, depth: int,
                         seed: int) -> np.ndarray:
-    base = _block_matrices(nu, depth)
+    base = _entries(_block_matrices(nu, depth))
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(base), size=(samples, depth))
-    mats = np.broadcast_to(np.eye(2, dtype=np.int64), (samples, 2, 2)).copy()
+    idx = rng.integers(0, len(base[0]), size=(samples, depth))
+    cols = tuple(np.full(samples, v, dtype=np.int64) for v in (1, 0, 0, 1))
     for k in range(depth):
-        mats = mats @ base[idx[:, k]]
-    return mats
+        cols = _product(cols, [e[idx[:, k]] for e in base])
+    return np.stack(cols, axis=1).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------- atoms
@@ -140,10 +151,11 @@ class _Atoms:
     source derives num / den only when a frequency needs the exact
     fold: nu samples from the int64 convergent matrices they keep, nu
     cylinders from matrices enumerated again from cylinders, the
-    (measure, depth, budget) they came from. Cylinder sources carry
-    widths, and nu cylinders also mass_width, a sound upper bound on
-    the sum of mass * width; sample sources carry the sample count and
-    the width ceiling. Cascade sources carry their distinct label chains
+    (measure, depth, budget) they came from. Cascade cylinders carry
+    widths; nu cylinders carry only mass_width, a sound upper bound on
+    the sum of mass * width, as their widths are summed while they are
+    streamed; sample sources carry the sample count and the width
+    ceiling. Cascade sources carry their distinct label chains
     in first-seen order, labels, and each atom's index into it,
     label_ids. Cascade samples hold each distinct cylinder once in mids,
     num and den, and inverse maps each sample, in draw order, to its
@@ -213,28 +225,44 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
             samples=samples,
             width_ceiling=_width_ceiling(measure, depth))
     if samples is None:
-        mats = product_convergent_matrices(measure, depth, budget)
-        mids, widths = cylinder_geometry(mats)
-        weight = float(measure.atom)**depth
-        # roundings between the float terms and the true bound
-        # pi |xi| sum s^-depth / (q (q + q')), each worth at most a
-        # factor 1 / (1 - u): n - 1 in the sum, 5 within any one width,
-        # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
-        steps = (len(widths) - 1) + 5 + (depth + 2) + 2 + 4
-        # the matrices (32 B a cylinder) are dropped here; the rare exact
-        # fold enumerates them again
-        return _Atoms(weight=weight, mids=mids, cascade=False,
-                      widths=widths, cylinders=(measure, depth, budget),
-                      mass_width=weight * float(widths.sum())
-                      * _inflation(steps),
-                      **_nu_rounding(widths, weight, measure.atom**depth))
+        return _nu_cylinder_atoms(measure, depth, budget)
     mats = _nu_sample_matrices(measure, samples, depth, seed)
     mids, widths = cylinder_geometry(mats)
     weight = 1.0 / samples
     return _Atoms(weight=weight, mids=mids, cascade=False,
                   samples=samples,
                   width_ceiling=_width_ceiling(measure, depth), mats=mats,
-                  **_nu_rounding(widths, weight, Fraction(1, samples)))
+                  **_nu_rounding(widths.min(), weight, Fraction(1, samples)))
+
+
+def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
+    """Every depth-level cylinder of nu, streamed (blocks.cylinder_chunks).
+
+    Neither the matrices (32 B a cylinder) nor the widths are kept: the
+    chunks are the leaves of numpy's float64 pairwise tree over the
+    widths, so combining their sums gives widths.sum() bit for bit. The
+    rare exact fold enumerates the matrices again.
+    """
+    n = len(nu.support)**depth
+    chunks = cylinder_chunks(nu, depth, budget,
+                             _pairwise_leaves(n, 1, _LEAF))
+    mids = np.empty(n, dtype=np.float64)
+    width_sums, min_width = [], math.inf
+    for lo, hi, chunk, widths in chunks:
+        mids[lo:hi] = chunk
+        width_sums.append(widths.sum())
+        min_width = min(min_width, widths.min())
+    weight = float(nu.atom)**depth
+    # roundings between the float terms and the true bound
+    # pi |xi| sum s^-depth / (q (q + q')), each worth at most a
+    # factor 1 / (1 - u): n - 1 in the sum, 5 within any one width,
+    # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
+    steps = (n - 1) + 5 + (depth + 2) + 2 + 4
+    width_sum = _pairwise_combine(n, 1, _LEAF, width_sums)
+    return _Atoms(weight=weight, mids=mids, cascade=False,
+                  cylinders=(nu, depth, budget),
+                  mass_width=weight * float(width_sum) * _inflation(steps),
+                  **_nu_rounding(min_width, weight, nu.atom**depth))
 
 
 # roundings in a float midpoint when cylinder_geometry's integers are not
@@ -243,19 +271,26 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
 _MID_STEPS_INEXACT = 10
 
 
-def _nu_rounding(widths: np.ndarray, weight: float,
+def _nu_rounding(min_width: float, weight: float,
                  exact_weight: Fraction) -> dict:
-    """mid_steps and weight_err of a nu atom set.
+    """mid_steps and weight_err of a nu atom set whose smallest float
+    width is min_width.
 
     A width above 2^-52 means q (q + q') < 2^52, since rounding is
     monotone. If every row has one, the numerator and denominator of
     every midpoint, 2 p q + p q' + p' q <= 2 q (q + q') < 2^53, are
     exact integers in floats, and fl(N / D) rounds once.
     """
-    mid_steps = 1 if widths.min() > 2.0**-52 else _MID_STEPS_INEXACT
-    rel = abs(Fraction(weight) - exact_weight) / exact_weight
+    mid_steps = 1 if min_width > 2.0**-52 else _MID_STEPS_INEXACT
     return {"mid_steps": mid_steps,
-            "weight_err": math.nextafter(float(rel), math.inf)}
+            "weight_err": _weight_err(weight, exact_weight)}
+
+
+@functools.lru_cache(maxsize=256)
+def _weight_err(weight: float, exact_weight: Fraction) -> float:
+    """|weight - exact_weight| / exact_weight, rounded up to a float."""
+    rel = abs(Fraction(weight) - exact_weight) / exact_weight
+    return math.nextafter(float(rel), math.inf)
 
 
 # ------------------------------------------- fold, evaluator, error model
@@ -266,9 +301,10 @@ def _folds_exactly(atoms: _Atoms, xi) -> bool:
         atoms.cascade or xi >= EXACT_FOLD_THRESHOLD)
 
 
-def _fold(atoms: _Atoms, xi, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Fractional part of xi * midpoint for every atom, xi > 0; for every
-    distinct cylinder on cascade samples.
+def _fold(atoms: _Atoms, xi, out: Optional[np.ndarray] = None,
+          rows: slice = slice(None)) -> np.ndarray:
+    """Fractional part of xi * midpoint for every atom in rows, xi > 0;
+    for every distinct cylinder on cascade samples.
 
     An int or Fraction xi = a / b folds exactly on cascade atoms, and on
     nu atoms from EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one
@@ -281,126 +317,228 @@ def _fold(atoms: _Atoms, xi, out: Optional[np.ndarray] = None) -> np.ndarray:
         a, b = xi.numerator, xi.denominator
         num, den = atoms.exact_mids()
         phases = np.array([(a * n) % (b * d) / (b * d)
-                           for n, d in zip(num, den)])
+                           for n, d in zip(num[rows], den[rows])])
         if out is None:
             return phases
         out[...] = phases
         return out
-    phases = np.multiply(atoms.mids, float(xi), out=out)
+    phases = np.multiply(atoms.mids[rows], float(xi), out=out)
     phases -= np.floor(phases)
     return phases
 
 
 @dataclass
 class _Chain:
-    """The terms of a scan's last row, kept for reuse.
+    """A cascade scan row's terms, kept for the row's typical estimate.
 
-    On nu atoms, terms is the one buffer every row of the scan is
-    evaluated in, kept for squaring; it holds exp(i 2 pi phase) at the
-    last frequency xi, and eps bounds |term - e(xi mid)| for every term
-    at its exact midpoint. On cascade atoms, cos and sin hold every
-    atom's weight * cos(2 pi phase) and weight * sin(2 pi phase) at xi,
-    one entry per sample on sample sets, kept for the row's typical
-    estimate.
+    cos and sin hold every atom's weight * cos(2 pi phase) and
+    weight * sin(2 pi phase) at xi, one entry per sample on sample sets.
     """
 
-    terms: Optional[np.ndarray] = None
     xi: Union[int, float, Fraction, None] = None
-    eps: float = 0.0
     cos: Optional[np.ndarray] = None
     sin: Optional[np.ndarray] = None
 
     def holds(self, xi) -> bool:
-        """Were the cascade terms folded at xi, the same way?"""
+        """Were the terms folded at xi, the same way?"""
         return (self.cos is not None and type(self.xi) is type(xi)
                 and self.xi == xi)
-
-    def doublings(self, atoms: _Atoms, xi) -> int:
-        """m when xi = 2^m * self.xi exactly, m >= 1, folded in floats.
-
-        Scaling by 2^m is exact in floats, so float(xi) * mid is 2^m
-        times the last product and its phase is 2^m times the last
-        phase, mod 1, bit for bit.
-        """
-        if self.terms is None or _folds_exactly(atoms, xi):
-            return 0
-        ratio = Fraction(xi) / Fraction(self.xi)
-        n = ratio.numerator
-        if ratio.denominator != 1 or n < 2 or n & (n - 1):
-            return 0
-        return n.bit_length() - 1
-
-
-def _direct_terms(atoms: _Atoms, xi,
-                  terms: Optional[np.ndarray]) -> np.ndarray:
-    """exp(i 2 pi phase) for every atom, xi > 0, written to terms."""
-    if terms is None:
-        terms = np.empty(len(atoms.mids), dtype=np.complex128)
-    terms.real = 0.0
-    phases = _fold(atoms, xi, out=terms.imag)
-    np.multiply(phases, TWO_PI, out=phases)
-    return np.exp(terms, out=terms)
 
 
 def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
               chain: Optional[_Chain] = None) -> tuple[complex, float]:
     """Sum of weight * e(xi mid) over the atoms, and its per-term bound.
 
-    Cascade atoms, optionally only those keep marks, are summed term by
-    term with math.fsum; their per-term bound is reported as 0. On a
-    sample set each distinct cylinder's term is computed once and the
-    inverse hands it to each of its samples, so the sum runs over the
-    samples in draw order. The terms are kept in the chain, so a scan
-    row's typical estimate (a keep mask at the row's frequency) reuses
-    the full row's terms: it sums the kept subset, in the same order,
-    and folds nothing. Nu
-    atoms, up to millions of them, are summed in one numpy sum of the
-    complex terms in chain.terms. When xi is 2^m times the chain's last
-    frequency, those terms are squared in place m times, carrying the
-    bound of _squared_eps; otherwise, or when that bound would exceed
-    twice the bound of a direct evaluation at xi, the phases are folded
-    and exponentiated in the buffer again. Without a chain the estimate
-    is a chain of length 1.
+    Nu atoms are evaluated as a scan of one row (_nu_values). Cascade
+    atoms, optionally only those keep marks, are summed term by term
+    with math.fsum; their per-term bound is reported as 0. On a sample
+    set each distinct cylinder's term is computed once and the inverse
+    hands it to each of its samples, so the sum runs over the samples
+    in draw order. The terms are kept in the chain, so a scan row's
+    typical estimate (a keep mask at the row's frequency) reuses the
+    full row's terms: it sums the kept subset, in the same order, and
+    folds nothing.
     """
+    if not atoms.cascade:
+        if keep is not None:
+            raise PreconditionViolated("a keep mask needs cascade atoms")
+        return _nu_values(atoms, [xi])[0]
     if xi < 0:
         value, eps = _evaluate(atoms, -xi, keep, chain)
         return value.conjugate(), eps
     if xi == 0 and keep is None:
         return complex(1.0), 0.0
-    if atoms.cascade:
-        if chain is None:
-            chain = _Chain()
-        if not chain.holds(xi):
-            angles = (TWO_PI * _fold(atoms, xi)).tolist()
-            weight = atoms.weight
-            weights = weight.tolist() if not np.isscalar(weight) \
-                else [weight] * len(angles)
-            cos = np.array([w * math.cos(a) for w, a in zip(weights, angles)])
-            sin = np.array([w * math.sin(a) for w, a in zip(weights, angles)])
-            if atoms.inverse is not None:
-                cos, sin = cos[atoms.inverse], sin[atoms.inverse]
-            chain.cos, chain.sin, chain.xi = cos, sin, xi
-        cos, sin = chain.cos, chain.sin
-        if keep is not None:
-            cos, sin = cos[keep], sin[keep]
-        return complex(math.fsum(cos.tolist()), math.fsum(sin.tolist())), 0.0
-    if keep is not None:
-        raise PreconditionViolated("a keep mask needs cascade atoms")
     if chain is None:
         chain = _Chain()
-    eps = _direct_eps(atoms, xi)
-    m = chain.doublings(atoms, xi)
-    squared = chain.eps
-    for _ in range(m):
-        squared = _squared_eps(squared)
-    if m and squared <= 2.0 * eps:
+    if not chain.holds(xi):
+        angles = (TWO_PI * _fold(atoms, xi)).tolist()
+        weight = atoms.weight
+        weights = weight.tolist() if not np.isscalar(weight) \
+            else [weight] * len(angles)
+        cos = np.array([w * math.cos(a) for w, a in zip(weights, angles)])
+        sin = np.array([w * math.sin(a) for w, a in zip(weights, angles)])
+        if atoms.inverse is not None:
+            cos, sin = cos[atoms.inverse], sin[atoms.inverse]
+        chain.cos, chain.sin, chain.xi = cos, sin, xi
+    cos, sin = chain.cos, chain.sin
+    if keep is not None:
+        cos, sin = cos[keep], sin[keep]
+    return complex(math.fsum(cos.tolist()), math.fsum(sin.tolist())), 0.0
+
+
+# ------------------------------------------------- one-pass nu evaluation
+
+# float64 parts numpy's pairwise sum adds in one unrolled block, unsplit
+_PAIRWISE_BLOCK = 128
+# atoms per leaf of a nu evaluation pass: a leaf's complex terms (1 MiB)
+# stay in cache through every row's squarings
+_LEAF = 1 << 16
+
+
+def _pairwise_split(n: int, parts: int, leaf: int) -> int:
+    """0 when n values of parts float64 each (2 for complex128) form a
+    leaf: at most leaf values, or a block numpy sums unsplit. Otherwise
+    the values in the first half where numpy's pairwise sum splits them.
+    """
+    if n <= leaf or parts * n <= _PAIRWISE_BLOCK:
+        return 0
+    half = parts * n // 2
+    return (half - half % 8) // parts
+
+
+def _pairwise_leaves(n: int, parts: int, leaf: int, lo: int = 0):
+    """Yield (lo, hi) of the leaves of numpy's pairwise summation tree
+    over n values of parts float64 each, in order.
+
+    A leaf is the first node on each path down the tree that holds at
+    most leaf values, or that numpy sums in one unrolled block. The sum
+    of a leaf's values is the sum numpy computes at that node, since a
+    node's sum depends on its values only.
+    """
+    k = _pairwise_split(n, parts, leaf)
+    if not k:
+        yield lo, lo + n
+        return
+    yield from _pairwise_leaves(k, parts, leaf, lo)
+    yield from _pairwise_leaves(n - k, parts, leaf, lo + k)
+
+
+def _pairwise_combine(n: int, parts: int, leaf: int, sums):
+    """numpy's pairwise sum of n values from their leaf sums.
+
+    sums holds the sum of each leaf of _pairwise_leaves(n, parts, leaf),
+    in order, as numpy scalars; they are added up the same tree, each
+    node's halves left to right, so the result is ndarray.sum() bit for
+    bit.
+    """
+    sums = iter(sums)
+
+    def node(n):
+        k = _pairwise_split(n, parts, leaf)
+        if not k:
+            return next(sums)
+        left = node(k)
+        return left + node(n - k)
+    return node(n)
+
+
+def _doublings(atoms: _Atoms, last, x) -> int:
+    """m when x = 2^m * last exactly, m >= 1, folded in floats.
+
+    Scaling by 2^m is exact in floats, so float(x) * mid is 2^m times
+    the last product and its phase is 2^m times the last phase, mod 1,
+    bit for bit.
+    """
+    if last is None or _folds_exactly(atoms, x):
+        return 0
+    ratio = Fraction(x) / Fraction(last)
+    n = ratio.numerator
+    if ratio.denominator != 1 or n < 2 or n & (n - 1):
+        return 0
+    return n.bit_length() - 1
+
+
+def _nu_plan(atoms: _Atoms, xs: Sequence) -> list:
+    """How a nu scan evaluates each frequency of xs, in order.
+
+    None at xi = 0; otherwise (|xi|, m, eps). m = 0 folds the phases
+    and exponentiates them afresh; m >= 1 squares the last evaluated
+    row's terms m times, since e(2 x) = e(x)^2, when |xi| is 2^m times
+    that row's frequency (_doublings) and the squared bound of
+    _squared_eps is at most twice the direct bound of _direct_eps at
+    |xi|. eps bounds |term - e(|xi| mid)| for every term at its exact
+    midpoint. The plan depends only on the frequencies and mid_steps.
+    """
+    plan, last, last_eps = [], None, 0.0
+    for xi in xs:
+        x = abs(xi)
+        if x == 0:
+            plan.append(None)
+            continue
+        eps = _direct_eps(atoms, x)
+        m = _doublings(atoms, last, x)
+        squared = last_eps
         for _ in range(m):
-            np.multiply(chain.terms, chain.terms, out=chain.terms)
-        eps = squared
-    else:
-        chain.terms = _direct_terms(atoms, xi, chain.terms)
-    chain.xi, chain.eps = xi, eps
-    return complex(atoms.weight * chain.terms.sum()), eps
+            squared = _squared_eps(squared)
+        if m and squared <= 2.0 * eps:
+            eps = squared
+        else:
+            m = 0
+        plan.append((x, m, eps))
+        last, last_eps = x, eps
+    return plan
+
+
+def _direct_terms(atoms: _Atoms, x, terms: np.ndarray,
+                  rows: slice) -> np.ndarray:
+    """exp(i 2 pi phase) for the atoms in rows at x > 0, written to terms."""
+    terms.real = 0.0
+    phases = _fold(atoms, x, out=terms.imag, rows=rows)
+    np.multiply(phases, TWO_PI, out=phases)
+    return np.exp(terms, out=terms)
+
+
+def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
+    """(value, eps) at every frequency of xs, in one pass over nu atoms.
+
+    The rows follow _nu_plan. The atoms are visited once, one leaf of
+    numpy's complex pairwise tree at a time (_pairwise_leaves, at most
+    _LEAF atoms): every row in turn folds and exponentiates the leaf's
+    terms into one leaf-sized buffer, or squares the terms the buffer
+    holds from the row before, and records the leaf's sum. Each term is
+    the one a full-size buffer would hold, as every step is elementwise,
+    and the leaf sums combine up the same tree (_pairwise_combine), so
+    each value equals weight * terms.sum() over all atoms bit for bit.
+    At xi = 0 the value is 1 and eps 0; a negative xi takes the
+    conjugate of the value at |xi|.
+    """
+    plan = _nu_plan(atoms, xs)
+    rows = [row for row in plan if row is not None]
+    n = len(atoms.mids)
+    sums = [[] for _ in rows]
+    if rows:
+        leaves = list(_pairwise_leaves(n, 2, _LEAF))
+        buf = np.empty(max(hi - lo for lo, hi in leaves),
+                       dtype=np.complex128)
+        for lo, hi in leaves:
+            terms = buf[:hi - lo]
+            for (x, m, _), leaf_sums in zip(rows, sums):
+                if m:
+                    for _ in range(m):
+                        np.multiply(terms, terms, out=terms)
+                else:
+                    _direct_terms(atoms, x, terms, slice(lo, hi))
+                leaf_sums.append(terms.sum())
+    totals = iter([_pairwise_combine(n, 2, _LEAF, leaf_sums)
+                   for leaf_sums in sums])
+    out = []
+    for xi, row in zip(xs, plan):
+        if row is None:
+            out.append((complex(1.0), 0.0))
+            continue
+        value = complex(atoms.weight * next(totals))
+        out.append((value.conjugate() if xi < 0 else value, row[2]))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -526,6 +664,11 @@ def _error(atoms: _Atoms, xi, eps: float,
     5. Sum. numpy's pairwise sum passes each part of a term through at
        most h = 20 + ceil(log2 n) additions, so the float sum is within
        sqrt(2) gamma_h n (1 + eps) of the sum of the computed terms.
+       _nu_values sums leaf by leaf: each leaf is a node of that tree,
+       summed by numpy as the tree sums it, and _pairwise_combine adds
+       the leaf sums up the rest of the tree in numpy's order, so the
+       additions, and the float sum, are those of one ndarray.sum().
+       test_leaf_sums_combine_to_the_numpy_sum checks this order.
     6. Weight. The float weight is within rho w of w, computed exactly
        when the atoms are built, and the last product rounds each part
        once. With w n = 1 and s = eps + sqrt(2) gamma_h (1 + eps), the
@@ -554,7 +697,14 @@ def _error(atoms: _Atoms, xi, eps: float,
 def _estimate(atoms: _Atoms, xi, depth: int,
               keep: Optional[np.ndarray] = None,
               chain: Optional[_Chain] = None) -> FourierEstimate:
-    value, eps = _evaluate(atoms, xi, keep, chain)
+    return _as_estimate(atoms, xi, depth, _evaluate(atoms, xi, keep, chain),
+                        keep)
+
+
+def _as_estimate(atoms: _Atoms, xi, depth: int,
+                 evaluated: tuple[complex, float],
+                 keep: Optional[np.ndarray] = None) -> FourierEstimate:
+    value, eps = evaluated
     return FourierEstimate(
         xi=xi, value=value, err_bound=_error(atoms, xi, eps, keep),
         method="cylinder" if atoms.samples is None else "montecarlo",
@@ -659,9 +809,9 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
 
     One cylinder enumeration (or one sample draw) is shared by all
     frequencies, so a fixed seed gives a byte-reproducible table. On nu
-    atoms the rows share one complex buffer, and a row whose frequency
-    is 2^m times the last one squares the last row's terms (see
-    _evaluate). On cascade atoms each row folds its frequency once: the
+    atoms every row is evaluated in one pass over the atoms, leaf by
+    leaf, and a row whose frequency is 2^m times the last one squares
+    the last row's terms (see _nu_values). On cascade atoms each row folds its frequency once: the
     typical estimate sums the kept subset of the full row's terms. For a
     plain product measure there is no exceptional part: n_index = 0 and
     exc_tv = 0 on every row.
@@ -675,9 +825,11 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     atoms = _atoms(measure, depth,
                    samples if method == "montecarlo" else None, seed, budget)
     chain = _Chain()
+    nu_rows = None if atoms.cascade else _nu_values(atoms, xs)
     rows = []
-    for xi in xs:
-        full = _estimate(atoms, xi, depth, chain=chain)
+    for k, xi in enumerate(xs):
+        full = (_estimate(atoms, xi, depth, chain=chain) if nu_rows is None
+                else _as_estimate(atoms, xi, depth, nu_rows[k]))
         split = None
         if atoms.cascade and abs(xi) > 1:
             try:

@@ -1,5 +1,6 @@
 """Block-measure construction, splitting, and ball-mass scans."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfraj import blocks
 from cfraj.blocks import (
     NuMeasure,
     _GEOMETRY_CHUNK,
     _WINDOW_STRIDE,
+    _block_matrices,
     blocks_to_word,
     build_nu,
+    cylinder_chunks,
     cylinder_geometry,
     frostman_ceiling,
     frostman_scan,
@@ -308,6 +312,47 @@ def test_cylinder_geometry_equals_unchunked_expression():
     assert widths.tobytes() == want_widths.tobytes()
 
 
+def test_convergent_products_equal_matmul():
+    nu = small_nu()
+    base = _block_matrices(nu, 5)
+    mats = base
+    for depth in range(1, 6):
+        assert product_convergent_matrices(nu, depth).tobytes() \
+            == mats.tobytes()
+        mats = np.matmul(mats[:, None], base[None]).reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 1 << 16])
+def test_streamed_geometry_equals_cylinder_geometry(monkeypatch, chunk):
+    nu = small_nu()
+    depth = 6
+    s = len(nu.support)
+    monkeypatch.setattr(blocks, "_STREAM_CHUNK", chunk)
+    assert s**(depth - 1) % chunk
+    mids, widths = cylinder_geometry(product_convergent_matrices(nu, depth))
+    got_mids = np.empty_like(mids)
+    got_widths = np.empty_like(widths)
+    for lo, hi, m, w in cylinder_chunks(nu, depth):
+        got_mids[lo:hi], got_widths[lo:hi] = m, w
+    assert got_mids.tobytes() == mids.tobytes()
+    assert got_widths.tobytes() == widths.tobytes()
+    # ragged row ranges, cut inside a prefix's blocks
+    cuts = [0, 1, 2, s + 3, 4 * s - 1, 1000, len(mids)]
+    for lo, hi, m, w in cylinder_chunks(nu, depth,
+                                        bounds=list(zip(cuts, cuts[1:]))):
+        assert m.tobytes() == mids[lo:hi].tobytes()
+        assert w.tobytes() == widths[lo:hi].tobytes()
+    for lo, hi, m, w in cylinder_chunks(nu, depth, widths=False):
+        assert w is None and m.tobytes() == mids[lo:hi].tobytes()
+
+
+def test_streamed_enumeration_checks_the_budget_first():
+    with pytest.raises(BudgetExceeded):
+        cylinder_chunks(small_nu(), 30, budget=10**6)
+    with pytest.raises(BudgetExceeded):
+        frostman_scan(small_nu(), 30, [0.1], budget=10**6)
+
+
 def test_matrix_chain_budget():
     nu = small_nu()
     with pytest.raises(BudgetExceeded):
@@ -401,6 +446,21 @@ def test_frostman_scan_endpoints():
     assert scan.fitted_exponent == pytest.approx(
         float(np.polyfit(np.log(scan.widths), np.log(scan.omega), 1)[0])
     )
+
+
+@pytest.mark.parametrize("depth,digest", [
+    (2, "3aae2df807bc9923c9c72daf1fd7ead69b1546709f42fdbbea791e726d18a9ec"),
+    (3, "e4a692721d107e9a06406bc0721b6696007aaa7c4f648f4a6592de05e4b776ad"),
+])
+def test_reference_frostman_scans_are_pinned(depth, digest):
+    """omega and the fitted exponent, as float.hex, of the decay
+    experiment's Frostman scans (widths 2^-2 .. 2^-13)."""
+    sigma, anchor = median_log_continuant(100, 3, weighting="lebesgue")
+    nu = build_nu(100, 3, None, Fraction(1, 4), sigma_anchor=anchor)
+    scan = frostman_scan(nu, depth, [2.0**-k for k in range(2, 14)],
+                         budget=10**7)
+    lines = [w.hex() for w in scan.omega] + [scan.fitted_exponent.hex()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_frostman_scan_rejects_bad_depth():

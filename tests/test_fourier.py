@@ -496,11 +496,11 @@ def test_nu_evaluation_term_covers_exact_midpoint_sum(source, depth):
 def test_dyadic_scan_rows_lie_within_their_evaluation_terms(monkeypatch):
     nu = reference_nu()
     xs = [2.0**k for k in range(-20, 40)]
-    direct, terms = [], []
+    called, terms = [], []
 
-    def direct_terms(atoms, xi, buf):
-        direct.append(xi)
-        return real_direct(atoms, xi, buf)
+    def direct_terms(atoms, x, buf, rows):
+        called.append(x)
+        return real_direct(atoms, x, buf, rows)
 
     def evaluation_term(atoms, eps):
         terms.append(real_term(atoms, eps))
@@ -512,8 +512,11 @@ def test_dyadic_scan_rows_lie_within_their_evaluation_terms(monkeypatch):
     table = decay_scan(nu, xs, "cylinder", 2)
     assert len(terms) == len(xs)
     # the chain starts with a direct evaluation and restarts at least
-    # once, yet squares at least one row
+    # once, yet squares at least one row; the direct rows are counted
+    # from the plan, as each leaf of the pass calls exp once per row
+    direct = [x for x, m, _ in fourier._nu_plan(_atoms(nu, 2), xs) if m == 0]
     assert direct[0] == xs[0] and 1 < len(direct) < len(xs)
+    assert sorted(set(called)) == direct
     for xi, row, term in zip(xs, table.rows, terms):
         want = fourier_cylinder_sum(nu, xi, 2)
         assert abs(row.full.value - want.value) <= term, xi
@@ -578,6 +581,92 @@ def test_numpy_complex_sum_is_the_pairwise_sum_the_bound_counts(n):
     terms = np.exp(2j * math.pi * rng.random(n)) * 10.0**rng.integers(-6, 6, n)
     total = terms.sum()
     assert (total.real, total.imag) == pairwise_sum(terms.tolist())
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("leaf", [1, 7, 64, 100, 1000, fourier._LEAF])
+def test_leaf_sums_combine_to_the_numpy_sum(parts, leaf):
+    """The one-pass nu evaluation sums leaf by leaf and combines the
+    leaf sums; the evaluation term counts numpy's pairwise additions.
+    Both rest on this equality, so a numpy that reorders its sum fails
+    here."""
+    rng = np.random.default_rng(leaf)
+    lengths = list(range(1, 301)) + [8191, 8192, 36100]
+    if leaf in (100, fourier._LEAF):
+        lengths.append(190**3)
+    for n in lengths:
+        values = (np.exp(2j * math.pi * rng.random(n))
+                  * 10.0**rng.integers(-6, 6, n))
+        if parts == 1:
+            values = values.real.copy()
+        sums = [values[lo:hi].sum()
+                for lo, hi in fourier._pairwise_leaves(n, parts, leaf)]
+        total = fourier._pairwise_combine(n, parts, leaf, sums)
+        assert np.asarray(total).tobytes() == values.sum().tobytes(), n
+
+
+def est_hex(est):
+    return (f"{est.value.real.hex()},{est.value.imag.hex()},"
+            f"{est.err_bound.hex()}")
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# negative, zero, direct, squared once and twice, restarted (a doubling
+# whose squared bound is too large) and exact-fold rows from 2^40 up
+NU_PIN_XIS = [-(2**20), 0, 2.0**-3, 2.0**-2, 1, 2, 3, 6.5, 13, 2**10, 2**11,
+              2**13, 3 * 2**13, 2**20, 2**21, 2**39 - 5, 2**40, 2**41,
+              2**45 + 1, 2**46 + 2, 2.0**47, Fraction(2**50 + 1, 3), 2.0**49,
+              2.0**50]
+
+
+# digests of scans evaluated in one full-size buffer, which the
+# leaf-by-leaf pass must reproduce bit for bit at any leaf size
+@pytest.mark.parametrize("leaf", [fourier._LEAF, 1000])
+@pytest.mark.parametrize("measure,depth,digest_want", [
+    (nu_two_digit(), 12,
+     "4c5da65e0ede3aab640e23eebf4b11484b77e19b872afe52d1ceaa20528ac0ad"),
+    (nu_two_digit(), 17,
+     "e4a4f1dc7ed334cf8ba3776838de6b32013117306c1b372d9bc33eb8499f3db2"),
+    (build_nu(3, 2, None, Fraction(3, 10), sigma_anchor=(5, 1)), 6,
+     "71bad9478ff529ad79637a3b7f11437ce276b673d2a058848a19b94610029ba0"),
+])
+def test_nu_cylinder_scans_are_pinned(monkeypatch, leaf, measure, depth,
+                                      digest_want):
+    monkeypatch.setattr(fourier, "_LEAF", leaf)
+    atoms = _atoms(measure, depth)
+    plan = fourier._nu_plan(atoms, NU_PIN_XIS)
+    rows = [row for row in plan if row is not None]
+    assert plan[1] is None and {m for _, m, _ in rows} >= {0, 1, 2}
+    assert any(m == 0 and fourier._doublings(atoms, last[0], x)
+               for last, (x, m, _) in zip(rows, rows[1:]))
+    table = decay_scan(measure, NU_PIN_XIS, "cylinder", depth)
+    assert digest(est_hex(r.full) for r in table.rows) == digest_want
+
+
+def test_nu_single_frequency_estimates_are_pinned(monkeypatch):
+    nu = nu_two_digit()
+    ests = [fourier_cylinder_sum(nu, x, 12)
+            for x in (3, 2.5, 2**45 + 1, -7, 0, 2**11)]
+    ests += [fourier_monte_carlo(nu, x, 500, 6, seed=s)
+             for x in (3, 2.5, 2**45 + 1, -7) for s in (0, 1)]
+    ests += [fourier_cylinder_sum(reference_nu(), 2**10, 2),
+             fourier_monte_carlo(reference_nu(), 2**10, 2000, 3, seed=1)]
+    assert digest(est_hex(e) for e in ests) == (
+        "86429ca80b483ea63db25ad668a85088871ec163f8e4b9636cac5ef65a6bc76b")
+
+
+@pytest.mark.parametrize("depth,digest_want", [
+    (2, "93121cf7b1de4a2032666a021f05831ae693be1807ee4386f5fbadbe86f8dc73"),
+    (3, "514fd14424aa58da4aff57186546c38a180dcc285eee39cc5045366f0bb30112"),
+])
+def test_reference_decay_scans_are_pinned(depth, digest_want):
+    """The decay experiment's rows (xi = 2^4 .. 2^18), 190^depth atoms."""
+    table = decay_scan(reference_nu(), [2**k for k in range(4, 19)],
+                       "cylinder", depth, budget=10**7)
+    assert digest(est_hex(r.full) for r in table.rows) == digest_want
 
 
 def test_nu_scan_folds_huge_integers_exactly():
