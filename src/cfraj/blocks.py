@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -487,20 +487,33 @@ def cylinder_chunks(nu: NuMeasure, depth: int,
 _WINDOW_STRIDE = 64
 
 
-def sliding_max_mass(mids_sorted: np.ndarray, atom_mass: float,
+def sliding_max_mass(mids_sorted: np.ndarray,
+                     atom_mass: Union[float, np.ndarray],
                      widths: Sequence[float]) -> list[float]:
     """Max captured mass of a width-u window, per width.
 
-    A window captures an atom when the atom's midpoint lies inside it;
-    left edges at atom midpoints suffice for the max. With right(i) the
-    number of midpoints <= mids[i] + u, the count from start i is
-    right(i) - i, and right is nondecreasing in i. So every start in
-    [s, t) counts at most right(t) - s, where t = s + _WINDOW_STRIDE
-    (right(n) = n). The starts s are searched first; only the strides
-    whose bound exceeds the best sampled count are searched in full.
-    The maximum is exact: equal to the largest right(i) - i over all i.
+    atom_mass is one float for equal atoms, or one float per atom, in
+    the order of mids_sorted. A window captures an atom when the atom's
+    midpoint lies inside it; left edges at atom midpoints suffice for
+    the max. With right(i) the number of midpoints <= mids[i] + u, the
+    window from start i holds the atoms i to right(i) - 1, and right is
+    nondecreasing in i. With C the cumulative mass (the atom count for
+    equal atoms, else the float cumulative sum), start i captures
+    C[right(i)] - C[i]. C is nondecreasing, as rounded addition of
+    nonnegative floats is monotone, and so is rounded subtraction in
+    each argument; so every start in [s, t) captures at most
+    C[right(t)] - C[s], where t = s + _WINDOW_STRIDE (right(n) = n).
+    The starts s are searched first; only the strides whose bound
+    exceeds the best sampled mass are searched in full. The maximum is
+    exact: equal to the largest C[right(i)] - C[i] over all i, and an
+    atom count is multiplied by the equal atom_mass once.
     """
     n = len(mids_sorted)
+    if np.ndim(atom_mass):
+        csum = np.concatenate(([0.0], np.cumsum(atom_mass)))
+        mass, scale = csum.__getitem__, 1.0
+    else:
+        mass, scale = (lambda idx: idx), atom_mass
     starts = np.arange(0, n, _WINDOW_STRIDE)
     offsets = np.arange(_WINDOW_STRIDE)
     out = []
@@ -508,16 +521,16 @@ def sliding_max_mass(mids_sorted: np.ndarray, atom_mass: float,
         u = float(u)
         right = np.searchsorted(mids_sorted, mids_sorted[starts] + u,
                                 side="right")
-        best = int((right - starts).max())
-        cap = np.append(right[1:], n) - starts
+        best = (mass(right) - mass(starts)).max()
+        cap = mass(np.append(right[1:], n)) - mass(starts)
         open_starts = starts[cap > best]
         if len(open_starts):
             idx = (open_starts[:, None] + offsets).reshape(-1)
             idx = idx[idx < n]
             right = np.searchsorted(mids_sorted, mids_sorted[idx] + u,
                                     side="right")
-            best = max(best, int((right - idx).max()))
-        out.append(float(best) * atom_mass)
+            best = max(best, (mass(right) - mass(idx)).max())
+        out.append(float(best) * scale)
     return out
 
 

@@ -812,7 +812,7 @@ def lemma2_check(lm: LambdaMeasure, prefix: Sequence[Block],
 
 
 def max_phi_over_stage(nu: NuMeasure, sch: Schedule, rule: AssignmentRule,
-                       n: int, budget: int = 10**6) -> int:
+                       n: int, budget: int = CYLINDER_BUDGET) -> int:
     """Exhaustive max of the post-run continuant over stage-n prefixes.
 
     Enumerates, under rule, every path whose labels stay on n's ancestor

@@ -1,74 +1,38 @@
 """Command-line front door.
 
 Subcommands: nu build | schedule make | lambda mass | lambda sample |
-fourier scan | verify | audit exponents. Every output embeds the tool
-version and a hash of the originating config; files are written
-atomically. Exit codes: 0 ok, 1 property violation, 2 operational
-error, 64 usage.
+fourier scan | verify | audit exponents. The four JSON commands (nu
+build, schedule make, lambda mass, lambda sample) print the tool
+version, their config (the values that decide their output) and its
+config_hash. fourier scan writes CSV whose header carries the version
+and the hash of the scan's config. verify and audit exponents print
+plain text with neither. Files are written atomically. --budget caps
+enumeration: the N^p block tuples, and in a cylinder scan also the
+cylinders or cascade leaves. Exit codes: 0 ok, 1 property violation,
+2 operational error, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
 
-from . import __version__
+from . import __version__, config_hash
 from .audit import exponent_audit, format_audit
 from .blocks import NuMeasure, build_nu, median_log_continuant
-from .cascade import build_lambda, classify, sample_path
+from .cascade import CYLINDER_BUDGET, build_lambda, classify, sample_path
 from .errors import CfrajError, PreconditionViolated
 from .fourier import decay_scan
 from .profiles import get_profile, strict_feasibility
 from .rules import AssignmentRule, PsiFamily
 from .schedule import Schedule, make_schedule_psi
 from .verify import SUITE_NAMES, format_reports, run_suites
-
-DEFAULT_DIGIT_BUDGET = 10**6
-DEFAULT_CYLINDER_BUDGET = 10**6
-
-
-@dataclass
-class RunConfig:
-    """Everything a run depends on, JSON-native so hashing is stable."""
-
-    n_bound: int = 3
-    p: int = 1
-    sigma_anchor: Optional[list] = None
-    sigma: Optional[float] = None
-    eps: str = "1/4"
-    schedule_i: Optional[list] = None
-    schedule_r: Optional[list] = None
-    rule: Optional[dict] = None
-    horizon: Optional[int] = None
-    profile: str = "desk"
-    method: str = "cylinder"
-    depth: int = 4
-    samples: int = 20000
-    seed: int = 0
-    alpha: str = "50/358"
-    xi: Optional[list] = None
-    digit_budget: int = DEFAULT_DIGIT_BUDGET
-    cylinder_budget: int = DEFAULT_CYLINDER_BUDGET
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -78,19 +42,15 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit_json(doc: dict, out: Optional[str]) -> None:
+def _emit_json(config: dict, body: dict,
+               out: Optional[str] = None) -> None:
+    doc = {"version": __version__, "config_hash": config_hash(config),
+           "config": config, **body}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
         _atomic_write(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _digit_budget(flag_value: Optional[int]) -> int:
-    env = os.environ.get("CFRAJ_DIGIT_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_DIGIT_BUDGET if flag_value is None else flag_value
 
 
 def _parse_xi_token(tok: str):
@@ -137,7 +97,10 @@ def _add_nu_flags(p: argparse.ArgumentParser, required: bool = True):
                      action="store_true",
                      help="sigma = median log-continuant of the level")
     p.add_argument("--sigma-k", dest="sigma_k", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=CYLINDER_BUDGET,
+                   help="enumeration cap: the N^p block tuples, and in "
+                        "a cylinder scan also the cylinders or cascade "
+                        "leaves (default %(default)s)")
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser):
@@ -248,31 +211,29 @@ def build_parser() -> _Parser:
 def _resolve_sigma(args) -> tuple[Optional[float],
                                   Optional[tuple[int, int]]]:
     if getattr(args, "sigma_median", False):
-        _, anchor = median_log_continuant(args.n_bound, args.p)
+        _, anchor = median_log_continuant(args.n_bound, args.p,
+                                          budget=args.budget)
         return None, anchor
     if args.sigma_log is not None:
         return None, (args.sigma_log, args.sigma_k)
     return args.sigma, None
 
 
-def _nu_from_args(args, budget: int) -> tuple[NuMeasure, RunConfig]:
+def _nu_from_args(args) -> tuple[NuMeasure, dict]:
     sigma, anchor = _resolve_sigma(args)
     eps = Fraction(args.eps)
     nu = build_nu(args.n_bound, args.p, sigma, eps, sigma_anchor=anchor,
-                  budget=budget)
-    cfg = RunConfig(
-        n_bound=args.n_bound, p=args.p,
-        sigma_anchor=list(anchor) if anchor else None,
-        sigma=sigma, eps=f"{eps.numerator}/{eps.denominator}",
-        profile=getattr(args, "profile", "desk"),
-        digit_budget=budget,
-    )
-    return nu, cfg
+                  budget=args.budget)
+    config = {
+        "n_bound": args.n_bound, "p": args.p, "sigma": sigma,
+        "sigma_anchor": list(anchor) if anchor else None,
+        "eps": f"{eps.numerator}/{eps.denominator}",
+    }
+    return nu, config
 
 
 def cmd_nu_build(args) -> int:
-    budget = _digit_budget(args.budget)
-    nu, cfg = _nu_from_args(args, budget)
+    nu, config = _nu_from_args(args)
     prof = get_profile(args.profile)
     strict = strict_feasibility(nu.n_bound, nu.p)
     feasibility = {
@@ -283,14 +244,9 @@ def cmd_nu_build(args) -> int:
         "strict_required_i1": math.ceil(
             strict["required_sigma"] / nu.sigma),
     }
-    doc = {
-        "version": __version__,
-        "config_hash": cfg.config_hash,
-        "config": json.loads(cfg.to_json()),
-        "measure": nu.to_json_doc(),
-        "feasibility": feasibility,
-    }
-    _emit_json(doc, args.out)
+    _emit_json({**config, "profile": args.profile},
+               {"measure": nu.to_json_doc(), "feasibility": feasibility},
+               args.out)
     if args.out:
         print(f"nu: support size {len(nu.support)}, "
               f"beta_achieved {nu.beta_achieved:.4f} -> {args.out}")
@@ -313,24 +269,19 @@ def cmd_schedule_make(args) -> int:
     carrier = SimpleNamespace(p=args.p, sigma=sigma)
     sch = make_schedule_psi(psi, carrier, r_list, args.i1, depth,
                             profile=args.profile)
-    cfg = RunConfig(p=args.p, sigma=sigma,
-                    schedule_i=list(sch.i), schedule_r=list(sch.r),
-                    rule=sch.rule.to_json(), profile=args.profile)
-    doc = {
-        "version": __version__,
-        "config_hash": cfg.config_hash,
-        "config": json.loads(cfg.to_json()),
-        "schedule": {**sch.to_json_doc(), "p": sch.p, "sigma": sch.sigma,
-                     "rule": sch.rule.to_json(), "profile": sch.profile},
-    }
-    _emit_json(doc, args.out)
+    config = {"p": args.p, "sigma": sigma, "rule": sch.rule.to_json(),
+              "i1": args.i1, "r": r_list, "depth": depth,
+              "profile": args.profile}
+    _emit_json(config, {"schedule": {
+        **sch.to_json_doc(), "p": sch.p, "sigma": sch.sigma,
+        "rule": sch.rule.to_json(), "profile": sch.profile}}, args.out)
     if args.out:
         print(f"schedule: i = {list(sch.i)} -> {args.out}")
     return 0
 
 
-def _lambda_from_args(args, budget: int):
-    nu, cfg = _nu_from_args(args, budget)
+def _lambda_from_args(args):
+    nu, config = _nu_from_args(args)
     if args.schedule_i is None or args.schedule_r is None:
         raise PreconditionViolated(
             "lambda commands need --schedule-i and --schedule-r")
@@ -343,16 +294,13 @@ def _lambda_from_args(args, budget: int):
     horizon = args.horizon if args.horizon is not None \
         else sch.i[-1] + sch.r[-1] + 1
     lm = build_lambda(nu, sch, horizon=horizon)
-    cfg.schedule_i = list(sch.i)
-    cfg.schedule_r = list(sch.r)
-    cfg.rule = rule.to_json()
-    cfg.horizon = horizon
-    return lm, cfg
+    config.update(schedule_i=list(sch.i), schedule_r=list(sch.r),
+                  rule=rule.to_json(), horizon=horizon)
+    return lm, config
 
 
 def cmd_lambda_mass(args) -> int:
-    budget = _digit_budget(args.budget)
-    lm, cfg = _lambda_from_args(args, budget)
+    lm, config = _lambda_from_args(args)
     digits = _parse_int_list(args.prefix)
     p = lm.nu.p
     if len(digits) % p:
@@ -360,39 +308,29 @@ def cmd_lambda_mass(args) -> int:
             f"prefix length must be a multiple of p={p}")
     blocks = [tuple(digits[k:k + p]) for k in range(0, len(digits), p)]
     state = classify(lm, blocks)
-    doc = {
-        "version": __version__,
-        "config_hash": cfg.config_hash,
+    _emit_json({**config, "prefix": digits}, {
         "prefix": digits,
         "valid": state.valid,
         "mass": f"{state.mass.numerator}/{state.mass.denominator}",
         "mass_float": float(state.mass),
         "chain": list(state.chain),
-    }
-    _emit_json(doc, None)
+    })
     return 0
 
 
 def cmd_lambda_sample(args) -> int:
-    budget = _digit_budget(args.budget)
-    lm, cfg = _lambda_from_args(args, budget)
+    lm, config = _lambda_from_args(args)
     paths = []
     for k in range(args.count):
         blocks = sample_path(lm, args.depth, args.seed + k)
         paths.append([list(b) for b in blocks])
-    doc = {
-        "version": __version__,
-        "config_hash": cfg.config_hash,
-        "seed": args.seed,
-        "depth": args.depth,
-        "paths": paths,
-    }
-    _emit_json(doc, None)
+    _emit_json({**config, "seed": args.seed, "count": args.count,
+                "depth": args.depth},
+               {"seed": args.seed, "depth": args.depth, "paths": paths})
     return 0
 
 
 def cmd_fourier_scan(args) -> int:
-    budget = _digit_budget(args.budget)
     if args.xi is not None:
         xi_list = [_parse_xi_token(t)
                    for t in args.xi.replace(",", " ").split()]
@@ -401,16 +339,16 @@ def cmd_fourier_scan(args) -> int:
         xi_list = [2**k for k in range(lo, hi + 1)]
     method = "montecarlo" if args.method == "mc" else args.method
     if args.measure == "lambda":
-        measure, _ = _lambda_from_args(args, budget)
+        measure, _ = _lambda_from_args(args)
     else:
-        measure, _ = _nu_from_args(args, budget)
+        measure, _ = _nu_from_args(args)
     table = decay_scan(
         measure, xi_list, method, args.depth,
         samples=args.samples, seed=args.seed,
-        alpha=Fraction(args.alpha), budget=DEFAULT_CYLINDER_BUDGET,
+        alpha=Fraction(args.alpha), budget=args.budget,
     )
     if args.out:
-        table.write_csv(args.out)
+        _atomic_write(args.out, table.serialize_csv())
         print(f"scan: {len(table.rows)} rows, config {table.config_hash} "
               f"-> {args.out}")
     else:

@@ -42,17 +42,14 @@ cylinders, and every sample takes its cylinder's terms.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config_hash
 from .blocks import (
     NuMeasure,
     _block_matrices,
@@ -757,11 +754,7 @@ class DecayTable:
 
     @property
     def config_hash(self) -> str:
-        digest = hashlib.sha256(
-            json.dumps(self.config, sort_keys=True,
-                       separators=(",", ":")).encode()
-        )
-        return digest.hexdigest()[:16]
+        return config_hash(self.config)
 
     def serialize_csv(self) -> str:
         lines = [
@@ -776,12 +769,6 @@ class DecayTable:
                 f"{row.n_index},{float(row.exc_tv):.17g}"
             )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(self.serialize_csv())
-        os.replace(tmp, path)
 
 
 def _scan_config(measure: Measure, xi_list, method, depth, samples, seed,

@@ -32,7 +32,8 @@ def digit_budget() -> int:
 
     Overridable through the CFRAJ_DIGIT_BUDGET environment variable,
     which is read on first use and kept for the rest of the process. An
-    invalid value raises Overflow on every call and is not kept.
+    invalid value raises Overflow on every call and is not kept. This is
+    the variable's only reader; it sets no enumeration cap.
     """
     global _digit_budget
     if _digit_budget is None:

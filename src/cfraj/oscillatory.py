@@ -23,8 +23,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .blocks import NuMeasure
-from .cascade import ALPHA_DEFAULT, LambdaMeasure, scale_index
+from .blocks import NuMeasure, sliding_max_mass
+from .cascade import (
+    ALPHA_DEFAULT,
+    CYLINDER_BUDGET,
+    LambdaMeasure,
+    scale_index,
+)
 from .errors import BudgetExceeded, CertificationFailed, PreconditionViolated
 from .fourier import (
     EXP_ULPS,
@@ -583,19 +588,9 @@ def check_stationary(case: OscillatoryTestCase) -> OscillatoryReport:
                              slack=slack, detail={"nodes": nodes})
 
 
-def _window_max_mass(mids: np.ndarray, masses: np.ndarray, u: float) -> float:
-    """Largest total mass captured by a closed window of width u."""
-    order = np.argsort(mids)
-    m_sorted = mids[order]
-    csum = np.concatenate(([0.0], np.cumsum(masses[order])))
-    right = np.searchsorted(m_sorted, m_sorted + float(u), side="right")
-    idx = np.arange(len(m_sorted))
-    return float((csum[right] - csum[idx]).max())
-
-
 def check_integral_inequality(case: OscillatoryTestCase, measure,
-                              depth: int = 4,
-                              budget: int = 10**6) -> OscillatoryReport:
+                              depth: int = 4, budget: int = CYLINDER_BUDGET
+                              ) -> OscillatoryReport:
     """Mass-vs-L2 inequality for |f| <= 1 with |f'| <= M.
 
     LHS = integral of |f| against the cylinder measure (midpoint sum
@@ -630,7 +625,8 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
     m2_hi = m2 + m2_err + 1e-15
 
     u = m_big**-0.9 * m2_hi**0.3
-    omega = _window_max_mass(mids, masses, u)
+    order = np.argsort(mids)
+    omega = sliding_max_mass(mids[order], masses[order], (u,))[0]
     rhs = (2.0 * m_big**0.1 * m2_hi**0.3
            + omega * (1.0 + m_big**0.7 * m2_hi**0.1))
     slack = lhs_err + 1e-12

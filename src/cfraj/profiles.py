@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .blocks import DEFAULT_ENUM_BUDGET
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -57,7 +59,8 @@ def get_profile(name: str, beta_prime=None, eps_window=None) -> Profile:
     )
 
 
-def strict_feasibility(n_bound: int, p: int, enumeration_budget: int = 10**7) -> dict:
+def strict_feasibility(n_bound: int, p: int,
+                       enumeration_budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """What the strict profile demands versus what is enumerable.
 
     The strict constants require sigma >= 10^4 * log(2(N+1)) before the

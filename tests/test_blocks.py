@@ -389,11 +389,18 @@ def test_sliding_max_mass_against_brute_force():
 
 
 def full_search_max_mass(mids_sorted, atom_mass, widths):
-    """Reference: the count from every left edge, searched in full."""
+    """Reference: the mass from every left edge, searched in full.
+
+    Equal atoms are counted; per-atom masses are differenced on their
+    float cumulative sum.
+    """
     idx = np.arange(len(mids_sorted))
-    return [float((np.searchsorted(mids_sorted, mids_sorted + float(u),
-                                   side="right") - idx).max()) * atom_mass
-            for u in widths]
+    right = [np.searchsorted(mids_sorted, mids_sorted + float(u),
+                             side="right") for u in widths]
+    if np.ndim(atom_mass):
+        csum = np.concatenate(([0.0], np.cumsum(atom_mass)))
+        return [float((csum[r] - csum[idx]).max()) for r in right]
+    return [float((r - idx).max()) * atom_mass for r in right]
 
 
 @st.composite
@@ -415,13 +422,28 @@ def sorted_midpoints(draw):
     return np.sort(mids)
 
 
-@settings(max_examples=150, deadline=None)
+def atom_masses(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "equal":
+        return 1.0 / n
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, n)
+    if kind == "spread":
+        return 10.0 ** rng.uniform(-30.0, 0.0, n)
+    return rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) < 0.1)
+
+
+@settings(max_examples=300, deadline=None)
 @given(mids=sorted_midpoints(),
+       kind=st.sampled_from(["equal", "uniform", "spread", "sparse"]),
+       seed=st.integers(0, 2**32 - 1),
        widths=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-12, 3.0]),
                                  st.floats(0.0, 1.5)),
                        min_size=1, max_size=6))
-def test_sliding_max_mass_equals_full_search(mids, widths):
-    atom = 1.0 / len(mids)
+def test_sliding_max_mass_equals_full_search(mids, kind, seed, widths):
+    # equal atoms, or one float mass per atom: the pruned search returns
+    # the full search's bits
+    atom = atom_masses(kind, len(mids), seed)
     assert sliding_max_mass(mids, atom, widths) == full_search_max_mass(
         mids, atom, widths)
 

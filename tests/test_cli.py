@@ -3,14 +3,18 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cfraj import __version__
-from cfraj.cli import RunConfig, main
+from cfraj import __version__, config_hash, numeric
+from cfraj.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, argv):
@@ -20,7 +24,7 @@ def run_cli(capsys, argv):
 
 
 def test_cli_import_leaves_scipy_out():
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
@@ -31,20 +35,6 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
     assert not any("scipy" in path.read_text()
                    for path in (src / "cfraj").glob("*.py"))
-
-
-def test_runconfig_roundtrip_bit_exact():
-    cfg = RunConfig(n_bound=7, p=2, sigma_anchor=[5, 1], eps="3/10",
-                    schedule_i=[2, 4], schedule_r=[1, 1],
-                    rule={"kind": "sum-of-previous"}, seed=11,
-                    xi=["0", "2", "1024"])
-    text = cfg.to_json()
-    again = RunConfig.from_json(text)
-    assert again == cfg
-    assert again.to_json() == text
-    assert len(cfg.config_hash) == 16
-    assert int(cfg.config_hash, 16) >= 0
-    assert RunConfig(seed=12).config_hash != RunConfig(seed=13).config_hash
 
 
 def test_nu_build_support_size(capsys):
@@ -80,12 +70,26 @@ def test_nu_build_operational_errors(capsys, monkeypatch):
         "nu", "build", "--N", "2", "--p", "1",
         "--sigma", "50.0", "--eps", "1/4"])
     assert code == 2 and "error" in err
-    # digit budget from the environment wins over everything
-    monkeypatch.setenv("CFRAJ_DIGIT_BUDGET", "10")
+    # 5^3 block tuples over the enumeration cap
     code, _, err = run_cli(capsys, [
         "nu", "build", "--N", "5", "--p", "3",
-        "--sigma-log", "5", "--eps", "1/4"])
+        "--sigma-log", "5", "--eps", "1/4", "--budget", "10"])
     assert code == 2 and "budget" in err.lower()
+
+
+def test_digit_budget_env_leaves_the_enumeration_cap_alone(capsys,
+                                                          monkeypatch):
+    # CFRAJ_DIGIT_BUDGET sets only guard_int's digit limit, which this
+    # process has already read
+    monkeypatch.setattr(numeric, "_digit_budget",
+                        numeric.DEFAULT_DIGIT_BUDGET)
+    argv = ["nu", "build", "--N", "5", "--p", "3", "--sigma-log", "5",
+            "--eps", "1/4"]
+    code, plain, _ = run_cli(capsys, argv)
+    assert code == 0
+    monkeypatch.setenv("CFRAJ_DIGIT_BUDGET", "10")
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == plain
 
 
 def test_nu_build_writes_file_atomically(capsys, tmp_path):
@@ -149,6 +153,42 @@ def test_lambda_sample_forced_positions(capsys):
     assert json.loads(out2)["paths"] == doc["paths"]
 
 
+LAMBDA_FLAGS = ["--N", "5", "--p", "1", "--sigma-log", "5", "--eps", "0.3",
+                "--schedule-i", "2,4", "--schedule-r", "1,1", "--rule", "sum"]
+NU_CONFIG = {"n_bound", "p", "sigma", "sigma_anchor", "eps"}
+LAMBDA_CONFIG = NU_CONFIG | {"schedule_i", "schedule_r", "rule", "horizon"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["nu", "build", "--N", "3", "--p", "2", "--sigma-log", "5",
+      "--eps", "0.3"], NU_CONFIG | {"profile"}),
+    (["schedule", "make", "--tau", "3", "--p", "2", "--sigma", "2.0",
+      "--i1", "4", "--r", "1,2,3"],
+     {"p", "sigma", "rule", "i1", "r", "depth", "profile"}),
+    (["lambda", "mass", *LAMBDA_FLAGS, "--prefix", "4,4,8,5"],
+     LAMBDA_CONFIG | {"prefix"}),
+    (["lambda", "sample", *LAMBDA_FLAGS, "--count", "2", "--depth", "6",
+      "--seed", "7"], LAMBDA_CONFIG | {"seed", "count", "depth"}),
+], ids=["nu-build", "schedule-make", "lambda-mass", "lambda-sample"])
+def test_json_config_rehashes_to_its_printed_hash(capsys, argv, keys):
+    # keys: exactly the values the command reads to make its output
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    config = json.loads(json.dumps(doc["config"]))
+    assert config_hash(config) == doc["config_hash"]
+    assert set(config) == keys
+
+
+def test_lambda_sample_seed_changes_the_config_hash(capsys):
+    base = ["lambda", "sample", *LAMBDA_FLAGS, "--count", "3",
+            "--depth", "6", "--seed"]
+    docs = [json.loads(run_cli(capsys, base + [seed])[1])
+            for seed in ("7", "8")]
+    assert docs[0]["paths"] != docs[1]["paths"]
+    assert docs[0]["config_hash"] != docs[1]["config_hash"]
+
+
 def scan_rows(text):
     lines = text.splitlines()
     assert lines[0].startswith(f"# cfraj_version={__version__} config_hash=")
@@ -194,6 +234,27 @@ def test_fourier_scan_prints_the_hash_its_file_carries(capsys, tmp_path):
     printed = out.split("config ")[1].split()[0]
     header = out_path.read_text().splitlines()[0]
     assert header.endswith(f"config_hash={printed}")
+
+
+def test_fourier_scan_writes_file_atomically(capsys, tmp_path):
+    out_path = tmp_path / "scan.csv"
+    argv = ["fourier", "scan", "--N", "3", "--p", "1", "--sigma-log", "6",
+            "--sigma-k", "2", "--eps", "1/4", "--xi", "4,8", "--depth", "3"]
+    code, csv_out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert run_cli(capsys, argv + ["--out", str(out_path)])[0] == 0
+    assert out_path.read_text() == csv_out
+    assert not (tmp_path / "scan.csv.tmp").exists()
+
+
+def test_fourier_scan_budget_caps_the_cylinders(capsys):
+    # 2 atoms at depth 7: 128 cylinders against a cap of 100
+    argv = ["fourier", "scan", "--N", "3", "--p", "1", "--sigma-log", "6",
+            "--sigma-k", "2", "--eps", "1/4", "--xi", "1,2", "--depth", "7"]
+    code, out, err = run_cli(capsys, argv + ["--budget", "100"])
+    assert code == 2 and out == ""
+    assert "budget 100" in err
+    assert run_cli(capsys, argv + ["--budget", "128"])[0] == 0
 
 
 def test_fourier_scan_methods_agree(capsys):
@@ -257,3 +318,25 @@ def test_audit_exponents_command(capsys):
     code, _, err = run_cli(capsys, ["audit", "exponents",
                                     "--alpha", "nonsense"])
     assert code == 2
+
+
+def readme_commands():
+    """argv of each cfraj line in the README's sh blocks."""
+    text = (ROOT / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("cfraj "):
+                lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 7  # one example per subcommand
+    for argv in commands:
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, (argv, err)
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).exists()

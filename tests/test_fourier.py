@@ -736,12 +736,3 @@ def test_csv_format():
     assert float(row[1]) == est.value.real
     assert float(row[2]) == est.value.imag
     assert len(table.config_hash) == 16
-
-
-def test_csv_write_is_atomic_replace(tmp_path):
-    nu = nu_two_digit()
-    table = decay_scan(nu, [4, 8], "cylinder", 3)
-    out = tmp_path / "scan.csv"
-    table.write_csv(str(out))
-    assert out.read_text() == table.serialize_csv()
-    assert not (tmp_path / "scan.csv.tmp").exists()

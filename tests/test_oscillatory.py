@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfraj.blocks import build_nu, product_convergent_matrices
+from cfraj.blocks import (build_nu, product_convergent_matrices,
+                          sliding_max_mass)
 from cfraj.fourier import _lambda_leaves
 from cfraj.errors import BudgetExceeded, CertificationFailed, \
     PreconditionViolated
@@ -27,7 +28,6 @@ from cfraj.oscillatory import (
     _leggauss,
     _Majorant,
     _panel_remainder,
-    _window_max_mass,
     certified_inf_abs,
     certified_range,
     certified_sup_abs,
@@ -209,11 +209,11 @@ def test_certified_bounds_enclose_truth():
 
 
 def test_window_max_mass_by_hand():
+    # per-atom masses, as check_integral_inequality passes them
     mids = np.array([0.0, 0.1, 0.2, 0.9])
     masses = np.array([0.1, 0.2, 0.3, 0.4])
-    assert _window_max_mass(mids, masses, 0.15) == pytest.approx(0.5)
-    assert _window_max_mass(mids, masses, 1.0) == pytest.approx(1.0)
-    assert _window_max_mass(mids, masses, 0.01) == pytest.approx(0.4)
+    assert sliding_max_mass(mids, masses, (0.15, 1.0, 0.01)) == \
+        pytest.approx([0.5, 1.0, 0.4])
 
 
 # ------------------------------------------------- nonstationary lemma
