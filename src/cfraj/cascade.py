@@ -21,6 +21,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,11 +111,12 @@ def build_lambda(nu: NuMeasure, schedule: Schedule, horizon: int) -> LambdaMeasu
 
 # ------------------------------------------------------------ transition
 #
-# Every walker crosses a stage the same way: a label-n path is tested at
+# Both engines cross a stage the same way: a label-n path is tested at
 # block i_n (_stage_block), then refines to a child (_child) and appends
-# the forced run (_cross_stage). _walk follows one path; _lambda_leaves
-# branches over every typical block; _sample_columns follows a whole draw
-# of paths, label by label, in columns.
+# the forced run. _walk follows one given or drawn path (classify,
+# sample_path) and takes its run in _cross_stage; the columnar engine
+# below takes every path set (cylinders, Monte Carlo draws, stage
+# maxima) label by label, and its runs in _forced_run.
 
 
 def _stage_block(sch: Schedule, label: int) -> Optional[int]:
@@ -245,64 +247,6 @@ def _walk(lm: LambdaMeasure, depth: int,
 
 
 @dataclass(frozen=True)
-class _Leaf:
-    mass: Fraction
-    pn: int
-    pp: int
-    q: int
-    qp: int
-    chain: tuple[int, ...]
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(1, self.q * (self.q + self.qp))
-
-
-def _lambda_leaves(lm: LambdaMeasure, depth: int,
-                   budget: int = CYLINDER_BUDGET,
-                   labels: Optional[set[int]] = None) -> list[_Leaf]:
-    """Every positive-mass depth-block prefix, in lexicographic order.
-
-    With labels, only the prefixes whose every label lies in labels.
-    """
-    if depth < 1:
-        raise PreconditionViolated("depth must be >= 1")
-    if depth > lm.horizon:
-        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
-    nu, sch = lm.nu, lm.schedule
-    support = nu.support
-    s = len(support)
-    # a leaf's mass is atom^(typical blocks); forced blocks pass it through
-    masses = [nu.atom**k for k in range(depth + 1)]
-    out: list[_Leaf] = []
-
-    def walk(b, label, stage, chain, seg_rank, typical, q, qp, pn, pp, dsum):
-        if b == depth:
-            if len(out) >= budget:
-                raise BudgetExceeded(f"cylinder count exceeds budget {budget}")
-            out.append(_Leaf(masses[typical], pn, pp, q, qp, chain))
-            return
-        if b == stage:
-            child, stage, _, run, q, qp, pn, pp, dsum = _cross_stage(
-                lm, label, seg_rank, depth - b, q, qp, pn, pp, dsum)
-            if labels is None or child in labels:
-                walk(b + len(run), child, stage, chain + (child,), 0,
-                     typical, q, qp, pn, pp, dsum)
-            return
-        for idx, blk in enumerate(support):
-            q2, qp2, pn2, pp2, d2 = q, qp, pn, pp, dsum
-            for d in blk:
-                q2, qp2 = d * q2 + qp2, q2
-                pn2, pp2 = d * pn2 + pp2, pn2
-                d2 += d
-            walk(b + 1, label, stage, chain, seg_rank * s + idx,
-                 typical + 1, q2, qp2, pn2, pp2, d2)
-
-    walk(0, 1, _stage_block(sch, 1), (1,), 0, 0, 1, 0, 0, 1, 0)
-    return out
-
-
-@dataclass(frozen=True)
 class PathState:
     """Walker verdict for a block prefix."""
 
@@ -411,16 +355,15 @@ def _draw_indices(rng: random.Random, s: int, n: int) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
-# ------------------------------------------------------- columnar sampler
+# -------------------------------------------------------- columnar engine
 
 
 @dataclass(frozen=True)
 class _Columns:
-    """Paths as columns: the convergent columns pn, pp, q, qp of each
-    distinct path as Python ints, inverse mapping every path to its
-    distinct one (None when each path is distinct), and every path's
-    label chain as chain_ids, an index into the distinct chains in
-    first-seen order."""
+    """Paths as columns: each distinct path's convergent columns pn, pp,
+    q, qp (Python ints) and typical block count; inverse, each path's
+    distinct one (None when all are distinct); chain_ids, each path's
+    index into the distinct label chains, in first-seen order."""
 
     pn: list[int]
     pp: list[int]
@@ -428,16 +371,17 @@ class _Columns:
     qp: list[int]
     chains: list[tuple[int, ...]]
     chain_ids: np.ndarray
+    typical: np.ndarray
     inverse: Optional[np.ndarray] = None
 
-    @classmethod
-    def of_leaves(cls, leaves: Sequence[_Leaf]) -> "_Columns":
-        ids: dict[tuple[int, ...], int] = {}
-        chain_ids = np.array([ids.setdefault(lf.chain, len(ids))
-                              for lf in leaves])
-        return cls([lf.pn for lf in leaves], [lf.pp for lf in leaves],
-                   [lf.q for lf in leaves], [lf.qp for lf in leaves],
-                   list(ids), chain_ids)
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def weights(self, atom: Fraction) -> np.ndarray:
+        """Each distinct path's cylinder mass atom**typical, rounded once."""
+        most = int(self.typical.max(initial=0))
+        return np.array([float(atom**k) for k in range(most + 1)])[
+            self.typical]
 
 
 # int64 columns hold values below this, so every product and sum formed
@@ -445,88 +389,108 @@ class _Columns:
 _INT64_LIMIT = 2**62
 
 
+def _index_dtype(s: int) -> np.dtype:
+    """Big-endian and the narrowest unsigned dtype that holds s - 1."""
+    return np.dtype(np.min_scalar_type(s - 1)).newbyteorder(">")
+
+
 def _sample_columns(lm: LambdaMeasure, samples: int, depth: int,
                     seed: int) -> _Columns:
-    """samples paths of depth blocks from one random.Random(seed).
+    """samples paths of depth blocks from one random.Random(seed): path k
+    is the one _walk takes on the indices after those of paths 0 .. k - 1
+    in the generator's randrange stream, as a loop of _walk calls on one
+    shared stream draws it."""
+    tree = _label_tree(lm, depth)
+    return _columns(lm, depth, tree, *_draw_chains(
+        tree, samples, random.Random(seed), len(lm.nu.support)))
 
-    Path k is the path _walk takes on the indices after those of paths
-    0 .. k - 1 in the generator's randrange stream: the draw of a loop of
-    _walk calls on one shared stream, path for path. Pass A
-    (_draw_chains) settles every path's labels and its start in the
-    stream, and finds the paths that repeat an earlier one's indices.
-    Pass B computes each distinct path once. It runs down the label
-    tree: the paths at one label share their segment's block positions,
-    so it takes each typical segment (_typical_blocks) and each forced
-    run (_forced_run) for all of them at once, in columns. Columns stay
-    int64 while every value in them is below _INT64_LIMIT and hold
-    Python ints after. Each forced block guards its largest continuant.
-    A draw that fails, with a path over the digit budget or a forced
-    digit the rule cannot give, walks its paths again one by one and
-    raises the error of the first that fails, as a per-path draw does.
+
+def _lambda_leaves(lm: LambdaMeasure, depth: int,
+                   budget: int = CYLINDER_BUDGET,
+                   labels: Optional[set[int]] = None) -> _Columns:
+    """Every positive-mass depth-block prefix, in lexicographic order;
+    with labels, only those whose every label lies in labels. More than
+    budget of them raise BudgetExceeded before any is computed."""
+    if depth < 1:
+        raise PreconditionViolated("depth must be >= 1")
+    tree = _label_tree(lm, depth)
+    return _columns(lm, depth, tree,
+                    *_enumerate_chains(lm, tree, budget, labels))
+
+
+def _columns(lm: LambdaMeasure, depth: int, tree: dict, starts: np.ndarray,
+             finals: list[int], inverse: Optional[np.ndarray],
+             idx: np.ndarray) -> _Columns:
+    """Pass B: the columns of the paths that Pass A (_draw_chains or
+    _enumerate_chains) gives as their typical indices' starts in idx and
+    their last labels, finals.
+
+    It runs down the label tree: the paths at one label share their
+    segment's block positions, so it takes each typical segment
+    (_typical_blocks) and forced run (_forced_run) for all of them at
+    once. Columns stay int64 while every value in them is below
+    _INT64_LIMIT and hold Python ints after. When a path is over the
+    digit budget or needs a forced digit the rule cannot give, the paths
+    are walked again one by one and the first one's error is raised, as
+    a loop of _walk calls would raise it.
     """
-    if depth > lm.horizon:
-        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
-    nu, sch = lm.nu, lm.schedule
-    s = len(nu.support)
-    dtype = np.dtype(np.min_scalar_type(s - 1)).newbyteorder(">")
-    tree = _label_tree(lm, depth, dtype)
-    # the most typical blocks a path takes
-    most = max(node[0] + node[1] for node in tree.values())
-    starts, finals, inverse, idx = _draw_chains(
-        tree, most, samples, random.Random(seed), s, dtype)
-    n = len(starts)
-    blocks = _BlockTables(nu)
+    n, p = len(starts), lm.schedule.p
+    blocks = _BlockTables(lm.nu)
     last = np.array(finals)
     levels = np.array([f.bit_length() for f in finals])
+    typical = np.array([tree[f][0] + tree[f][1] for f in finals], dtype=int)
     out = [np.empty(n, dtype=object) for _ in range(4)]
-
-    def descend(label, rows, cols):
-        t, g, cut, run, kids = tree[label]
-        cols = _typical_blocks(cols, idx, starts[rows] + t, g, blocks)
-        if cut is None:
-            for column, values in zip(out, cols):
-                column[rows] = values
-            return
-        # each path's label after this stage: its last label's ancestor
-        # one level below this one
-        after = last[rows] >> (levels[rows] - label.bit_length() - 1)
-        for child in kids:
-            sel = after == child
-            if sel.any():
-                descend(child, rows[sel],
-                        _forced_run([c[sel] for c in cols], run, sch.p,
-                                    lm.rule))
-
     one, zero = np.ones(n, np.int64), np.zeros(n, np.int64)
+    # (label, the rows of the paths at it, their columns at its segment)
+    stack = [(1, np.arange(n), [one, zero, zero, one, zero])] if n else []
     try:
-        descend(1, np.arange(n), [one, zero, zero, one, zero])
+        while stack:
+            label, rows, cols = stack.pop()
+            t, g, cut, run, kids = tree[label]
+            cols = _typical_blocks(cols, idx, starts[rows] + t, g, blocks)
+            if cut is None:
+                for column, values in zip(out, cols):
+                    column[rows] = values
+                continue
+            # each path's label after this stage: its last label's
+            # ancestor one level below this one
+            after = last[rows] >> (levels[rows] - label.bit_length() - 1)
+            for child in kids:
+                sel = after == child
+                if sel.any():
+                    stack.append((child, rows[sel], _forced_run(
+                        [c[sel] for c in cols], run, p, lm.rule)))
     except CfrajError:
         indices = idx.tolist()
         try:
-            for start in starts.tolist():
-                _walk(lm, depth, indices[start:start + most])
+            for start, k in zip(starts.tolist(), typical.tolist()):
+                _walk(lm, depth, indices[start:start + k])
         except CfrajError as first:
             raise first from None
         raise
     q, qp, pn, pp = (column.tolist() for column in out)
     ids: dict[int, int] = {}
-    chain_ids = np.array([ids.setdefault(f, len(ids)) for f in finals])
+    chain_ids = np.array([ids.setdefault(f, len(ids)) for f in finals], int)
     chains = [tuple(f >> k for k in range(f.bit_length() - 1, -1, -1))
               for f in ids]
-    return _Columns(pn, pp, q, qp, chains, chain_ids[inverse], inverse)
+    return _Columns(pn, pp, q, qp, chains, chain_ids if inverse is None
+                    else chain_ids[inverse], typical, inverse)
 
 
-def _label_tree(lm: LambdaMeasure, depth: int, dtype: np.dtype) -> dict:
+def _label_tree(lm: LambdaMeasure, depth: int) -> dict:
     """Where the typical segment of each label lies on a depth-block path.
 
     Maps every label a path can carry to (t, g, cut, run, kids): the
     typical blocks before the label's segment, t, and in it, g. For a
     label tested before depth, cut is the base-s digits of its split's
-    count in dtype's big-endian bytes, run the forced blocks its children
+    count in _index_dtype's bytes, run the forced blocks its children
     take, and kids its children, the top half's first; for a label whose
     walk ends with its segment, cut and kids are None.
     """
+    if depth > lm.horizon:
+        raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
     sch, s = lm.schedule, len(lm.nu.support)
+    dtype = _index_dtype(s)
     tree = {}
 
     def visit(label, b, t):
@@ -534,15 +498,12 @@ def _label_tree(lm: LambdaMeasure, depth: int, dtype: np.dtype) -> dict:
         if stage is None or stage >= depth:
             tree[label] = (t, depth - b, None, 0, None)
             return
-        g = stage - b
-        count, digits = lm._splits[label].count, []
-        for _ in range(g):
-            count, d = divmod(count, s)
-            digits.append(d)
+        g, count = stage - b, lm._splits[label].count
+        cut = np.array([count // s**k % s for k in range(g - 1, -1, -1)],
+                       dtype).tobytes()
         run = min(sch.r[label - 1], depth - stage)
         kids = (_child(label, True), _child(label, False))
-        tree[label] = (t, g, np.array(digits[::-1], dtype).tobytes(), run,
-                       kids)
+        tree[label] = (t, g, cut, run, kids)
         for child in kids:
             visit(child, stage + run, t + g)
 
@@ -550,8 +511,8 @@ def _label_tree(lm: LambdaMeasure, depth: int, dtype: np.dtype) -> dict:
     return tree
 
 
-def _draw_chains(tree: dict, most: int, samples: int, rng: random.Random,
-                 s: int, dtype: np.dtype) -> tuple:
+def _draw_chains(tree: dict, samples: int, rng: random.Random,
+                 s: int) -> tuple:
     """Pass A: each path's start in the index stream and its last label.
 
     A path's labels and typical block count depend on its own indices
@@ -565,8 +526,10 @@ def _draw_chains(tree: dict, most: int, samples: int, rng: random.Random,
     It reads ahead so that the next path's indices, most at the longest,
     are always in the buffer. Returns the start and last label of each
     distinct path, in first-seen order, each path's index into them, and
-    the indices read, in dtype.
+    the indices read, in _index_dtype.
     """
+    most = max(t + g for t, g, *_ in tree.values())
+    dtype = _index_dtype(s)
     width = dtype.itemsize
     buf = bytearray()
     seen: dict[bytes, int] = {}
@@ -594,6 +557,47 @@ def _draw_chains(tree: dict, most: int, samples: int, rng: random.Random,
         off = end
     return (np.array(starts), finals, np.array(inverse),
             np.frombuffer(buf, dtype))
+
+
+def _enumerate_chains(lm: LambdaMeasure, tree: dict, budget: int,
+                      labels: Optional[set[int]]) -> tuple:
+    """Pass A for every path whose labels all lie in labels (None: every
+    path), in lexicographic order: _draw_chains' output, with no inverse.
+
+    The paths are counted on the tree against budget first, then listed
+    depth first: each label's typical segments in order, those ranked
+    below its split's count leading to its top-half child.
+    """
+    s = len(lm.nu.support)
+    sizes: dict[int, int] = {}
+    # children carry larger labels than their parents
+    for label in sorted(tree, reverse=True):
+        g, kids = tree[label][1], tree[label][4]
+        n = s**g if labels is None or label in labels else 0
+        if n and kids is not None:
+            top = lm._splits[label].count
+            n = top * sizes[kids[0]] + (n - top) * sizes[kids[1]]
+        sizes[label] = n
+    if sizes[1] > budget:
+        raise BudgetExceeded(f"{sizes[1]} cylinders exceed budget {budget}")
+    starts, finals, idx = [], [], []
+    stack = [(1, ())] if sizes[1] else []
+    while stack:
+        label, prefix = stack.pop()
+        g, kids = tree[label][1], tree[label][4]
+        segments = product(range(s), repeat=g)
+        if kids is None:
+            for segment in segments:
+                starts.append(len(idx))
+                finals.append(label)
+                idx.extend(prefix + segment)
+            continue
+        top = lm._splits[label].count
+        below = [(kids[rank >= top], prefix + segment)
+                 for rank, segment in enumerate(segments)]
+        # last in, first out: the first segment's subtree comes first
+        stack += [node for node in reversed(below) if sizes[node[0]]]
+    return np.array(starts, int), finals, None, np.array(idx, int)
 
 
 class _BlockTables:
@@ -818,25 +822,19 @@ def max_phi_over_stage(nu: NuMeasure, sch: Schedule, rule: AssignmentRule,
     Enumerates, under rule, every path whose labels stay on n's ancestor
     line up to block i_n, each with its stage-n child and its r_n forced
     blocks, and takes the largest resulting continuant. Only viable at toy
-    sizes; guarded by a node budget.
+    sizes; the paths are counted against budget before any is walked.
     """
     if not 1 <= n <= sch.depth:
         raise PreconditionViolated(f"stage {n} outside schedule depth {sch.depth}")
     ancestors = {n >> k for k in range(n.bit_length())}
-    s = len(nu.support)
     i_n = sch.i[n - 1]
-    run_blocks = sum(sch.r[m - 1] for m in ancestors if m != n)
-    typ = i_n - run_blocks
-    if typ < 0 or s**typ > budget:
-        raise BudgetExceeded(f"{s}^{typ} stage-{n} paths exceed budget {budget}")
-
     lm = LambdaMeasure(nu=nu, schedule=replace(sch, rule=rule),
                        horizon=i_n + sch.r[n - 1])
-    leaves = _lambda_leaves(lm, lm.horizon, budget,
-                            labels=ancestors | {2 * n, 2 * n + 1})
-    if not leaves:
+    cols = _lambda_leaves(lm, lm.horizon, budget,
+                          labels=ancestors | {2 * n, 2 * n + 1})
+    if not cols:
         raise PreconditionViolated(f"no path reaches stage {n}")
-    return max(lf.q for lf in leaves)
+    return max(cols.q)
 
 
 def weight_ratio_bound(lm: LambdaMeasure, n: int) -> Fraction:

@@ -8,7 +8,8 @@ config_hash. fourier scan writes CSV whose header carries the version
 and the hash of the scan's config. verify and audit exponents print
 plain text with neither. Files are written atomically. --budget caps
 enumeration: the N^p block tuples, and in a cylinder scan also the
-cylinders or cascade leaves. Exit codes: 0 ok, 1 property violation,
+cylinders or cascade leaves; nu build judges the strict profile's
+enumerability against it. Exit codes: 0 ok, 1 property violation,
 2 operational error, 64 usage.
 """
 
@@ -235,7 +236,7 @@ def _nu_from_args(args) -> tuple[NuMeasure, dict]:
 def cmd_nu_build(args) -> int:
     nu, config = _nu_from_args(args)
     prof = get_profile(args.profile)
-    strict = strict_feasibility(nu.n_bound, nu.p)
+    strict = strict_feasibility(nu.n_bound, nu.p, args.budget)
     feasibility = {
         "beta_achieved": nu.beta_achieved,
         "beta_target": float(prof.beta_prime),
@@ -244,7 +245,7 @@ def cmd_nu_build(args) -> int:
         "strict_required_i1": math.ceil(
             strict["required_sigma"] / nu.sigma),
     }
-    _emit_json({**config, "profile": args.profile},
+    _emit_json({**config, "profile": args.profile, "budget": args.budget},
                {"measure": nu.to_json_doc(), "feasibility": feasibility},
                args.out)
     if args.out:

@@ -31,12 +31,13 @@ are added up the same tree, so each value has the bits of one numpy
 sum over a full-size buffer of terms, which is never allocated. The nu
 cylinders themselves are streamed (blocks.cylinder_chunks): their
 convergent matrices are never held. On cascade atoms a scan row folds
-its frequency once, and
-its typical estimate sums a subset of the full estimate's terms. A
-cascade sample set is drawn in columns (cascade._sample_columns), path
-for path the draw of the per-path walk, and holds each distinct
-cylinder once: the fold and the cos and sin run over the distinct
-cylinders, and every sample takes its cylinder's terms.
+its frequency once, and its typical estimate sums a subset of the full
+estimate's terms. Cascade cylinders (cascade._lambda_leaves) and sample
+sets (cascade._sample_columns) come from the cascade's one columnar
+engine. A sample set is drawn path for path as the per-path walk draws
+it, and holds each distinct cylinder once: the fold and the cos and sin
+run over the distinct cylinders, and every sample takes its cylinder's
+terms.
 """
 
 from __future__ import annotations
@@ -149,14 +150,15 @@ class _Atoms:
     fold: nu samples from the int64 convergent matrices they keep, nu
     cylinders from matrices enumerated again from cylinders, the
     (measure, depth, budget) they came from. Cascade cylinders carry
-    widths; nu cylinders carry only mass_width, a sound upper bound on
-    the sum of mass * width, as their widths are summed while they are
-    streamed; sample sources carry the sample count and the width
-    ceiling. Cascade sources carry their distinct label chains
-    in first-seen order, labels, and each atom's index into it,
-    label_ids. Cascade samples hold each distinct cylinder once in mids,
-    num and den, and inverse maps each sample, in draw order, to its
-    cylinder; every other source has one atom per point and no inverse.
+    widths, with their columns' masses as weight; nu cylinders carry
+    only mass_width, a sound upper bound on the sum of mass * width, as
+    their widths are summed while they are streamed; sample sources
+    carry the sample count and the width ceiling. Cascade sources carry
+    their distinct label chains in first-seen order, labels, and each
+    atom's index into it, label_ids. Cascade samples hold each distinct
+    cylinder once in mids, num and den, and inverse maps each sample, in
+    draw order, to its cylinder; every other source has one atom per
+    point and no inverse.
     Nu sources also carry what their evaluation term needs: mid_steps,
     the roundings in one float midpoint, and weight_err, a bound on
     |weight - exact weight| / exact weight.
@@ -211,12 +213,11 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         raise PreconditionViolated("samples must be >= 1")
     if isinstance(measure, LambdaMeasure):
         if samples is None:
-            leaves = _lambda_leaves(measure, depth, budget)
+            cols = _lambda_leaves(measure, depth, budget)
             return _cascade_atoms(
-                _Columns.of_leaves(leaves),
-                np.array([float(lf.mass) for lf in leaves]),
-                widths=np.array([1 / (lf.q * (lf.q + lf.qp))
-                                 for lf in leaves]))
+                cols, cols.weights(measure.nu.atom),
+                widths=np.array([1 / (q * (q + qp))
+                                 for q, qp in zip(cols.q, cols.qp)]))
         return _cascade_atoms(
             _sample_columns(measure, samples, depth, seed), 1.0 / samples,
             samples=samples,

@@ -35,7 +35,9 @@ from .fourier import (
     EXP_ULPS,
     PI_UP,
     SQRT2_UP,
+    TWO_PI,
     U,
+    _TWO_PI_UP,
     _at_least,
     _atoms,
     _gamma,
@@ -46,7 +48,6 @@ from .fourier import (
 )
 
 GRID_POINTS = 4096
-TWO_PI = 2.0 * math.pi
 
 Rat = Union[int, Fraction]
 
@@ -234,7 +235,6 @@ NODE_ULPS = 2
 WEIGHT_ULPS = 1024
 # Bernstein ellipse parameters the remainder bound is minimised over
 _RHOS = (Fraction(3), Fraction(4), Fraction(6), Fraction(8))
-_TWO_PI_UP = 2.0 * PI_UP
 
 
 def _ellipse(rho: Fraction) -> tuple[float, float, float]:
@@ -747,12 +747,9 @@ class M2Report:
     sum_sq_mass: float
 
 
-def _pair_sums(leaves, xi: float, ts, ws):
-    pn = np.array([lf.pn for lf in leaves], dtype=float)
-    pp = np.array([lf.pp for lf in leaves], dtype=float)
-    qn = np.array([lf.q for lf in leaves], dtype=float)
-    qp = np.array([lf.qp for lf in leaves], dtype=float)
-    m = np.array([float(lf.mass) for lf in leaves])
+def _pair_sums(cols, m: np.ndarray, xi: float, ts, ws):
+    pn, pp, qn, qp = (np.array(c, dtype=float)
+                      for c in (cols.pn, cols.pp, cols.q, cols.qp))
     vals = (pn[:, None] * ts + pp[:, None]) / (qn[:, None] * ts + qp[:, None])
     ph = np.exp(2j * math.pi * xi * vals)
     wm = m[:, None] * ph
@@ -763,9 +760,9 @@ def _pair_sums(leaves, xi: float, ts, ws):
 
     total = l2(slice(None))
     by_q, by_qq = {}, {}
-    for idx, lf in enumerate(leaves):
-        by_q.setdefault(lf.q, []).append(idx)
-        by_qq.setdefault((lf.q, lf.qp), []).append(idx)
+    for idx, (q, q_prev) in enumerate(zip(cols.q, cols.qp)):
+        by_q.setdefault(q, []).append(idx)
+        by_qq.setdefault((q, q_prev), []).append(idx)
     same_q = sum(l2(rows) for rows in by_q.values())
     diag = sum(l2(rows) for rows in by_qq.values())
     return total, same_q - diag, total - same_q, diag
@@ -784,16 +781,17 @@ def m2_empirical(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT, *,
     """
     i_val, _ = scale_index(lm, xi, alpha)
     depth = max(i_val, 1)
-    leaves = _lambda_leaves(lm, depth, budget)
+    cols = _lambda_leaves(lm, depth, budget)
+    m = cols.weights(lm.nu.atom)
     interval = (1, lm.nu.n_bound + 1)
     xf = abs(float(xi))
     if panels is None:
         panels = max(4, min(256, int(xf) + 4))
-    coarse = _pair_sums(leaves, xf, *_gl_nodes(interval, panels)[:2])
-    fine = _pair_sums(leaves, xf, *_gl_nodes(interval, 2 * panels)[:2])
+    coarse = _pair_sums(cols, m, xf, *_gl_nodes(interval, panels)[:2])
+    fine = _pair_sums(cols, m, xf, *_gl_nodes(interval, 2 * panels)[:2])
     err = max(abs(c - f) for c, f in zip(coarse, fine))
     total, shared, distinct, diag = fine
-    ssq = math.fsum(float(lf.mass)**2 for lf in leaves)
+    ssq = math.fsum(w**2 for w in m.tolist())
     return M2Report(m2=total, shared_q=shared, distinct_q=distinct,
                     diagonal=diag, quad_error=err, depth=depth,
-                    prefix_count=len(leaves), sum_sq_mass=ssq)
+                    prefix_count=len(cols), sum_sq_mass=ssq)

@@ -418,6 +418,33 @@ def test_max_phi_over_stage_two_by_hand():
     assert max_phi_over_stage(lm.nu, lm.schedule, lm.rule, 2) == best
 
 
+@pytest.mark.parametrize("make,want", [
+    (lambda: toy_lambda(), [265, 22871, 7607451, 24949575019]),
+    (lambda: a10_lambda(),
+     [63, 1571, 174907, 4367904265, 5254586102600]),
+    (lambda: stage2_lambda(), [178101836434053]),
+    (lambda: psi_gate_lambda(), [681, 5044961, 8576815157]),
+])
+def test_max_phi_over_stage_values_are_pinned(make, want):
+    # the stage maxima of the earlier recursive walk
+    lm = make()
+    assert [max_phi_over_stage(lm.nu, lm.schedule, lm.rule, n)
+            for n in range(1, len(want) + 1)] == want
+
+
+def test_enumeration_checks_its_budget_before_any_arithmetic(monkeypatch):
+    lm = toy_lambda()
+    n = len(_lambda_leaves(lm, 13))
+    assert n == 1792
+    assert len(_lambda_leaves(lm, 13, budget=n)) == n
+    with pytest.raises(BudgetExceeded, match="1792 cylinders"):
+        _lambda_leaves(lm, 13, budget=n - 1)
+    # at 2 digits the first forced block overflows; the count comes first
+    monkeypatch.setattr(numeric, "_digit_budget", 2)
+    with pytest.raises(BudgetExceeded):
+        _lambda_leaves(lm, 13, budget=10)
+
+
 def test_gap_condition_exhaustive_vs_certified():
     # certified composes worst-case growth and can reject a schedule the
     # literal stage maximum accepts
@@ -610,6 +637,15 @@ def a10_lambda():
     return build_lambda(nu, sch, 130)
 
 
+def cylinder_rows(lm, depth, labels=None):
+    """(chain, pn, pp, q, qp, mass) of every cylinder, in enumeration
+    order."""
+    cols = _lambda_leaves(lm, depth, labels=labels)
+    chains = [cols.chains[k] for k in cols.chain_ids.tolist()]
+    masses = [lm.nu.atom**k for k in cols.typical.tolist()]
+    return list(zip(chains, cols.pn, cols.pp, cols.q, cols.qp, masses))
+
+
 def sampled_rows(lm, samples, depth, seed):
     """(chain, pn, pp, q, qp) of each path of one shared-stream draw."""
     cols = _sample_columns(lm, samples, depth, seed)
@@ -781,10 +817,15 @@ def small_cascades(draw):
 @given(lm=small_cascades(), seed=st.integers(0, 2**32))
 def test_walkers_agree_on_small_cascades(lm, seed):
     depth = lm.horizon
-    leaves = _lambda_leaves(lm, depth)
-    assert sum(lf.mass for lf in leaves) == 1
-    cylinders = {(lf.chain, lf.pn, lf.pp, lf.q, lf.qp): lf.mass
-                 for lf in leaves}
+    rows = cylinder_rows(lm, depth)
+    assert sum(row[-1] for row in rows) == 1
+    cylinders = {row[:-1]: row[-1] for row in rows}
+    # a label filter keeps the paths whose every label it holds, in order
+    rng = random.Random(seed)
+    labels = {1} | {m for m in range(2, 2 * lm.schedule.depth + 2)
+                    if rng.random() < 0.6}
+    assert cylinder_rows(lm, depth, labels) == [
+        row for row in rows if labels.issuperset(row[0])]
     for k in range(5):
         path = sample_path(lm, depth, seed + k)
         (row,) = sampled_rows(lm, 1, depth, seed + k)

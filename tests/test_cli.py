@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cfraj import __version__, config_hash, numeric
+from cfraj.cascade import CYLINDER_BUDGET
 from cfraj.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,7 +162,7 @@ LAMBDA_CONFIG = NU_CONFIG | {"schedule_i", "schedule_r", "rule", "horizon"}
 
 @pytest.mark.parametrize("argv, keys", [
     (["nu", "build", "--N", "3", "--p", "2", "--sigma-log", "5",
-      "--eps", "0.3"], NU_CONFIG | {"profile"}),
+      "--eps", "0.3"], NU_CONFIG | {"profile", "budget"}),
     (["schedule", "make", "--tau", "3", "--p", "2", "--sigma", "2.0",
       "--i1", "4", "--r", "1,2,3"],
      {"p", "sigma", "rule", "i1", "r", "depth", "profile"}),
@@ -178,6 +179,17 @@ def test_json_config_rehashes_to_its_printed_hash(capsys, argv, keys):
     config = json.loads(json.dumps(doc["config"]))
     assert config_hash(config) == doc["config_hash"]
     assert set(config) == keys
+
+
+def test_nu_build_judges_strict_feasibility_by_its_budget(capsys):
+    argv = ["nu", "build", "--N", "3", "--p", "2", "--sigma-log", "5",
+            "--eps", "0.3"]
+    docs = [json.loads(run_cli(capsys, argv + extra)[1])
+            for extra in ([], ["--budget", "1000"])]
+    assert [d["feasibility"]["strict"]["enumeration_budget"]
+            for d in docs] == [CYLINDER_BUDGET, 1000]
+    assert [d["config"]["budget"] for d in docs] == [CYLINDER_BUDGET, 1000]
+    assert docs[0]["config_hash"] != docs[1]["config_hash"]
 
 
 def test_lambda_sample_seed_changes_the_config_hash(capsys):

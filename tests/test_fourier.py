@@ -47,7 +47,8 @@ from cfraj.fourier import (
 from cfraj.rules import AssignmentRule
 from cfraj.schedule import Schedule
 
-from test_cascade import nu_digits45, oracle_paths, sampled_rows, toy_lambda
+from test_cascade import (cylinder_rows, nu_digits45, oracle_paths,
+                          sampled_rows, toy_lambda)
 
 
 def nu_single():
@@ -117,8 +118,8 @@ def test_lambda_cylinder_matches_trie_oracle():
 def test_leaf_masses_total_one():
     lm = toy_lambda()
     for depth in (3, 7, 13):
-        leaves = _lambda_leaves(lm, depth)
-        assert sum((lf.mass for lf in leaves), Fraction(0)) == 1
+        masses = [row[-1] for row in cylinder_rows(lm, depth)]
+        assert sum(masses, Fraction(0)) == 1
 
 
 def test_depth_self_consistency_product_measure():
@@ -194,8 +195,9 @@ def test_monte_carlo_overflow_guard():
 def test_width_ceiling_is_sound():
     lm = toy_lambda()
     cap = _width_ceiling(lm, 8)
-    for leaf in _lambda_leaves(lm, 8):
-        assert leaf.width <= cap
+    cols = _lambda_leaves(lm, 8)
+    for q, qp in zip(cols.q, cols.qp):
+        assert Fraction(1, q * (q + qp)) <= cap
     nu = nu_two_digit()
     from cfraj.blocks import cylinder_geometry, product_convergent_matrices
     _, widths = cylinder_geometry(product_convergent_matrices(nu, 4))
@@ -310,7 +312,7 @@ def test_scan_rows_equal_single_frequency_estimates(source):
     # equals a fresh estimate under a mask built atom by atom
     for table, atoms, chains in (
             (cyl, _atoms(measure, depth),
-             [lf.chain for lf in _lambda_leaves(measure, depth)]),
+             [row[0] for row in cylinder_rows(measure, depth)]),
             (mc, _atoms(measure, depth, 300, 4),
              [row[0] for row in sampled_rows(measure, 300, depth, 4)])):
         typed = 0
@@ -354,6 +356,34 @@ def test_monte_carlo_scans_are_pinned(xis, depth, samples, seed, digest):
     table = decay_scan(toy_lambda(), xis, "montecarlo", depth,
                        samples=samples, seed=seed)
     assert scan_digest(table) == digest
+
+
+# digests of cylinder scans and sums over the cylinders the earlier
+# recursive walk listed, which the columnar enumeration must reproduce bit
+# for bit; the scan digest adds every row's typical value
+@pytest.mark.parametrize("xis,depth,digest", [
+    (SCAN_XIS, 9,
+     "a9e9957b8a3bc522acfa9b0d49e002bdb9ed2a47d003f5419ec2b08dce473fa8"),
+    (A06_XIS, 13,
+     "8df821f626961e38c9e59b003f73d8a6edfaac30b915857c95f1855c98ae7413"),
+])
+def test_cascade_cylinder_scans_are_pinned(xis, depth, digest):
+    table = decay_scan(toy_lambda(), xis, "cylinder", depth)
+    typ = "".join(f"{row.typ.value.real.hex()},{row.typ.value.imag.hex()}\n"
+                  for row in table.rows)
+    doc = scan_digest(table) + typ
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_cascade_cylinder_sums_are_pinned():
+    doc = "".join(
+        f"{bits(fourier_cylinder_sum(lm, x, depth))}\n"
+        for lm, depth in ((toy_lambda(), 9), (toy_lambda(), 13),
+                          (scan_lambda(), 10))
+        for xi in (1, 3, Fraction(7, 2), 2.5, 2**11, 2**45 + 1)
+        for x in (xi, -xi))
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "2b94d2f451dfa2ef808570f63e2d79aea36a4ea1e64188eed97a6b7e47f9512f")
 
 
 def test_sample_atoms_evaluate_each_distinct_cylinder_once():
@@ -441,13 +471,13 @@ def test_nu_cylinder_bound_covers_exact_width_sum(measure, depth):
 @pytest.mark.parametrize("lm,depth", [(toy_lambda(), 13),
                                       (scan_lambda(), 10)])
 def test_cascade_cylinder_bound_covers_exact_width_sum(lm, depth):
-    leaves = _lambda_leaves(lm, depth)
+    terms = [mass / (q * (q + qp))
+             for *_, q, qp, mass in cylinder_rows(lm, depth)]
     atoms = _atoms(lm, depth)
     rng = np.random.default_rng(depth)
-    for keep in (None, rng.random(len(leaves)) < 0.5):
-        kept = leaves if keep is None else [
-            lf for lf, k in zip(leaves, keep) if k]
-        exact = sum(Fraction(lf.mass) * lf.width for lf in kept)
+    for keep in (None, rng.random(len(terms)) < 0.5):
+        exact = sum(terms if keep is None else
+                    [t for t, k in zip(terms, keep) if k])
         for xi in (1, 3, 2.5, Fraction(7, 2), 2**20 + 1, 2**45 + 1):
             bound = Fraction(_error(atoms, xi, 0.0, keep))
             assert bound >= PI_UP * Fraction(xi) * exact

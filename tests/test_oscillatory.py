@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 from cfraj.blocks import (build_nu, product_convergent_matrices,
                           sliding_max_mass)
-from cfraj.fourier import _lambda_leaves
 from cfraj.errors import BudgetExceeded, CertificationFailed, \
     PreconditionViolated
 from cfraj.oscillatory import (
@@ -41,7 +42,7 @@ from cfraj.oscillatory import (
     stationary_case,
     stationary_sweep_case,
 )
-from test_cascade import nu_digits45, toy_lambda
+from test_cascade import cylinder_rows, nu_digits45, toy_lambda
 
 
 def nu23():
@@ -403,8 +404,8 @@ def test_integral_inequality_lhs_err_is_mass_width_bound():
              zip(mats[:, 0, 0].tolist(), mats[:, 0, 1].tolist())),
             Fraction(0))
 
-    lm_exact = sum((lf.mass / (lf.q * (lf.q + lf.qp))
-                    for lf in _lambda_leaves(lm, 13, 10**6)), Fraction(0))
+    lm_exact = sum((mass / (q * (q + qp))
+                    for *_, q, qp, mass in cylinder_rows(lm, 13)), Fraction(0))
     for measure, depth, interval, m_big, exact in (
             (nu, 3, (1, 4), 1.0, nu_exact(3)),
             (nu, 5, (1, 4), 1.0, nu_exact(5)),
@@ -433,6 +434,25 @@ def test_integral_inequality_certification():
     with pytest.raises(PreconditionViolated):
         check_integral_inequality(
             OscillatoryTestCase(phase=fast, interval=(1, 4)), nu)
+
+
+def test_cascade_integral_checks_are_pinned():
+    # lhs, rhs, slack and omega on the toy cascade's cylinders as the
+    # earlier recursive walk listed them: two sweep cases and three single
+    # waves up to M = 2 pi 1000
+    rng = random.Random(7)
+    cases = [integral_sweep_case(rng) for _ in range(2)] + [
+        OscillatoryTestCase(phase=PhaseFunction(trig=(("sin", 1, f, 0),)),
+                            interval=(1, 4), m_bound=TWO_PI * f * (1 + 1e-9))
+        for f in (40, 200, 1000)]
+    lines = []
+    for depth in (9, 13):
+        for case in cases:
+            rep = check_integral_inequality(case, toy_lambda(), depth=depth)
+            lines.append(f"{rep.ok},{rep.lhs.hex()},{rep.rhs.hex()},"
+                         f"{rep.slack.hex()},{rep.detail['omega'].hex()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "db5fa2cb1d19f4b8aad43345819ba40b06305c40d5d9eca357aec682076d4e7d")
 
 
 # ------------------------------------------------ certified quadrature
@@ -580,6 +600,21 @@ def test_m2_budget_and_range_errors():
     from cfraj.errors import OutOfRange
     with pytest.raises(OutOfRange):
         m2_empirical(lm, math.exp(20.5 * sigma45() / 2), alpha=2)
+
+
+def test_m2_reports_are_pinned():
+    # every field of five reports on the cylinders the earlier recursive
+    # walk listed, floats as float.hex
+    lm = toy_lambda()
+    lines = []
+    for scale, panels in ((0.5, None), (2.5, None), (5.25, 24), (7.25, 48),
+                          (9.5, 16)):
+        rep = m2_empirical(lm, math.exp(scale * sigma45() / 2), alpha=2,
+                           panels=panels)
+        lines.append(",".join(v.hex() if isinstance(v, float) else str(v)
+                              for v in dataclasses.astuple(rep)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "e4a3cf42823ecfbe0042d41c176078f38dbde0b18f645b4116f091f4d3c7ccdc")
 
 
 # --------------------------------------------------------------- sweeps
