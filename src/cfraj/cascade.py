@@ -114,9 +114,10 @@ def build_lambda(nu: NuMeasure, schedule: Schedule, horizon: int) -> LambdaMeasu
 # Both engines cross a stage the same way: a label-n path is tested at
 # block i_n (_stage_block), then refines to a child (_child) and appends
 # the forced run. _walk follows one given or drawn path (classify,
-# sample_path) and takes its run in _cross_stage; the columnar engine
-# below takes every path set (cylinders, Monte Carlo draws, stage
-# maxima) label by label, and its runs in _forced_run.
+# sample_path) without the numerators p, p', which none of its callers
+# reads, and takes its run in _cross_stage; the columnar engine below
+# takes every path set (cylinders, Monte Carlo draws, stage maxima)
+# label by label, and its runs in _forced_run.
 
 
 def _stage_block(sch: Schedule, label: int) -> Optional[int]:
@@ -133,11 +134,11 @@ def _child(label: int, top: bool) -> int:
 
 
 def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
-                 q: int, qp: int, pn: int, pp: int, dsum: int,
+                 q: int, qp: int, dsum: int,
                  given: Optional[Sequence[Block]] = None,
                  at: int = 0) -> tuple:
-    """The transition at label's stage of a path at the word with columns
-    (q, qp), (pn, pp) and digit sum dsum.
+    """The transition at label's stage of a path at the word with
+    continuants (q, qp) and digit sum dsum.
 
     The path refines to its _child: its typical segment since the parent's
     run has rank seg_rank among the segments of its length, and the top
@@ -149,14 +150,14 @@ def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
     differ from the forced ones.
 
     Returns (child, the child's stage block, whether no block differed,
-    the run's blocks, q, qp, pn, pp, dsum after them).
+    the run's blocks, q, qp, dsum after them).
     """
     sch, rule = lm.schedule, lm.rule
     child = _child(label, seg_rank < lm._splits[label].count)
     stage = _stage_block(sch, child)
     run: list[Block] = []
     for k in range(min(sch.r[label - 1], room)):
-        start = q, qp, pn, pp, dsum
+        start = q, qp, dsum
         want = None if given is None else given[at + k]
         if want is not None and len(want) != sch.p:
             return (child, stage, False, run, *start)
@@ -167,11 +168,10 @@ def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
                 return (child, stage, False, run, *start)
             digits.append(d)
             q, qp = d * q + qp, q
-            pn, pp = d * pn + pp, pn
             dsum += d
         guard_int(q, "forced-run continuant")
         run.append(tuple(digits))
-    return child, stage, True, run, q, qp, pn, pp, dsum
+    return child, stage, True, run, q, qp, dsum
 
 
 def _walk(lm: LambdaMeasure, depth: int,
@@ -187,9 +187,9 @@ def _walk(lm: LambdaMeasure, depth: int,
     state of the blocks before it. A path ending at a stage's block index
     keeps its label unrefined.
 
-    Returns (valid, blocks, chain, label, typical, pn, pp, q, qp, dsum):
-    the blocks walked, the label chain and last label, the typical block
-    count, the convergent columns and the digit sum.
+    Returns (valid, blocks, chain, label, typical, q, qp, dsum): the
+    blocks walked, the label chain and last label, the typical block
+    count, the continuants q, q' and the digit sum.
     """
     if depth > lm.horizon:
         raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
@@ -201,14 +201,14 @@ def _walk(lm: LambdaMeasure, depth: int,
     out: list[Block] = []
     label, chain, stage = 1, [1], _stage_block(sch, 1)
     seg_rank = typical = 0
-    q, qp, pn, pp = 1, 0, 0, 1
+    q, qp = 1, 0
     dsum = 0
     b = 0
     valid = True
     while b < depth:
         if b == stage:
-            label, stage, valid, run, q, qp, pn, pp, dsum = _cross_stage(
-                lm, label, seg_rank, depth - b, q, qp, pn, pp, dsum, given, b)
+            label, stage, valid, run, q, qp, dsum = _cross_stage(
+                lm, label, seg_rank, depth - b, q, qp, dsum, given, b)
             chain.append(label)
             seg_rank = 0
             out += run
@@ -231,7 +231,6 @@ def _walk(lm: LambdaMeasure, depth: int,
             out.append(blk)
             for d in blk:
                 q, qp = d * q + qp, q
-                pn, pp = d * pn + pp, pn
                 dsum += d
         k = len(idxs)
         typical += k
@@ -243,7 +242,7 @@ def _walk(lm: LambdaMeasure, depth: int,
             # the segment's rank settles the next stage's split
             for idx in idxs:
                 seg_rank = seg_rank * s + idx
-    return valid, out, tuple(chain), label, typical, pn, pp, q, qp, dsum
+    return valid, out, tuple(chain), label, typical, q, qp, dsum
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
     """
     if len(blocks) > lm.horizon:
         raise DepthExceeded(f"prefix length {len(blocks)} beyond horizon {lm.horizon}")
-    valid, _, chain, label, typical, _, _, q, qp, dsum = _walk(
+    valid, _, chain, label, typical, q, qp, dsum = _walk(
         lm, len(blocks), given=blocks)
     mass = lm.nu.atom**typical if valid else Fraction(0)
     return PathState(valid, mass, chain, label, typical, q, qp, dsum)
@@ -360,15 +359,16 @@ def _draw_indices(rng: random.Random, s: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Columns:
-    """Paths as columns: each distinct path's convergent columns pn, pp,
-    q, qp (Python ints) and typical block count; inverse, each path's
-    distinct one (None when all are distinct); chain_ids, each path's
-    index into the distinct label chains, in first-seen order."""
+    """Paths as columns: each distinct path's convergent entries q, qp,
+    pn, pp (object arrays of Python ints) and typical block count;
+    inverse, each path's distinct one (None when all are distinct);
+    chain_ids, each path's index into the distinct label chains, in
+    first-seen order."""
 
-    pn: list[int]
-    pp: list[int]
-    q: list[int]
-    qp: list[int]
+    q: np.ndarray
+    qp: np.ndarray
+    pn: np.ndarray
+    pp: np.ndarray
     chains: list[tuple[int, ...]]
     chain_ids: np.ndarray
     typical: np.ndarray
@@ -468,12 +468,11 @@ def _columns(lm: LambdaMeasure, depth: int, tree: dict, starts: np.ndarray,
         except CfrajError as first:
             raise first from None
         raise
-    q, qp, pn, pp = (column.tolist() for column in out)
     ids: dict[int, int] = {}
     chain_ids = np.array([ids.setdefault(f, len(ids)) for f in finals], int)
     chains = [tuple(f >> k for k in range(f.bit_length() - 1, -1, -1))
               for f in ids]
-    return _Columns(pn, pp, q, qp, chains, chain_ids if inverse is None
+    return _Columns(*out, chains, chain_ids if inverse is None
                     else chain_ids[inverse], typical, inverse)
 
 

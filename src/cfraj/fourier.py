@@ -29,15 +29,16 @@ numpy's pairwise summation tree at a time: every row's terms for the
 leaf are formed in one leaf-sized buffer and summed, and the leaf sums
 are added up the same tree, so each value has the bits of one numpy
 sum over a full-size buffer of terms, which is never allocated. The nu
-cylinders themselves are streamed (blocks.cylinder_chunks): their
-convergent matrices are never held. On cascade atoms a scan row folds
-its frequency once, and its typical estimate sums a subset of the full
-estimate's terms. Cascade cylinders (cascade._lambda_leaves) and sample
-sets (cascade._sample_columns) come from the cascade's one columnar
-engine. A sample set is drawn path for path as the per-path walk draws
-it, and holds each distinct cylinder once: the fold and the cos and sin
-run over the distinct cylinders, and every sample takes its cylinder's
-terms.
+cylinders themselves are streamed: neither their convergent matrices
+nor their exact midpoints are held, as every exact row folds a leaf's
+exact midpoints, formed once (_Atoms.exact_mids). On cascade atoms a
+scan row folds its frequency once, and its typical estimate sums a
+subset of the full estimate's terms. Cascade cylinders
+(cascade._lambda_leaves) and sample sets (cascade._sample_columns) come
+from the cascade's one columnar engine. A sample set is drawn path for
+path as the per-path walk draws it, and holds each distinct cylinder
+once: the fold and the cos and sin run over the distinct cylinders, and
+every sample takes its cylinder's terms.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,10 +56,10 @@ from .blocks import (
     NuMeasure,
     _block_matrices,
     _entries,
+    _entry_chunks,
+    _geometry,
+    _prefix_entries,
     _product,
-    cylinder_chunks,
-    cylinder_geometry,
-    product_convergent_matrices,
 )
 from .cascade import (
     ALPHA_DEFAULT,
@@ -118,24 +119,33 @@ def _width_ceiling(measure: Measure, depth: int) -> Fraction:
     return Fraction(1, qmin * qmin)
 
 
-def _nu_sample_matrices(nu: NuMeasure, samples: int, depth: int,
-                        seed: int) -> np.ndarray:
+def _nu_sample_entries(nu: NuMeasure, samples: int, depth: int,
+                       seed: int) -> tuple:
     base = _entries(_block_matrices(nu, depth))
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(base[0]), size=(samples, depth))
     cols = tuple(np.full(samples, v, dtype=np.int64) for v in (1, 0, 0, 1))
     for k in range(depth):
         cols = _product(cols, [e[idx[:, k]] for e in base])
-    return np.stack(cols, axis=1).reshape(-1, 2, 2)
+    return cols
 
 
 # ---------------------------------------------------------------- atoms
 
 
-def _midpoints(pn, pp, q, qp) -> tuple[list[int], list[int]]:
-    """Exact cylinder midpoints num / den from convergent columns."""
-    num = [2 * a * c + a * d + b * c for a, b, c, d in zip(pn, pp, q, qp)]
-    den = [2 * c * (c + d) for c, d in zip(q, qp)]
+# rows per block of _midpoints; bounds its Python-int temporaries
+_INT_BLOCK = 1 << 12
+
+
+def _midpoints(cols: tuple) -> tuple[list[int], list[int]]:
+    """Exact midpoints num / den in Python ints from entry columns (q, q',
+    p, p'), int64 or object arrays, read _INT_BLOCK rows at a time."""
+    num, den = [], []
+    for lo in range(0, len(cols[0]), _INT_BLOCK):
+        q, qp, pn, pp = (c[lo:lo + _INT_BLOCK].tolist() for c in cols)
+        num += [2 * a * c + a * d + b * c
+                for a, b, c, d in zip(pn, pp, q, qp)]
+        den += [2 * c * (c + d) for c, d in zip(q, qp)]
     return num, den
 
 
@@ -145,51 +155,36 @@ class _Atoms:
 
     weight is one float for uniform sources (nu cylinders and every
     sample set) and a float per atom for cascade cylinders. Midpoints
-    are held as floats and exactly as num / den in Python ints. A nu
-    source derives num / den only when a frequency needs the exact
-    fold: nu samples from the int64 convergent matrices they keep, nu
-    cylinders from matrices enumerated again from cylinders, the
-    (measure, depth, budget) they came from. Cascade cylinders carry
-    widths, with their columns' masses as weight; nu cylinders carry
-    only mass_width, a sound upper bound on the sum of mass * width, as
-    their widths are summed while they are streamed; sample sources
-    carry the sample count and the width ceiling. Cascade sources carry
-    their distinct label chains in first-seen order, labels, and each
-    atom's index into it, label_ids. Cascade samples hold each distinct
-    cylinder once in mids, num and den, and inverse maps each sample, in
+    are held as floats; exact_mids(lo, hi) gives rows lo to hi exactly,
+    as num / den in Python ints: sliced from cascade sources' lists,
+    converted from nu samples' int64 entries, and formed again from the
+    two factors of the enumeration on nu cylinders. Cascade cylinders
+    carry widths, with their columns' masses as weight; nu cylinders
+    carry only mass_width, a sound upper bound on the sum of mass *
+    width, as their widths are summed while they are streamed; sample
+    sources carry the sample count and the width ceiling. Cascade
+    sources carry their distinct label chains in first-seen order,
+    labels, and each atom's index into it, label_ids. Cascade samples
+    hold each distinct cylinder once, and inverse maps each sample, in
     draw order, to its cylinder; every other source has one atom per
-    point and no inverse.
-    Nu sources also carry what their evaluation term needs: mid_steps,
-    the roundings in one float midpoint, and weight_err, a bound on
-    |weight - exact weight| / exact weight.
+    point and no inverse. Nu sources also carry what their evaluation
+    term needs: mid_steps, the roundings in one float midpoint, and
+    weight_err, a bound on |weight - exact weight| / exact weight.
     """
 
     weight: Union[float, np.ndarray]
     mids: np.ndarray
     cascade: bool
+    exact_mids: Callable[[int, int], tuple[list[int], list[int]]]
     widths: Optional[np.ndarray] = None
     samples: Optional[int] = None
     width_ceiling: Optional[Fraction] = None
     labels: Optional[list[tuple[int, ...]]] = None
     label_ids: Optional[np.ndarray] = None
     inverse: Optional[np.ndarray] = None
-    num: Optional[list[int]] = None
-    den: Optional[list[int]] = None
-    mats: Optional[np.ndarray] = None
-    cylinders: Optional[tuple[NuMeasure, int, int]] = None
     mass_width: Optional[float] = None
     mid_steps: int = 0
     weight_err: float = 0.0
-
-    def exact_mids(self) -> tuple[list[int], list[int]]:
-        if self.num is None:
-            m = self.mats
-            if m is None:
-                m = product_convergent_matrices(*self.cylinders)
-            self.num, self.den = _midpoints(
-                m[:, 1, 0].tolist(), m[:, 1, 1].tolist(),
-                m[:, 0, 0].tolist(), m[:, 0, 1].tolist())
-        return self.num, self.den
 
     def typical_mask(self, split: TypExcSplit) -> np.ndarray:
         """keep mask of the cascade atoms whose label chain avoids
@@ -199,11 +194,12 @@ class _Atoms:
 
 
 def _cascade_atoms(cols: _Columns, weight, **source) -> _Atoms:
-    num, den = _midpoints(cols.pn, cols.pp, cols.q, cols.qp)
+    num, den = _midpoints((cols.q, cols.qp, cols.pn, cols.pp))
     return _Atoms(weight=weight,
                   mids=np.array([n / d for n, d in zip(num, den)]),
                   cascade=True, labels=cols.chains, label_ids=cols.chain_ids,
-                  inverse=cols.inverse, num=num, den=den, **source)
+                  exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]),
+                  inverse=cols.inverse, **source)
 
 
 def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
@@ -224,30 +220,31 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
             width_ceiling=_width_ceiling(measure, depth))
     if samples is None:
         return _nu_cylinder_atoms(measure, depth, budget)
-    mats = _nu_sample_matrices(measure, samples, depth, seed)
-    mids, widths = cylinder_geometry(mats)
+    cols = _nu_sample_entries(measure, samples, depth, seed)
+    mids, widths = _geometry(*cols)
     weight = 1.0 / samples
-    return _Atoms(weight=weight, mids=mids, cascade=False,
-                  samples=samples,
-                  width_ceiling=_width_ceiling(measure, depth), mats=mats,
+    return _Atoms(weight=weight, mids=mids, cascade=False, samples=samples,
+                  exact_mids=lambda lo, hi: _midpoints(
+                      tuple(c[lo:hi] for c in cols)),
+                  width_ceiling=_width_ceiling(measure, depth),
                   **_nu_rounding(widths.min(), weight, Fraction(1, samples)))
 
 
 def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
-    """Every depth-level cylinder of nu, streamed (blocks.cylinder_chunks).
+    """Every depth-level cylinder of nu, streamed (see cylinder_chunks).
 
     Neither the matrices (32 B a cylinder) nor the widths are kept: the
     chunks are the leaves of numpy's float64 pairwise tree over the
-    widths, so combining their sums gives widths.sum() bit for bit. The
-    rare exact fold enumerates the matrices again.
+    widths, so combining their sums gives widths.sum() bit for bit. Only
+    the two factors (blocks._prefix_entries) are, for exact_mids.
     """
     n = len(nu.support)**depth
-    chunks = cylinder_chunks(nu, depth, budget,
-                             _pairwise_leaves(n, 1, _LEAF))
+    prefix, base = _prefix_entries(nu, depth, budget)
     mids = np.empty(n, dtype=np.float64)
     width_sums, min_width = [], math.inf
-    for lo, hi, chunk, widths in chunks:
-        mids[lo:hi] = chunk
+    leaves = _pairwise_leaves(n, 1, _LEAF)
+    for lo, hi, cols in _entry_chunks(prefix, base, leaves):
+        mids[lo:hi], widths = _geometry(*cols)
         width_sums.append(widths.sum())
         min_width = min(min_width, widths.min())
     weight = float(nu.atom)**depth
@@ -258,12 +255,13 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     steps = (n - 1) + 5 + (depth + 2) + 2 + 4
     width_sum = _pairwise_combine(n, 1, _LEAF, width_sums)
     return _Atoms(weight=weight, mids=mids, cascade=False,
-                  cylinders=(nu, depth, budget),
+                  exact_mids=lambda lo, hi: _midpoints(
+                      next(_entry_chunks(prefix, base, [(lo, hi)]))[2]),
                   mass_width=weight * float(width_sum) * _inflation(steps),
                   **_nu_rounding(min_width, weight, nu.atom**depth))
 
 
-# roundings in a float midpoint when cylinder_geometry's integers are not
+# roundings in a float midpoint when blocks._geometry's integers are not
 # all exact in floats: at most 5 on any path into the numerator (2
 # conversions, 1 product, 2 sums), 4 into the denominator and 1 division
 _MID_STEPS_INEXACT = 10
@@ -299,28 +297,25 @@ def _folds_exactly(atoms: _Atoms, xi) -> bool:
         atoms.cascade or xi >= EXACT_FOLD_THRESHOLD)
 
 
-def _fold(atoms: _Atoms, xi, out: Optional[np.ndarray] = None,
-          rows: slice = slice(None)) -> np.ndarray:
-    """Fractional part of xi * midpoint for every atom in rows, xi > 0;
+def _fold(atoms: _Atoms, xi, leaf: Optional[tuple] = None) -> np.ndarray:
+    """Fractional part of xi * midpoint for every atom of leaf, xi > 0;
     for every distinct cylinder on cascade samples.
 
-    An int or Fraction xi = a / b folds exactly on cascade atoms, and on
-    nu atoms from EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one
-    integer reduction, and dividing by b den rounds once. Otherwise the
-    fold is a float product minus its floor: for a nonnegative float
-    that difference is exact, so it equals % 1.0 bit for bit. The
-    phases are written to out when it is given.
+    leaf is (lo, hi, exact): the rows lo to hi and, when given,
+    atoms.exact_mids(lo, hi); None is every row. An int or Fraction
+    xi = a / b folds exactly on cascade atoms, and on nu atoms from
+    EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one integer
+    reduction, and dividing by b den rounds once. Otherwise the fold is
+    a float product minus its floor: for a nonnegative float that
+    difference is exact, so it equals % 1.0 bit for bit.
     """
+    lo, hi, exact = leaf or (0, len(atoms.mids), None)
     if _folds_exactly(atoms, xi):
         a, b = xi.numerator, xi.denominator
-        num, den = atoms.exact_mids()
-        phases = np.array([(a * n) % (b * d) / (b * d)
-                           for n, d in zip(num[rows], den[rows])])
-        if out is None:
-            return phases
-        out[...] = phases
-        return out
-    phases = np.multiply(atoms.mids[rows], float(xi), out=out)
+        num, den = exact or atoms.exact_mids(lo, hi)
+        return np.array([(a * n) % (b * d) / (b * d)
+                         for n, d in zip(num, den)])
+    phases = atoms.mids[lo:hi] * float(xi)
     phases -= np.floor(phases)
     return phases
 
@@ -488,11 +483,11 @@ def _nu_plan(atoms: _Atoms, xs: Sequence) -> list:
 
 
 def _direct_terms(atoms: _Atoms, x, terms: np.ndarray,
-                  rows: slice) -> np.ndarray:
-    """exp(i 2 pi phase) for the atoms in rows at x > 0, written to terms."""
+                  leaf: tuple) -> np.ndarray:
+    """exp(i 2 pi phase) for the atoms of leaf (see _fold) at x > 0,
+    written to terms."""
     terms.real = 0.0
-    phases = _fold(atoms, x, out=terms.imag, rows=rows)
-    np.multiply(phases, TWO_PI, out=phases)
+    terms.imag = TWO_PI * _fold(atoms, x, leaf)
     return np.exp(terms, out=terms)
 
 
@@ -503,10 +498,12 @@ def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
     numpy's complex pairwise tree at a time (_pairwise_leaves, at most
     _LEAF atoms): every row in turn folds and exponentiates the leaf's
     terms into one leaf-sized buffer, or squares the terms the buffer
-    holds from the row before, and records the leaf's sum. Each term is
-    the one a full-size buffer would hold, as every step is elementwise,
-    and the leaf sums combine up the same tree (_pairwise_combine), so
-    each value equals weight * terms.sum() over all atoms bit for bit.
+    holds from the row before, and records the leaf's sum. If any row
+    folds exactly, the leaf's exact midpoints are formed once
+    (atoms.exact_mids) and every exact row folds them. Each term is the
+    one a full-size buffer would hold, as every step is elementwise, and
+    the leaf sums combine up the same tree (_pairwise_combine), so each
+    value equals weight * terms.sum() over all atoms bit for bit.
     At xi = 0 the value is 1 and eps 0; a negative xi takes the
     conjugate of the value at |xi|.
     """
@@ -514,18 +511,20 @@ def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
     rows = [row for row in plan if row is not None]
     n = len(atoms.mids)
     sums = [[] for _ in rows]
+    exact = any(_folds_exactly(atoms, x) for x, _, _ in rows)
     if rows:
         leaves = list(_pairwise_leaves(n, 2, _LEAF))
         buf = np.empty(max(hi - lo for lo, hi in leaves),
                        dtype=np.complex128)
         for lo, hi in leaves:
             terms = buf[:hi - lo]
+            leaf = lo, hi, atoms.exact_mids(lo, hi) if exact else None
             for (x, m, _), leaf_sums in zip(rows, sums):
                 if m:
                     for _ in range(m):
                         np.multiply(terms, terms, out=terms)
                 else:
-                    _direct_terms(atoms, x, terms, slice(lo, hi))
+                    _direct_terms(atoms, x, terms, leaf)
                 leaf_sums.append(terms.sum())
     totals = iter([_pairwise_combine(n, 2, _LEAF, leaf_sums)
                    for leaf_sums in sums])
@@ -799,8 +798,9 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     frequencies, so a fixed seed gives a byte-reproducible table. On nu
     atoms every row is evaluated in one pass over the atoms, leaf by
     leaf, and a row whose frequency is 2^m times the last one squares
-    the last row's terms (see _nu_values). On cascade atoms each row folds its frequency once: the
-    typical estimate sums the kept subset of the full row's terms. For a
+    the last row's terms (see _nu_values). On cascade atoms each row
+    folds its frequency once: the typical estimate sums the kept subset
+    of the full row's terms. For a
     plain product measure there is no exceptional part: n_index = 0 and
     exc_tv = 0 on every row.
     """

@@ -390,14 +390,16 @@ def test_sample_atoms_evaluate_each_distinct_cylinder_once():
     lm = toy_lambda()
     atoms = _atoms(lm, 13, 20000, 0)
     n = len(atoms.mids)
-    assert n == len(atoms.num) == len(atoms.den) < 20000
+    num, den = atoms.exact_mids(0, n)
+    assert n == len(num) == len(den) < 20000
     assert len(atoms.inverse) == len(atoms.label_ids) == 20000
     assert sorted(set(atoms.inverse.tolist())) == list(range(n))
     # the same draw with one atom per sample
     inv = atoms.inverse.tolist()
+    num, den = [num[k] for k in inv], [den[k] for k in inv]
     each = dataclasses.replace(
         atoms, mids=atoms.mids[atoms.inverse], inverse=None,
-        num=[atoms.num[k] for k in inv], den=[atoms.den[k] for k in inv])
+        exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]))
     for xi in (3, Fraction(7, 2), 2.5, 2**45 + 1, -7):
         a, b = _Chain(), _Chain()
         assert _evaluate(atoms, xi, chain=a) == _evaluate(each, xi, chain=b)
@@ -508,7 +510,7 @@ def test_nu_evaluation_term_covers_exact_midpoint_sum(source, depth):
             else nu_two_digit()
         atoms = sampled_atoms(nu, depth)
         weight = Fraction(1, atoms.samples)
-    num, den = atoms.exact_mids()
+    num, den = atoms.exact_mids(0, len(atoms.mids))
     with mpmath.workdps(50):
         for xi in EVAL_XIS:
             exact = mpmath.mpc(0)
@@ -716,14 +718,35 @@ def test_nu_scan_folds_huge_integers_exactly():
     assert row.full.value != 1 + 0j
 
 
-def test_nu_cylinder_atoms_enumerate_matrices_again_for_the_exact_fold():
-    nu = nu_two_digit()
-    atoms = _atoms(nu, 4)
-    assert atoms.mats is None
-    num, den = atoms.exact_mids()
-    assert [n / d for n, d in zip(num, den)] == pytest.approx(
-        atoms.mids.tolist(), rel=1e-15)
-    assert _atoms(nu, 4, samples=10).mats is not None
+def test_nu_exact_rows_convert_each_leaf_once(monkeypatch):
+    """Exact-fold rows share one integer conversion (_midpoints) per leaf
+    of the pass, and no conversion spans more than one leaf. The leaves
+    here, 512 atoms, are each converted in one call."""
+    monkeypatch.setattr(fourier, "_LEAF", 1000)
+    nu, depth = nu_two_digit(), 12
+    calls = []
+
+    def midpoints(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    real = fourier._midpoints
+    monkeypatch.setattr(fourier, "_midpoints", midpoints)
+    decay_scan(nu, [2**40, 2**41, 2**45 + 1], "cylinder", depth)
+    leaves = list(fourier._pairwise_leaves(2**depth, 2, 1000))
+    assert len(leaves) > 1
+    # one call per leaf, not one per exact row, each no longer than it
+    assert [len(num) for num, _ in calls] == [hi - lo for lo, hi in leaves]
+    words = list(iter_product(nu.support, repeat=depth))
+    for (lo, hi), (num, den) in zip(leaves, calls):
+        want = []
+        for word in words[lo:hi]:
+            q, qp, pn, pp = 1, 0, 0, 1
+            for (d,) in word:
+                q, qp, pn, pp = d * q + qp, q, d * pn + pp, pn
+            want.append(Fraction(2 * pn * q + pn * qp + pp * q,
+                                 2 * q * (q + qp)))
+        assert [Fraction(n, d) for n, d in zip(num, den)] == want
 
 
 rationals = st.one_of(
@@ -739,7 +762,8 @@ rationals = st.one_of(
 def test_integer_fold_matches_fraction_reference(xi, mids):
     num, den = [n for n, _ in mids], [d for _, d in mids]
     atoms = _Atoms(weight=1.0, mids=np.array([n / d for n, d in mids]),
-                   cascade=True, num=num, den=den)
+                   cascade=True,
+                   exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]))
     want = []
     for n, d in mids:
         ph = Fraction(xi) * Fraction(n, d)
