@@ -26,6 +26,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .numeric import cert_ln_ge, cert_ln_le, ln_fraction, ln_int
+from .pool import ordered_map
 from .words import Word, continuant, continuant_pair
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -395,28 +396,24 @@ def _prefix_entries(nu: NuMeasure, depth: int, budget: int) -> tuple:
 
 
 # rows per chunk of the streamed enumeration; bounds its temporaries
-_STREAM_CHUNK = 1 << 16
+_STREAM_CHUNK = 1 << 15
 
 
-def _entry_chunks(prefix: tuple, base: tuple,
-                  bounds: Optional[Sequence[tuple[int, int]]]):
-    """Yield (lo, hi, entries of rows lo to hi) of the depth-level
-    matrices from _prefix_entries' two factors.
+def _stream_bounds(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) of consecutive chunks of _STREAM_CHUNK rows out of n."""
+    return [(lo, min(lo + _STREAM_CHUNK, n))
+            for lo in range(0, n, _STREAM_CHUNK)]
 
-    Each chunk multiplies the prefix rows it spans by every block and
-    keeps the rows in [lo, hi). The row ranges are bounds, in order, or
-    consecutive chunks of _STREAM_CHUNK rows.
-    """
+
+def _entry_rows(prefix: tuple, base: tuple, lo: int, hi: int) -> tuple:
+    """Entries of rows lo to hi of the depth-level matrices, from
+    _prefix_entries' two factors: the prefix rows the range spans times
+    every block, cut to [lo, hi)."""
     s = len(base[0])
-    if bounds is None:
-        n = len(prefix[0]) * s
-        bounds = [(lo, min(lo + _STREAM_CHUNK, n))
-                  for lo in range(0, n, _STREAM_CHUNK)]
-    for lo, hi in bounds:
-        first, last = lo // s, -(-hi // s)
-        rows = slice(lo - first * s, hi - first * s)
-        cols = _product([e[first:last, None] for e in prefix], base)
-        yield lo, hi, tuple(c.reshape(-1)[rows] for c in cols)
+    first, last = lo // s, -(-hi // s)
+    rows = slice(lo - first * s, hi - first * s)
+    cols = _product([e[first:last, None] for e in prefix], base)
+    return tuple(c.reshape(-1)[rows] for c in cols)
 
 
 def product_convergent_matrices(nu: NuMeasure, depth: int,
@@ -428,8 +425,8 @@ def product_convergent_matrices(nu: NuMeasure, depth: int,
     """
     prefix, base = _prefix_entries(nu, depth, budget)
     mats = np.empty((len(prefix[0]) * len(base[0]), 4), dtype=np.int64)
-    for lo, hi, cols in _entry_chunks(prefix, base, None):
-        for k, col in enumerate(cols):
+    for lo, hi in _stream_bounds(len(mats)):
+        for k, col in enumerate(_entry_rows(prefix, base, lo, hi)):
             mats[lo:hi, k] = col
     return mats.reshape(-1, 2, 2)
 
@@ -467,22 +464,6 @@ def cylinder_geometry(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mids, widths
 
 
-def cylinder_chunks(nu: NuMeasure, depth: int,
-                    budget: int = DEFAULT_ENUM_BUDGET,
-                    bounds: Optional[Sequence[tuple[int, int]]] = None,
-                    widths: bool = True):
-    """Iterator of (lo, hi, mids, widths) over the depth-level cylinders.
-
-    mids and widths are cylinder_geometry's values, bit for bit, at rows
-    lo to hi of product_convergent_matrices(nu, depth, budget), which is
-    never built (see _entry_chunks). widths is None unless asked for.
-    The budget is checked before the iterator is returned.
-    """
-    prefix, base = _prefix_entries(nu, depth, budget)
-    return ((lo, hi) + _geometry(*cols, widths=widths)
-            for lo, hi, cols in _entry_chunks(prefix, base, bounds))
-
-
 # sliding_max_mass searches every _WINDOW_STRIDE-th start first
 _WINDOW_STRIDE = 64
 
@@ -506,7 +487,8 @@ def sliding_max_mass(mids_sorted: np.ndarray,
     The starts s are searched first; only the strides whose bound
     exceeds the best sampled mass are searched in full. The maximum is
     exact: equal to the largest C[right(i)] - C[i] over all i, and an
-    atom count is multiplied by the equal atom_mass once.
+    atom count is multiplied by the equal atom_mass once. The widths are
+    searched independently, on every core (pool.ordered_map).
     """
     n = len(mids_sorted)
     if np.ndim(atom_mass):
@@ -516,8 +498,8 @@ def sliding_max_mass(mids_sorted: np.ndarray,
         mass, scale = (lambda idx: idx), atom_mass
     starts = np.arange(0, n, _WINDOW_STRIDE)
     offsets = np.arange(_WINDOW_STRIDE)
-    out = []
-    for u in widths:
+
+    def search(u) -> float:
         u = float(u)
         right = np.searchsorted(mids_sorted, mids_sorted[starts] + u,
                                 side="right")
@@ -530,23 +512,31 @@ def sliding_max_mass(mids_sorted: np.ndarray,
             right = np.searchsorted(mids_sorted, mids_sorted[idx] + u,
                                     side="right")
             best = max(best, (mass(right) - mass(idx)).max())
-        out.append(float(best) * scale)
-    return out
+        return float(best) * scale
+
+    return ordered_map(search, widths)
 
 
 def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
                   budget: int = DEFAULT_ENUM_BUDGET) -> FrostmanScan:
     """Ball-mass growth scan of the depth-level product pushforward.
 
-    The cylinder midpoints are streamed (cylinder_chunks) into one
-    array, sorted in place; no convergent matrix stack is built.
+    The cylinder midpoints are streamed into one array, a chunk of
+    _STREAM_CHUNK rows at a time on every core (pool.ordered_map), and
+    sorted in place; no convergent matrix stack is built. Each chunk's
+    midpoints are cylinder_geometry's, bit for bit.
     """
     if depth < 1:
         raise PreconditionViolated("depth must be >= 1")
-    chunks = cylinder_chunks(nu, depth, budget, widths=False)
-    mids = np.empty(len(nu.support)**depth, dtype=np.float64)
-    for lo, hi, chunk, _ in chunks:
-        mids[lo:hi] = chunk
+    prefix, base = _prefix_entries(nu, depth, budget)
+    mids = np.empty(len(prefix[0]) * len(base[0]), dtype=np.float64)
+
+    def fill(bound: tuple[int, int]) -> None:
+        lo, hi = bound
+        mids[lo:hi] = _geometry(*_entry_rows(prefix, base, lo, hi),
+                                widths=False)[0]
+
+    ordered_map(fill, _stream_bounds(len(mids)))
     mids.sort()
     atom = 1.0 / float(len(nu.support)) ** depth
     widths_f = tuple(float(u) for u in widths)

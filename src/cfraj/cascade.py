@@ -675,15 +675,19 @@ def _typical_blocks(cols: list, idx: np.ndarray, base: np.ndarray, g: int,
 def _forced_run(cols: list, run: int, p: int, rule: AssignmentRule) -> list:
     """cols (q, qp, pn, pp, digit sum) after a forced run of `run` blocks.
 
-    Each digit is rho_value of its path's word so far. The columns move
-    to Python ints before a digit that could take a value past
+    Each digit is rho_value of its path's word so far, which depends on
+    the path's (q, digit sum) only: it is computed once per distinct
+    pair in the call, as many paths share one. The columns move to
+    Python ints before a digit that could take a value past
     _INT64_LIMIT, and each block guards its largest continuant.
     """
     q, qp, pn, pp, dsum = cols
+    rho: dict[tuple[int, int], int] = {}
     for _ in range(run):
         for _ in range(p):
-            d = [rho_value(rule, a, b) for a, b in zip(q.tolist(),
-                                                        dsum.tolist())]
+            keys = zip(q.tolist(), dsum.tolist())
+            d = [rho[k] if k in rho
+                 else rho.setdefault(k, rho_value(rule, *k)) for k in keys]
             if q.dtype != object:
                 top = max(d)
                 if ((top + 1) * int(q.max()) >= _INT64_LIMIT

@@ -24,14 +24,16 @@ the last one squares the last row's complex terms in place m times,
 since e(2 xi x) = e(xi x)^2, instead of calling exp again; it restarts
 from exp when the squared terms' bound would exceed twice a direct
 evaluation's. A nu scan plans its rows first (_nu_plan) and then makes
-one pass over the atoms for all of them (_nu_values), one leaf of
-numpy's pairwise summation tree at a time: every row's terms for the
-leaf are formed in one leaf-sized buffer and summed, and the leaf sums
-are added up the same tree, so each value has the bits of one numpy
-sum over a full-size buffer of terms, which is never allocated. The nu
-cylinders themselves are streamed: neither their convergent matrices
-nor their exact midpoints are held, as every exact row folds a leaf's
-exact midpoints, formed once (_Atoms.exact_mids). On cascade atoms a
+one pass over the atoms for all of them (_nu_values), leaf by leaf of
+numpy's pairwise summation tree: every row's terms for a leaf are
+formed in one leaf-sized buffer and summed, and the leaf sums are added
+up the same tree, in its order, so each value has the bits of one numpy
+sum over a full-size buffer of terms, which is never allocated. The
+leaves are independent, so they run on any core (pool.ordered_map) and
+the bits do not depend on how many. The nu cylinders themselves are
+streamed the same way: neither their convergent matrices nor their
+exact midpoints are held, as every exact row folds a leaf's exact
+midpoints, formed once (_Atoms.exact_mids). On cascade atoms a
 scan row folds its frequency once, and its typical estimate sums a
 subset of the full estimate's terms. Cascade cylinders
 (cascade._lambda_leaves) and sample sets (cascade._sample_columns) come
@@ -56,7 +58,7 @@ from .blocks import (
     NuMeasure,
     _block_matrices,
     _entries,
-    _entry_chunks,
+    _entry_rows,
     _geometry,
     _prefix_entries,
     _product,
@@ -72,6 +74,7 @@ from .cascade import (
     split_typ_exc,
 )
 from .errors import PreconditionViolated
+from .pool import ordered_map
 from .words import continuant
 
 Measure = Union[NuMeasure, LambdaMeasure]
@@ -231,22 +234,25 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
 
 
 def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
-    """Every depth-level cylinder of nu, streamed (see cylinder_chunks).
+    """Every depth-level cylinder of nu, streamed (see blocks._entry_rows).
 
     Neither the matrices (32 B a cylinder) nor the widths are kept: the
     chunks are the leaves of numpy's float64 pairwise tree over the
-    widths, so combining their sums gives widths.sum() bit for bit. Only
-    the two factors (blocks._prefix_entries) are, for exact_mids.
+    widths, each formed on any core (pool.ordered_map), so combining
+    their sums in the tree's order gives widths.sum() bit for bit. Only
+    the two factors (blocks._prefix_entries) are kept, for exact_mids.
     """
     n = len(nu.support)**depth
     prefix, base = _prefix_entries(nu, depth, budget)
     mids = np.empty(n, dtype=np.float64)
-    width_sums, min_width = [], math.inf
-    leaves = _pairwise_leaves(n, 1, _LEAF)
-    for lo, hi, cols in _entry_chunks(prefix, base, leaves):
-        mids[lo:hi], widths = _geometry(*cols)
-        width_sums.append(widths.sum())
-        min_width = min(min_width, widths.min())
+
+    def leaf(bound: tuple[int, int]) -> tuple:
+        lo, hi = bound
+        mids[lo:hi], widths = _geometry(*_entry_rows(prefix, base, lo, hi))
+        return widths.sum(), widths.min()
+
+    width_sums, min_widths = zip(*ordered_map(
+        leaf, _pairwise_leaves(n, 1, _LEAF)))
     weight = float(nu.atom)**depth
     # roundings between the float terms and the true bound
     # pi |xi| sum s^-depth / (q (q + q')), each worth at most a
@@ -256,9 +262,9 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     width_sum = _pairwise_combine(n, 1, _LEAF, width_sums)
     return _Atoms(weight=weight, mids=mids, cascade=False,
                   exact_mids=lambda lo, hi: _midpoints(
-                      next(_entry_chunks(prefix, base, [(lo, hi)]))[2]),
+                      _entry_rows(prefix, base, lo, hi)),
                   mass_width=weight * float(width_sum) * _inflation(steps),
-                  **_nu_rounding(min_width, weight, nu.atom**depth))
+                  **_nu_rounding(min(min_widths), weight, nu.atom**depth))
 
 
 # roundings in a float midpoint when blocks._geometry's integers are not
@@ -383,9 +389,10 @@ def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
 
 # float64 parts numpy's pairwise sum adds in one unrolled block, unsplit
 _PAIRWISE_BLOCK = 128
-# atoms per leaf of a nu evaluation pass: a leaf's complex terms (1 MiB)
-# stay in cache through every row's squarings
-_LEAF = 1 << 16
+# atoms per leaf of a nu evaluation pass: the complex terms of the two
+# leaves in flight (512 KiB each) stay in cache through every row's
+# squarings
+_LEAF = 1 << 15
 
 
 def _pairwise_split(n: int, parts: int, leaf: int) -> int:
@@ -494,40 +501,43 @@ def _direct_terms(atoms: _Atoms, x, terms: np.ndarray,
 def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
     """(value, eps) at every frequency of xs, in one pass over nu atoms.
 
-    The rows follow _nu_plan. The atoms are visited once, one leaf of
-    numpy's complex pairwise tree at a time (_pairwise_leaves, at most
-    _LEAF atoms): every row in turn folds and exponentiates the leaf's
-    terms into one leaf-sized buffer, or squares the terms the buffer
-    holds from the row before, and records the leaf's sum. If any row
-    folds exactly, the leaf's exact midpoints are formed once
-    (atoms.exact_mids) and every exact row folds them. Each term is the
-    one a full-size buffer would hold, as every step is elementwise, and
-    the leaf sums combine up the same tree (_pairwise_combine), so each
-    value equals weight * terms.sum() over all atoms bit for bit.
-    At xi = 0 the value is 1 and eps 0; a negative xi takes the
+    The rows follow _nu_plan. The atoms are visited once, leaf by leaf
+    of numpy's complex pairwise tree (_pairwise_leaves, at most _LEAF
+    atoms), the leaves on any core (pool.ordered_map): every row
+    in turn folds and exponentiates the leaf's terms into the leaf's
+    own buffer, or squares the terms the buffer holds from the row
+    before, and records the leaf's sum. If any row folds exactly, the
+    leaf's exact midpoints are formed once (atoms.exact_mids) and every
+    exact row folds them. Each term is the one a full-size buffer would
+    hold, as every step is elementwise, and the leaf sums combine up the
+    same tree, in its order (_pairwise_combine), so each value equals
+    weight * terms.sum() over all atoms bit for bit, on any number of
+    cores. At xi = 0 the value is 1 and eps 0; a negative xi takes the
     conjugate of the value at |xi|.
     """
     plan = _nu_plan(atoms, xs)
     rows = [row for row in plan if row is not None]
     n = len(atoms.mids)
-    sums = [[] for _ in rows]
     exact = any(_folds_exactly(atoms, x) for x, _, _ in rows)
-    if rows:
-        leaves = list(_pairwise_leaves(n, 2, _LEAF))
-        buf = np.empty(max(hi - lo for lo, hi in leaves),
-                       dtype=np.complex128)
-        for lo, hi in leaves:
-            terms = buf[:hi - lo]
-            leaf = lo, hi, atoms.exact_mids(lo, hi) if exact else None
-            for (x, m, _), leaf_sums in zip(rows, sums):
-                if m:
-                    for _ in range(m):
-                        np.multiply(terms, terms, out=terms)
-                else:
-                    _direct_terms(atoms, x, terms, leaf)
-                leaf_sums.append(terms.sum())
-    totals = iter([_pairwise_combine(n, 2, _LEAF, leaf_sums)
-                   for leaf_sums in sums])
+
+    def leaf_sums(bound: tuple[int, int]) -> list:
+        lo, hi = bound
+        terms = np.empty(hi - lo, dtype=np.complex128)
+        leaf = lo, hi, atoms.exact_mids(lo, hi) if exact else None
+        sums = []
+        for x, m, _ in rows:
+            if m:
+                for _ in range(m):
+                    np.multiply(terms, terms, out=terms)
+            else:
+                _direct_terms(atoms, x, terms, leaf)
+            sums.append(terms.sum())
+        return sums
+
+    by_leaf = ordered_map(leaf_sums, _pairwise_leaves(n, 2, _LEAF)) \
+        if rows else []
+    totals = iter([_pairwise_combine(n, 2, _LEAF, row_sums)
+                   for row_sums in zip(*by_leaf)])
     out = []
     for xi, row in zip(xs, plan):
         if row is None:
@@ -665,7 +675,11 @@ def _error(atoms: _Atoms, xi, eps: float,
        summed by numpy as the tree sums it, and _pairwise_combine adds
        the leaf sums up the rest of the tree in numpy's order, so the
        additions, and the float sum, are those of one ndarray.sum().
-       test_leaf_sums_combine_to_the_numpy_sum checks this order.
+       The leaves run on any core, but each sum goes to its leaf's slot
+       and the combine reads the slots in tree order, so the order
+       does not depend on which leaf finishes first.
+       test_leaf_sums_combine_to_the_numpy_sum checks this order, and
+       test_results_do_not_depend_on_the_worker_count the slots.
     6. Weight. The float weight is within rho w of w, computed exactly
        when the atoms are built, and the last product rounds each part
        once. With w n = 1 and s = eps + sqrt(2) gamma_h (1 + eps), the

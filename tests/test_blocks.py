@@ -18,7 +18,6 @@ from cfraj.blocks import (
     _block_matrices,
     blocks_to_word,
     build_nu,
-    cylinder_chunks,
     cylinder_geometry,
     frostman_ceiling,
     frostman_scan,
@@ -330,25 +329,32 @@ def test_streamed_geometry_equals_cylinder_geometry(monkeypatch, chunk):
     monkeypatch.setattr(blocks, "_STREAM_CHUNK", chunk)
     assert s**(depth - 1) % chunk
     mids, widths = cylinder_geometry(product_convergent_matrices(nu, depth))
+    prefix, base = blocks._prefix_entries(nu, depth, 10**6)
+
+    def rows(lo, hi, **kwargs):
+        return blocks._geometry(*blocks._entry_rows(prefix, base, lo, hi),
+                                **kwargs)
+
     got_mids = np.empty_like(mids)
     got_widths = np.empty_like(widths)
-    for lo, hi, m, w in cylinder_chunks(nu, depth):
-        got_mids[lo:hi], got_widths[lo:hi] = m, w
+    for lo, hi in blocks._stream_bounds(len(mids)):
+        got_mids[lo:hi], got_widths[lo:hi] = rows(lo, hi)
     assert got_mids.tobytes() == mids.tobytes()
     assert got_widths.tobytes() == widths.tobytes()
     # ragged row ranges, cut inside a prefix's blocks
     cuts = [0, 1, 2, s + 3, 4 * s - 1, 1000, len(mids)]
-    for lo, hi, m, w in cylinder_chunks(nu, depth,
-                                        bounds=list(zip(cuts, cuts[1:]))):
+    for lo, hi in zip(cuts, cuts[1:]):
+        m, w = rows(lo, hi)
         assert m.tobytes() == mids[lo:hi].tobytes()
         assert w.tobytes() == widths[lo:hi].tobytes()
-    for lo, hi, m, w in cylinder_chunks(nu, depth, widths=False):
+    for lo, hi in blocks._stream_bounds(len(mids)):
+        m, w = rows(lo, hi, widths=False)
         assert w is None and m.tobytes() == mids[lo:hi].tobytes()
 
 
 def test_streamed_enumeration_checks_the_budget_first():
     with pytest.raises(BudgetExceeded):
-        cylinder_chunks(small_nu(), 30, budget=10**6)
+        blocks._prefix_entries(small_nu(), 30, budget=10**6)
     with pytest.raises(BudgetExceeded):
         frostman_scan(small_nu(), 30, [0.1], budget=10**6)
 

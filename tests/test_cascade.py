@@ -445,6 +445,22 @@ def test_enumeration_checks_its_budget_before_any_arithmetic(monkeypatch):
         _lambda_leaves(lm, 13, budget=10)
 
 
+def test_forced_runs_compute_each_state_once(monkeypatch):
+    """A forced digit depends on its path's (q, digit sum) only, so the
+    enumeration computes it once per distinct pair in a run, not once
+    per path below the stage (3,840 calls here)."""
+    calls = []
+
+    def spy(rule, q, dsum):
+        calls.append((q, dsum))
+        return rho_value(rule, q, dsum)
+
+    monkeypatch.setattr(cascade, "rho_value", spy)
+    assert len(_lambda_leaves(toy_lambda(), 13)) == 1792
+    # one pair comes up in the runs of two different stages
+    assert len(set(calls)) == 167 and len(calls) <= 168
+
+
 def test_gap_condition_exhaustive_vs_certified():
     # certified composes worst-case growth and can reject a schedule the
     # literal stage maximum accepts

@@ -38,6 +38,33 @@ def test_cli_import_leaves_scipy_out():
                    for path in (src / "cfraj").glob("*.py"))
 
 
+def test_cli_import_and_single_leaf_sets_start_no_thread():
+    """The leaf pool is made on the first map of two or more leaves:
+    importing the CLI starts no thread and loads no concurrent.futures,
+    and a set of one leaf (the lemma sweep's 32 atoms) stays on the
+    calling thread."""
+    src = ROOT / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = """
+import random, sys, threading
+import cfraj.cli
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+from fractions import Fraction
+from cfraj.blocks import build_nu
+from cfraj.fourier import decay_scan
+from cfraj.oscillatory import check_integral_inequality, integral_sweep_case
+nu = build_nu(3, 1, None, Fraction(1, 4), sigma_anchor=(6, 2))
+decay_scan(nu, [-3, 0, 1, 2, 2**41], "cylinder", 5)
+check_integral_inequality(integral_sweep_case(random.Random(0)), nu, 5)
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["1 False", "1 False"]
+
+
 def test_nu_build_support_size(capsys):
     code, out, _ = run_cli(capsys, [
         "nu", "build", "--N", "3", "--p", "2",

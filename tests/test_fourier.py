@@ -616,7 +616,8 @@ def test_numpy_complex_sum_is_the_pairwise_sum_the_bound_counts(n):
 
 
 @pytest.mark.parametrize("parts", [1, 2])
-@pytest.mark.parametrize("leaf", [1, 7, 64, 100, 1000, fourier._LEAF])
+@pytest.mark.parametrize("leaf", [1, 7, 64, 100, 1000, fourier._LEAF,
+                                  1 << 16])
 def test_leaf_sums_combine_to_the_numpy_sum(parts, leaf):
     """The one-pass nu evaluation sums leaf by leaf and combines the
     leaf sums; the evaluation term counts numpy's pairwise additions.
@@ -624,7 +625,7 @@ def test_leaf_sums_combine_to_the_numpy_sum(parts, leaf):
     here."""
     rng = np.random.default_rng(leaf)
     lengths = list(range(1, 301)) + [8191, 8192, 36100]
-    if leaf in (100, fourier._LEAF):
+    if leaf in (100, fourier._LEAF, 1 << 16):
         lengths.append(190**3)
     for n in lengths:
         values = (np.exp(2j * math.pi * rng.random(n))
@@ -656,7 +657,7 @@ NU_PIN_XIS = [-(2**20), 0, 2.0**-3, 2.0**-2, 1, 2, 3, 6.5, 13, 2**10, 2**11,
 
 # digests of scans evaluated in one full-size buffer, which the
 # leaf-by-leaf pass must reproduce bit for bit at any leaf size
-@pytest.mark.parametrize("leaf", [fourier._LEAF, 1000])
+@pytest.mark.parametrize("leaf", [1 << 16, fourier._LEAF, 1000])
 @pytest.mark.parametrize("measure,depth,digest_want", [
     (nu_two_digit(), 12,
      "4c5da65e0ede3aab640e23eebf4b11484b77e19b872afe52d1ceaa20528ac0ad"),
@@ -721,32 +722,39 @@ def test_nu_scan_folds_huge_integers_exactly():
 def test_nu_exact_rows_convert_each_leaf_once(monkeypatch):
     """Exact-fold rows share one integer conversion (_midpoints) per leaf
     of the pass, and no conversion spans more than one leaf. The leaves
-    here, 512 atoms, are each converted in one call."""
+    here, 512 atoms, are each converted in one call. Leaves run on any
+    core, so the calls are matched to rows by their words, not by the
+    order in which they finish."""
     monkeypatch.setattr(fourier, "_LEAF", 1000)
     nu, depth = nu_two_digit(), 12
+    words = list(iter_product(nu.support, repeat=depth))
+    mids = []
+    for word in words:
+        q, qp, pn, pp = 1, 0, 0, 1
+        for (d,) in word:
+            q, qp, pn, pp = d * q + qp, q, d * pn + pp, pn
+        mids.append(Fraction(2 * pn * q + pn * qp + pp * q, 2 * q * (q + qp)))
+    # distinct cylinders have distinct midpoints, so a call's first one
+    # gives the row it starts at
+    row = {mid: k for k, mid in enumerate(mids)}
     calls = []
 
     def midpoints(*args):
-        calls.append(real(*args))
-        return calls[-1]
+        num, den = real(*args)
+        lo = row[Fraction(num[0], den[0])]
+        calls.append((lo, lo + len(num), num, den))
+        return num, den
 
     real = fourier._midpoints
     monkeypatch.setattr(fourier, "_midpoints", midpoints)
     decay_scan(nu, [2**40, 2**41, 2**45 + 1], "cylinder", depth)
+    calls.sort(key=lambda call: call[0])
     leaves = list(fourier._pairwise_leaves(2**depth, 2, 1000))
     assert len(leaves) > 1
-    # one call per leaf, not one per exact row, each no longer than it
-    assert [len(num) for num, _ in calls] == [hi - lo for lo, hi in leaves]
-    words = list(iter_product(nu.support, repeat=depth))
-    for (lo, hi), (num, den) in zip(leaves, calls):
-        want = []
-        for word in words[lo:hi]:
-            q, qp, pn, pp = 1, 0, 0, 1
-            for (d,) in word:
-                q, qp, pn, pp = d * q + qp, q, d * pn + pp, pn
-            want.append(Fraction(2 * pn * q + pn * qp + pp * q,
-                                 2 * q * (q + qp)))
-        assert [Fraction(n, d) for n, d in zip(num, den)] == want
+    # one call per leaf, not one per exact row, each covering exactly it
+    assert [(lo, hi) for lo, hi, _, _ in calls] == leaves
+    for lo, hi, num, den in calls:
+        assert [Fraction(n, d) for n, d in zip(num, den)] == mids[lo:hi]
 
 
 rationals = st.one_of(
