@@ -377,22 +377,51 @@ def _entries(mats: np.ndarray) -> tuple:
     return tuple(mats.reshape(-1, 4).T)
 
 
-def _prefix_entries(nu: NuMeasure, depth: int, budget: int) -> tuple:
-    """(entries of the depth - 1 level matrices, entries of the blocks).
+def _ascending_tables(nu: NuMeasure, mats: np.ndarray, depth: int) -> list:
+    """Per-level block tables whose C-order product lists the depth-level
+    cylinders in ascending order along [0, 1].
 
-    The depth - 1 level has s^(depth - 1) matrices in C order (the
-    identity at depth 1); depth-level row a * s + b is prefix a times
-    block b.
+    The cylinder of blocks b_1 ... b_depth lies in T(I_b) at every
+    level j, where b = b_j, I_b is the cylinder of block b and
+    T(t) = (p + p' t) / (q + q' t) is the map of b_1 ... b_(j - 1):
+    monotone, with the sign of (-1)^(p (j - 1)), one sign change per
+    digit. The I_b are disjoint, so cylinders that share their first
+    j - 1 blocks ascend with b_j when level j lists the blocks in the
+    order of the I_b along [0, 1] if p (j - 1) is even, and in the
+    reverse order if it is odd. The I_b are ordered by their exact
+    Fraction midpoints, so the order never depends on rounding.
+    """
+    mids = [Fraction(2 * pn * q + pn * qp + pp * q, 2 * q * (q + qp))
+            for q, qp, pn, pp in mats.reshape(-1, 4).tolist()]
+    order = sorted(range(len(mids)), key=mids.__getitem__)
+    up = _entries(mats[order])
+    down = _entries(mats[order[::-1]])
+    return [down if nu.p * j % 2 else up for j in range(depth)]
+
+
+def _prefix_entries(nu: NuMeasure, depth: int, budget: int,
+                    ascending: bool = False) -> tuple:
+    """(entries of the depth - 1 level matrices, entries of the last
+    level's block table).
+
+    Each level takes its blocks from a table: the support in support
+    order (C order), or with ascending the tables of _ascending_tables.
+    The depth - 1 level has s^(depth - 1) matrices, the product of the
+    first depth - 1 tables in C order (the identity at depth 1);
+    depth-level row a * s + b is prefix a times entry b of the last
+    table.
     """
     s = len(nu.support)
     if s**depth > budget:
         raise BudgetExceeded(f"{s}^{depth} cylinders exceed budget {budget}")
-    base = _entries(_block_matrices(nu, depth))
-    prefix = base if depth > 1 else _entries(np.eye(2, dtype=np.int64))
-    for _ in range(depth - 2):
+    mats = _block_matrices(nu, depth)
+    tables = (_ascending_tables(nu, mats, depth) if ascending
+              else [_entries(mats)] * depth)
+    prefix = _entries(np.eye(2, dtype=np.int64))
+    for table in tables[:-1]:
         prefix = tuple(e.reshape(-1) for e in
-                       _product([e[:, None] for e in prefix], base))
-    return prefix, base
+                       _product([e[:, None] for e in prefix], table))
+    return prefix, tables[-1]
 
 
 # rows per chunk of the streamed enumeration; bounds its temporaries
@@ -521,25 +550,45 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
                   budget: int = DEFAULT_ENUM_BUDGET) -> FrostmanScan:
     """Ball-mass growth scan of the depth-level product pushforward.
 
-    The cylinder midpoints are streamed into one array, a chunk of
-    _STREAM_CHUNK rows at a time on every core (pool.ordered_map), and
-    sorted in place; no convergent matrix stack is built. Each chunk's
-    midpoints are cylinder_geometry's, bit for bit.
+    Every width must be a finite float above 0. The cylinder midpoints
+    are streamed into one array, a chunk of _STREAM_CHUNK rows at a time
+    on every core (pool.ordered_map); no convergent matrix stack is
+    built. The cylinders are enumerated in ascending order along [0, 1]
+    (_prefix_entries with ascending, whose tables reverse the block
+    order at the levels where the prefix map is decreasing), so their
+    exact midpoints ascend. Each chunk checks its own float midpoints
+    with one vectorised >= on its worker, and the caller checks the
+    seams between chunks. Only if a check fails, which can happen only
+    once cylinder widths reach the float spacing (for the measure on
+    the digits {2, 3}, first at depth 16), are the midpoints sorted in
+    place. Each midpoint is cylinder_geometry's, bit for bit, as the
+    integer entries are the same, so the multiset of floats is that of
+    the C-order enumeration. A nondecreasing array is fixed by its
+    multiset, so the array searched equals
+    np.sort(cylinder_geometry(product_convergent_matrices(...))[0]) bit
+    for bit, whichever way it was ordered.
     """
     if depth < 1:
         raise PreconditionViolated("depth must be >= 1")
-    prefix, base = _prefix_entries(nu, depth, budget)
+    widths_f = tuple(float(u) for u in widths)
+    if not all(math.isfinite(u) and u > 0 for u in widths_f):
+        raise PreconditionViolated("widths must be finite floats above 0")
+    prefix, base = _prefix_entries(nu, depth, budget, ascending=True)
     mids = np.empty(len(prefix[0]) * len(base[0]), dtype=np.float64)
 
-    def fill(bound: tuple[int, int]) -> None:
+    def fill(bound: tuple[int, int]) -> bool:
         lo, hi = bound
-        mids[lo:hi] = _geometry(*_entry_rows(prefix, base, lo, hi),
-                                widths=False)[0]
+        chunk = mids[lo:hi]
+        chunk[:] = _geometry(*_entry_rows(prefix, base, lo, hi),
+                             widths=False)[0]
+        return bool((chunk[1:] >= chunk[:-1]).all())
 
-    ordered_map(fill, _stream_bounds(len(mids)))
-    mids.sort()
+    bounds = _stream_bounds(len(mids))
+    seams = np.array([lo for lo, _ in bounds[1:]], dtype=np.intp)
+    if not (all(ordered_map(fill, bounds))
+            and (mids[seams] >= mids[seams - 1]).all()):
+        mids.sort()
     atom = 1.0 / float(len(nu.support)) ** depth
-    widths_f = tuple(float(u) for u in widths)
     omega = sliding_max_mass(mids, atom, widths_f)
     log_u = np.log(np.array(widths_f))
     log_o = np.log(np.array(omega))

@@ -725,6 +725,21 @@ def _as_estimate(atoms: _Atoms, xi, depth: int,
 # ---------------------------------------------- single-frequency methods
 
 
+def _check_frequency(xi) -> None:
+    """Raise PreconditionViolated unless float(|xi|) is finite.
+
+    The phase fold is exact at any size, but every error bound is a
+    float product with |xi|, which needs |xi| below 2^1024.
+    """
+    try:
+        finite = math.isfinite(float(abs(xi)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise PreconditionViolated(
+            "frequency magnitude must be finite in floats (below 2^1024)")
+
+
 def fourier_cylinder_sum(measure: Measure, xi, depth: int,
                          budget: int = CYLINDER_BUDGET) -> FourierEstimate:
     """Exact-decomposition estimate: sum of mass * e(xi mid) per cylinder.
@@ -733,6 +748,7 @@ def fourier_cylinder_sum(measure: Measure, xi, depth: int,
     evaluation term of _error. At xi = 0 the value is the total mass
     exactly and the bound is zero.
     """
+    _check_frequency(xi)
     return _estimate(_atoms(measure, depth, budget=budget), xi, depth)
 
 
@@ -744,6 +760,7 @@ def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
     the depth), plus on nu measures the evaluation term of _error;
     deterministic in the seed.
     """
+    _check_frequency(xi)
     return _estimate(_atoms(measure, depth, samples, seed), xi, depth)
 
 
@@ -816,11 +833,14 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     folds its frequency once: the typical estimate sums the kept subset
     of the full row's terms. For a
     plain product measure there is no exceptional part: n_index = 0 and
-    exc_tv = 0 on every row.
+    exc_tv = 0 on every row. Every |xi| must be below 2^1024
+    (_check_frequency), as for the single-frequency methods.
     """
     if method not in ("cylinder", "montecarlo"):
         raise PreconditionViolated(f"unknown method {method!r}")
     xs = list(xi_list)
+    for xi in xs:
+        _check_frequency(xi)
     if any(xs[k] >= xs[k + 1] for k in range(len(xs) - 1)):
         raise PreconditionViolated("xi_list must be strictly ascending")
 

@@ -39,6 +39,8 @@ from cfraj.errors import (
 )
 from cfraj.words import Word, _convergents, continuant, cylinder_interval
 
+from test_fourier import nu_two_digit, reference_nu
+
 
 def small_nu():
     # N=3, p=2, sigma = log 5, window factor 1 +/- 3/10
@@ -494,3 +496,107 @@ def test_reference_frostman_scans_are_pinned(depth, digest):
 def test_frostman_scan_rejects_bad_depth():
     with pytest.raises(PreconditionViolated):
         frostman_scan(small_nu(), 0, [0.1])
+
+
+@pytest.mark.parametrize("widths", [[0.0, 0.1], [-0.1, 0.1], [math.nan, 0.1]])
+def test_frostman_scan_rejects_bad_widths_before_enumerating(monkeypatch,
+                                                             widths):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated before checking the widths")
+
+    monkeypatch.setattr(blocks, "_prefix_entries", enumerate_nothing)
+    with pytest.raises(PreconditionViolated):
+        frostman_scan(small_nu(), 4, widths)
+
+
+@pytest.fixture
+def scan_spy(monkeypatch):
+    """Records the midpoints every frostman_scan searches, and counts
+    the in-place sorts made on the array it fills."""
+    seen = {"sorts": 0, "mids": []}
+
+    class Midpoints(np.ndarray):
+        def sort(self, *args, **kwargs):
+            seen["sorts"] += 1
+            super().sort(*args, **kwargs)
+
+    class Numpy:
+        """blocks' numpy, with empty() making Midpoints."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(*args, **kwargs):
+            return np.empty(*args, **kwargs).view(Midpoints)
+
+    def search(mids, atom, widths):
+        seen["mids"].append(np.array(mids))
+        return sliding_max_mass(mids, atom, widths)
+
+    monkeypatch.setattr(blocks, "np", Numpy())
+    monkeypatch.setattr(blocks, "sliding_max_mass", search)
+    return seen
+
+
+def small_p3_nu():
+    # N=4, p=3: 19 atoms, block maps decreasing
+    _, anchor = median_log_continuant(4, 3)
+    return build_nu(4, 3, None, Fraction(1, 4), sigma_anchor=anchor)
+
+
+def descent_at(nu, depth):
+    """The one index i with mids[i] > mids[i + 1] in the ascending
+    enumeration of nu at depth."""
+    prefix, base = blocks._prefix_entries(nu, depth, 10**6, ascending=True)
+    mids = blocks._geometry(*blocks._entry_rows(
+        prefix, base, 0, len(prefix[0]) * len(base[0])), widths=False)[0]
+    (i,) = np.nonzero(mids[1:] < mids[:-1])[0]
+    return int(i)
+
+
+@pytest.mark.parametrize("measure,depth,chunk,sorts", [
+    (nu_two_digit, 1, None, 0),
+    (nu_two_digit, 5, None, 0),
+    (nu_two_digit, 12, 1000, 0),
+    (small_nu, 6, 1000, 0),
+    (small_p3_nu, 4, 1000, 0),
+    (reference_nu, 2, 1000, 0),
+    # widths at the float spacing: one adjacent pair descends, and the
+    # midpoints are sorted, whether the pair is inside a chunk or
+    # across the seam of two
+    (nu_two_digit, 16, None, 1),
+    (nu_two_digit, 16, "seam", 1),
+])
+def test_frostman_scan_equals_the_sorted_c_order_scan(monkeypatch, scan_spy,
+                                                      measure, depth, chunk,
+                                                      sorts):
+    """p = 1 and p = 3 measures reverse every other level's blocks; the
+    p = 2 measure reverses none. The midpoints searched, the omegas and
+    the fit equal those from the sorted C-order midpoints bit for bit."""
+    nu = measure()
+    if chunk == "seam":
+        chunk = descent_at(nu, depth) + 1
+    if chunk is not None:
+        monkeypatch.setattr(blocks, "_STREAM_CHUNK", chunk)
+    widths = [2.0**-k for k in range(2, 50, 3)]
+    # np.asarray: a plain array, whose sort the spy does not count
+    mids = np.sort(np.asarray(
+        cylinder_geometry(product_convergent_matrices(nu, depth))[0]))
+    omega = sliding_max_mass(mids, 1.0 / float(len(nu.support))**depth,
+                             widths)
+    fit = float(np.polyfit(np.log(widths), np.log(omega), 1)[0])
+    scan = frostman_scan(nu, depth, widths)
+    assert scan_spy["mids"][0].tobytes() == mids.tobytes()
+    assert [w.hex() for w in scan.omega] == [w.hex() for w in omega]
+    assert scan.fitted_exponent.hex() == fit.hex()
+    assert scan_spy["sorts"] == sorts
+
+
+def test_reference_depth3_frostman_scan_sorts_nothing(scan_spy):
+    # the array itself is pinned by test_reference_frostman_scans_are_pinned
+    frostman_scan(reference_nu(), 3, [2.0**-k for k in range(2, 14)])
+    (mids,) = scan_spy["mids"]
+    assert len(mids) == 190**3
+    assert (mids[1:] >= mids[:-1]).all()
+    assert scan_spy["sorts"] == 0

@@ -192,6 +192,20 @@ def test_monte_carlo_overflow_guard():
         fourier_monte_carlo(big, 3, 10, 6, seed=0)
 
 
+@pytest.mark.parametrize("xi", [2**1100, -2**1100, Fraction(2**1100, 3)])
+def test_frequencies_beyond_float_range_are_rejected(xi):
+    # the fold would be exact, but the bound is a float product with |xi|
+    nu, lm = nu_two_digit(), toy_lambda()
+    for estimate in (lambda: fourier_cylinder_sum(lm, xi, 9),
+                     lambda: fourier_cylinder_sum(nu, xi, 4),
+                     lambda: fourier_monte_carlo(nu, xi, 100, 6),
+                     lambda: fourier_monte_carlo(lm, xi, 100, 6),
+                     lambda: decay_scan(nu, [2, xi], "cylinder", 4),
+                     lambda: decay_scan(lm, [2, xi], "cylinder", 9)):
+        with pytest.raises(PreconditionViolated, match="2\\^1024"):
+            estimate()
+
+
 def test_width_ceiling_is_sound():
     lm = toy_lambda()
     cap = _width_ceiling(lm, 8)

@@ -32,7 +32,9 @@ def workers(request, monkeypatch):
 
 def outputs() -> list:
     """Bytes of every result a leaf pass feeds: scan rows (float,
-    squared, exact, negative and zero), cylinder atoms, Frostman scan."""
+    squared, exact, negative and zero), cylinder atoms, Frostman scans
+    of a p = 2 measure (every level ascending) and of a p = 1 measure
+    (every other level reversed)."""
     nu, depth = nu_two_digit(), 12
     rows = decay_scan(nu, NU_PIN_XIS, "cylinder", depth).rows
     out = [(r.full.value.real.hex(), r.full.value.imag.hex(),
@@ -42,6 +44,8 @@ def outputs() -> list:
     scan = frostman_scan(build_nu(3, 2, None, Fraction(3, 10),
                                   sigma_anchor=(5, 1)),
                          6, [2.0**-k for k in range(2, 14)])
+    out += [[w.hex() for w in scan.omega], scan.fitted_exponent.hex()]
+    scan = frostman_scan(nu, depth, [2.0**-k for k in range(2, 30, 2)])
     out += [[w.hex() for w in scan.omega], scan.fitted_exponent.hex()]
     return out
 
