@@ -210,23 +210,49 @@ def median_log_continuant(n_bound: int, p: int, weighting: str = "lebesgue",
     that a uniformly random real starts with those partial quotients);
     "uniform" counts tuples equally. Returns (sigma, (K_med, 1)) so the
     window can be certified exactly.
+
+    The tuples are ordered by K, ties in flat (C-order) index, with one
+    sort of the int64 keys (K << bits) | index, bits the width of the
+    largest index. The keys are distinct and order the pairs (K, index)
+    lexicographically, so the sorted keys give the permutation of a
+    stable argsort of K as floats, whatever sort numpy runs: the float
+    conversion is exact, as K < 2^53. K(a_1..a_p) <= (N + 1)^p, so the
+    keys fit when bits + bit_length((N + 1)^p) <= 63; BudgetExceeded is
+    raised before enumerating otherwise. Under the default budget the
+    widest case, N = 2 and p = 23, needs 60 bits. The weights are the
+    same floats, gathered in the same order, so the cumulative sum and
+    its search are unchanged.
     """
-    if n_bound**p > budget:
+    n = n_bound**p
+    if n > budget:
         raise BudgetExceeded("enumeration budget exceeded")
-    k_grid, kp_grid = _continuant_grids(n_bound, p)
-    k = k_grid.reshape(-1).astype(np.float64)
-    if weighting == "lebesgue":
-        kp = kp_grid.reshape(-1).astype(np.float64)
-        w = 1.0 / (k * (k + kp))
-    elif weighting == "uniform":
-        w = np.ones_like(k)
-    else:
+    bits = (n - 1).bit_length()
+    if bits + ((n_bound + 1)**p).bit_length() > 63:
+        raise BudgetExceeded(
+            f"sort keys of {n_bound}^{p} continuants exceed 63 bits")
+    if weighting not in ("lebesgue", "uniform"):
         raise PreconditionViolated(f"unknown weighting {weighting!r}")
-    order = np.argsort(k, kind="stable")
-    cum = np.cumsum(w[order])
-    total = cum[-1]
-    pos = int(np.searchsorted(cum, total / 2.0))
-    k_med = int(k[order[min(pos, len(k) - 1)]])
+    k_grid, kp_grid = _continuant_grids(n_bound, p)
+    keys = k_grid.reshape(-1)
+    w = kp_grid.reshape(-1).astype(np.float64)
+    del kp_grid
+    if weighting == "lebesgue":
+        # 1 / (k (k + k')) with the same roundings, in place
+        k = keys.astype(np.float64)
+        w += k
+        w *= k
+        del k
+        np.divide(1.0, w, out=w)
+    else:
+        w[:] = 1.0
+    keys <<= bits
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    cum = w[keys & ((1 << bits) - 1)]
+    del w
+    np.cumsum(cum, out=cum)
+    pos = int(np.searchsorted(cum, cum[-1] / 2.0))
+    k_med = int(keys[min(pos, n - 1)] >> bits)
     return math.log(k_med), (k_med, 1)
 
 

@@ -82,6 +82,10 @@ Measure = Union[NuMeasure, LambdaMeasure]
 # above this, float(xi) * float(mid) has absolute error comparable to 1
 EXACT_FOLD_THRESHOLD = 2**40
 
+# every |xi| must be below this, so that its error bound is a finite
+# float (see _check_frequency)
+FREQUENCY_LIMIT = 2**1020
+
 TWO_PI = 2.0 * math.pi
 
 # unit roundoff of float64
@@ -726,18 +730,24 @@ def _as_estimate(atoms: _Atoms, xi, depth: int,
 
 
 def _check_frequency(xi) -> None:
-    """Raise PreconditionViolated unless float(|xi|) is finite.
+    """Raise PreconditionViolated unless |xi| < FREQUENCY_LIMIT = 2^1020.
 
     The phase fold is exact at any size, but every error bound is a
-    float product with |xi|, which needs |xi| below 2^1024.
+    float product with |xi|, and the limit keeps each accepted bound
+    finite. float(|xi|) <= 2^1020, as rounding is monotone and 2^1020 is
+    a float. A cylinder bound is pi float(|xi|) times the sum of mass *
+    width, which is at most 1 (masses sum to 1, disjoint widths to at
+    most 1) raised by a few roundings: below 4 * 2^1020 = 2^1022. A
+    sample bound is PI_UP |xi| times the width ceiling (at most 1),
+    below 2^1022, plus 3 / sqrt(n) <= 3, each raised by a few ulps. The
+    evaluation term of nu atoms is below 1. Every bound is thus below
+    2^1022 + 4, far under the float limit 2^1024. NaN and infinite
+    floats fail the comparison and are rejected too.
     """
-    try:
-        finite = math.isfinite(float(abs(xi)))
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not abs(xi) < FREQUENCY_LIMIT:
         raise PreconditionViolated(
-            "frequency magnitude must be finite in floats (below 2^1024)")
+            "frequency magnitude must be below 2^1020, so that its error "
+            "bound stays finite in floats (below 2^1024)")
 
 
 def fourier_cylinder_sum(measure: Measure, xi, depth: int,
@@ -833,8 +843,9 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     folds its frequency once: the typical estimate sums the kept subset
     of the full row's terms. For a
     plain product measure there is no exceptional part: n_index = 0 and
-    exc_tv = 0 on every row. Every |xi| must be below 2^1024
-    (_check_frequency), as for the single-frequency methods.
+    exc_tv = 0 on every row. Every |xi| must be below 2^1020
+    (_check_frequency), as for the single-frequency methods; that is
+    checked before any cylinder or sample is formed.
     """
     if method not in ("cylinder", "montecarlo"):
         raise PreconditionViolated(f"unknown method {method!r}")

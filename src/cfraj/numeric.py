@@ -5,16 +5,17 @@ passes the decimal-digit budget. Integer roots and powers stay exact.
 Logs of integers too large for a float come as plain floats from
 `ln_int`. Certified comparisons between logs of big integers and rational
 thresholds go through mpmath interval arithmetic with precision
-escalation.
+escalation. mpmath is imported on the first such comparison, in
+`_interval_precision`, not with this module: importing it takes about as
+long as importing the rest of the package, and most runs never compare.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from fractions import Fraction
-
-import mpmath
 
 from .errors import CertificationFailed, Overflow
 
@@ -73,7 +74,7 @@ def ln_fraction(x: Fraction) -> float:
 
 def guard_int(n: int, context: str = "value") -> int:
     """Raise Overflow when an integer exceeds the digit budget."""
-    bits = n.bit_length() if n >= 0 else (-n).bit_length()
+    bits = n.bit_length()
     # bits * log10(2) decimal digits
     if bits * 0.30103 > (_digit_budget or digit_budget()):
         raise Overflow(
@@ -128,66 +129,63 @@ def ipow_ceil(base: int, num: int, den: int, context: str = "power") -> int:
     return iroot_ceil(power, den)
 
 
-def _iv_log(n: int, prec: int):
+@contextmanager
+def _interval_precision(prec: int):
+    """mpmath, its interval context set to prec bits and restored on exit.
+
+    The module's only import of mpmath.
+    """
+    import mpmath
+
     old = mpmath.iv.prec
     mpmath.iv.prec = prec
     try:
-        return mpmath.iv.log(mpmath.iv.mpf(n))
+        yield mpmath
     finally:
         mpmath.iv.prec = old
 
 
-def _iv_fraction(x: Fraction, prec: int):
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
-    finally:
-        mpmath.iv.prec = old
+def _ln_below(n: int, bound: Fraction, max_prec: int) -> bool:
+    """Certified decision of ln(n) < bound for integer n >= 2.
+
+    Escalates interval precision until the comparison is strict. ln(n)
+    is irrational, so it never equals the rational bound and the
+    intervals separate once the precision is high enough.
+    """
+    prec = max(64, n.bit_length() + 16)
+    while prec <= max_prec:
+        with _interval_precision(prec) as mp:
+            ln_iv = mp.iv.log(mp.iv.mpf(n))
+            b_iv = mp.iv.mpf(bound.numerator) / mp.iv.mpf(bound.denominator)
+        if ln_iv < b_iv:
+            return True
+        if ln_iv > b_iv:
+            return False
+        prec *= 2
+    raise CertificationFailed(
+        f"could not decide ln({n}) vs {bound} within precision {max_prec}"
+    )
 
 
 def cert_ln_le(n: int, bound: Fraction, max_prec: int = 1 << 14) -> bool:
     """Certified decision of ln(n) <= bound for integer n >= 1.
 
-    Escalates interval precision until the comparison is strict. ln of an
-    integer >= 2 is irrational, so termination is guaranteed except for
-    the trivial n = 1 case which is handled exactly.
+    n = 1 is decided exactly; otherwise see _ln_below.
     """
     if n < 1:
         raise ValueError("cert_ln_le needs n >= 1")
     if n == 1:
         return bound >= 0
-    prec = max(64, n.bit_length() + 16)
-    while prec <= max_prec:
-        ln_iv = _iv_log(n, prec)
-        b_iv = _iv_fraction(bound, prec)
-        if ln_iv < b_iv:
-            return True
-        if ln_iv > b_iv:
-            return False
-        prec *= 2
-    raise CertificationFailed(
-        f"could not decide ln({n}) vs {bound} within precision {max_prec}"
-    )
+    return _ln_below(n, bound, max_prec)
 
 
 def cert_ln_ge(n: int, bound: Fraction, max_prec: int = 1 << 14) -> bool:
+    """Certified decision of ln(n) >= bound for integer n >= 1."""
     if n < 1:
         raise ValueError("cert_ln_ge needs n >= 1")
     if n == 1:
         return bound <= 0
-    prec = max(64, n.bit_length() + 16)
-    while prec <= max_prec:
-        ln_iv = _iv_log(n, prec)
-        b_iv = _iv_fraction(bound, prec)
-        if ln_iv > b_iv:
-            return True
-        if ln_iv < b_iv:
-            return False
-        prec *= 2
-    raise CertificationFailed(
-        f"could not decide ln({n}) vs {bound} within precision {max_prec}"
-    )
+    return not _ln_below(n, bound, max_prec)
 
 
 def ceil_exp_over_square(q: int, max_prec: int = 1 << 16) -> int:
@@ -200,16 +198,10 @@ def ceil_exp_over_square(q: int, max_prec: int = 1 << 16) -> int:
         )
     prec = max(64, int(q * 1.5) + 32)
     while prec <= max_prec:
-        old = mpmath.iv.prec
-        mpmath.iv.prec = prec
-        try:
-            val = mpmath.iv.exp(mpmath.iv.mpf(q)) / mpmath.iv.mpf(q * q)
-            lo = mpmath.mpf(val.a)
-            hi = mpmath.mpf(val.b)
-            cl = int(mpmath.ceil(lo))
-            ch = int(mpmath.ceil(hi))
-        finally:
-            mpmath.iv.prec = old
+        with _interval_precision(prec) as mp:
+            val = mp.iv.exp(mp.iv.mpf(q)) / mp.iv.mpf(q * q)
+            cl = int(mp.ceil(mp.mpf(val.a)))
+            ch = int(mp.ceil(mp.mpf(val.b)))
         if cl == ch:
             return cl
         prec *= 2

@@ -161,6 +161,41 @@ def test_median_rejects_unknown_weighting():
         median_log_continuant(3, 2, weighting="harmonic")
 
 
+def stable_argsort_median(n_bound, p, weighting):
+    """The median by a stable argsort of the float continuants."""
+    k_grid, kp_grid = blocks._continuant_grids(n_bound, p)
+    k = k_grid.reshape(-1).astype(np.float64)
+    if weighting == "lebesgue":
+        kp = kp_grid.reshape(-1).astype(np.float64)
+        w = 1.0 / (k * (k + kp))
+    else:
+        w = np.ones_like(k)
+    order = np.argsort(k, kind="stable")
+    cum = np.cumsum(w[order])
+    pos = int(np.searchsorted(cum, cum[-1] / 2.0))
+    k_med = int(k[order[min(pos, len(k) - 1)]])
+    return math.log(k_med), (k_med, 1)
+
+
+@pytest.mark.parametrize("weighting", ["lebesgue", "uniform"])
+@pytest.mark.parametrize("n_bound, p", [
+    (2, 1), (3, 1), (5, 2), (30, 2), (10, 3), (7, 4), (50, 3), (100, 3)])
+def test_median_equals_the_stable_argsort_median(n_bound, p, weighting):
+    assert (median_log_continuant(n_bound, p, weighting)
+            == stable_argsort_median(n_bound, p, weighting))
+
+
+def test_median_sort_keys_wider_than_int64_raise_before_enumerating(
+        monkeypatch):
+    def no_grids(*args):
+        raise AssertionError("grids built")
+
+    monkeypatch.setattr(blocks, "_continuant_grids", no_grids)
+    # 27 index bits + 43 bits of 3^27 > 63
+    with pytest.raises(BudgetExceeded, match="63 bits"):
+        median_log_continuant(2, 27, budget=2**27)
+
+
 # ---------------------------------------------------------------- halves
 
 

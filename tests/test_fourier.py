@@ -206,6 +206,31 @@ def test_frequencies_beyond_float_range_are_rejected(xi):
             estimate()
 
 
+@pytest.mark.parametrize("largest, first_rejected", [
+    (2**1020 - 1, 2**1020),
+    (-math.nextafter(2.0**1020, 0.0), -2.0**1020),
+], ids=["int", "negative-float"])
+def test_every_accepted_frequency_has_a_finite_bound(largest, first_rejected,
+                                                     monkeypatch):
+    nu, lm = nu_two_digit(), toy_lambda()
+    estimates = (lambda xi: fourier_cylinder_sum(nu, xi, 4),
+                 lambda xi: fourier_monte_carlo(nu, xi, 100, 6),
+                 lambda xi: fourier_cylinder_sum(lm, xi, 9),
+                 lambda xi: decay_scan(nu, [xi], "cylinder", 4).rows[0].full)
+    for estimate in estimates:
+        assert math.isfinite(estimate(largest).err_bound)
+    for estimate in estimates:
+        with pytest.raises(PreconditionViolated, match="2\\^1024"):
+            estimate(first_rejected)
+
+    def no_atoms(*args, **kwargs):
+        raise AssertionError("cylinders enumerated")
+
+    monkeypatch.setattr(fourier, "_atoms", no_atoms)
+    with pytest.raises(PreconditionViolated, match="2\\^1024"):
+        decay_scan(nu, [2, first_rejected], "cylinder", 4)
+
+
 def test_width_ceiling_is_sound():
     lm = toy_lambda()
     cap = _width_ceiling(lm, 8)

@@ -102,3 +102,48 @@ def test_invalid_budget_raises_at_first_use(raw, message):
         f"overflow: CFRAJ_DIGIT_BUDGET {message}",
         "budget: 50",
     ]
+
+
+LAZY_MPMATH_SCRIPT = """
+import sys
+import cfraj.words
+print("numpy" in sys.modules, "mpmath" in sys.modules)
+import cfraj.cli
+print("mpmath" in sys.modules)
+from fractions import Fraction
+from cfraj.errors import CertificationFailed
+from cfraj.numeric import cert_ln_ge, cert_ln_le, ceil_exp_over_square
+print(cert_ln_le(10, Fraction(3)), "mpmath" in sys.modules)
+import mpmath
+mpmath.iv.prec = 77
+print(cert_ln_ge(10, Fraction(3)), cert_ln_le(10**40, Fraction(92)),
+      cert_ln_ge(10**40, Fraction(92)), ceil_exp_over_square(5),
+      ceil_exp_over_square(40), mpmath.iv.prec)
+# within 1e-40 of ln 10: undecided at 64 bits, decided higher up
+with mpmath.workdps(40):
+    close = Fraction(str(mpmath.log(10)))
+for compare in (cert_ln_le, cert_ln_ge):
+    try:
+        compare(10, close, max_prec=64)
+    except CertificationFailed:
+        print("undecided", mpmath.iv.prec, compare(10, close))
+"""
+
+
+def test_mpmath_is_imported_on_the_first_interval_comparison():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", LAZY_MPMATH_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    # importing loads no mpmath, and no interval call leaves its
+    # precision changed, also when it fails
+    assert done.stdout.splitlines() == [
+        "False False",
+        "False",
+        "True True",
+        "False False True 6 147115791773138 77",
+        "undecided 77 False",
+        "undecided 77 True",
+    ]
