@@ -11,12 +11,16 @@ midpoints. The error bound carried on every estimate has two terms:
   the phase product, 2 pi phase, complex exp, the pairwise sum and the
   weight). _error derives it.
 
-Negative frequencies are served by conjugating the positive-frequency
-estimate, so conjugate symmetry holds to the last bit.
-
 Every estimate is one pipeline: an atom set (the cylinders or the
 sample paths of a nu or cascade measure), one phase fold, one evaluator
-and one error model. An int or Fraction frequency is folded exactly, by
+and one error model. Single-frequency estimates and scans evaluate
+through one contract, _values(atoms, xs, keeps): for every frequency it
+gives the full sum and, where a keep mask is given, the sum over the
+kept atoms, each as (value, eps) with eps the per-term bound, and
+_estimate adds the error bound. _values alone serves xi = 0 (value 1,
+eps 0) and negative frequencies (the conjugate of the value at |xi|, so
+conjugate symmetry holds to the last bit); every other row goes to one
+call of the atoms' evaluator, _nu_values or _cascade_values. An int or Fraction frequency is folded exactly, by
 integer reduction of the exact midpoints: always on cascade atoms, and
 on nu atoms from EXACT_FOLD_THRESHOLD up, where float products lose the
 fractional part. On nu atoms a scan whose next frequency is 2^m times
@@ -33,9 +37,9 @@ leaves are independent, so they run on any core (pool.ordered_map) and
 the bits do not depend on how many. The nu cylinders themselves are
 streamed the same way: neither their convergent matrices nor their
 exact midpoints are held, as every exact row folds a leaf's exact
-midpoints, formed once (_Atoms.exact_mids). On cascade atoms a
-scan row folds its frequency once, and its typical estimate sums a
-subset of the full estimate's terms. Cascade cylinders
+midpoints, formed once (_Atoms.exact_mids). On cascade atoms each row
+folds its frequency once and forms each term once; its kept sum adds a
+subset of the same terms. Cascade cylinders
 (cascade._lambda_leaves) and sample sets (cascade._sample_columns) come
 from the cascade's one columnar engine. A sample set is drawn path for
 path as the per-path walk draws it, and holds each distinct cylinder
@@ -330,63 +334,63 @@ def _fold(atoms: _Atoms, xi, leaf: Optional[tuple] = None) -> np.ndarray:
     return phases
 
 
-@dataclass
-class _Chain:
-    """A cascade scan row's terms, kept for the row's typical estimate.
+def _cascade_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
+    """(full, kept) at every frequency x > 0 of xs over cascade atoms,
+    keeps[k] None or a keep mask (see _values).
 
-    cos and sin hold every atom's weight * cos(2 pi phase) and
-    weight * sin(2 pi phase) at xi, one entry per sample on sample sets.
+    Each row folds its frequency once and forms each term, weight *
+    cos(2 pi phase) and weight * sin(2 pi phase), once with math.cos and
+    math.sin; on a sample set each distinct cylinder's term is formed
+    once and the inverse hands it to each of its samples. full is the
+    math.fsum of all the terms, in draw order, and kept that of the
+    subset the mask marks, in the same order. The per-term bound is
+    reported as 0.
     """
+    def total(cos: np.ndarray, sin: np.ndarray) -> tuple[complex, float]:
+        return complex(math.fsum(cos.tolist()), math.fsum(sin.tolist())), 0.0
 
-    xi: Union[int, float, Fraction, None] = None
-    cos: Optional[np.ndarray] = None
-    sin: Optional[np.ndarray] = None
-
-    def holds(self, xi) -> bool:
-        """Were the terms folded at xi, the same way?"""
-        return (self.cos is not None and type(self.xi) is type(xi)
-                and self.xi == xi)
-
-
-def _evaluate(atoms: _Atoms, xi, keep: Optional[np.ndarray] = None,
-              chain: Optional[_Chain] = None) -> tuple[complex, float]:
-    """Sum of weight * e(xi mid) over the atoms, and its per-term bound.
-
-    Nu atoms are evaluated as a scan of one row (_nu_values). Cascade
-    atoms, optionally only those keep marks, are summed term by term
-    with math.fsum; their per-term bound is reported as 0. On a sample
-    set each distinct cylinder's term is computed once and the inverse
-    hands it to each of its samples, so the sum runs over the samples
-    in draw order. The terms are kept in the chain, so a scan row's
-    typical estimate (a keep mask at the row's frequency) reuses the
-    full row's terms: it sums the kept subset, in the same order, and
-    folds nothing.
-    """
-    if not atoms.cascade:
-        if keep is not None:
-            raise PreconditionViolated("a keep mask needs cascade atoms")
-        return _nu_values(atoms, [xi])[0]
-    if xi < 0:
-        value, eps = _evaluate(atoms, -xi, keep, chain)
-        return value.conjugate(), eps
-    if xi == 0 and keep is None:
-        return complex(1.0), 0.0
-    if chain is None:
-        chain = _Chain()
-    if not chain.holds(xi):
-        angles = (TWO_PI * _fold(atoms, xi)).tolist()
-        weight = atoms.weight
-        weights = weight.tolist() if not np.isscalar(weight) \
-            else [weight] * len(angles)
+    weight = atoms.weight
+    weights = weight.tolist() if not np.isscalar(weight) \
+        else [weight] * len(atoms.mids)
+    out = []
+    for x, keep in zip(xs, keeps):
+        angles = (TWO_PI * _fold(atoms, x)).tolist()
         cos = np.array([w * math.cos(a) for w, a in zip(weights, angles)])
         sin = np.array([w * math.sin(a) for w, a in zip(weights, angles)])
         if atoms.inverse is not None:
             cos, sin = cos[atoms.inverse], sin[atoms.inverse]
-        chain.cos, chain.sin, chain.xi = cos, sin, xi
-    cos, sin = chain.cos, chain.sin
-    if keep is not None:
-        cos, sin = cos[keep], sin[keep]
-    return complex(math.fsum(cos.tolist()), math.fsum(sin.tolist())), 0.0
+        out.append((total(cos, sin),
+                    None if keep is None else total(cos[keep], sin[keep])))
+    return out
+
+
+def _values(atoms: _Atoms, xs: Sequence,
+            keeps: Optional[Sequence] = None) -> list:
+    """(full, kept) at every frequency of xs: full is (value, eps), the
+    sum of weight * e(xi mid) over the atoms and its per-term bound, and
+    kept the same over the subset keeps[k] marks, or None without a mask.
+
+    Every estimator evaluates through this one call. At xi = 0 the value
+    is 1 and eps 0; a negative xi takes the conjugates of the values at
+    |xi|. Every other row goes to one pass: _nu_values on nu atoms,
+    _cascade_values on cascade atoms. Keep masks need cascade atoms and
+    a nonzero frequency.
+    """
+    keeps = [None] * len(xs) if keeps is None else list(keeps)
+    if any(keep is not None and (xi == 0 or not atoms.cascade)
+           for xi, keep in zip(xs, keeps)):
+        raise PreconditionViolated(
+            "a keep mask needs cascade atoms and a nonzero frequency")
+    live = [k for k, xi in enumerate(xs) if xi != 0]
+    pos = [abs(xs[k]) for k in live]
+    rows = (_cascade_values(atoms, pos, [keeps[k] for k in live])
+            if atoms.cascade
+            else [(full, None) for full in _nu_values(atoms, pos)])
+    out = [((complex(1.0), 0.0), None)] * len(xs)
+    for k, row in zip(live, rows):
+        out[k] = row if xs[k] > 0 else tuple(
+            None if v is None else (v[0].conjugate(), v[1]) for v in row)
+    return out
 
 
 # ------------------------------------------------- one-pass nu evaluation
@@ -503,7 +507,8 @@ def _direct_terms(atoms: _Atoms, x, terms: np.ndarray,
 
 
 def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
-    """(value, eps) at every frequency of xs, in one pass over nu atoms.
+    """(value, eps) at every frequency x > 0 of xs, in one pass over nu
+    atoms.
 
     The rows follow _nu_plan. The atoms are visited once, leaf by leaf
     of numpy's complex pairwise tree (_pairwise_leaves, at most _LEAF
@@ -516,11 +521,9 @@ def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
     hold, as every step is elementwise, and the leaf sums combine up the
     same tree, in its order (_pairwise_combine), so each value equals
     weight * terms.sum() over all atoms bit for bit, on any number of
-    cores. At xi = 0 the value is 1 and eps 0; a negative xi takes the
-    conjugate of the value at |xi|.
+    cores.
     """
-    plan = _nu_plan(atoms, xs)
-    rows = [row for row in plan if row is not None]
+    rows = _nu_plan(atoms, xs)
     n = len(atoms.mids)
     exact = any(_folds_exactly(atoms, x) for x, _, _ in rows)
 
@@ -540,16 +543,8 @@ def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
 
     by_leaf = ordered_map(leaf_sums, _pairwise_leaves(n, 2, _LEAF)) \
         if rows else []
-    totals = iter([_pairwise_combine(n, 2, _LEAF, row_sums)
-                   for row_sums in zip(*by_leaf)])
-    out = []
-    for xi, row in zip(xs, plan):
-        if row is None:
-            out.append((complex(1.0), 0.0))
-            continue
-        value = complex(atoms.weight * next(totals))
-        out.append((value.conjugate() if xi < 0 else value, row[2]))
-    return out
+    return [(complex(atoms.weight * _pairwise_combine(n, 2, _LEAF, sums)),
+             eps) for (_, _, eps), sums in zip(rows, zip(*by_leaf))]
 
 
 @functools.lru_cache(maxsize=256)
@@ -640,7 +635,7 @@ def _mass_width(atoms: _Atoms, keep: Optional[np.ndarray] = None) -> float:
 
 def _error(atoms: _Atoms, xi, eps: float,
            keep: Optional[np.ndarray] = None) -> float:
-    """Error bound of an _evaluate value whose per-term bound is eps.
+    """Error bound of a _values value whose per-term bound is eps.
 
     Midpoint term. Cylinders: pi |xi| * sum of mass * width, with the
     float sum inflated to an upper bound. Samples: 3 / sqrt(n) +
@@ -709,21 +704,20 @@ def _error(atoms: _Atoms, xi, eps: float,
     return math.nextafter(bound + _evaluation_term(atoms, eps), math.inf)
 
 
-def _estimate(atoms: _Atoms, xi, depth: int,
-              keep: Optional[np.ndarray] = None,
-              chain: Optional[_Chain] = None) -> FourierEstimate:
-    return _as_estimate(atoms, xi, depth, _evaluate(atoms, xi, keep, chain),
-                        keep)
-
-
-def _as_estimate(atoms: _Atoms, xi, depth: int,
-                 evaluated: tuple[complex, float],
-                 keep: Optional[np.ndarray] = None) -> FourierEstimate:
+def _estimate(atoms: _Atoms, xi, depth: int, evaluated: tuple[complex, float],
+              keep: Optional[np.ndarray] = None) -> FourierEstimate:
+    """The estimate at xi from its (value, eps) of _values, over the
+    atoms keep marks (all without a mask)."""
     value, eps = evaluated
     return FourierEstimate(
         xi=xi, value=value, err_bound=_error(atoms, xi, eps, keep),
         method="cylinder" if atoms.samples is None else "montecarlo",
         depth=depth, samples=atoms.samples)
+
+
+def _single(atoms: _Atoms, xi, depth: int) -> FourierEstimate:
+    (full, _), = _values(atoms, [xi])
+    return _estimate(atoms, xi, depth, full)
 
 
 # ---------------------------------------------- single-frequency methods
@@ -759,7 +753,7 @@ def fourier_cylinder_sum(measure: Measure, xi, depth: int,
     exactly and the bound is zero.
     """
     _check_frequency(xi)
-    return _estimate(_atoms(measure, depth, budget=budget), xi, depth)
+    return _single(_atoms(measure, depth, budget=budget), xi, depth)
 
 
 def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
@@ -771,7 +765,7 @@ def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
     deterministic in the seed.
     """
     _check_frequency(xi)
-    return _estimate(_atoms(measure, depth, samples, seed), xi, depth)
+    return _single(_atoms(measure, depth, samples, seed), xi, depth)
 
 
 # ------------------------------------------------------------ decay scan
@@ -841,8 +835,8 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     leaf, and a row whose frequency is 2^m times the last one squares
     the last row's terms (see _nu_values). On cascade atoms each row
     folds its frequency once: the typical estimate sums the kept subset
-    of the full row's terms. For a
-    plain product measure there is no exceptional part: n_index = 0 and
+    of the full row's terms (see _cascade_values). For a plain product
+    measure there is no exceptional part: n_index = 0 and
     exc_tv = 0 on every row. Every |xi| must be below 2^1020
     (_check_frequency), as for the single-frequency methods; that is
     checked before any cylinder or sample is formed.
@@ -857,25 +851,27 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
 
     atoms = _atoms(measure, depth,
                    samples if method == "montecarlo" else None, seed, budget)
-    chain = _Chain()
-    nu_rows = None if atoms.cascade else _nu_values(atoms, xs)
-    rows = []
-    for k, xi in enumerate(xs):
-        full = (_estimate(atoms, xi, depth, chain=chain) if nu_rows is None
-                else _as_estimate(atoms, xi, depth, nu_rows[k]))
+    splits = []
+    for xi in xs:
         split = None
         if atoms.cascade and abs(xi) > 1:
             try:
                 split = split_typ_exc(measure, abs(xi), alpha)
             except PreconditionViolated:
                 pass
+        splits.append(split)
+    keeps = [None if split is None else atoms.typical_mask(split)
+             for split in splits]
+    rows = []
+    for xi, split, keep, (full, kept) in zip(xs, splits, keeps,
+                                             _values(atoms, xs, keeps)):
+        full = _estimate(atoms, xi, depth, full)
         if split is None:
             rows.append(DecayRow(xi=xi, full=full, typ=full, n_index=0,
                                  exc_tv=Fraction(0)))
             continue
         rows.append(DecayRow(xi=xi, full=full,
-                             typ=_estimate(atoms, xi, depth,
-                                           atoms.typical_mask(split), chain),
+                             typ=_estimate(atoms, xi, depth, kept, keep),
                              n_index=split.n_index, exc_tv=split.exc_mass))
     cfg = _scan_config(measure, xs, method, depth, samples, seed, alpha)
     return DecayTable(rows=tuple(rows), method=method, depth=depth, config=cfg)

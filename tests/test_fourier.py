@@ -30,14 +30,13 @@ from cfraj.fourier import (
     SQRT5_UP,
     U,
     _Atoms,
-    _Chain,
     _atoms,
     _error,
     _estimate,
-    _evaluate,
     _evaluation_term,
     _fold,
     _lambda_leaves,
+    _values,
     _width_ceiling,
     decay_scan,
     decay_slope,
@@ -363,7 +362,9 @@ def test_scan_rows_equal_single_frequency_estimates(source):
             keep = np.array([not split.is_exceptional(chain)
                              for chain in chains])
             assert not keep.all()
-            assert bits(row.typ) == bits(_estimate(atoms, xi, depth, keep))
+            (_, kept), = _values(atoms, [xi], [keep])
+            assert bits(row.typ) == bits(
+                _estimate(atoms, xi, depth, kept, keep))
             typed += 1
         assert typed >= 4
 
@@ -439,11 +440,16 @@ def test_sample_atoms_evaluate_each_distinct_cylinder_once():
     each = dataclasses.replace(
         atoms, mids=atoms.mids[atoms.inverse], inverse=None,
         exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]))
-    for xi in (3, Fraction(7, 2), 2.5, 2**45 + 1, -7):
-        a, b = _Chain(), _Chain()
-        assert _evaluate(atoms, xi, chain=a) == _evaluate(each, xi, chain=b)
-        assert a.cos.tobytes() == b.cos.tobytes()
-        assert a.sin.tobytes() == b.sin.tobytes()
+    rng = np.random.default_rng(13)
+    masks = [np.ones(20000, dtype=bool), rng.random(20000) < 0.5,
+             rng.random(20000) < 0.01]
+    xis = (3, Fraction(7, 2), 2.5, 2**45 + 1, -7)
+    for xi in xis:
+        for keep in masks:
+            # the full and kept sums, bit for bit
+            got, want = (_values(a, [xi], [keep])[0] for a in (atoms, each))
+            assert [(v.real.hex(), v.imag.hex(), eps) for v, eps in got] == \
+                [(v.real.hex(), v.imag.hex(), eps) for v, eps in want]
 
 
 # int, Fraction and float frequencies. A width term of
@@ -464,7 +470,7 @@ def test_monte_carlo_width_term_is_an_upper_bound(source):
     stat = Fraction(3.0 / math.sqrt(samples))
     for xi in MC_BOUND_XIS:
         for x in (xi, -xi):
-            est = _estimate(atoms, x, depth)
+            est = _estimate(atoms, x, depth, _values(atoms, [x])[0][0])
             assert Fraction(est.err_bound) >= (
                 stat + Fraction(fourier.PI_UP) * abs(Fraction(x)) * cap), x
 
@@ -558,7 +564,7 @@ def test_nu_evaluation_term_covers_exact_midpoint_sum(source, depth):
                 exact += mpmath.expjpi(2 * mpmath.mpf(phase.numerator)
                                        / phase.denominator)
             exact *= mpmath.mpf(weight.numerator) / weight.denominator
-            value, eps = _evaluate(atoms, xi)
+            (value, eps), _ = _values(atoms, [xi])[0]
             term = _evaluation_term(atoms, eps)
             assert abs(mpmath.mpc(value) - exact) <= term, xi
             assert term < 1e-2
