@@ -838,28 +838,26 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     of the full row's terms (see _cascade_values). For a plain product
     measure there is no exceptional part: n_index = 0 and
     exc_tv = 0 on every row. Every |xi| must be below 2^1020
-    (_check_frequency), as for the single-frequency methods; that is
-    checked before any cylinder or sample is formed.
+    (_check_frequency), as for the single-frequency methods, and alpha
+    must be positive. Both are checked, and every cascade row's split
+    (split_typ_exc) is made, before any cylinder or sample is formed, so
+    a row past the cascade's horizon raises OutOfRange at once.
     """
     if method not in ("cylinder", "montecarlo"):
         raise PreconditionViolated(f"unknown method {method!r}")
+    if Fraction(alpha) <= 0:
+        raise PreconditionViolated("alpha must be positive")
     xs = list(xi_list)
     for xi in xs:
         _check_frequency(xi)
     if any(xs[k] >= xs[k + 1] for k in range(len(xs) - 1)):
         raise PreconditionViolated("xi_list must be strictly ascending")
+    cascade = isinstance(measure, LambdaMeasure)
+    splits = [split_typ_exc(measure, abs(xi), alpha)
+              if cascade and abs(xi) > 1 else None for xi in xs]
 
     atoms = _atoms(measure, depth,
                    samples if method == "montecarlo" else None, seed, budget)
-    splits = []
-    for xi in xs:
-        split = None
-        if atoms.cascade and abs(xi) > 1:
-            try:
-                split = split_typ_exc(measure, abs(xi), alpha)
-            except PreconditionViolated:
-                pass
-        splits.append(split)
     keeps = [None if split is None else atoms.typical_mask(split)
              for split in splits]
     rows = []

@@ -23,7 +23,7 @@ from cfraj.blocks import (
     product_convergent_matrices,
 )
 from cfraj.cascade import build_lambda, split_typ_exc, xn_mass
-from cfraj.errors import BudgetExceeded, PreconditionViolated
+from cfraj.errors import BudgetExceeded, OutOfRange, PreconditionViolated
 from cfraj import fourier
 from cfraj.fourier import (
     EXP_ULPS,
@@ -302,6 +302,24 @@ def test_decay_scan_requires_ascending():
         decay_scan(nu, [8, 4], "cylinder", 3)
     with pytest.raises(PreconditionViolated):
         decay_scan(nu, [4, 8], "fft", 3)
+
+
+def no_atoms(*args, **kwargs):
+    raise AssertionError("cylinders or samples formed")
+
+
+def test_decay_scan_checks_alpha_and_horizon_before_enumerating(monkeypatch):
+    nu, lm = nu_two_digit(), toy_lambda()
+    monkeypatch.setattr(fourier, "_atoms", no_atoms)
+    for measure, depth in ((nu, 4), (lm, 9)):
+        for method in ("cylinder", "montecarlo"):
+            with pytest.raises(PreconditionViolated, match="alpha"):
+                decay_scan(measure, [2, 40], method, depth, alpha=0)
+    # the row past the cascade's horizon raises before any fold
+    with pytest.raises(OutOfRange, match="horizon"):
+        decay_scan(lm, [2, 2**235], "cylinder", 9)
+    with pytest.raises(OutOfRange, match="horizon"):
+        decay_scan(lm, [2**235], "montecarlo", 9, samples=100)
 
 
 def test_decay_scan_product_measure_and_slope():
