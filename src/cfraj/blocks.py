@@ -25,7 +25,8 @@ from .errors import (
     NotInSupport,
     PreconditionViolated,
 )
-from .numeric import cert_ln_ge, cert_ln_le, ln_fraction, ln_int
+from .numeric import (cert_ln_ge, cert_ln_le, iroot_ceil, iroot_floor,
+                      ln_fraction, ln_int)
 from .pool import ordered_map
 from .words import Word, continuant, continuant_pair
 
@@ -93,15 +94,9 @@ class NuMeasure:
         )
 
 
-def _window_bounds(sigma: float, eps: Fraction,
-                   anchor: Optional[tuple[int, int]]) -> tuple[Fraction, Fraction]:
-    if anchor is not None:
-        m, k = anchor
-        # symbolic sigma = ln(m)/k; bounds returned only for float prefilter
-        s = math.log(m) / k
-    else:
-        s = sigma
-    s_frac = Fraction(s)
+def _window_bounds(sigma: float, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """(1 - eps) sigma and (1 + eps) sigma, sigma at its exact binary value."""
+    s_frac = Fraction(sigma)
     return (1 - eps) * s_frac, (1 + eps) * s_frac
 
 
@@ -114,8 +109,50 @@ def _certify_in_window(k_val: int, sigma: float, eps: Fraction,
         # ln K >= (1 - a/b) ln(m)/kk   <=>   K^(kk b) >= m^(b - a)
         lhs = k_val ** (kk * b)
         return m ** (b - a) <= lhs <= m ** (b + a)
-    lo, hi = _window_bounds(sigma, eps, None)
+    lo, hi = _window_bounds(sigma, eps)
     return cert_ln_ge(k_val, lo) and cert_ln_le(k_val, hi)
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _exp_guess(bound: Fraction) -> int:
+    """floor(exp(bound)) in floats, clamped to [1, 2^63 - 1]."""
+    return min(max(int(math.exp(min(float(bound), 44.0))), 1), _INT64_MAX)
+
+
+def _window_ends(sigma: float, eps: Fraction,
+                 anchor: Optional[tuple[int, int]]) -> tuple[int, int]:
+    """(K_lo, K_hi) with 1 <= K <= 2^63 - 1 in the window exactly when
+    K_lo <= K <= K_hi; both fit in int64.
+
+    Anchored at ln(m)/k with eps = a/b, the window is m^(b - a) <=
+    K^(k b) <= m^(b + a) (_certify_in_window), so the ends are integer
+    roots. Otherwise ln K >= lo and ln K <= hi are monotone in K, and
+    each end is found by certified comparisons (numeric.cert_ln_ge,
+    cert_ln_le), walking from the float guess exp(bound), within the
+    int64 range.
+    """
+    if anchor is not None:
+        m, k = anchor
+        a, b = eps.numerator, eps.denominator
+        k_lo = iroot_ceil(m ** (b - a), k * b)
+        k_hi = iroot_floor(m ** (b + a), k * b)
+    else:
+        lo, hi = _window_bounds(sigma, eps)
+        k_lo = _exp_guess(lo)
+        while k_lo > 1 and cert_ln_ge(k_lo - 1, lo):
+            k_lo -= 1
+        while k_lo <= _INT64_MAX and not cert_ln_ge(k_lo, lo):
+            k_lo += 1
+        # ln 1 = 0 <= hi, so K_hi >= 1
+        k_hi = _exp_guess(hi)
+        while not cert_ln_le(k_hi, hi):
+            k_hi -= 1
+        while k_hi < _INT64_MAX and cert_ln_le(k_hi + 1, hi):
+            k_hi += 1
+    k_hi = min(k_hi, _INT64_MAX)
+    return (k_lo, k_hi) if k_lo <= k_hi else (1, 0)
 
 
 def _continuant_grids(n_bound: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +176,9 @@ def build_nu(n_bound: int, p: int, sigma: Optional[float], eps_window,
     sigma_anchor = (m, k) pins sigma = log(m)/k symbolically, making the
     window test a pure integer comparison. Without an anchor the float
     sigma is taken at its exact binary value and certified by interval
-    arithmetic.
+    arithmetic. Either way the window is an integer range of continuants
+    (_window_ends), found once, and the support is every tuple whose
+    continuant lies in it.
     """
     eps = Fraction(eps_window)
     if n_bound < 2 or p < 1:
@@ -155,31 +194,16 @@ def build_nu(n_bound: int, p: int, sigma: Optional[float], eps_window,
             f"N^p = {n_bound}^{p} exceeds the enumeration budget {budget}"
         )
 
-    k_grid, _ = _continuant_grids(n_bound, p)
-    flat = k_grid.reshape(-1)
-    lo, hi = _window_bounds(sigma, eps, sigma_anchor)
-    logs = np.log(flat.astype(np.float64))
-    mask = (logs >= float(lo) - 1e-9) & (logs <= float(hi) + 1e-9)
-    candidates = np.nonzero(mask)[0]
-
-    strides = [n_bound ** (p - 1 - j) for j in range(p)]
-    support = []
-    for idx in candidates:
-        k_val = int(flat[idx])
-        if not _certify_in_window(k_val, sigma, eps, sigma_anchor):
-            continue
-        rem = int(idx)
-        tup = []
-        for s in strides:
-            tup.append(rem // s + 1)
-            rem %= s
-        support.append(tuple(tup))
+    k_lo, k_hi = _window_ends(sigma, eps, sigma_anchor)
+    k_grid = _continuant_grids(n_bound, p)[0]
+    # argwhere lists the tuples in C order, which is lexicographic
+    support = [tuple(t) for t in
+               (np.argwhere((k_grid >= k_lo) & (k_grid <= k_hi)) + 1).tolist()]
     if not support:
         raise EmptyWindow(
             f"no {p}-tuple over [1,{n_bound}] has log-continuant within "
             f"{float(eps):.4g} of {sigma:.6g}"
         )
-    support.sort()
     beta = ln_int(len(support)) / sigma
     return NuMeasure(
         n_bound=n_bound,

@@ -92,6 +92,81 @@ def test_build_empty_window():
         build_nu(3, 2, None, Fraction(1, 10), sigma_anchor=(100, 1))
 
 
+def per_candidate_support(n_bound, p, sigma, eps, anchor):
+    """The window's tuples, each distinct continuant certified on its own."""
+    if anchor is not None:
+        sigma = math.log(anchor[0]) / anchor[1]
+    k_grid = blocks._continuant_grids(n_bound, p)[0]
+    inside = {k for k in np.unique(k_grid).tolist()
+              if blocks._certify_in_window(k, sigma, eps, anchor)}
+    return tuple(t for t in iter_product(range(1, n_bound + 1), repeat=p)
+                 if continuant(t) in inside)
+
+
+@pytest.mark.parametrize("n_bound,p,sigma,eps,anchor", [
+    (8, 1, None, Fraction(1, 2), (16, 2)),
+    (3, 2, None, Fraction(3, 10), (5, 1)),
+    (12, 3, None, Fraction(1, 3), (30, 1)),
+    (3, 2, 2.0, Fraction(3, 10), None),
+    (7, 1, 2.0, Fraction(1, 4), None),
+    (7, 4, 4.0, Fraction(1, 2), None),
+    (9, 3, math.log(40), Fraction(1, 5), None),
+])
+def test_build_support_equals_per_candidate_certification(
+        monkeypatch, n_bound, p, sigma, eps, anchor):
+    want = per_candidate_support(n_bound, p, sigma, eps, anchor)
+    # the build finds the window's ends once and certifies no tuple
+    monkeypatch.setattr(blocks, "_certify_in_window", no_certify)
+    nu = build_nu(n_bound, p, sigma, eps, sigma_anchor=anchor)
+    monkeypatch.undo()
+    assert nu.support == want
+    assert verify_window(nu)
+
+
+def no_certify(*args):
+    raise AssertionError("a tuple certified one at a time")
+
+
+def test_reference_support_equals_per_candidate_certification(monkeypatch):
+    _, anchor = median_log_continuant(100, 3, weighting="lebesgue")
+    want = per_candidate_support(100, 3, None, Fraction(1, 4), anchor)
+    monkeypatch.setattr(blocks, "_certify_in_window", no_certify)
+    nu = build_nu(100, 3, None, Fraction(1, 4), sigma_anchor=anchor)
+    assert len(nu.support) == 190 and nu.support == want
+
+
+def test_window_ends_are_exact_integer_bounds(monkeypatch):
+    # anchored at ln(16)/2 with eps 1/2: K^4 >= 16 and K^4 <= 16^3, both
+    # met with equality, at K = 2 and K = 8
+    assert blocks._window_ends(None, Fraction(1, 2), (16, 2)) == (2, 8)
+    assert build_nu(8, 1, None, Fraction(1, 2),
+                    sigma_anchor=(16, 2)).support == tuple(
+                        (k,) for k in range(2, 9))
+    # a float sigma takes a few certified comparisons near exp(bound),
+    # not one per candidate tuple
+    calls = []
+
+    def counted(cert):
+        def call(n, bound):
+            calls.append(n)
+            return cert(n, bound)
+        return call
+
+    monkeypatch.setattr(blocks, "cert_ln_ge", counted(blocks.cert_ln_ge))
+    monkeypatch.setattr(blocks, "cert_ln_le", counted(blocks.cert_ln_le))
+    nu = build_nu(7, 4, 4.0, Fraction(1, 2))
+    assert len(nu.support) == 1809 and len(calls) <= 8
+    lo, hi = blocks._window_ends(4.0, Fraction(1, 2), None)
+    assert (lo, hi) == (8, 403)  # e^2 = 7.39, e^6 = 403.4
+    # a window wholly above the int64 range is empty; one above it on
+    # the right only is cut at 2^63 - 1
+    assert blocks._window_ends(100.0, Fraction(1, 2), None) == (1, 0)
+    assert blocks._window_ends(40.0, Fraction(1, 2), None) == (
+        math.ceil(math.exp(20)), 2**63 - 1)
+    with pytest.raises(EmptyWindow):
+        build_nu(3, 2, 100.0, Fraction(1, 2))
+
+
 def test_build_budget_guard():
     with pytest.raises(BudgetExceeded):
         build_nu(100, 4, 5.0, Fraction(1, 4), budget=10**6)
