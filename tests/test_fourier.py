@@ -470,6 +470,18 @@ def test_sample_atoms_evaluate_each_distinct_cylinder_once():
                 [(v.real.hex(), v.imag.hex(), eps) for v, eps in want]
 
 
+def test_keep_masks_need_cascade_atoms_and_a_nonzero_frequency():
+    nu_atoms, lm_atoms = _atoms(nu_two_digit(), 3), _atoms(toy_lambda(), 9)
+    with pytest.raises(PreconditionViolated, match="keep mask"):
+        _values(nu_atoms, [3], [np.ones(len(nu_atoms.mids), dtype=bool)])
+    keep = np.ones(len(lm_atoms.mids), dtype=bool)
+    with pytest.raises(PreconditionViolated, match="keep mask"):
+        _values(lm_atoms, [3, 0], [None, keep])
+    # an all-true mask keeps every term, in the same order
+    (full, kept), = _values(lm_atoms, [-3], [keep])
+    assert full == kept and full[1] == 0.0
+
+
 # int, Fraction and float frequencies. A width term of
 # math.pi * float(|xi| * width ceiling), rounded to nearest, falls below
 # PI_UP * |xi| * width ceiling on the cascade source at every one of them
