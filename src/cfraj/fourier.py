@@ -715,11 +715,6 @@ def _estimate(atoms: _Atoms, xi, depth: int, evaluated: tuple[complex, float],
         depth=depth, samples=atoms.samples)
 
 
-def _single(atoms: _Atoms, xi, depth: int) -> FourierEstimate:
-    (full, _), = _values(atoms, [xi])
-    return _estimate(atoms, xi, depth, full)
-
-
 # ---------------------------------------------- single-frequency methods
 
 
@@ -753,7 +748,9 @@ def fourier_cylinder_sum(measure: Measure, xi, depth: int,
     exactly and the bound is zero.
     """
     _check_frequency(xi)
-    return _single(_atoms(measure, depth, budget=budget), xi, depth)
+    atoms = _atoms(measure, depth, budget=budget)
+    (full, _), = _values(atoms, [xi])
+    return _estimate(atoms, xi, depth, full)
 
 
 def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
@@ -765,7 +762,9 @@ def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
     deterministic in the seed.
     """
     _check_frequency(xi)
-    return _single(_atoms(measure, depth, samples, seed), xi, depth)
+    atoms = _atoms(measure, depth, samples, seed)
+    (full, _), = _values(atoms, [xi])
+    return _estimate(atoms, xi, depth, full)
 
 
 # ------------------------------------------------------------ decay scan
@@ -852,9 +851,9 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
         _check_frequency(xi)
     if any(xs[k] >= xs[k + 1] for k in range(len(xs) - 1)):
         raise PreconditionViolated("xi_list must be strictly ascending")
-    cascade = isinstance(measure, LambdaMeasure)
     splits = [split_typ_exc(measure, abs(xi), alpha)
-              if cascade and abs(xi) > 1 else None for xi in xs]
+              if isinstance(measure, LambdaMeasure) and abs(xi) > 1 else None
+              for xi in xs]
 
     atoms = _atoms(measure, depth,
                    samples if method == "montecarlo" else None, seed, budget)

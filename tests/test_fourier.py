@@ -205,6 +205,10 @@ def test_frequencies_beyond_float_range_are_rejected(xi):
             estimate()
 
 
+def no_atoms(*args, **kwargs):
+    raise AssertionError("cylinders or samples formed")
+
+
 @pytest.mark.parametrize("largest, first_rejected", [
     (2**1020 - 1, 2**1020),
     (-math.nextafter(2.0**1020, 0.0), -2.0**1020),
@@ -221,10 +225,6 @@ def test_every_accepted_frequency_has_a_finite_bound(largest, first_rejected,
     for estimate in estimates:
         with pytest.raises(PreconditionViolated, match="2\\^1024"):
             estimate(first_rejected)
-
-    def no_atoms(*args, **kwargs):
-        raise AssertionError("cylinders enumerated")
-
     monkeypatch.setattr(fourier, "_atoms", no_atoms)
     with pytest.raises(PreconditionViolated, match="2\\^1024"):
         decay_scan(nu, [2, first_rejected], "cylinder", 4)
@@ -302,10 +302,6 @@ def test_decay_scan_requires_ascending():
         decay_scan(nu, [8, 4], "cylinder", 3)
     with pytest.raises(PreconditionViolated):
         decay_scan(nu, [4, 8], "fft", 3)
-
-
-def no_atoms(*args, **kwargs):
-    raise AssertionError("cylinders or samples formed")
 
 
 def test_decay_scan_checks_alpha_and_horizon_before_enumerating(monkeypatch):
