@@ -116,22 +116,26 @@ def _certify_in_window(k_val: int, sigma: float, eps: Fraction,
 _INT64_MAX = 2**63 - 1
 
 
-def _exp_guess(bound: Fraction) -> int:
-    """floor(exp(bound)) in floats, clamped to [1, 2^63 - 1]."""
-    return min(max(int(math.exp(min(float(bound), 44.0))), 1), _INT64_MAX)
+def _last_true(pred, bound: Fraction) -> int:
+    """Largest K in [0, 2^63 - 1] with pred(K), for pred true up to
+    some K and false after, walked from the float guess exp(bound)."""
+    k = min(int(math.exp(min(float(bound), 44.0))), _INT64_MAX)
+    while k and not pred(k):
+        k -= 1
+    while k < _INT64_MAX and pred(k + 1):
+        k += 1
+    return k
 
 
 def _window_ends(sigma: float, eps: Fraction,
                  anchor: Optional[tuple[int, int]]) -> tuple[int, int]:
-    """(K_lo, K_hi) with 1 <= K <= 2^63 - 1 in the window exactly when
-    K_lo <= K <= K_hi; both fit in int64.
+    """(K_lo, K_hi) in int64: 1 <= K < 2^63 is in the window exactly
+    when K_lo <= K <= K_hi.
 
     Anchored at ln(m)/k with eps = a/b, the window is m^(b - a) <=
     K^(k b) <= m^(b + a) (_certify_in_window), so the ends are integer
-    roots. Otherwise ln K >= lo and ln K <= hi are monotone in K, and
-    each end is found by certified comparisons (numeric.cert_ln_ge,
-    cert_ln_le), walking from the float guess exp(bound), within the
-    int64 range.
+    roots. Otherwise ln K >= lo and ln K <= hi are monotone in K:
+    certified comparisons near exp(lo) and exp(hi) find the ends.
     """
     if anchor is not None:
         m, k = anchor
@@ -140,17 +144,8 @@ def _window_ends(sigma: float, eps: Fraction,
         k_hi = iroot_floor(m ** (b + a), k * b)
     else:
         lo, hi = _window_bounds(sigma, eps)
-        k_lo = _exp_guess(lo)
-        while k_lo > 1 and cert_ln_ge(k_lo - 1, lo):
-            k_lo -= 1
-        while k_lo <= _INT64_MAX and not cert_ln_ge(k_lo, lo):
-            k_lo += 1
-        # ln 1 = 0 <= hi, so K_hi >= 1
-        k_hi = _exp_guess(hi)
-        while not cert_ln_le(k_hi, hi):
-            k_hi -= 1
-        while k_hi < _INT64_MAX and cert_ln_le(k_hi + 1, hi):
-            k_hi += 1
+        k_lo = _last_true(lambda n: not cert_ln_ge(n, lo), lo) + 1
+        k_hi = _last_true(lambda n: cert_ln_le(n, hi), hi)
     k_hi = min(k_hi, _INT64_MAX)
     return (k_lo, k_hi) if k_lo <= k_hi else (1, 0)
 

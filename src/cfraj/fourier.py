@@ -14,13 +14,12 @@ midpoints. The error bound carried on every estimate has two terms:
 Every estimate is one pipeline: an atom set (the cylinders or the
 sample paths of a nu or cascade measure), one phase fold, one evaluator
 and one error model. Single-frequency estimates and scans evaluate
-through one contract, _values(atoms, xs, keeps): for every frequency it
-gives the full sum and, where a keep mask is given, the sum over the
-kept atoms, each as (value, eps) with eps the per-term bound, and
-_estimate adds the error bound. _values alone serves xi = 0 (value 1,
-eps 0) and negative frequencies (the conjugate of the value at |xi|, so
-conjugate symmetry holds to the last bit); every other row goes to one
-call of the atoms' evaluator, _nu_values or _cascade_values. An int or Fraction frequency is folded exactly, by
+through one contract, _values(atoms, xs, keeps): every row's full sum
+and, under a keep mask, its kept sum, each with its per-term bound, to
+which _estimate adds the error bound. _values alone serves xi = 0 and
+negative frequencies (the conjugate at |xi|, so conjugate symmetry
+holds to the last bit), and hands every other row to one call of
+_nu_values or _cascade_values. An int or Fraction frequency is folded exactly, by
 integer reduction of the exact midpoints: always on cascade atoms, and
 on nu atoms from EXACT_FOLD_THRESHOLD up, where float products lose the
 fractional part. On nu atoms a scan whose next frequency is 2^m times
@@ -37,9 +36,7 @@ leaves are independent, so they run on any core (pool.ordered_map) and
 the bits do not depend on how many. The nu cylinders themselves are
 streamed the same way: neither their convergent matrices nor their
 exact midpoints are held, as every exact row folds a leaf's exact
-midpoints, formed once (_Atoms.exact_mids). On cascade atoms each row
-folds its frequency once and forms each term once; its kept sum adds a
-subset of the same terms. Cascade cylinders
+midpoints, formed once (_Atoms.exact_mids). Cascade cylinders
 (cascade._lambda_leaves) and sample sets (cascade._sample_columns) come
 from the cascade's one columnar engine. A sample set is drawn path for
 path as the per-path walk draws it, and holds each distinct cylinder
@@ -335,16 +332,13 @@ def _fold(atoms: _Atoms, xi, leaf: Optional[tuple] = None) -> np.ndarray:
 
 
 def _cascade_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
-    """(full, kept) at every frequency x > 0 of xs over cascade atoms,
-    keeps[k] None or a keep mask (see _values).
+    """(full, kept) at every x > 0 of xs over cascade atoms (see
+    _values), with per-term bound 0.
 
-    Each row folds its frequency once and forms each term, weight *
-    cos(2 pi phase) and weight * sin(2 pi phase), once with math.cos and
-    math.sin; on a sample set each distinct cylinder's term is formed
-    once and the inverse hands it to each of its samples. full is the
-    math.fsum of all the terms, in draw order, and kept that of the
-    subset the mask marks, in the same order. The per-term bound is
-    reported as 0.
+    Each row folds x once and forms each term, weight * cos and weight *
+    sin of 2 pi phase, once (on a sample set, once per distinct cylinder,
+    which the inverse hands to its samples). full is the fsum of all the
+    terms, in draw order, and kept that of the subset keeps[k] marks.
     """
     def total(cos: np.ndarray, sin: np.ndarray) -> tuple[complex, float]:
         return complex(math.fsum(cos.tolist()), math.fsum(sin.tolist())), 0.0
@@ -370,13 +364,11 @@ def _values(atoms: _Atoms, xs: Sequence,
     sum of weight * e(xi mid) over the atoms and its per-term bound, and
     kept the same over the subset keeps[k] marks, or None without a mask.
 
-    Every estimator evaluates through this one call. At xi = 0 the value
-    is 1 and eps 0; a negative xi takes the conjugates of the values at
-    |xi|. Every other row goes to one pass: _nu_values on nu atoms,
-    _cascade_values on cascade atoms. Keep masks need cascade atoms and
-    a nonzero frequency.
+    At xi = 0 the value is 1 and eps 0; a negative xi takes the
+    conjugates at |xi|. The other rows go to one call of _nu_values or
+    _cascade_values. Keep masks need cascade atoms and xi != 0.
     """
-    keeps = [None] * len(xs) if keeps is None else list(keeps)
+    keeps = keeps or [None] * len(xs)
     if any(keep is not None and (xi == 0 or not atoms.cascade)
            for xi, keep in zip(xs, keeps)):
         raise PreconditionViolated(
@@ -467,22 +459,18 @@ def _doublings(atoms: _Atoms, last, x) -> int:
 
 
 def _nu_plan(atoms: _Atoms, xs: Sequence) -> list:
-    """How a nu scan evaluates each frequency of xs, in order.
+    """How a nu scan evaluates each frequency x > 0 of xs, in order.
 
-    None at xi = 0; otherwise (|xi|, m, eps). m = 0 folds the phases
-    and exponentiates them afresh; m >= 1 squares the last evaluated
-    row's terms m times, since e(2 x) = e(x)^2, when |xi| is 2^m times
-    that row's frequency (_doublings) and the squared bound of
-    _squared_eps is at most twice the direct bound of _direct_eps at
-    |xi|. eps bounds |term - e(|xi| mid)| for every term at its exact
-    midpoint. The plan depends only on the frequencies and mid_steps.
+    (x, m, eps) for each: m = 0 folds the phases and exponentiates them
+    afresh; m >= 1 squares the last row's terms m times, since e(2 x) =
+    e(x)^2, when x is 2^m times that row's frequency (_doublings) and
+    the squared bound of _squared_eps is at most twice the direct bound
+    of _direct_eps at x. eps bounds |term - e(x mid)| for every term at
+    its exact midpoint. The plan depends only on the frequencies and
+    mid_steps.
     """
     plan, last, last_eps = [], None, 0.0
-    for xi in xs:
-        x = abs(xi)
-        if x == 0:
-            plan.append(None)
-            continue
+    for x in xs:
         eps = _direct_eps(atoms, x)
         m = _doublings(atoms, last, x)
         squared = last_eps
@@ -507,8 +495,7 @@ def _direct_terms(atoms: _Atoms, x, terms: np.ndarray,
 
 
 def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
-    """(value, eps) at every frequency x > 0 of xs, in one pass over nu
-    atoms.
+    """(value, eps) at every x > 0 of xs, in one pass over nu atoms.
 
     The rows follow _nu_plan. The atoms are visited once, leaf by leaf
     of numpy's complex pairwise tree (_pairwise_leaves, at most _LEAF
@@ -706,8 +693,7 @@ def _error(atoms: _Atoms, xi, eps: float,
 
 def _estimate(atoms: _Atoms, xi, depth: int, evaluated: tuple[complex, float],
               keep: Optional[np.ndarray] = None) -> FourierEstimate:
-    """The estimate at xi from its (value, eps) of _values, over the
-    atoms keep marks (all without a mask)."""
+    """The estimate at xi from (value, eps) of _values over keep's atoms."""
     value, eps = evaluated
     return FourierEstimate(
         xi=xi, value=value, err_bound=_error(atoms, xi, eps, keep),

@@ -741,9 +741,9 @@ def test_nu_cylinder_scans_are_pinned(monkeypatch, leaf, measure, depth,
                                       digest_want):
     monkeypatch.setattr(fourier, "_LEAF", leaf)
     atoms = _atoms(measure, depth)
-    plan = fourier._nu_plan(atoms, NU_PIN_XIS)
-    rows = [row for row in plan if row is not None]
-    assert plan[1] is None and {m for _, m, _ in rows} >= {0, 1, 2}
+    # _values plans the nonzero rows at |xi|
+    rows = fourier._nu_plan(atoms, [abs(x) for x in NU_PIN_XIS if x])
+    assert {m for _, m, _ in rows} >= {0, 1, 2}
     assert any(m == 0 and fourier._doublings(atoms, last[0], x)
                for last, (x, m, _) in zip(rows, rows[1:]))
     table = decay_scan(measure, NU_PIN_XIS, "cylinder", depth)
