@@ -11,37 +11,37 @@ midpoints. The error bound carried on every estimate has two terms:
   the phase product, 2 pi phase, complex exp, the pairwise sum and the
   weight). _error derives it.
 
-Every estimate is one pipeline: an atom set (the cylinders or the
-sample paths of a nu or cascade measure), one phase fold, one evaluator
-and one error model. Single-frequency estimates and scans evaluate
-through one contract, _values(atoms, xs, keeps): every row's full sum
-and, under a keep mask, its kept sum, each with its per-term bound, to
-which _estimate adds the error bound. _values alone serves xi = 0 and
-negative frequencies (the conjugate at |xi|, so conjugate symmetry
-holds to the last bit), and hands every other row to one call of
-_nu_values or _cascade_values. An int or Fraction frequency is folded exactly, by
-integer reduction of the exact midpoints: always on cascade atoms, and
-on nu atoms from EXACT_FOLD_THRESHOLD up, where float products lose the
-fractional part. On nu atoms a scan whose next frequency is 2^m times
-the last one squares the last row's complex terms in place m times,
-since e(2 xi x) = e(xi x)^2, instead of calling exp again; it restarts
-from exp when the squared terms' bound would exceed twice a direct
-evaluation's. A nu scan plans its rows first (_nu_plan) and then makes
-one pass over the atoms for all of them (_nu_values), leaf by leaf of
-numpy's pairwise summation tree: every row's terms for a leaf are
-formed in one leaf-sized buffer and summed, and the leaf sums are added
-up the same tree, in its order, so each value has the bits of one numpy
-sum over a full-size buffer of terms, which is never allocated. The
-leaves are independent, so they run on any core (pool.ordered_map) and
-the bits do not depend on how many. The nu cylinders themselves are
-streamed the same way: neither their convergent matrices nor their
-exact midpoints are held, as every exact row folds a leaf's exact
-midpoints, formed once (_Atoms.exact_mids). Cascade cylinders
-(cascade._lambda_leaves) and sample sets (cascade._sample_columns) come
-from the cascade's one columnar engine. A sample set is drawn path for
-path as the per-path walk draws it, and holds each distinct cylinder
-once: the fold and the cos and sin run over the distinct cylinders, and
-every sample takes its cylinder's terms.
+Every estimate is one pipeline: an atom set (the cylinders or the sample
+paths of a nu or cascade measure), one phase fold, one evaluator and one
+error model. Every estimator evaluates through one call, _values(atoms,
+xs, keeps): each row's full sum and, under a keep mask, its kept sum,
+with their per-term bound, to which _estimate adds the error bound. Only
+_values serves xi = 0 and negative frequencies (the conjugate at |xi|,
+so conjugate symmetry holds to the last bit); every other row goes to
+one call of _nu_values or _cascade_values.
+
+An int or Fraction frequency is folded exactly, by integer reduction of
+the exact midpoints: always on cascade atoms, and on nu atoms from
+EXACT_FOLD_THRESHOLD up, where float products lose the fractional part.
+On nu atoms a scan whose next frequency is 2^m times the last one
+squares the last row's complex terms in place m times, since e(2 xi x) =
+e(xi x)^2, instead of calling exp again; it restarts from exp when the
+squared terms' bound would exceed twice a direct evaluation's. A nu scan
+plans its rows first (_nu_plan) and then makes one pass over the atoms
+for all of them (_nu_values), leaf by leaf of numpy's pairwise summation
+tree: every row's terms for a leaf are formed in one leaf-sized buffer
+and summed, and the leaf sums are added up the same tree, in its order,
+so each value has the bits of one numpy sum over a full-size buffer of
+terms, which is never allocated. The leaves are independent, so they run
+on any core (pool.ordered_map) and the bits do not depend on how many.
+The nu cylinders themselves are streamed the same way: neither their
+convergent matrices nor their exact midpoints are held, as every exact
+row folds a leaf's exact midpoints, formed once (_Atoms.exact_mids).
+Cascade cylinders (cascade._lambda_leaves) and sample sets
+(cascade._sample_columns) come from the cascade's one columnar engine. A
+sample set is drawn path for path as the per-path walk draws it, and
+holds each distinct cylinder once: the fold and the cos and sin run over
+the distinct cylinders, and every sample takes its cylinder's terms.
 """
 
 from __future__ import annotations
