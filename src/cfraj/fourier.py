@@ -804,7 +804,8 @@ def _scan_config(measure: Measure, xi_list, method, depth, samples, seed,
         "samples": samples if method == "montecarlo" else None,
         "seed": seed if method == "montecarlo" else None,
         "alpha": str(Fraction(alpha)),
-        "xi": [f"{float(x):.17g}" for x in xi_list],
+        "xi": [str(x) if isinstance(x, (int, Fraction)) else repr(float(x))
+               for x in xi_list],
     }
 
 

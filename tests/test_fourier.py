@@ -318,6 +318,22 @@ def test_decay_scan_checks_alpha_and_horizon_before_enumerating(monkeypatch):
         decay_scan(lm, [2**235], "montecarlo", 9, samples=100)
 
 
+def test_scan_config_records_exact_frequencies():
+    nu, lm = nu_two_digit(), toy_lambda()
+    # float(2^60 + 1) == 2^60, yet the exact fold tells them apart
+    a, b = (decay_scan(nu, [xi], "cylinder", 12) for xi in (2**60, 2**60 + 1))
+    assert a.rows[0].full.value != b.rows[0].full.value
+    assert a.config["xi"] == ["1152921504606846976"]
+    assert b.config["xi"] == ["1152921504606846977"]
+    assert a.config_hash != b.config_hash
+    # an int folds exactly on a cascade, a float in floats
+    c, d = (decay_scan(lm, [xi], "cylinder", 9) for xi in (3, 3.0))
+    assert (c.config["xi"], d.config["xi"]) == (["3"], ["3.0"])
+    assert c.config_hash != d.config_hash
+    e = decay_scan(nu, [-7, 0, 2.5, Fraction(7, 2), 2**11], "cylinder", 3)
+    assert e.config["xi"] == ["-7", "0", "2.5", "7/2", "2048"]
+
+
 def test_decay_scan_product_measure_and_slope():
     nu = nu_two_digit()
     xs = [2**k for k in range(2, 10)]
@@ -398,9 +414,9 @@ A06_XIS = [2**k for k in range(12)]
 # sampler must reproduce bit for bit
 @pytest.mark.parametrize("xis,depth,samples,seed,digest", [
     (SCAN_XIS, 9, 300, 4,
-     "417199e9fa309952c51fa4fbd159a6dd31b3dddac3b5a221574f38489604e01e"),
+     "6c61709d86a98c2016e7c73bcfba4fe9473bdf171fdb595ad8d0be91a8cca360"),
     (SCAN_XIS, 9, 300, 5,
-     "370f173f1081451ddd99a6d72a24e5f98df9fb4a8406658c1b5e6e5c99b9bebb"),
+     "0bb481944362baa0e748a7c6f13c6dfb21f3b002fd0a53515d7b8af2a8f0feae"),
     (A06_XIS, 13, 20000, 0,
      "36a17c4624528fc682eb205cf60b0f9e7a2d74ad510176d0b4cded26534282a9"),
     (A06_XIS, 13, 20000, 1,
@@ -417,7 +433,7 @@ def test_monte_carlo_scans_are_pinned(xis, depth, samples, seed, digest):
 # for bit; the scan digest adds every row's typical value
 @pytest.mark.parametrize("xis,depth,digest", [
     (SCAN_XIS, 9,
-     "a9e9957b8a3bc522acfa9b0d49e002bdb9ed2a47d003f5419ec2b08dce473fa8"),
+     "8e37ca691e9f66dd6155481d4e69eddaa4cad15fcbc4cb0ebed62a479a95984b"),
     (A06_XIS, 13,
      "8df821f626961e38c9e59b003f73d8a6edfaac30b915857c95f1855c98ae7413"),
 ])
