@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .errors import (
     NotInSupport,
     PreconditionViolated,
 )
-from .numeric import (cert_ln_ge, cert_ln_le, iroot_ceil, iroot_floor,
-                      ln_fraction, ln_int)
+from .numeric import (cert_ln_ge, cert_ln_le, ipow, iroot_ceil,
+                      iroot_floor, ln_fraction, ln_int)
 from .pool import ordered_map
 from .words import Word, continuant, continuant_pair
 
@@ -102,13 +102,19 @@ def _window_bounds(sigma: float, eps: Fraction) -> tuple[Fraction, Fraction]:
 
 def _certify_in_window(k_val: int, sigma: float, eps: Fraction,
                        anchor: Optional[tuple[int, int]]) -> bool:
-    """Exact decision of |ln K - sigma| <= eps * sigma."""
+    """Exact decision of |ln K - sigma| <= eps * sigma.
+
+    Anchored, each power is checked against the digit budget before it
+    is formed (numeric.ipow): an eps with a large denominator, such as
+    a float's 2^54, raises Overflow at once.
+    """
     if anchor is not None:
         m, kk = anchor
         a, b = eps.numerator, eps.denominator
         # ln K >= (1 - a/b) ln(m)/kk   <=>   K^(kk b) >= m^(b - a)
-        lhs = k_val ** (kk * b)
-        return m ** (b - a) <= lhs <= m ** (b + a)
+        lhs = ipow(k_val, kk * b, "window test")
+        return (ipow(m, b - a, "window test") <= lhs
+                <= ipow(m, b + a, "window test"))
     lo, hi = _window_bounds(sigma, eps)
     return cert_ln_ge(k_val, lo) and cert_ln_le(k_val, hi)
 
@@ -134,14 +140,16 @@ def _window_ends(sigma: float, eps: Fraction,
 
     Anchored at ln(m)/k with eps = a/b, the window is m^(b - a) <=
     K^(k b) <= m^(b + a) (_certify_in_window), so the ends are integer
-    roots. Otherwise ln K >= lo and ln K <= hi are monotone in K:
-    certified comparisons near exp(lo) and exp(hi) find the ends.
+    roots; either power past the digit budget raises Overflow before it
+    is formed (numeric.ipow). Otherwise ln K >= lo and ln K <= hi are
+    monotone in K: certified comparisons near exp(lo) and exp(hi) find
+    the ends.
     """
     if anchor is not None:
         m, k = anchor
         a, b = eps.numerator, eps.denominator
-        k_lo = iroot_ceil(m ** (b - a), k * b)
-        k_hi = iroot_floor(m ** (b + a), k * b)
+        k_lo = iroot_ceil(ipow(m, b - a, "window end"), k * b)
+        k_hi = iroot_floor(ipow(m, b + a, "window end"), k * b)
     else:
         lo, hi = _window_bounds(sigma, eps)
         k_lo = _last_true(lambda n: not cert_ln_ge(n, lo), lo) + 1
@@ -151,14 +159,19 @@ def _window_ends(sigma: float, eps: Fraction,
 
 
 def _continuant_grids(n_bound: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of shape (N,)*p holding K and K-minus-last for all tuples."""
+    """Arrays of shape (N,)*p holding K and K-minus-last for all tuples.
+
+    K-minus-last is K of the first p - 1 entries, which does not depend
+    on the last one: a read-only broadcast view of the grid before, with
+    no copy.
+    """
     digits = np.arange(1, n_bound + 1, dtype=np.int64)
     q = digits.copy()
     qp = np.ones(n_bound, dtype=np.int64)
     for _ in range(p - 1):
         d = digits.reshape((1,) * q.ndim + (-1,))
         q_new = d * q[..., None] + qp[..., None]
-        qp = np.broadcast_to(q[..., None], q_new.shape).copy()
+        qp = np.broadcast_to(q[..., None], q_new.shape)
         q = q_new
     return q, qp
 
@@ -253,7 +266,8 @@ def median_log_continuant(n_bound: int, p: int, weighting: str = "lebesgue",
         raise PreconditionViolated(f"unknown weighting {weighting!r}")
     k_grid, kp_grid = _continuant_grids(n_bound, p)
     keys = k_grid.reshape(-1)
-    w = kp_grid.reshape(-1).astype(np.float64)
+    w = np.empty(n, dtype=np.float64)
+    np.copyto(w.reshape(k_grid.shape), kp_grid)
     del kp_grid
     if weighting == "lebesgue":
         # 1 / (k (k + k')) with the same roundings, in place
@@ -517,6 +531,76 @@ def _geometry(q, qp, pn, pp, widths: bool = True) -> tuple:
     return mids, (1.0 / (q * (q + qp)) if widths else None)
 
 
+def _coefficients(base: tuple) -> tuple[list, list, list]:
+    """(u, v, w) of every block [[a, b], [c, d]] of base, as Python
+    ints: u = 2 a (a + b), v = 2 a c + a d + b c, w = 2 c (c + d)."""
+    a, b, c, d = (e.tolist() for e in base)
+    return ([2 * x * (x + y) for x, y in zip(a, b)],
+            [2 * x * z + x * t + y * z for x, y, z, t in zip(a, b, c, d)],
+            [2 * z * (z + t) for z, t in zip(c, d)])
+
+
+def _den_bound(prefix: tuple, base: tuple) -> int:
+    """Q^2 max u + 2 Q Q' max v + Q'^2 max w, in Python ints, with Q and
+    Q' the largest prefix entries q and q': at least the denominator
+    2 q (q + q') of every depth-level row (see _leaf_geometry)."""
+    q, qp = (int(e.max()) for e in prefix[:2])
+    u, v, w = (max(c) for c in _coefficients(base))
+    return q * q * u + 2 * q * qp * v + qp * qp * w
+
+
+def _leaf_geometry(prefix: tuple, base: tuple) -> Callable:
+    """rows(lo, hi, out, widths=True) for _prefix_entries' two factors:
+    writes the midpoints of the depth-level rows lo to hi to out and
+    returns their widths (None without widths), each equal to
+    _geometry(*_entry_rows(prefix, base, lo, hi)) bit for bit.
+
+    Row a * s + b is the prefix [[Q, Q'], [P, P']] times the block
+    [[a, b], [c, d]]. With the block's coefficients u, v, w
+    (_coefficients), _geometry's numerator and denominator are two
+    bilinear forms in prefix features and block coefficients:
+
+        num = (P Q) u + (P Q' + P' Q) v + (P' Q') w,
+        den = 2 q (q + q') = Q^2 u + (2 Q Q') v + Q'^2 w,
+
+    so the rows of a leaf come from two (k, 3) x (3, s) products, k the
+    prefixes the leaf spans, whose features are formed from the prefix
+    slice; then mid = num / den and width = 2 / den. The products are
+    formed elementwise, each feature column broadcast against each
+    coefficient row: a BLAS matmul is faster here, but its first call
+    touches buffers that stay in the process's memory.
+
+    Every feature, coefficient and term is a nonnegative integer;
+    u, v, w >= 1, as a block's a and c are at least 1; and num <= den,
+    as every midpoint lies in [0, 1]. So when _den_bound, computed once
+    here, is below 2^53, every feature, product and partial sum is an
+    exact float, in any summation order, with or without FMA, and so
+    are _geometry's integers: both divide the same two integers, each
+    rounding once, and 2 / den = 1 / (q (q + q')) exactly. Otherwise
+    rows evaluates _geometry(*_entry_rows(...)).
+    """
+    s = len(base[0])
+    if _den_bound(prefix, base) >= 2**53:
+        def rows(lo: int, hi: int, out: np.ndarray, widths: bool = True):
+            out[:], found = _geometry(*_entry_rows(prefix, base, lo, hi),
+                                      widths)
+            return found
+        return rows
+    u, v, w = np.array(_coefficients(base), dtype=np.float64)
+
+    def rows(lo: int, hi: int, out: np.ndarray, widths: bool = True):
+        first, last = lo // s, -(-hi // s)
+        cut = slice(lo - first * s, hi - first * s)
+        q, qp, pn, pp = (e[first:last, None].astype(np.float64)
+                         for e in prefix)
+        den = (q * q) * u + (2 * q * qp) * v + (qp * qp) * w
+        num = (pn * q) * u + (pn * qp + pp * q) * v + (pp * qp) * w
+        den = den.reshape(-1)[cut]
+        np.divide(num.reshape(-1)[cut], den, out=out)
+        return np.divide(2.0, den) if widths else None
+    return rows
+
+
 # rows per slice of cylinder_geometry; bounds its float temporaries
 _GEOMETRY_CHUNK = 1 << 14
 
@@ -597,8 +681,11 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
 
     Every width must be a finite float above 0. The cylinder midpoints
     are streamed into one array, a chunk of _STREAM_CHUNK rows at a time
-    on every core (pool.ordered_map); no convergent matrix stack is
-    built. The cylinders are enumerated in ascending order along [0, 1]
+    on every core (pool.ordered_map), each chunk from _leaf_geometry's
+    bilinear forms: two (k, 3) x (3, s) products of prefix features and
+    block coefficients, exact integers in floats while _den_bound is
+    below 2^53 (checked once), and _geometry of the convergent entries
+    past it. The cylinders are enumerated in ascending order along [0, 1]
     (_prefix_entries with ascending, whose tables reverse the block
     order at the levels where the prefix map is decreasing), so their
     exact midpoints ascend. Each chunk checks its own float midpoints
@@ -607,7 +694,7 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
     once cylinder widths reach the float spacing (for the measure on
     the digits {2, 3}, first at depth 16), are the midpoints sorted in
     place. Each midpoint is cylinder_geometry's, bit for bit, as the
-    integer entries are the same, so the multiset of floats is that of
+    integers divided are the same, so the multiset of floats is that of
     the C-order enumeration. A nondecreasing array is fixed by its
     multiset, so the array searched equals
     np.sort(cylinder_geometry(product_convergent_matrices(...))[0]) bit
@@ -619,13 +706,13 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
     if not all(math.isfinite(u) and u > 0 for u in widths_f):
         raise PreconditionViolated("widths must be finite floats above 0")
     prefix, base = _prefix_entries(nu, depth, budget, ascending=True)
+    rows = _leaf_geometry(prefix, base)
     mids = np.empty(len(prefix[0]) * len(base[0]), dtype=np.float64)
 
     def fill(bound: tuple[int, int]) -> bool:
         lo, hi = bound
         chunk = mids[lo:hi]
-        chunk[:] = _geometry(*_entry_rows(prefix, base, lo, hi),
-                             widths=False)[0]
+        rows(lo, hi, chunk, widths=False)
         return bool((chunk[1:] >= chunk[:-1]).all())
 
     bounds = _stream_bounds(len(mids))

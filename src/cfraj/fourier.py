@@ -34,9 +34,19 @@ and summed, and the leaf sums are added up the same tree, in its order,
 so each value has the bits of one numpy sum over a full-size buffer of
 terms, which is never allocated. The leaves are independent, so they run
 on any core (pool.ordered_map) and the bits do not depend on how many.
-The nu cylinders themselves are streamed the same way: neither their
-convergent matrices nor their exact midpoints are held, as every exact
-row folds a leaf's exact midpoints, formed once (_Atoms.exact_mids).
+The nu cylinders themselves are streamed the same way, and of their
+geometry only the float midpoints are held. Each cylinder is a prefix
+times a block, and its midpoint's numerator and denominator are two
+bilinear forms, three integer features of the prefix against three
+integer coefficients of the block, so a leaf's midpoints and widths come
+from two small matrix products (blocks._leaf_geometry). While a bound on
+every denominator, formed once per scan from the largest entries, is
+below 2^53, each feature, product and partial sum is an exact integer
+in floats, in any summation order, and the floats equal those of
+blocks._geometry on the convergent entries bit for bit; past it the leaf
+evaluates _geometry itself. Every exact row folds a leaf's exact
+midpoints, formed once from the leaf's convergent entries
+(_Atoms.exact_mids).
 Cascade cylinders (cascade._lambda_leaves) and sample sets
 (cascade._sample_columns) come from the cascade's one columnar engine. A
 sample set is drawn path for path as the per-path walk draws it, and
@@ -61,6 +71,7 @@ from .blocks import (
     _entries,
     _entry_rows,
     _geometry,
+    _leaf_geometry,
     _prefix_entries,
     _product,
 )
@@ -239,21 +250,28 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
 
 
 def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
-    """Every depth-level cylinder of nu, streamed (see blocks._entry_rows).
+    """Every depth-level cylinder of nu, streamed leaf by leaf.
 
-    Neither the matrices (32 B a cylinder) nor the widths are kept: the
-    chunks are the leaves of numpy's float64 pairwise tree over the
-    widths, each formed on any core (pool.ordered_map), so combining
-    their sums in the tree's order gives widths.sum() bit for bit. Only
-    the two factors (blocks._prefix_entries) are kept, for exact_mids.
+    Neither convergent matrices (32 B a cylinder) nor widths are kept:
+    each leaf's midpoints and widths come from blocks._leaf_geometry,
+    two (k, 3) x (3, s) products of prefix features and block
+    coefficients, exact integers in floats while blocks._den_bound is
+    below 2^53 (checked once), and blocks._geometry of the convergent
+    entries past it; either way they are _geometry's bit for bit. The
+    leaves are those of numpy's float64 pairwise tree over the widths,
+    each formed on any core (pool.ordered_map), so combining their sums
+    in the tree's order gives widths.sum() bit for bit. Only the two
+    factors (blocks._prefix_entries) are kept, for exact_mids, which
+    forms a leaf's convergent entries (blocks._entry_rows).
     """
     n = len(nu.support)**depth
     prefix, base = _prefix_entries(nu, depth, budget)
+    rows = _leaf_geometry(prefix, base)
     mids = np.empty(n, dtype=np.float64)
 
     def leaf(bound: tuple[int, int]) -> tuple:
         lo, hi = bound
-        mids[lo:hi], widths = _geometry(*_entry_rows(prefix, base, lo, hi))
+        widths = rows(lo, hi, mids[lo:hi])
         return widths.sum(), widths.min()
 
     width_sums, min_widths = zip(*ordered_map(

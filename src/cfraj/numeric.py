@@ -111,6 +111,21 @@ def iroot_ceil(x: int, k: int) -> int:
     return f if f ** k == x else f + 1
 
 
+def ipow(base: int, exp: int, context: str = "power") -> int:
+    """base ** exp for integers base, exp >= 0, with a digit guard first.
+
+    base ** exp has at most bit_length(base) * exp bits, so Overflow is
+    raised before the power is formed when those would pass the digit
+    budget (bases 0 and 1 have no large powers).
+    """
+    if base > 1 and base.bit_length() * exp * 0.30103 > digit_budget():
+        raise Overflow(
+            f"{context}: exponentiation would exceed the digit budget",
+            log_magnitude=ln_int(base) * exp,
+        )
+    return base ** exp
+
+
 def ipow_ceil(base: int, num: int, den: int, context: str = "power") -> int:
     """ceil(base ** (num/den)) exactly, for base >= 1 and num, den >= 1."""
     if base < 1:

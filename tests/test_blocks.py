@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfraj import blocks
+from cfraj import blocks, fourier
 from cfraj.blocks import (
     NuMeasure,
     _GEOMETRY_CHUNK,
@@ -35,6 +35,7 @@ from cfraj.errors import (
     BudgetExceeded,
     EmptyWindow,
     NotInSupport,
+    Overflow,
     PreconditionViolated,
 )
 from cfraj.words import Word, _convergents, continuant, cylinder_interval
@@ -45,6 +46,12 @@ from test_fourier import nu_two_digit, reference_nu
 def small_nu():
     # N=3, p=2, sigma = log 5, window factor 1 +/- 3/10
     return build_nu(3, 2, None, Fraction(3, 10), sigma_anchor=(5, 1))
+
+
+def small_p3_nu():
+    # N=4, p=3: 19 atoms, block maps decreasing
+    _, anchor = median_log_continuant(4, 3)
+    return build_nu(4, 3, None, Fraction(1, 4), sigma_anchor=anchor)
 
 
 # ---------------------------------------------------------------- build
@@ -167,6 +174,32 @@ def test_window_ends_are_exact_integer_bounds(monkeypatch):
         build_nu(3, 2, 100.0, Fraction(1, 2))
 
 
+class SmallPowers(int):
+    """An int whose powers fail unless the exponent is small."""
+
+    def __pow__(self, exp, mod=None):
+        assert exp < 10**6, f"formed {int(self)} ** {exp}"
+        return pow(int(self), exp, mod)
+
+
+def test_anchored_float_eps_raises_before_forming_a_large_power():
+    # float 0.3 is a Fraction over 2^54, so the anchored window's powers
+    # have exponents near 2^54: the digit guard refuses them unformed
+    eps = Fraction(0.3)
+    assert eps.denominator == 2**54
+    with pytest.raises(Overflow, match="window end"):
+        build_nu(3, 2, None, 0.3, sigma_anchor=(SmallPowers(5), 1))
+    with pytest.raises(Overflow, match="window test"):
+        blocks._certify_in_window(SmallPowers(3), None, eps,
+                                  (SmallPowers(5), 1))
+    with pytest.raises(Overflow):
+        build_nu(3, 2, None, 0.3, sigma_anchor=(5, 1))
+    # the same window with eps = 3/10 exactly is small_nu's
+    assert build_nu(3, 2, None, Fraction("0.3"),
+                    sigma_anchor=(SmallPowers(5), 1)).support \
+        == small_nu().support
+
+
 def test_build_budget_guard():
     with pytest.raises(BudgetExceeded):
         build_nu(100, 4, 5.0, Fraction(1, 4), budget=10**6)
@@ -258,6 +291,18 @@ def stable_argsort_median(n_bound, p, weighting):
 def test_median_equals_the_stable_argsort_median(n_bound, p, weighting):
     assert (median_log_continuant(n_bound, p, weighting)
             == stable_argsort_median(n_bound, p, weighting))
+
+
+@pytest.mark.parametrize("n_bound,p", [(5, 1), (4, 2), (6, 3), (3, 5)])
+def test_continuant_grids_hold_no_k_prime_copy(n_bound, p):
+    k_grid, kp_grid = blocks._continuant_grids(n_bound, p)
+    tuples = list(iter_product(range(1, n_bound + 1), repeat=p))
+    assert k_grid.reshape(-1).tolist() == [continuant(t) for t in tuples]
+    assert kp_grid.reshape(-1).tolist() == [
+        continuant(t[:-1]) if p > 1 else 1 for t in tuples]
+    if p > 1:
+        # a view of the grid before, broadcast along the last entry
+        assert kp_grid.strides[-1] == 0 and not kp_grid.flags.owndata
 
 
 def test_median_sort_keys_wider_than_int64_raise_before_enumerating(
@@ -464,6 +509,84 @@ def test_streamed_geometry_equals_cylinder_geometry(monkeypatch, chunk):
         assert w is None and m.tobytes() == mids[lo:hi].tobytes()
 
 
+def leaf_rows(nu, depth, ascending):
+    """The two factors of nu's depth-level enumeration, a cut list of
+    row ranges (the stream's chunks and ragged ones inside a prefix's
+    blocks) and _leaf_geometry's rows."""
+    prefix, base = blocks._prefix_entries(nu, depth, 10**7, ascending)
+    n, s = len(prefix[0]) * len(base[0]), len(base[0])
+    cuts = sorted({c for c in (0, 1, 2, s + 3, 4 * s - 1, 4 * s + 1000)
+                   if c <= n})
+    bounds = blocks._stream_bounds(n) + list(zip(cuts, cuts[1:]))
+    bounds.append((max(n - s - 3, 0), n))
+    return prefix, base, bounds, blocks._leaf_geometry(prefix, base)
+
+
+# (measure, depth, whether _den_bound is below 2^53): the reference at
+# its scan depths, and small measures on both sides of the regime edge
+REGIME_CASES = [
+    (reference_nu, 2, True), (reference_nu, 3, True),
+    (nu_two_digit, 1, True), (nu_two_digit, 15, True),
+    (nu_two_digit, 16, False), (nu_two_digit, 17, False),
+    (small_nu, 8, True), (small_nu, 9, False),
+]
+
+
+@pytest.mark.parametrize("ascending", [False, True])
+@pytest.mark.parametrize("measure,depth,exact", REGIME_CASES)
+def test_leaf_geometry_equals_the_entry_geometry(measure, depth, exact,
+                                                 ascending):
+    """The bilinear leaf kernel gives _geometry's floats bit for bit, in
+    C and in ascending order, on either side of 2^53."""
+    prefix, base, bounds, rows = leaf_rows(measure(), depth, ascending)
+    assert (blocks._den_bound(prefix, base) < 2**53) == exact
+    for lo, hi in bounds:
+        want_mids, want_widths = blocks._geometry(
+            *blocks._entry_rows(prefix, base, lo, hi))
+        mids = np.empty(hi - lo)
+        widths = rows(lo, hi, mids)
+        assert mids.tobytes() == want_mids.tobytes()
+        assert widths.tobytes() == want_widths.tobytes()
+        assert rows(lo, hi, mids, widths=False) is None
+        assert mids.tobytes() == want_mids.tobytes()
+
+
+@pytest.mark.parametrize("measure,depth", [
+    (reference_nu, 2), (nu_two_digit, 15), (nu_two_digit, 17),
+    (small_nu, 7), (small_p3_nu, 3)])
+def test_den_bound_covers_every_row(measure, depth):
+    prefix, base = blocks._prefix_entries(measure(), depth, 10**7)
+    bound = blocks._den_bound(prefix, base)
+    n = len(prefix[0]) * len(base[0])
+    q, qp, _, _ = (e.tolist() for e in blocks._entry_rows(prefix, base, 0, n))
+    dens = [2 * a * (a + b) for a, b in zip(q, qp)]
+    assert max(dens) <= bound
+
+
+@pytest.mark.parametrize("depth,fallback", [(15, False), (16, True),
+                                            (17, True)])
+def test_rows_past_the_exact_regime_take_the_entry_geometry(
+        monkeypatch, depth, fallback):
+    """nu_two_digit's depth-16 Frostman scan and depth-17 decay scan,
+    which test_frostman_scan_equals_the_sorted_c_order_scan and
+    test_fourier's test_nu_cylinder_scans_are_pinned pin, run _geometry
+    on every leaf; at depth 15 no leaf does."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return geometry(*args, **kwargs)
+
+    geometry = blocks._geometry
+    monkeypatch.setattr(blocks, "_geometry", counted)
+    nu, n = nu_two_digit(), 2**depth
+    frostman_scan(nu, depth, [2.0**-10])
+    assert sum(calls) == (n if fallback else 0)
+    calls.clear()
+    fourier._nu_cylinder_atoms(nu, depth, 10**7)
+    assert sum(calls) == (n if fallback else 0)
+
+
 def test_streamed_enumeration_checks_the_budget_first():
     with pytest.raises(BudgetExceeded):
         blocks._prefix_entries(small_nu(), 30, budget=10**6)
@@ -647,12 +770,6 @@ def scan_spy(monkeypatch):
     monkeypatch.setattr(blocks, "np", Numpy())
     monkeypatch.setattr(blocks, "sliding_max_mass", search)
     return seen
-
-
-def small_p3_nu():
-    # N=4, p=3: 19 atoms, block maps decreasing
-    _, anchor = median_log_continuant(4, 3)
-    return build_nu(4, 3, None, Fraction(1, 4), sigma_anchor=anchor)
 
 
 def descent_at(nu, depth):

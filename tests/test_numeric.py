@@ -9,7 +9,7 @@ from cfraj import numeric
 from cfraj.cascade import _sample_columns, max_phi_over_stage
 from cfraj.errors import Overflow
 from cfraj.fourier import _lambda_leaves
-from cfraj.numeric import digit_budget, guard_int
+from cfraj.numeric import digit_budget, guard_int, ipow
 from cfraj.words import Word, joining_defect
 
 from test_cascade import toy_lambda
@@ -26,6 +26,16 @@ def test_guard_int_raises_past_resolved_budget(monkeypatch):
         guard_int(1024)
     with pytest.raises(Overflow):
         guard_int(-1024)
+
+
+def test_ipow_guards_digits_before_forming_the_power(monkeypatch):
+    monkeypatch.setattr(numeric, "_digit_budget", 3)
+    # 7 ** 3 has at most 3 * 3 bits, 2.7 decimal digits
+    assert ipow(7, 3) == 343
+    with pytest.raises(Overflow, match="window end"):
+        ipow(10, 3, "window end")
+    # 0 and 1 have no large powers
+    assert ipow(1, 2**60) == 1 and ipow(0, 2**60) == 0
 
 
 def test_joining_defect_raises_past_resolved_budget(monkeypatch):

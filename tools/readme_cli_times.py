@@ -29,20 +29,42 @@ LIST = "import json; from test_cli import readme_commands; " \
        "print(json.dumps(readme_commands()))"
 
 
-def run_once(argv: list[str], env: dict) -> tuple[int, float, float]:
-    """Exit code, wall seconds and peak RSS in MB of one fresh run."""
-    with tempfile.TemporaryDirectory() as cwd:
-        started = perf_counter()
-        child = subprocess.Popen([sys.executable, "-c", ENTRY, *argv],
-                                 cwd=cwd, env=env,
-                                 stdout=subprocess.DEVNULL,
-                                 stderr=subprocess.DEVNULL)
-        # wait4 reaps the child and returns its own rusage
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = perf_counter() - started
-        child.returncode = os.waitstatus_to_exitcode(status)
+def run_timed(cmd: list[str], env: dict,
+              cwd: str) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS in MB of one fresh run of
+    cmd. The peak is that of the largest process among the child and
+    the descendants it waited for."""
+    started = perf_counter()
+    child = subprocess.Popen(cmd, cwd=cwd, env=env,
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    # wait4 reaps the child and returns its own rusage
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = perf_counter() - started
+    child.returncode = os.waitstatus_to_exitcode(status)
     # ru_maxrss is in kilobytes on Linux
     return child.returncode, wall, usage.ru_maxrss / 1024
+
+
+def summary(runs: list[tuple[int, float, float]]) -> dict:
+    """Exit codes, median wall time and median peak RSS of runs."""
+    return {
+        "exit_codes": sorted({code for code, _, _ in runs}),
+        "wall_s": statistics.median(wall for _, wall, _ in runs),
+        "peak_rss_mb": statistics.median(rss for _, _, rss in runs),
+    }
+
+
+def source_env() -> dict:
+    """This environment with this checkout's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
+def run_once(argv: list[str], env: dict) -> tuple[int, float, float]:
+    """One fresh run of an example, in a new temporary directory."""
+    with tempfile.TemporaryDirectory() as cwd:
+        return run_timed([sys.executable, "-c", ENTRY, *argv], env, cwd)
 
 
 def main() -> None:
@@ -52,20 +74,14 @@ def main() -> None:
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    env = source_env()
     listed = subprocess.run(
         [sys.executable, "-c", LIST], cwd=ROOT / "tests", env=env,
         capture_output=True, text=True, check=True)
     results = []
     for argv in json.loads(listed.stdout):
         runs = [run_once(argv, env) for _ in range(args.runs)]
-        results.append({
-            "argv": argv,
-            "exit_codes": sorted({code for code, _, _ in runs}),
-            "wall_s": statistics.median(wall for _, wall, _ in runs),
-            "peak_rss_mb": statistics.median(rss for _, _, rss in runs),
-        })
+        results.append({"argv": argv, **summary(runs)})
     print(json.dumps({"python": sys.version.split()[0], "runs": args.runs,
                       "examples": results}, indent=1))
 
