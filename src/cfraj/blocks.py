@@ -540,12 +540,13 @@ def _coefficients(base: tuple) -> tuple[list, list, list]:
             [2 * z * (z + t) for z, t in zip(c, d)])
 
 
-def _den_bound(prefix: tuple, base: tuple) -> int:
+def _den_bound(prefix: tuple, coefficients: tuple) -> int:
     """Q^2 max u + 2 Q Q' max v + Q'^2 max w, in Python ints, with Q and
-    Q' the largest prefix entries q and q': at least the denominator
-    2 q (q + q') of every depth-level row (see _leaf_geometry)."""
+    Q' the largest prefix entries q and q' and u, v, w the blocks'
+    _coefficients: at least the denominator 2 q (q + q') of every
+    depth-level row (see _leaf_geometry)."""
     q, qp = (int(e.max()) for e in prefix[:2])
-    u, v, w = (max(c) for c in _coefficients(base))
+    u, v, w = (max(c) for c in coefficients)
     return q * q * u + 2 * q * qp * v + qp * qp * w
 
 
@@ -580,13 +581,14 @@ def _leaf_geometry(prefix: tuple, base: tuple) -> Callable:
     rows evaluates _geometry(*_entry_rows(...)).
     """
     s = len(base[0])
-    if _den_bound(prefix, base) >= 2**53:
+    coefficients = _coefficients(base)
+    if _den_bound(prefix, coefficients) >= 2**53:
         def rows(lo: int, hi: int, out: np.ndarray, widths: bool = True):
             out[:], found = _geometry(*_entry_rows(prefix, base, lo, hi),
                                       widths)
             return found
         return rows
-    u, v, w = np.array(_coefficients(base), dtype=np.float64)
+    u, v, w = np.array(coefficients, dtype=np.float64)
 
     def rows(lo: int, hi: int, out: np.ndarray, widths: bool = True):
         first, last = lo // s, -(-hi // s)

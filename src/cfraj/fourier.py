@@ -6,10 +6,10 @@ midpoints. The error bound carried on every estimate has two terms:
 - the midpoint term: replacing the integrand by its midpoint value
   costs at most pi |xi| width per cylinder (mean value theorem), or
   the width ceiling per sample path;
-- on nu atoms, the evaluation term: the distance between the computed
-  float sum and the exact sum at the exact midpoints (float midpoints,
-  the phase product, 2 pi phase, complex exp, the pairwise sum and the
-  weight). _error derives it.
+- the evaluation term: the distance between the computed float sum and
+  the exact sum at the exact midpoints (float midpoints, the phase
+  product, 2 pi phase, complex exp, the weights and the pairwise sum).
+  _error derives it, for nu and cascade atoms alike.
 
 Every estimate is one pipeline: an atom set (the cylinders or the sample
 paths of a nu or cascade measure), one phase fold, one evaluator and one
@@ -18,22 +18,24 @@ xs, keeps): each row's full sum and, under a keep mask, its kept sum,
 with their per-term bound, to which _estimate adds the error bound. Only
 _values serves xi = 0 and negative frequencies (the conjugate at |xi|,
 so conjugate symmetry holds to the last bit); every other row goes to
-one call of _nu_values or _cascade_values.
+one call of _leaf_values.
 
 An int or Fraction frequency is folded exactly, by integer reduction of
 the exact midpoints: always on cascade atoms, and on nu atoms from
 EXACT_FOLD_THRESHOLD up, where float products lose the fractional part.
-On nu atoms a scan whose next frequency is 2^m times the last one
-squares the last row's complex terms in place m times, since e(2 xi x) =
-e(xi x)^2, instead of calling exp again; it restarts from exp when the
-squared terms' bound would exceed twice a direct evaluation's. A nu scan
-plans its rows first (_nu_plan) and then makes one pass over the atoms
-for all of them (_nu_values), leaf by leaf of numpy's pairwise summation
-tree: every row's terms for a leaf are formed in one leaf-sized buffer
-and summed, and the leaf sums are added up the same tree, in its order,
-so each value has the bits of one numpy sum over a full-size buffer of
-terms, which is never allocated. The leaves are independent, so they run
-on any core (pool.ordered_map) and the bits do not depend on how many.
+A scan whose next frequency is 2^m times the last one, both folded in
+floats, squares the last row's complex terms in place m times, since
+e(2 xi x) = e(xi x)^2, instead of calling exp again; it restarts from
+exp when the squared terms' bound would exceed twice a direct
+evaluation's. A scan plans its rows first (_plan) and then makes one pass
+over the atoms for all of them (_leaf_values), leaf by leaf of numpy's
+pairwise summation tree: every row's terms for a leaf are formed in one
+leaf-sized buffer and summed, and the leaf sums are added up the same
+tree, in its order, so each value has the bits of one numpy sum over a
+full-size buffer of terms, which is never allocated. A nu weight
+multiplies the combined sum, a cascade atom's weight its term in the
+leaf. The leaves are independent, so they run on any core
+(pool.ordered_map) and the bits do not depend on how many.
 The nu cylinders themselves are streamed the same way, and of their
 geometry only the float midpoints are held. Each cylinder is a prefix
 times a block, and its midpoint's numerator and denominator are two
@@ -50,8 +52,7 @@ midpoints, formed once from the leaf's convergent entries
 Cascade cylinders (cascade._lambda_leaves) and sample sets
 (cascade._sample_columns) come from the cascade's one columnar engine. A
 sample set is drawn path for path as the per-path walk draws it, and
-holds each distinct cylinder once: the fold and the cos and sin run over
-the distinct cylinders, and every sample takes its cylinder's terms.
+holds each distinct cylinder once, weighted by its share of the samples.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ TWO_PI = 2.0 * math.pi
 
 # unit roundoff of float64
 U = 2.0**-53
-# Stated libm assumption behind every nu evaluation term: each part of
+# Stated libm assumption behind every evaluation term: each part of
 # np.exp(1j * theta) is within EXP_ULPS ulp of cos theta, sin theta.
 # Both are below 1 in magnitude, where an ulp is at most U. glibc
 # documents at most 1 ulp for its double sin and cos.
@@ -172,23 +173,21 @@ def _midpoints(cols: tuple) -> tuple[list[int], list[int]]:
 class _Atoms:
     """The points an estimate sums over, from one of four sources.
 
-    weight is one float for uniform sources (nu cylinders and every
-    sample set) and a float per atom for cascade cylinders. Midpoints
-    are held as floats; exact_mids(lo, hi) gives rows lo to hi exactly,
-    as num / den in Python ints: sliced from cascade sources' lists,
-    converted from nu samples' int64 entries, and formed again from the
-    two factors of the enumeration on nu cylinders. Cascade cylinders
-    carry widths, with their columns' masses as weight; nu cylinders
-    carry only mass_width, a sound upper bound on the sum of mass *
-    width, as their widths are summed while they are streamed; sample
-    sources carry the sample count and the width ceiling. Cascade
-    sources carry their distinct label chains in first-seen order,
-    labels, and each atom's index into it, label_ids. Cascade samples
-    hold each distinct cylinder once, and inverse maps each sample, in
-    draw order, to its cylinder; every other source has one atom per
-    point and no inverse. Nu sources also carry what their evaluation
-    term needs: mid_steps, the roundings in one float midpoint, and
-    weight_err, a bound on |weight - exact weight| / exact weight.
+    weight is one float for nu sources and a float per atom for cascade
+    sources: the mass of a cylinder, or on samples, which hold each
+    distinct cylinder once, its count of samples over the sample count.
+    Midpoints are held as floats; exact_mids(lo, hi) gives rows lo to hi
+    exactly, as num / den in Python ints: sliced from cascade sources'
+    lists, converted from nu samples' int64 entries, and formed again
+    from the two factors of the enumeration on nu cylinders. Cascade
+    cylinders carry widths; nu cylinders carry only mass_width, a sound
+    upper bound on the sum of mass * width, as their widths are summed
+    while they are streamed; sample sources carry the sample count and
+    the width ceiling. Cascade sources carry their distinct label chains
+    in first-seen order, labels, and each atom's index into it,
+    label_ids. Every source carries what its evaluation term needs:
+    mid_steps, the roundings in one float midpoint, and weight_err, a
+    bound on |weight - exact weight| / exact weight, atom by atom.
     """
 
     weight: Union[float, np.ndarray]
@@ -200,7 +199,6 @@ class _Atoms:
     width_ceiling: Optional[Fraction] = None
     labels: Optional[list[tuple[int, ...]]] = None
     label_ids: Optional[np.ndarray] = None
-    inverse: Optional[np.ndarray] = None
     mass_width: Optional[float] = None
     mid_steps: int = 0
     weight_err: float = 0.0
@@ -212,13 +210,15 @@ class _Atoms:
         return np.array(typical)[self.label_ids]
 
 
-def _cascade_atoms(cols: _Columns, weight, **source) -> _Atoms:
+def _cascade_atoms(cols: _Columns, weight: np.ndarray, label_ids: np.ndarray,
+                   **source) -> _Atoms:
+    # each float midpoint, n / d of Python ints, and weight round once
     num, den = _midpoints((cols.q, cols.qp, cols.pn, cols.pp))
     return _Atoms(weight=weight,
                   mids=np.array([n / d for n, d in zip(num, den)]),
-                  cascade=True, labels=cols.chains, label_ids=cols.chain_ids,
+                  cascade=True, labels=cols.chains, label_ids=label_ids,
                   exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]),
-                  inverse=cols.inverse, **source)
+                  mid_steps=1, weight_err=U, **source)
 
 
 def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
@@ -230,13 +230,16 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         if samples is None:
             cols = _lambda_leaves(measure, depth, budget)
             return _cascade_atoms(
-                cols, cols.weights(measure.nu.atom),
+                cols, cols.weights(measure.nu.atom), cols.chain_ids,
                 widths=np.array([1 / (q * (q + qp))
                                  for q, qp in zip(cols.q, cols.qp)]))
+        cols = _sample_columns(measure, samples, depth, seed)
+        # each distinct cylinder's chain, from that of any sample of it
+        label_ids = np.empty(len(cols), dtype=cols.chain_ids.dtype)
+        label_ids[cols.inverse] = cols.chain_ids
         return _cascade_atoms(
-            _sample_columns(measure, samples, depth, seed), 1.0 / samples,
-            samples=samples,
-            width_ceiling=_width_ceiling(measure, depth))
+            cols, np.bincount(cols.inverse) / samples, label_ids,
+            samples=samples, width_ceiling=_width_ceiling(measure, depth))
     if samples is None:
         return _nu_cylinder_atoms(measure, depth, budget)
     cols = _nu_sample_entries(measure, samples, depth, seed)
@@ -327,8 +330,7 @@ def _folds_exactly(atoms: _Atoms, xi) -> bool:
 
 
 def _fold(atoms: _Atoms, xi, leaf: Optional[tuple] = None) -> np.ndarray:
-    """Fractional part of xi * midpoint for every atom of leaf, xi > 0;
-    for every distinct cylinder on cascade samples.
+    """Fractional part of xi * midpoint for every atom of leaf, xi > 0.
 
     leaf is (lo, hi, exact): the rows lo to hi and, when given,
     atoms.exact_mids(lo, hi); None is every row. An int or Fraction
@@ -349,33 +351,6 @@ def _fold(atoms: _Atoms, xi, leaf: Optional[tuple] = None) -> np.ndarray:
     return phases
 
 
-def _cascade_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
-    """(full, kept) at every x > 0 of xs over cascade atoms (see
-    _values), with per-term bound 0.
-
-    Each row folds x once and forms each term, weight * cos and weight *
-    sin of 2 pi phase, once (on a sample set, once per distinct cylinder,
-    which the inverse hands to its samples). full is the fsum of all the
-    terms, in draw order, and kept that of the subset keeps[k] marks.
-    """
-    def total(cos: np.ndarray, sin: np.ndarray) -> tuple[complex, float]:
-        return complex(math.fsum(cos.tolist()), math.fsum(sin.tolist())), 0.0
-
-    weight = atoms.weight
-    weights = weight.tolist() if not np.isscalar(weight) \
-        else [weight] * len(atoms.mids)
-    out = []
-    for x, keep in zip(xs, keeps):
-        angles = (TWO_PI * _fold(atoms, x)).tolist()
-        cos = np.array([w * math.cos(a) for w, a in zip(weights, angles)])
-        sin = np.array([w * math.sin(a) for w, a in zip(weights, angles)])
-        if atoms.inverse is not None:
-            cos, sin = cos[atoms.inverse], sin[atoms.inverse]
-        out.append((total(cos, sin),
-                    None if keep is None else total(cos[keep], sin[keep])))
-    return out
-
-
 def _values(atoms: _Atoms, xs: Sequence,
             keeps: Optional[Sequence] = None) -> list:
     """(full, kept) at every frequency of xs: full is (value, eps), the
@@ -383,8 +358,8 @@ def _values(atoms: _Atoms, xs: Sequence,
     kept the same over the subset keeps[k] marks, or None without a mask.
 
     At xi = 0 the value is 1 and eps 0; a negative xi takes the
-    conjugates at |xi|. The other rows go to one call of _nu_values or
-    _cascade_values. Keep masks need cascade atoms and xi != 0.
+    conjugates at |xi|. The other rows go to one call of _leaf_values.
+    Keep masks need cascade atoms and xi != 0.
     """
     keeps = keeps or [None] * len(xs)
     if any(keep is not None and (xi == 0 or not atoms.cascade)
@@ -392,10 +367,8 @@ def _values(atoms: _Atoms, xs: Sequence,
         raise PreconditionViolated(
             "a keep mask needs cascade atoms and a nonzero frequency")
     live = [k for k, xi in enumerate(xs) if xi != 0]
-    pos = [abs(xs[k]) for k in live]
-    rows = (_cascade_values(atoms, pos, [keeps[k] for k in live])
-            if atoms.cascade
-            else [(full, None) for full in _nu_values(atoms, pos)])
+    rows = _leaf_values(atoms, [abs(xs[k]) for k in live],
+                        [keeps[k] for k in live])
     out = [((complex(1.0), 0.0), None)] * len(xs)
     for k, row in zip(live, rows):
         out[k] = row if xs[k] > 0 else tuple(
@@ -403,11 +376,11 @@ def _values(atoms: _Atoms, xs: Sequence,
     return out
 
 
-# ------------------------------------------------- one-pass nu evaluation
+# ----------------------------------------------------- one-pass evaluation
 
 # float64 parts numpy's pairwise sum adds in one unrolled block, unsplit
 _PAIRWISE_BLOCK = 128
-# atoms per leaf of a nu evaluation pass: the complex terms of the two
+# atoms per leaf of an evaluation pass: the complex terms of the two
 # leaves in flight (512 KiB each) stay in cache through every row's
 # squarings
 _LEAF = 1 << 15
@@ -476,8 +449,8 @@ def _doublings(atoms: _Atoms, last, x) -> int:
     return n.bit_length() - 1
 
 
-def _nu_plan(atoms: _Atoms, xs: Sequence) -> list:
-    """How a nu scan evaluates each frequency x > 0 of xs, in order.
+def _plan(atoms: _Atoms, xs: Sequence) -> list:
+    """How a scan evaluates each frequency x > 0 of xs, in order.
 
     (x, m, eps) for each: m = 0 folds the phases and exponentiates them
     afresh; m >= 1 squares the last row's terms m times, since e(2 x) =
@@ -512,44 +485,57 @@ def _direct_terms(atoms: _Atoms, x, terms: np.ndarray,
     return np.exp(terms, out=terms)
 
 
-def _nu_values(atoms: _Atoms, xs: Sequence) -> list[tuple[complex, float]]:
-    """(value, eps) at every x > 0 of xs, in one pass over nu atoms.
+def _leaf_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
+    """(full, kept) at every x > 0 of xs (see _values), in one pass.
 
-    The rows follow _nu_plan. The atoms are visited once, leaf by leaf
-    of numpy's complex pairwise tree (_pairwise_leaves, at most _LEAF
-    atoms), the leaves on any core (pool.ordered_map): every row
-    in turn folds and exponentiates the leaf's terms into the leaf's
-    own buffer, or squares the terms the buffer holds from the row
-    before, and records the leaf's sum. If any row folds exactly, the
-    leaf's exact midpoints are formed once (atoms.exact_mids) and every
-    exact row folds them. Each term is the one a full-size buffer would
-    hold, as every step is elementwise, and the leaf sums combine up the
-    same tree, in its order (_pairwise_combine), so each value equals
-    weight * terms.sum() over all atoms bit for bit, on any number of
-    cores.
+    The rows follow _plan. The atoms are visited once, leaf by leaf of
+    numpy's complex pairwise tree (_pairwise_leaves, at most _LEAF
+    atoms), the leaves on any core (pool.ordered_map): every row in turn
+    folds and exponentiates the leaf's terms into the leaf's own buffer,
+    or squares the terms the buffer holds from the row before, and
+    records the leaf's sums. If any row folds exactly, the leaf's exact
+    midpoints are formed once (atoms.exact_mids) and every exact row
+    folds them. A nu leaf sums its terms, and the scalar weight
+    multiplies the combined sum; a cascade leaf sums its terms times the
+    atoms' weights, elementwise, and a kept sum the same with the
+    weights its mask drops set to 0. Every step is elementwise, so each
+    term and product is the one a full-size buffer would hold, and the
+    leaf sums combine up the same tree, in its order (_pairwise_combine),
+    so each value is one numpy sum's bit for bit, on any number of cores.
     """
-    rows = _nu_plan(atoms, xs)
+    rows = _plan(atoms, xs)
     n = len(atoms.mids)
     exact = any(_folds_exactly(atoms, x) for x, _, _ in rows)
+    # the weights each row's leaf sums take, None for the bare terms
+    weight = atoms.weight if atoms.cascade else None
+    columns = [[weight] if keep is None else [weight, weight * keep]
+               for keep in keeps]
 
     def leaf_sums(bound: tuple[int, int]) -> list:
         lo, hi = bound
         terms = np.empty(hi - lo, dtype=np.complex128)
+        products = np.empty_like(terms) if atoms.cascade else None
         leaf = lo, hi, atoms.exact_mids(lo, hi) if exact else None
         sums = []
-        for x, m, _ in rows:
+        for (x, m, _), weights in zip(rows, columns):
             if m:
                 for _ in range(m):
                     np.multiply(terms, terms, out=terms)
             else:
                 _direct_terms(atoms, x, terms, leaf)
-            sums.append(terms.sum())
+            sums.append([terms.sum() if w is None else np.multiply(
+                terms, w[lo:hi], out=products).sum() for w in weights])
         return sums
+
+    def combine(sums) -> complex:
+        total = _pairwise_combine(n, 2, _LEAF, sums)
+        return complex(total if atoms.cascade else atoms.weight * total)
 
     by_leaf = ordered_map(leaf_sums, _pairwise_leaves(n, 2, _LEAF)) \
         if rows else []
-    return [(complex(atoms.weight * _pairwise_combine(n, 2, _LEAF, sums)),
-             eps) for (_, _, eps), sums in zip(rows, zip(*by_leaf))]
+    out = [[(combine(sums), eps) for sums in zip(*row)]
+           for (_, _, eps), row in zip(rows, zip(*by_leaf))]
+    return [(full, kept[0] if kept else None) for full, *kept in out]
 
 
 @functools.lru_cache(maxsize=256)
@@ -591,7 +577,7 @@ _TWO_PI_UP = 2.0 * PI_UP
 
 
 def _direct_eps(atoms: _Atoms, x) -> float:
-    """Per-term bound of a direct nu evaluation at x > 0 (see _error).
+    """Per-term bound of a direct evaluation at x > 0 (see _error).
 
     float(x) may lie u below x; _up covers that factor too.
     """
@@ -610,7 +596,8 @@ def _squared_eps(eps: float) -> float:
 
 
 def _evaluation_term(atoms: _Atoms, eps: float) -> float:
-    """|computed nu value - exact midpoint sum| from the per-term bound."""
+    """|computed value - exact midpoint sum| from the per-term bound, on
+    nu and cascade atoms alike (steps 5 and 6 of _error)."""
     n = len(atoms.mids)
     # numpy's pairwise sum: at most 20 additions inside a block of 64
     # terms, then one per halving
@@ -648,17 +635,22 @@ def _error(atoms: _Atoms, xi, eps: float,
     PI_UP and the sum are each raised to the first float at or above
     their exact value.
 
-    Evaluation term, nu atoms only: the distance between the computed
-    value and w sum e(xi m), the exact weight w = 1 / n times the sum
-    over the exact midpoints m = N / D. Proof sketch, with u = 2^-53
-    and gamma_k = k u / (1 - k u), assuming no float underflows:
+    Evaluation term: the distance between the computed value and
+    sum w_i e(xi m_i) over the n atoms, at their exact weights w_i and
+    exact midpoints m_i = N_i / D_i. On nu atoms every w_i is one
+    w = 1 / n. On cascade atoms w_i is the cylinder's mass, or on a
+    sample set the count of samples that drew the cylinder over the
+    sample count, and a kept sum sets w_i = 0 on the atoms its mask
+    drops; so sum w_i <= 1. Proof sketch, with u = 2^-53 and
+    gamma_k = k u / (1 - k u), assuming no float underflows:
 
     1. Fold. In floats, fl(m) = m (1 + d) with |d| <= gamma_mid_steps;
        float(xi) rounds once unless it equals xi; the product rounds
        once unless float(xi) is a power of two; the floor subtraction
        is exact. So the float phase differs from xi m, mod 1, by at
        most gamma_j xi m <= gamma_j xi, j the roundings counted. The
-       exact fold (xi >= 2^40) rounds the exact phase once: at most u.
+       exact fold (an int or Fraction xi on cascade atoms, or from
+       2^40 up on nu atoms) rounds the exact phase once: at most u.
     2. Angle. TWO_PI and the product each round once: the angle is
        within 2 pi gamma_2 of 2 pi phase, as phase < 1.
     3. exp. Each part of np.exp is within EXP_ULPS ulp (the stated
@@ -672,22 +664,33 @@ def _error(atoms: _Atoms, xi, eps: float,
        (1 + eps)^2 (Brent, Percival, Zimmermann 2007). A chained row
        restarts from exp when this bound would exceed twice the direct
        eps at its frequency.
-    5. Sum. numpy's pairwise sum passes each part of a term through at
-       most h = 20 + ceil(log2 n) additions, so the float sum is within
-       sqrt(2) gamma_h n (1 + eps) of the sum of the computed terms.
-       _nu_values sums leaf by leaf: each leaf is a node of that tree,
-       summed by numpy as the tree sums it, and _pairwise_combine adds
-       the leaf sums up the rest of the tree in numpy's order, so the
-       additions, and the float sum, are those of one ndarray.sum().
+    5. Sum. numpy's pairwise sum passes each part of a summand through
+       at most h = 20 + ceil(log2 n) additions, so the float sum is
+       within sqrt(2) gamma_h times the sum of the summands' moduli of
+       their exact sum. _leaf_values sums leaf by leaf: each leaf is a
+       node of that tree, summed by numpy as the tree sums it, and
+       _pairwise_combine adds the leaf sums up the rest of the tree in
+       numpy's order, so the additions, and the float sum, are those of
+       one ndarray.sum().
        The leaves run on any core, but each sum goes to its leaf's slot
        and the combine reads the slots in tree order, so the order
        does not depend on which leaf finishes first.
        test_leaf_sums_combine_to_the_numpy_sum checks this order, and
        test_results_do_not_depend_on_the_worker_count the slots.
-    6. Weight. The float weight is within rho w of w, computed exactly
-       when the atoms are built, and the last product rounds each part
-       once. With w n = 1 and s = eps + sqrt(2) gamma_h (1 + eps), the
-       term is (u (1 + rho) + rho) (1 + s) + s.
+    6. Weights. Each float weight is within rho w_i of w_i: nu's rho is
+       computed exactly when the atoms are built, and a cascade weight,
+       float(atom**k) or count / samples, rounds once (rho = u). Let
+       s = eps + sqrt(2) gamma_h (1 + eps). On nu atoms the float sum
+       of the n terms is within n s of sum e(xi m_i), and the product by
+       the weight rounds each part once: with w n = 1 the distance is
+       at most (u (1 + rho) + rho) (1 + s) + s. On cascade atoms each
+       summand, a weight times its term with each part rounded once, is
+       within u (1 + rho) (1 + eps) w_i of their exact product, which is
+       within (rho (1 + eps) + eps) w_i of w_i e(xi m_i), and has modulus
+       at most (1 + u) (1 + rho) (1 + eps) w_i. As sum w_i <= 1, these
+       and step 5 sum to the same expression: both expand to eps +
+       rho (1 + eps) + u (1 + rho) (1 + eps) + sqrt(2) gamma_h (1 + eps)
+       (1 + u) (1 + rho).
 
     Each bound is computed from nonnegative floats and raised by _up,
     and the sum of the two terms is rounded up. At xi = 0 the value is
@@ -704,7 +707,7 @@ def _error(atoms: _Atoms, xi, eps: float,
         bound = _at_least(stat + width, Fraction(stat) + Fraction(width))
     else:
         bound = math.pi * float(x) * _mass_width(atoms, keep)
-    if atoms.cascade or x == 0:
+    if x == 0:
         return bound
     return math.nextafter(bound + _evaluation_term(atoms, eps), math.inf)
 
@@ -733,8 +736,8 @@ def _check_frequency(xi) -> None:
     most 1) raised by a few roundings: below 4 * 2^1020 = 2^1022. A
     sample bound is PI_UP |xi| times the width ceiling (at most 1),
     below 2^1022, plus 3 / sqrt(n) <= 3, each raised by a few ulps. The
-    evaluation term of nu atoms is below 1. Every bound is thus below
-    2^1022 + 4, far under the float limit 2^1024. NaN and infinite
+    evaluation term is below 1. Every bound is thus below 2^1022 + 4,
+    far under the float limit 2^1024. NaN and infinite
     floats fail the comparison and are rejected too.
     """
     if not abs(xi) < FREQUENCY_LIMIT:
@@ -747,9 +750,9 @@ def fourier_cylinder_sum(measure: Measure, xi, depth: int,
                          budget: int = CYLINDER_BUDGET) -> FourierEstimate:
     """Exact-decomposition estimate: sum of mass * e(xi mid) per cylinder.
 
-    err_bound = sum of mass * pi |xi| width, plus on nu measures the
-    evaluation term of _error. At xi = 0 the value is the total mass
-    exactly and the bound is zero.
+    err_bound = sum of mass * pi |xi| width, plus the evaluation term
+    of _error. At xi = 0 the value is the total mass exactly and the
+    bound is zero.
     """
     _check_frequency(xi)
     atoms = _atoms(measure, depth, budget=budget)
@@ -762,8 +765,8 @@ def fourier_monte_carlo(measure: Measure, xi, samples: int, depth: int,
     """Sampled estimate: mean of e(xi mid) over drawn depth-level paths.
 
     err_bound = 3 / sqrt(samples) + pi |xi| * (worst cylinder width at
-    the depth), plus on nu measures the evaluation term of _error;
-    deterministic in the seed.
+    the depth), plus the evaluation term of _error; deterministic in the
+    seed.
     """
     _check_frequency(xi)
     atoms = _atoms(measure, depth, samples, seed)
@@ -834,18 +837,19 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     """Per-frequency estimates with the typical/exceptional decomposition.
 
     One cylinder enumeration (or one sample draw) is shared by all
-    frequencies, so a fixed seed gives a byte-reproducible table. On nu
-    atoms every row is evaluated in one pass over the atoms, leaf by
-    leaf, and a row whose frequency is 2^m times the last one squares
-    the last row's terms (see _nu_values). On cascade atoms each row
-    folds its frequency once: the typical estimate sums the kept subset
-    of the full row's terms (see _cascade_values). For a plain product
-    measure there is no exceptional part: n_index = 0 and
-    exc_tv = 0 on every row. Every |xi| must be below 2^1020
-    (_check_frequency), as for the single-frequency methods, and alpha
-    must be positive. Both are checked, and every cascade row's split
-    (split_typ_exc) is made, before any cylinder or sample is formed, so
-    a row past the cascade's horizon raises OutOfRange at once.
+    frequencies, so a fixed seed gives a byte-reproducible table. Every
+    row is evaluated in one pass over the atoms, leaf by leaf, and a row
+    whose frequency is 2^m times the last one, both folded in floats,
+    squares the last row's terms (see _leaf_values). On cascade atoms a
+    row's typical estimate comes from the same terms as its full one,
+    with the weights of the exceptional atoms set to 0, and both carry
+    the evaluation term. For a plain product measure there is no
+    exceptional part: n_index = 0 and exc_tv = 0 on every row. Every
+    |xi| must be below 2^1020 (_check_frequency), as for the
+    single-frequency methods, and alpha must be positive. Both are
+    checked, and every cascade row's split (split_typ_exc) is made,
+    before any cylinder or sample is formed, so a row past the cascade's
+    horizon raises OutOfRange at once.
     """
     if method not in ("cylinder", "montecarlo"):
         raise PreconditionViolated(f"unknown method {method!r}")

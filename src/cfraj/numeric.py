@@ -127,21 +127,13 @@ def ipow(base: int, exp: int, context: str = "power") -> int:
 
 
 def ipow_ceil(base: int, num: int, den: int, context: str = "power") -> int:
-    """ceil(base ** (num/den)) exactly, for base >= 1 and num, den >= 1."""
+    """ceil(base ** (num/den)) exactly, for base >= 1 and num, den >= 1,
+    with ipow's digit guard on base ** num, which is formed first."""
     if base < 1:
         raise ValueError("ipow_ceil needs base >= 1")
     if base == 1:
         return 1
-    # digit guard before forming base**num
-    if base.bit_length() * num * 0.30103 > digit_budget() * max(1, den):
-        raise Overflow(
-            f"{context}: exponentiation would exceed the digit budget",
-            log_magnitude=ln_int(base) * num / den,
-        )
-    power = base ** num
-    if den == 1:
-        return power
-    return iroot_ceil(power, den)
+    return iroot_ceil(ipow(base, num, context), den)
 
 
 @contextmanager

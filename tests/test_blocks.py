@@ -539,7 +539,8 @@ def test_leaf_geometry_equals_the_entry_geometry(measure, depth, exact,
     """The bilinear leaf kernel gives _geometry's floats bit for bit, in
     C and in ascending order, on either side of 2^53."""
     prefix, base, bounds, rows = leaf_rows(measure(), depth, ascending)
-    assert (blocks._den_bound(prefix, base) < 2**53) == exact
+    bound = blocks._den_bound(prefix, blocks._coefficients(base))
+    assert (bound < 2**53) == exact
     for lo, hi in bounds:
         want_mids, want_widths = blocks._geometry(
             *blocks._entry_rows(prefix, base, lo, hi))
@@ -556,7 +557,7 @@ def test_leaf_geometry_equals_the_entry_geometry(measure, depth, exact,
     (small_nu, 7), (small_p3_nu, 3)])
 def test_den_bound_covers_every_row(measure, depth):
     prefix, base = blocks._prefix_entries(measure(), depth, 10**7)
-    bound = blocks._den_bound(prefix, base)
+    bound = blocks._den_bound(prefix, blocks._coefficients(base))
     n = len(prefix[0]) * len(base[0])
     q, qp, _, _ = (e.tolist() for e in blocks._entry_rows(prefix, base, 0, n))
     dens = [2 * a * (a + b) for a, b in zip(q, qp)]

@@ -22,7 +22,7 @@ from cfraj.blocks import (
     median_log_continuant,
     product_convergent_matrices,
 )
-from cfraj.cascade import build_lambda, split_typ_exc, xn_mass
+from cfraj.cascade import _sample_columns, build_lambda, split_typ_exc, xn_mass
 from cfraj.errors import BudgetExceeded, OutOfRange, PreconditionViolated
 from cfraj import fourier
 from cfraj.fourier import (
@@ -377,12 +377,14 @@ def test_scan_rows_equal_single_frequency_estimates(source):
     if source == "nu":
         return
     # a cascade row's typical estimate reuses the full row's terms; it
-    # equals a fresh estimate under a mask built atom by atom
+    # equals a fresh estimate under a mask built atom by atom, on a
+    # sample set one atom per distinct cylinder, in first-seen order
+    drawn = {row[1:]: row[0] for row in sampled_rows(measure, 300, depth, 4)}
     for table, atoms, chains in (
             (cyl, _atoms(measure, depth),
              [row[0] for row in cylinder_rows(measure, depth)]),
-            (mc, _atoms(measure, depth, 300, 4),
-             [row[0] for row in sampled_rows(measure, 300, depth, 4)])):
+            (mc, _atoms(measure, depth, 300, 4), list(drawn.values()))):
+        assert len(chains) == len(atoms.mids)
         typed = 0
         for xi, row in zip(SCAN_XIS, table.rows):
             if row.n_index == 0:
@@ -410,17 +412,17 @@ def scan_digest(table):
 A06_XIS = [2**k for k in range(12)]
 
 
-# digests of scans drawn path by path with _walk, which the columnar
-# sampler must reproduce bit for bit
+# digests of Monte Carlo scans over the columnar sampler's draws, which
+# are those of _walk path for path (test_sampler_matches_reference_walker)
 @pytest.mark.parametrize("xis,depth,samples,seed,digest", [
     (SCAN_XIS, 9, 300, 4,
-     "6c61709d86a98c2016e7c73bcfba4fe9473bdf171fdb595ad8d0be91a8cca360"),
+     "4b5e94ff7702c0b5e39cedda1dff5a7fdef0fbd801fcd15dbcc498c027078c49"),
     (SCAN_XIS, 9, 300, 5,
-     "0bb481944362baa0e748a7c6f13c6dfb21f3b002fd0a53515d7b8af2a8f0feae"),
+     "4a90ae81e180774d624abca8ee42a4fe773a2dd88c3f0384b4a2150909290b6a"),
     (A06_XIS, 13, 20000, 0,
-     "36a17c4624528fc682eb205cf60b0f9e7a2d74ad510176d0b4cded26534282a9"),
+     "5051beee63d10f7555d77e2dbe5d1840e98dd70733ed7062b7dfea8957b7c7d1"),
     (A06_XIS, 13, 20000, 1,
-     "23cde7c4b83ffc89f2de80a473fe630b68221fc1fdb240f7085478bb65048e9c"),
+     "f63c3a445c86d7df215c7f5345dedeea5bbbc1abfee8bd7336ea64c6c28b9f87"),
 ])
 def test_monte_carlo_scans_are_pinned(xis, depth, samples, seed, digest):
     table = decay_scan(toy_lambda(), xis, "montecarlo", depth,
@@ -428,14 +430,13 @@ def test_monte_carlo_scans_are_pinned(xis, depth, samples, seed, digest):
     assert scan_digest(table) == digest
 
 
-# digests of cylinder scans and sums over the cylinders the earlier
-# recursive walk listed, which the columnar enumeration must reproduce bit
-# for bit; the scan digest adds every row's typical value
+# digests of cylinder scans and sums over the columnar enumeration's
+# cylinders; the scan digest adds every row's typical value
 @pytest.mark.parametrize("xis,depth,digest", [
     (SCAN_XIS, 9,
-     "8e37ca691e9f66dd6155481d4e69eddaa4cad15fcbc4cb0ebed62a479a95984b"),
+     "06b5571a6454ba6be1672d0b92c7b44879ccae5ed1e6e607027857d8ff92f89b"),
     (A06_XIS, 13,
-     "8df821f626961e38c9e59b003f73d8a6edfaac30b915857c95f1855c98ae7413"),
+     "05f44353f48fd77dc0320520e6f92b2c32e5e2eb1bbdab5a521de6710c54a1c1"),
 ])
 def test_cascade_cylinder_scans_are_pinned(xis, depth, digest):
     table = decay_scan(toy_lambda(), xis, "cylinder", depth)
@@ -453,7 +454,7 @@ def test_cascade_cylinder_sums_are_pinned():
         for xi in (1, 3, Fraction(7, 2), 2.5, 2**11, 2**45 + 1)
         for x in (xi, -xi))
     assert hashlib.sha256(doc.encode()).hexdigest() == (
-        "2b94d2f451dfa2ef808570f63e2d79aea36a4ea1e64188eed97a6b7e47f9512f")
+        "cf48529c7ab49f3f6e1fa30d03ed90cf09c4e3834869d5f461074e25b199f681")
 
 
 def test_sample_atoms_evaluate_each_distinct_cylinder_once():
@@ -461,25 +462,34 @@ def test_sample_atoms_evaluate_each_distinct_cylinder_once():
     atoms = _atoms(lm, 13, 20000, 0)
     n = len(atoms.mids)
     num, den = atoms.exact_mids(0, n)
-    assert n == len(num) == len(den) < 20000
-    assert len(atoms.inverse) == len(atoms.label_ids) == 20000
-    assert sorted(set(atoms.inverse.tolist())) == list(range(n))
-    # the same draw with one atom per sample
-    inv = atoms.inverse.tolist()
+    assert n == len(num) == len(den) == len(atoms.label_ids) < 20000
+    # each weight is the count of samples that drew its cylinder, over
+    # the sample count
+    counts = [round(w * 20000) for w in atoms.weight.tolist()]
+    assert min(counts) >= 1 and sum(counts) == 20000
+    assert atoms.weight.tolist() == [c / 20000 for c in counts]
+    # the same draw with one atom per sample, of weight 1 / 20000
+    inverse = _sample_columns(lm, 20000, 13, 0).inverse
+    assert sorted(set(inverse.tolist())) == list(range(n))
+    inv = inverse.tolist()
     num, den = [num[k] for k in inv], [den[k] for k in inv]
     each = dataclasses.replace(
-        atoms, mids=atoms.mids[atoms.inverse], inverse=None,
+        atoms, weight=np.full(20000, 1 / 20000), mids=atoms.mids[inverse],
+        label_ids=atoms.label_ids[inverse],
         exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]))
+    # masks over the distinct cylinders, handed to their samples
     rng = np.random.default_rng(13)
-    masks = [np.ones(20000, dtype=bool), rng.random(20000) < 0.5,
-             rng.random(20000) < 0.01]
-    xis = (3, Fraction(7, 2), 2.5, 2**45 + 1, -7)
-    for xi in xis:
+    masks = [np.ones(n, dtype=bool), rng.random(n) < 0.5,
+             rng.random(n) < 0.01]
+    for xi in (3, Fraction(7, 2), 2.5, 2**45 + 1, -7):
         for keep in masks:
-            # the full and kept sums, bit for bit
-            got, want = (_values(a, [xi], [keep])[0] for a in (atoms, each))
-            assert [(v.real.hex(), v.imag.hex(), eps) for v, eps in got] == \
-                [(v.real.hex(), v.imag.hex(), eps) for v, eps in want]
+            # the full and kept sums have one exact value, which each
+            # evaluation lies within its own term of
+            got = _values(atoms, [xi], [keep])[0]
+            want = _values(each, [xi], [keep[inverse]])[0]
+            for (a, eps_a), (b, eps_b) in zip(got, want):
+                assert abs(a - b) <= (_evaluation_term(atoms, eps_a)
+                                      + _evaluation_term(each, eps_b)), xi
 
 
 def test_keep_masks_need_cascade_atoms_and_a_nonzero_frequency():
@@ -491,7 +501,7 @@ def test_keep_masks_need_cascade_atoms_and_a_nonzero_frequency():
         _values(lm_atoms, [3, 0], [None, keep])
     # an all-true mask keeps every term, in the same order
     (full, kept), = _values(lm_atoms, [-3], [keep])
-    assert full == kept and full[1] == 0.0
+    assert full == kept and full[1] == fourier._direct_eps(lm_atoms, 3)
 
 
 # int, Fraction and float frequencies. A width term of
@@ -612,6 +622,86 @@ def test_nu_evaluation_term_covers_exact_midpoint_sum(source, depth):
             assert term < 1e-2
 
 
+def cos_sin_fsum(angles, weights, inverse=None):
+    """The cascade evaluator the one leaf pass replaced: weight * cos and
+    weight * sin of each angle in floats, each part summed by math.fsum;
+    on a sample set, inverse hands each sample its cylinder's terms."""
+    cos = [w * math.cos(a) for w, a in zip(weights, angles)]
+    sin = [w * math.sin(a) for w, a in zip(weights, angles)]
+    if inverse is not None:
+        cos, sin = ([part[k] for k in inverse] for part in (cos, sin))
+    return complex(math.fsum(cos), math.fsum(sin))
+
+
+def exact_terms(num, den, xi):
+    """e(xi n / d) at 40 digits for every exact midpoint n / d."""
+    x = Fraction(xi)
+    a, b = x.numerator, x.denominator
+    return [mpmath.expjpi(2 * mpmath.mpf((a * n) % (b * d)) / (b * d))
+            for n, d in zip(num, den)]
+
+
+# a06 (toy_lambda at depth 13) at the acceptance scans' frequencies, and a
+# shallow toy scan over int, Fraction and float frequencies, with a float
+# doubling chain (2.5, 5.0, 10.0) that squares on cascade atoms
+@pytest.mark.parametrize("depth,xis,samples,seeds", [
+    (13, A06_XIS, 20000, (0, 1)),
+    (9, [1, 2, 2.5, 5.0, 10.0, Fraction(21, 2), 40.0, 2**45 + 1], 300, (4,)),
+], ids=["a06", "toy"])
+def test_cascade_evaluation_term_covers_exact_midpoint_sum(depth, xis,
+                                                           samples, seeds):
+    lm = toy_lambda()
+    # (atoms, exact weights, each sample's distinct cylinder)
+    sources = [(_atoms(lm, depth),
+                [mass for *_, mass in cylinder_rows(lm, depth)], None)]
+    for seed in seeds:
+        inverse = _sample_columns(lm, samples, depth, seed).inverse
+        sources.append((_atoms(lm, depth, samples, seed),
+                        [Fraction(c, samples)
+                         for c in np.bincount(inverse).tolist()], inverse))
+    for atoms, weights, inverse in sources:
+        num, den = atoms.exact_mids(0, len(atoms.mids))
+        with mpmath.workdps(40):
+            exact_weights = [mpmath.mpf(w.numerator) / w.denominator
+                             for w in weights]
+        keeps = [None if xi <= 1 else atoms.typical_mask(split_typ_exc(lm, xi))
+                 for xi in xis]
+        if depth == 9:
+            assert [m for x, m, _ in fourier._plan(atoms, xis)
+                    if x in (5.0, 10.0)] == [1, 1]
+        for xi, keep, row in zip(xis, keeps, _values(atoms, xis, keeps)):
+            angles = (fourier.TWO_PI * _fold(atoms, xi)).tolist()
+            with mpmath.workdps(40):
+                terms = exact_terms(num, den, xi)
+                for (value, eps), mask in zip(row[:1 + (keep is not None)],
+                                              (None, keep)):
+                    if mask is None:
+                        mask = np.ones(len(weights), dtype=bool)
+                    exact = mpmath.fdot(
+                        (w, t) for w, t, k in zip(exact_weights, terms, mask)
+                        if k)
+                    term = _evaluation_term(atoms, eps)
+                    assert abs(mpmath.mpc(value) - exact) <= term, xi
+                    # the bound carries the term beside its midpoint term
+                    if inverse is None:
+                        midpoint = Fraction(math.pi * float(xi)
+                                            * fourier._mass_width(atoms, mask))
+                        old = cos_sin_fsum(angles, [
+                            float(w) if k else 0.0
+                            for w, k in zip(weights, mask)])
+                    else:
+                        midpoint = (Fraction(3.0 / math.sqrt(samples))
+                                    + Fraction(fourier.PI_UP) * Fraction(xi)
+                                    * _width_ceiling(lm, depth))
+                        old = cos_sin_fsum(angles, [
+                            1 / samples if k else 0.0 for k in mask],
+                            inverse.tolist())
+                    est = _estimate(atoms, xi, depth, (value, eps),
+                                    None if mask.all() else mask)
+                    assert Fraction(est.err_bound) >= midpoint + Fraction(term)
+                    assert abs(value - old) <= 2 * term, xi
+
+
 def test_dyadic_scan_rows_lie_within_their_evaluation_terms(monkeypatch):
     nu = reference_nu()
     xs = [2.0**k for k in range(-20, 40)]
@@ -633,7 +723,7 @@ def test_dyadic_scan_rows_lie_within_their_evaluation_terms(monkeypatch):
     # the chain starts with a direct evaluation and restarts at least
     # once, yet squares at least one row; the direct rows are counted
     # from the plan, as each leaf of the pass calls exp once per row
-    direct = [x for x, m, _ in fourier._nu_plan(_atoms(nu, 2), xs) if m == 0]
+    direct = [x for x, m, _ in fourier._plan(_atoms(nu, 2), xs) if m == 0]
     assert direct[0] == xs[0] and 1 < len(direct) < len(xs)
     assert sorted(set(called)) == direct
     for xi, row, term in zip(xs, table.rows, terms):
@@ -758,7 +848,7 @@ def test_nu_cylinder_scans_are_pinned(monkeypatch, leaf, measure, depth,
     monkeypatch.setattr(fourier, "_LEAF", leaf)
     atoms = _atoms(measure, depth)
     # _values plans the nonzero rows at |xi|
-    rows = fourier._nu_plan(atoms, [abs(x) for x in NU_PIN_XIS if x])
+    rows = fourier._plan(atoms, [abs(x) for x in NU_PIN_XIS if x])
     assert {m for _, m, _ in rows} >= {0, 1, 2}
     assert any(m == 0 and fourier._doublings(atoms, last[0], x)
                for last, (x, m, _) in zip(rows, rows[1:]))

@@ -9,9 +9,11 @@ from cfraj import numeric
 from cfraj.cascade import _sample_columns, max_phi_over_stage
 from cfraj.errors import Overflow
 from cfraj.fourier import _lambda_leaves
-from cfraj.numeric import digit_budget, guard_int, ipow
+from cfraj.numeric import digit_budget, guard_int, ipow, ipow_ceil
+from cfraj.rules import AssignmentRule, rho_value
 from cfraj.words import Word, joining_defect
 
+from test_blocks import SmallPowers
 from test_cascade import toy_lambda
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +38,18 @@ def test_ipow_guards_digits_before_forming_the_power(monkeypatch):
         ipow(10, 3, "window end")
     # 0 and 1 have no large powers
     assert ipow(1, 2**60) == 1 and ipow(0, 2**60) == 0
+
+
+def test_ipow_ceil_guards_the_power_before_its_root():
+    # tau = 2.3 as a float is a Fraction over 2^50, so the forced digit
+    # q^(tau - 2) is a root of q to a power near 3.4e14: refused unformed
+    rule = AssignmentRule.psi_power(2.3)
+    assert (rule.psi.tau - 2).denominator == 2**50
+    with pytest.raises(Overflow, match="forced digit"):
+        rho_value(rule, SmallPowers(5), 5)
+    # 5^(3/2) = 11.18...
+    assert ipow_ceil(SmallPowers(5), 3, 2) == 12
+    assert ipow_ceil(SmallPowers(5), 3, 1) == 125
 
 
 def test_joining_defect_raises_past_resolved_budget(monkeypatch):

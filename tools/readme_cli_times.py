@@ -67,6 +67,17 @@ def run_once(argv: list[str], env: dict) -> tuple[int, float, float]:
         return run_timed([sys.executable, "-c", ENTRY, *argv], env, cwd)
 
 
+def example_times(env: dict, runs: int) -> list[dict]:
+    """Each README example's argv with the summary of that many fresh
+    runs of it."""
+    listed = subprocess.run(
+        [sys.executable, "-c", LIST], cwd=ROOT / "tests", env=env,
+        capture_output=True, text=True, check=True)
+    return [{"argv": argv, **summary([run_once(argv, env)
+                                      for _ in range(runs)])}
+            for argv in json.loads(listed.stdout)]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=5,
@@ -74,16 +85,9 @@ def main() -> None:
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    env = source_env()
-    listed = subprocess.run(
-        [sys.executable, "-c", LIST], cwd=ROOT / "tests", env=env,
-        capture_output=True, text=True, check=True)
-    results = []
-    for argv in json.loads(listed.stdout):
-        runs = [run_once(argv, env) for _ in range(args.runs)]
-        results.append({"argv": argv, **summary(runs)})
     print(json.dumps({"python": sys.version.split()[0], "runs": args.runs,
-                      "examples": results}, indent=1))
+                      "examples": example_times(source_env(), args.runs)},
+                     indent=1))
 
 
 if __name__ == "__main__":

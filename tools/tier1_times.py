@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time tier-1 as a whole and each acceptance test, in fresh interpreters.
+"""Time tier-1, each acceptance test and each README CLI example afresh.
 
     python3 tools/tier1_times.py [--runs N]
 
@@ -7,9 +7,10 @@ Tier-1 is the ROADMAP's verify command, `python -m pytest -q
 --continue-on-collection-errors`, run from the root of this checkout with
 its `src` on PYTHONPATH and pytest's cache plugin off, so that no run
 writes to the checkout. Each test of tests/test_acceptance.py then runs
-alone, by its node id, the same way. Every command runs N times, each in
-a new interpreter. Prints JSON: per command, its argv, exit codes, and
-the median wall time and median peak RSS of its runs (see
+alone, by its node id, the same way, and each README CLI example as
+readme_cli_times runs it. Every command runs N times, each in a new
+interpreter. Prints JSON: per command, its argv, exit codes, and the
+median wall time and median peak RSS of its runs (see
 readme_cli_times.run_timed).
 """
 
@@ -18,7 +19,8 @@ import json
 import subprocess
 import sys
 
-from readme_cli_times import ROOT, run_timed, source_env, summary
+from readme_cli_times import (ROOT, example_times, run_timed, source_env,
+                              summary)
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 TIER1 = PYTEST + ["--continue-on-collection-errors"]
@@ -48,8 +50,8 @@ def main() -> None:
         runs = [run_timed(cmd, env, ROOT) for _ in range(args.runs)]
         results.append({"argv": cmd[1:], **summary(runs)})
     print(json.dumps({"python": sys.version.split()[0], "runs": args.runs,
-                      "tier1": results[0], "acceptance": results[1:]},
-                     indent=1))
+                      "tier1": results[0], "acceptance": results[1:],
+                      "examples": example_times(env, args.runs)}, indent=1))
 
 
 if __name__ == "__main__":
