@@ -64,7 +64,8 @@ class PhaseFunction:
     is what keeps every derived bound exact. Evaluation reads floats
     converted once at construction: the Horner coefficients, high
     degree first, and per trig term (is_sin, float(amp) * (2 pi)^k,
-    2 pi * float(freq)).
+    2 pi * float(freq)). derivative() is memoised, coeff_bound per exact
+    interval, outside the fields: ==, hash, repr and astuple miss both.
     """
 
     poly: tuple[Fraction, ...] = ()
@@ -100,6 +101,10 @@ class PhaseFunction:
         return float(acc) if np.isscalar(t) else acc
 
     def derivative(self) -> "PhaseFunction":
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self) -> "PhaseFunction":
         dpoly = tuple(j * c for j, c in enumerate(self.poly))[1:]
         dtrig = []
         for kind, amp, freq, k in self.trig:
@@ -115,7 +120,10 @@ class PhaseFunction:
         The rational part is rounded up to the first float at or above
         it, and its sum with the trig part is rounded up.
         """
-        lo, hi = (Fraction(interval[0]), Fraction(interval[1]))
+        lo, hi = key = (Fraction(interval[0]), Fraction(interval[1]))
+        bounds = self.__dict__.setdefault("_bounds", {})
+        if key in bounds:
+            return bounds[key]
         big = max(abs(lo), abs(hi))
         total = sum((abs(c) * big**j for j, c in enumerate(self.poly)),
                     Fraction(0))
@@ -129,12 +137,22 @@ class PhaseFunction:
         bound = _at_least(float(total), total)
         if trig_part:
             bound = math.nextafter(bound + trig_part * (1.0 + 1e-12), math.inf)
-        return bound
+        return bounds.setdefault(key, bound)
 
 
 def _grid(interval, points=GRID_POINTS):
+    """(xs, h): points floats h apart from lo to hi. xs is shared and
+    read-only: 8 grids of at most GRID_POINTS points (256 KiB) are kept."""
     lo, hi = float(interval[0]), float(interval[1])
-    return np.linspace(lo, hi, points), (hi - lo) / (points - 1)
+    build = _linspace if points <= GRID_POINTS else _linspace.__wrapped__
+    return build(lo.hex(), hi.hex(), points), (hi - lo) / (points - 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _linspace(lo: str, hi: str, points: int) -> np.ndarray:
+    xs = np.linspace(float.fromhex(lo), float.fromhex(hi), points)
+    xs.flags.writeable = False
+    return xs
 
 
 def certified_sup_abs(fn: PhaseFunction, interval,
@@ -257,13 +275,22 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gl_nodes(interval, panels: int, order: int = GL_ORDER):
     """Composite Gauss-Legendre nodes and weights on equal panels, and
-    the panels' half-widths."""
+    the panels' half-widths, shared and read-only: 15 sets of at most
+    QUAD_MAX_NODES nodes (15.3 MiB at GL_ORDER) are kept."""
     lo, hi = float(interval[0]), float(interval[1])
+    build = _nodes if panels * order <= QUAD_MAX_NODES else _nodes.__wrapped__
+    return build(lo.hex(), hi.hex(), panels, order)
+
+
+@functools.lru_cache(maxsize=15)
+def _nodes(lo: str, hi: str, panels: int, order: int):
     xs, ws = _leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = np.linspace(float.fromhex(lo), float.fromhex(hi), panels + 1)
     half = np.diff(edges) / 2
-    nodes = (xs + 1) * half[:, None] + edges[:-1, None]
-    return nodes.ravel(), (ws * half[:, None]).ravel(), half
+    ts = ((xs + 1) * half[:, None] + edges[:-1, None]).ravel()
+    wts = (ws * half[:, None]).ravel()
+    ts.flags.writeable = wts.flags.writeable = half.flags.writeable = False
+    return ts, wts, half
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,11 @@ class PsiFamily:
 
     @classmethod
     def power(cls, tau) -> "PsiFamily":
+        if isinstance(tau, float):
+            bits = tau.as_integer_ratio()[1].bit_length() - 1
+            raise PreconditionViolated(
+                f"float tau {tau!r} puts a root of index 2^{bits} into every forced "
+                f"digit; pass an int, a Fraction or a decimal string such as '2.3'")
         return cls("power", tau=Fraction(tau))
 
     @classmethod

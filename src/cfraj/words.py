@@ -216,9 +216,10 @@ def joining_defect(a: Word, b: Word, n_bound: int) -> float:
     k_ab = k_a * k_b
     if k_join == k_ab:
         return 0.0
-    # the log of the ratio in lowest terms, one ln_int per term
+    # the log of the ratio in lowest terms; below 2^512 ln_int is math.log
     g = math.gcd(k_join, k_ab)
-    defect = ln_int(k_join // g) - ln_int(k_ab // g)
+    log = math.log if k_join.bit_length() <= 512 else ln_int
+    defect = log(k_join // g) - log(k_ab // g)
     if defect <= 0.0:
         defect = math.log1p(max(float(Fraction(k_join, k_ab) - 1), 5e-324))
     return defect

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,9 +42,9 @@ def test_ipow_guards_digits_before_forming_the_power(monkeypatch):
 
 
 def test_ipow_ceil_guards_the_power_before_its_root():
-    # tau = 2.3 as a float is a Fraction over 2^50, so the forced digit
+    # tau = Fraction(2.3) is a Fraction over 2^50, so the forced digit
     # q^(tau - 2) is a root of q to a power near 3.4e14: refused unformed
-    rule = AssignmentRule.psi_power(2.3)
+    rule = AssignmentRule.psi_power(Fraction(2.3))
     assert (rule.psi.tau - 2).denominator == 2**50
     with pytest.raises(Overflow, match="forced digit"):
         rho_value(rule, SmallPowers(5), 5)

@@ -26,6 +26,8 @@ from cfraj.oscillatory import (
     PhaseFunction,
     _certified_integral,
     _gauss_legendre,
+    _gl_nodes,
+    _grid,
     _leggauss,
     _Majorant,
     _panel_remainder,
@@ -176,6 +178,23 @@ def test_float_cache_is_not_part_of_identity():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == \
         "PhaseFunction(poly=(Fraction(1, 1), Fraction(2, 1)), trig=())"
+
+
+def test_memos_are_invisible_and_shared_arrays_read_only():
+    f = PhaseFunction(poly=(1, Fraction(-1, 3), 2),
+                      trig=(("sin", Fraction(1, 2), 3, 0),))
+    seen = (hash(f), repr(f), dataclasses.astuple(f))
+    d = f.derivative()
+    assert f.derivative() is d
+    assert f.coeff_bound((0, 1)) == f.coeff_bound((Fraction(0), Fraction(1)))
+    d.coeff_bound((0, 1))
+    assert (hash(f), repr(f), dataclasses.astuple(f)) == seen
+    assert f == PhaseFunction(poly=f.poly, trig=f.trig)
+    xs, _ = _grid((0, 1))
+    assert _grid((Fraction(0), 1.0))[0] is xs
+    for a in (xs, *_gl_nodes((1, 4), 8)):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_coefficient_bound_dominates_dense_sampling():
@@ -627,6 +646,36 @@ def test_sweeps_pass_clean():
     assert rep.ok and rep.worst_margin > 0
     rep = run_sweep("integral", count=25, seed=13, measure=nu23(), depth=5)
     assert rep.ok and rep.worst_margin > 0
+
+
+def sweep_report_lines(seed):
+    """One line per lemma-sweep report: 200 cases of each lemma drawn from
+    random.Random(f"{seed}:{lemma}"), the integral cases on the a08
+    measure at depth 5, every float as float.hex."""
+    checks = (("nonstationary", nonstationary_sweep_case, check_nonstationary,
+               {}),
+              ("stationary", stationary_sweep_case, check_stationary, {}),
+              ("integral", integral_sweep_case, check_integral_inequality,
+               {"measure": nu23(), "depth": 5}))
+
+    def text(v):
+        return v.hex() if isinstance(v, float) else str(v)
+
+    for lemma, make, check, extra in checks:
+        rng = random.Random(f"{seed}:{lemma}")
+        for _ in range(200):
+            rep = check(make(rng), **extra)
+            yield ",".join(
+                [text(v) for v in (rep.ok, rep.lhs, rep.rhs, rep.slack)]
+                + [f"{k}={text(v)}" for k, v in rep.detail.items()])
+
+
+def test_lemma_sweep_reports_are_pinned():
+    # the 600 reports of a seed-0 lemma-sweep round
+    digest = hashlib.sha256(
+        "\n".join(sweep_report_lines(0)).encode()).hexdigest()
+    assert digest == (
+        "1108c7a8eddf9ede25a85a372f062eb5390ef788c7a28c66adaf7d5b5096a4a3")
 
 
 def test_sweep_determinism_and_errors():

@@ -203,6 +203,17 @@ def test_bad_rule_construction():
         AssignmentRule("psi-power", None)
 
 
+def test_float_tau_is_refused_with_its_exact_forms():
+    with pytest.raises(PreconditionViolated,
+                       match=r"index 2\^50 .* a Fraction or a decimal "
+                             r"string such as '2\.3'"):
+        AssignmentRule.psi_power(2.3)
+    with pytest.raises(PreconditionViolated, match="float"):
+        PsiFamily.power(3.0)
+    assert AssignmentRule.psi_power("2.3").psi.tau == Fraction(23, 10)
+    assert PsiFamily.power(Fraction(2.3)).tau == Fraction(2.3)
+
+
 def test_sum_rule_empty_prefix_has_no_members():
     # the running sum of the bare-head word is 0: no admissible digits,
     # rho falls back to the clamp

@@ -29,14 +29,13 @@ LIST = "import json; from test_cli import readme_commands; " \
        "print(json.dumps(readme_commands()))"
 
 
-def run_timed(cmd: list[str], env: dict,
-              cwd: str) -> tuple[int, float, float]:
+def run_timed(cmd: list[str], env: dict, cwd: str,
+              stdout=subprocess.DEVNULL) -> tuple[int, float, float]:
     """Exit code, wall seconds and peak RSS in MB of one fresh run of
-    cmd. The peak is that of the largest process among the child and
-    the descendants it waited for."""
+    cmd, its stdout going to stdout. The peak is that of the largest
+    process among the child and the descendants it waited for."""
     started = perf_counter()
-    child = subprocess.Popen(cmd, cwd=cwd, env=env,
-                             stdout=subprocess.DEVNULL,
+    child = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=stdout,
                              stderr=subprocess.DEVNULL)
     # wait4 reaps the child and returns its own rusage
     _, status, usage = os.wait4(child.pid, 0)
