@@ -60,18 +60,11 @@ class LambdaMeasure:
             raise PreconditionViolated("horizon must be >= 1")
         if len(self.nu.support) < 2:
             raise PreconditionViolated("need at least two support atoms to split")
-        seg, splits = {}, {}
-        for n in range(1, self.schedule.depth + 1):
-            if n == 1:
-                g = self.schedule.i[0]
-            else:
-                parent = n // 2
-                g = self.schedule.i[n - 1] - (
-                    self.schedule.i[parent - 1] + self.schedule.r[parent - 1]
-                )
-            seg[n] = g
-            splits[n] = top_half_split(self.nu, g)
-        object.__setattr__(self, "_segments", seg)
+        sch, splits = self.schedule, {}
+        for n in range(1, sch.depth + 1):
+            # label n's segment runs from the end of its parent's run
+            b = sch.i[n // 2 - 1] + sch.r[n // 2 - 1] if n > 1 else 0
+            splits[n] = top_half_split(self.nu, sch.i[n - 1] - b)
         object.__setattr__(self, "_splits", splits)
 
     @property
@@ -80,10 +73,7 @@ class LambdaMeasure:
 
     def segment_length(self, n: int) -> int:
         """Typical blocks accumulated by a label-n path before stage n."""
-        g = self._segments.get(n)
-        if g is None:
-            raise DepthExceeded(f"no stage {n} in a depth-{self.schedule.depth} schedule")
-        return g
+        return self.stage_split(n).level
 
     def stage_split(self, n: int) -> TopHalfSplit:
         s = self._splits.get(n)
@@ -109,83 +99,46 @@ def build_lambda(nu: NuMeasure, schedule: Schedule, horizon: int) -> LambdaMeasu
     return LambdaMeasure(nu=nu, schedule=schedule, horizon=horizon)
 
 
-# ------------------------------------------------------------ transition
+# ---------------------------------------------------------------- layout
 #
-# Both engines cross a stage the same way: a label-n path is tested at
-# block i_n (_stage_block), then refines to a child (_child) and appends
-# the forced run. _walk follows one given or drawn path (classify,
-# sample_path) without the numerators p, p', which none of its callers
-# reads, and takes its run in _cross_stage; the columnar engine below
-# takes every path set (cylinders, Monte Carlo draws, stage maxima)
-# label by label, and its runs in _forced_run.
+# One layout serves both walks: _segment places each label's typical
+# segment and forced run. A label-n path is tested at block i_n, refines
+# to 2n (its segment since the parent's run ranks below the split's
+# count) or 2n + 1, and takes the forced run. _walk follows one given or
+# drawn path (classify, sample_path) segment by segment, without the
+# numerators p, p', which none of its callers reads; the columnar engine
+# below takes every path set (cylinders, Monte Carlo draws, stage
+# maxima) label by label, on the tree _label_tree builds from _segment.
 
 
-def _stage_block(sch: Schedule, label: int) -> Optional[int]:
-    """Block index at which a label-`label` path is tested; None for a
-    label with no scheduled stage."""
-    return sch.i[label - 1] if label <= len(sch.i) else None
-
-
-def _child(label: int, top: bool) -> int:
-    """The label a label-`label` path refines to at its stage: 2 label when
-    its typical segment since the parent's run lies in the stage's top
-    half (top), else 2 label + 1."""
-    return 2 * label + (0 if top else 1)
-
-
-def _cross_stage(lm: LambdaMeasure, label: int, seg_rank: int, room: int,
-                 q: int, qp: int, dsum: int,
-                 given: Optional[Sequence[Block]] = None,
-                 at: int = 0) -> tuple:
-    """The transition at label's stage of a path at the word with
-    continuants (q, qp) and digit sum dsum.
-
-    The path refines to its _child: its typical segment since the parent's
-    run has rank seg_rank among the segments of its length, and the top
-    half holds the ranks below the split's count. It then takes the r_label
-    blocks of the forced run, at most room of them: each digit is the
-    rule's least admissible digit for the word so far, and each block's
-    continuant is guarded. With given, the run stops before the first of
-    given[at], given[at + 1], ... whose length is not p or whose digits
-    differ from the forced ones.
-
-    Returns (child, the child's stage block, whether no block differed,
-    the run's blocks, q, qp, dsum after them).
+def _segment(lm: LambdaMeasure, depth: int, label: int, b: int) -> tuple:
+    """(g, run, kids) of a label-`label` path from block b on a
+    depth-block path: its typical segment of g blocks; for a label tested
+    before depth, the run forced blocks its children take and its
+    children, the top half's first; else 0 and None.
     """
-    sch, rule = lm.schedule, lm.rule
-    child = _child(label, seg_rank < lm._splits[label].count)
-    stage = _stage_block(sch, child)
-    run: list[Block] = []
-    for k in range(min(sch.r[label - 1], room)):
-        start = q, qp, dsum
-        want = None if given is None else given[at + k]
-        if want is not None and len(want) != sch.p:
-            return (child, stage, False, run, *start)
-        digits = []
-        for j in range(sch.p):
-            d = rho_value(rule, q, dsum)
-            if want is not None and want[j] != d:
-                return (child, stage, False, run, *start)
-            digits.append(d)
-            q, qp = d * q + qp, q
-            dsum += d
-        guard_int(q, "forced-run continuant")
-        run.append(tuple(digits))
-    return child, stage, True, run, q, qp, dsum
+    sch = lm.schedule
+    stage = sch.i[label - 1] if label <= sch.depth else depth
+    if stage >= depth:
+        return depth - b, 0, None
+    return (stage - b, min(sch.r[label - 1], depth - stage),
+            (2 * label, 2 * label + 1))
 
 
 def _walk(lm: LambdaMeasure, depth: int,
           indices: Optional[Sequence[int]] = None,
           given: Optional[Sequence[Block]] = None) -> tuple:
-    """The linear walk: one path of depth blocks.
+    """The linear walk: one path of depth blocks, segment by segment.
 
-    Each typical segment (the blocks up to the next stage or depth) takes
-    its block indices in one slice: the next ones of indices, or those of
-    the blocks of the given path through nu's index. The walk of a given
-    path ends, invalid, before its first off-support typical block or its
-    first forced block that differs from the forced digits, with the
-    state of the blocks before it. A path ending at a stage's block index
-    keeps its label unrefined.
+    Each typical segment takes its block indices in one slice: the next
+    ones of indices, or those of the blocks of the given path through
+    nu's index. Its rank settles the label's child, and each block of the
+    forced run after it takes the rule's least admissible digits for the
+    word so far, its continuant guarded. The walk of a given path ends,
+    invalid, before its first off-support typical block or its first
+    forced block that is not p long or differs from the forced digits,
+    with the state of the blocks before it. A path ending at a stage's
+    block index keeps its label unrefined.
 
     Returns (valid, blocks, chain, label, typical, q, qp, dsum): the
     blocks walked, the label chain and last label, the typical block
@@ -193,35 +146,21 @@ def _walk(lm: LambdaMeasure, depth: int,
     """
     if depth > lm.horizon:
         raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
-    nu, sch = lm.nu, lm.schedule
-    support = nu.support
+    nu, p, rule = lm.nu, lm.schedule.p, lm.rule
+    support, index_of = nu.support, nu._index.get
     s = len(support)
-    index_of = nu._index.get
 
     out: list[Block] = []
-    label, chain, stage = 1, [1], _stage_block(sch, 1)
-    seg_rank = typical = 0
-    q, qp = 1, 0
-    dsum = 0
-    b = 0
+    label, chain = 1, [1]
+    q, qp, dsum, typical, b = 1, 0, 0, 0, 0
     valid = True
-    while b < depth:
-        if b == stage:
-            label, stage, valid, run, q, qp, dsum = _cross_stage(
-                lm, label, seg_rank, depth - b, q, qp, dsum, given, b)
-            chain.append(label)
-            seg_rank = 0
-            out += run
-            b += len(run)
-            if not valid:
-                break
-            continue
-        stop = depth if stage is None else min(stage, depth)
+    while valid:
+        g, run, kids = _segment(lm, depth, label, b)
         if given is None:
-            idxs = indices[typical:typical + stop - b]
+            idxs = indices[typical:typical + g]
         else:
             idxs = []
-            for blk in given[b:stop]:
+            for blk in given[b:b + g]:
                 idx = index_of(tuple(blk))
                 if idx is None:
                     break
@@ -232,16 +171,36 @@ def _walk(lm: LambdaMeasure, depth: int,
             for d in blk:
                 q, qp = d * q + qp, q
                 dsum += d
-        k = len(idxs)
-        typical += k
-        b += k
-        if b < stop:
-            valid = False
+        typical += len(idxs)
+        b += len(idxs)
+        valid = len(idxs) == g
+        if not valid or kids is None:
             break
-        if stop == stage:
-            # the segment's rank settles the next stage's split
-            for idx in idxs:
-                seg_rank = seg_rank * s + idx
+        rank = 0
+        for idx in idxs:
+            rank = rank * s + idx
+        label = kids[rank >= lm._splits[label].count]
+        chain.append(label)
+        for _ in range(run):
+            want = None if given is None else given[b]
+            if want is not None and len(want) != p:
+                valid = False
+                break
+            start, digits = (q, qp, dsum), []
+            for j in range(p):
+                d = rho_value(rule, q, dsum)
+                if want is not None and want[j] != d:
+                    valid = False
+                    break
+                digits.append(d)
+                q, qp = d * q + qp, q
+                dsum += d
+            if not valid:
+                q, qp, dsum = start
+                break
+            guard_int(q, "forced-run continuant")
+            out.append(tuple(digits))
+            b += 1
     return valid, out, tuple(chain), label, typical, q, qp, dsum
 
 
@@ -362,8 +321,8 @@ class _Columns:
     """Paths as columns: each distinct path's convergent entries q, qp,
     pn, pp (object arrays of Python ints) and typical block count;
     inverse, each path's distinct one (None when all are distinct);
-    chain_ids, each path's index into the distinct label chains, in
-    first-seen order."""
+    chain_ids, each distinct path's index into the distinct label
+    chains, in first-seen order."""
 
     q: np.ndarray
     qp: np.ndarray
@@ -472,39 +431,34 @@ def _columns(lm: LambdaMeasure, depth: int, tree: dict, starts: np.ndarray,
     chain_ids = np.array([ids.setdefault(f, len(ids)) for f in finals], int)
     chains = [tuple(f >> k for k in range(f.bit_length() - 1, -1, -1))
               for f in ids]
-    return _Columns(*out, chains, chain_ids if inverse is None
-                    else chain_ids[inverse], typical, inverse)
+    return _Columns(*out, chains, chain_ids, typical, inverse)
 
 
 def _label_tree(lm: LambdaMeasure, depth: int) -> dict:
     """Where the typical segment of each label lies on a depth-block path.
 
     Maps every label a path can carry to (t, g, cut, run, kids): the
-    typical blocks before the label's segment, t, and in it, g. For a
-    label tested before depth, cut is the base-s digits of its split's
-    count in _index_dtype's bytes, run the forced blocks its children
-    take, and kids its children, the top half's first; for a label whose
-    walk ends with its segment, cut and kids are None.
+    typical blocks before the label's segment, t, and _segment's g, run
+    and kids. For a label tested before depth, cut is the base-s digits
+    of its split's count in _index_dtype's bytes; for a label whose walk
+    ends with its segment, cut is None.
     """
     if depth > lm.horizon:
         raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
-    sch, s = lm.schedule, len(lm.nu.support)
+    s = len(lm.nu.support)
     dtype = _index_dtype(s)
     tree = {}
 
     def visit(label, b, t):
-        stage = _stage_block(sch, label)
-        if stage is None or stage >= depth:
-            tree[label] = (t, depth - b, None, 0, None)
-            return
-        g, count = stage - b, lm._splits[label].count
-        cut = np.array([count // s**k % s for k in range(g - 1, -1, -1)],
-                       dtype).tobytes()
-        run = min(sch.r[label - 1], depth - stage)
-        kids = (_child(label, True), _child(label, False))
+        g, run, kids = _segment(lm, depth, label, b)
+        cut = None
+        if kids is not None:
+            count = lm._splits[label].count
+            cut = np.array([count // s**k % s for k in range(g - 1, -1, -1)],
+                           dtype).tobytes()
         tree[label] = (t, g, cut, run, kids)
-        for child in kids:
-            visit(child, stage + run, t + g)
+        for child in kids or ():
+            visit(child, b + g + run, t + g)
 
     visit(1, 0, 0)
     return tree

@@ -54,13 +54,20 @@ def _emit_json(config: dict, body: dict,
         sys.stdout.write(text)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_xi_token(tok: str):
     try:
         return int(tok)
     except ValueError:
         pass
     if "/" in tok:
-        return Fraction(tok)
+        return _fraction(tok)
     return float(tok)
 
 
@@ -74,7 +81,7 @@ def _parse_rule(text: str) -> AssignmentRule:
     if text == "exp":
         return AssignmentRule.psi_exp()
     if text.startswith("power:"):
-        return AssignmentRule.psi_power(Fraction(text.split(":", 1)[1]))
+        return AssignmentRule.psi_power(_fraction(text.split(":", 1)[1]))
     raise PreconditionViolated(
         f"unknown rule {text!r}; expected sum, exp, or power:TAU")
 
@@ -222,7 +229,7 @@ def _resolve_sigma(args) -> tuple[Optional[float],
 
 def _nu_from_args(args) -> tuple[NuMeasure, dict]:
     sigma, anchor = _resolve_sigma(args)
-    eps = Fraction(args.eps)
+    eps = _fraction(args.eps)
     nu = build_nu(args.n_bound, args.p, sigma, eps, sigma_anchor=anchor,
                   budget=args.budget)
     config = {
@@ -258,7 +265,7 @@ def cmd_schedule_make(args) -> int:
     if args.exp == (args.tau is not None):
         raise PreconditionViolated("pick exactly one of --tau and --exp")
     psi = PsiFamily.exponential() if args.exp \
-        else PsiFamily.power(Fraction(args.tau))
+        else PsiFamily.power(_fraction(args.tau))
     if args.sigma_log is not None:
         sigma = math.log(args.sigma_log) / args.sigma_k
     elif args.sigma is not None:
@@ -346,7 +353,7 @@ def cmd_fourier_scan(args) -> int:
     table = decay_scan(
         measure, xi_list, method, args.depth,
         samples=args.samples, seed=args.seed,
-        alpha=Fraction(args.alpha), budget=args.budget,
+        alpha=_fraction(args.alpha), budget=args.budget,
     )
     if args.out:
         _atomic_write(args.out, table.serialize_csv())
@@ -372,7 +379,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit_exponents(args) -> int:
-    print(format_audit(exponent_audit(Fraction(args.alpha))))
+    print(format_audit(exponent_audit(_fraction(args.alpha))))
     return 0
 
 

@@ -210,13 +210,12 @@ class _Atoms:
         return np.array(typical)[self.label_ids]
 
 
-def _cascade_atoms(cols: _Columns, weight: np.ndarray, label_ids: np.ndarray,
-                   **source) -> _Atoms:
+def _cascade_atoms(cols: _Columns, weight: np.ndarray, **source) -> _Atoms:
     # each float midpoint, n / d of Python ints, and weight round once
     num, den = _midpoints((cols.q, cols.qp, cols.pn, cols.pp))
     return _Atoms(weight=weight,
                   mids=np.array([n / d for n, d in zip(num, den)]),
-                  cascade=True, labels=cols.chains, label_ids=label_ids,
+                  cascade=True, labels=cols.chains, label_ids=cols.chain_ids,
                   exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]),
                   mid_steps=1, weight_err=U, **source)
 
@@ -230,15 +229,12 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         if samples is None:
             cols = _lambda_leaves(measure, depth, budget)
             return _cascade_atoms(
-                cols, cols.weights(measure.nu.atom), cols.chain_ids,
+                cols, cols.weights(measure.nu.atom),
                 widths=np.array([1 / (q * (q + qp))
                                  for q, qp in zip(cols.q, cols.qp)]))
         cols = _sample_columns(measure, samples, depth, seed)
-        # each distinct cylinder's chain, from that of any sample of it
-        label_ids = np.empty(len(cols), dtype=cols.chain_ids.dtype)
-        label_ids[cols.inverse] = cols.chain_ids
         return _cascade_atoms(
-            cols, np.bincount(cols.inverse) / samples, label_ids,
+            cols, np.bincount(cols.inverse) / samples,
             samples=samples, width_ceiling=_width_ceiling(measure, depth))
     if samples is None:
         return _nu_cylinder_atoms(measure, depth, budget)

@@ -142,10 +142,10 @@ class PhaseFunction:
 
 def _grid(interval, points=GRID_POINTS):
     """(xs, h): points floats h apart from lo to hi. xs is shared and
-    read-only: 8 grids of at most GRID_POINTS points (256 KiB) are kept."""
+    read-only: 8 grids of at most GRID_POINTS points (256 KiB) are kept,
+    as no caller asks for more."""
     lo, hi = float(interval[0]), float(interval[1])
-    build = _linspace if points <= GRID_POINTS else _linspace.__wrapped__
-    return build(lo.hex(), hi.hex(), points), (hi - lo) / (points - 1)
+    return _linspace(lo.hex(), hi.hex(), points), (hi - lo) / (points - 1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -155,26 +155,23 @@ def _linspace(lo: str, hi: str, points: int) -> np.ndarray:
     return xs
 
 
-def certified_sup_abs(fn: PhaseFunction, interval,
-                      points=GRID_POINTS) -> float:
+def certified_sup_abs(fn: PhaseFunction, interval) -> float:
     """Rigorous upper bound for sup |fn| over the interval."""
-    xs, h = _grid(interval, points)
+    xs, h = _grid(interval)
     lip = fn.derivative().coeff_bound(interval)
     return float(np.abs(fn(xs)).max()) + lip * h / 2
 
 
-def certified_range(fn: PhaseFunction, interval,
-                    points=GRID_POINTS) -> tuple[float, float]:
+def certified_range(fn: PhaseFunction, interval) -> tuple[float, float]:
     """Rigorous enclosure [lower, upper] of fn's signed range."""
-    xs, h = _grid(interval, points)
+    xs, h = _grid(interval)
     vals = fn(xs)
     lip = fn.derivative().coeff_bound(interval)
     return float(vals.min()) - lip * h / 2, float(vals.max()) + lip * h / 2
 
 
-def certified_inf_abs(fn: PhaseFunction, interval,
-                      points=GRID_POINTS) -> float:
-    xs, h = _grid(interval, points)
+def certified_inf_abs(fn: PhaseFunction, interval) -> float:
+    xs, h = _grid(interval)
     lip = fn.derivative().coeff_bound(interval)
     return float(np.abs(fn(xs)).min()) - lip * h / 2
 
@@ -266,25 +263,26 @@ def _ellipse(rho: Fraction) -> tuple[float, float, float]:
 _ELLIPSES = tuple(_ellipse(rho) for rho in _RHOS)
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = np.polynomial.legendre.leggauss(order)
+@functools.cache
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    xs, ws = np.polynomial.legendre.leggauss(GL_ORDER)
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
 
-def _gl_nodes(interval, panels: int, order: int = GL_ORDER):
+def _gl_nodes(interval, panels: int):
     """Composite Gauss-Legendre nodes and weights on equal panels, and
     the panels' half-widths, shared and read-only: 15 sets of at most
-    QUAD_MAX_NODES nodes (15.3 MiB at GL_ORDER) are kept."""
+    QUAD_MAX_NODES nodes (15.3 MiB) are kept."""
     lo, hi = float(interval[0]), float(interval[1])
-    build = _nodes if panels * order <= QUAD_MAX_NODES else _nodes.__wrapped__
-    return build(lo.hex(), hi.hex(), panels, order)
+    build = (_nodes if panels * GL_ORDER <= QUAD_MAX_NODES
+             else _nodes.__wrapped__)
+    return build(lo.hex(), hi.hex(), panels)
 
 
 @functools.lru_cache(maxsize=15)
-def _nodes(lo: str, hi: str, panels: int, order: int):
-    xs, ws = _leggauss(order)
+def _nodes(lo: str, hi: str, panels: int):
+    xs, ws = _leggauss()
     edges = np.linspace(float.fromhex(lo), float.fromhex(hi), panels + 1)
     half = np.diff(edges) / 2
     ts = ((xs + 1) * half[:, None] + edges[:-1, None]).ravel()

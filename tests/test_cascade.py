@@ -15,6 +15,7 @@ from cfraj import cascade, numeric
 from cfraj.blocks import NuMeasure, build_nu
 from cfraj.cascade import (
     LambdaMeasure,
+    PathState,
     _draw_indices,
     _sample_columns,
     build_lambda,
@@ -643,6 +644,94 @@ def test_forced_block_of_wrong_length_is_a_mismatch(forced):
     assert classify(lm, [(4,), (4,), (8,)]).valid
 
 
+def _reference_classify(lm, blocks):
+    """The per-block classifier: each block is checked on its own, a
+    typical one against nu's support and a forced one digit by digit
+    against the rule.
+
+    Returns the PathState and why the walk ended: "off-support",
+    "digit" or "length" for an invalid path, "cut" for a valid one that
+    ends inside a forced run, else None.
+    """
+    nu, sch = lm.nu, lm.schedule
+    s = len(nu.support)
+    label, chain = 1, [1]
+    seg_rank = typical = 0
+    q, qp, dsum = 1, 0, 0
+    run_end = 0
+    why = None
+    for b, blk in enumerate(blocks):
+        if label <= sch.depth and b == sch.i[label - 1]:
+            run_end = b + sch.r[label - 1]
+            top = seg_rank < lm.stage_split(label).count
+            label = 2 * label + (0 if top else 1)
+            chain.append(label)
+            seg_rank = 0
+        if b < run_end:
+            if len(blk) != sch.p:
+                why = "length"
+                break
+            nq, nqp, nsum = q, qp, dsum
+            for d in blk:
+                if d != rho_value(lm.rule, nq, nsum):
+                    why = "digit"
+                    break
+                nq, nqp, nsum = d * nq + nqp, nq, nsum + d
+            if why:
+                break
+            guard_int(nq, "forced-run continuant")
+            q, qp, dsum = nq, nqp, nsum
+            continue
+        if tuple(blk) not in nu.support:
+            why = "off-support"
+            break
+        seg_rank = seg_rank * s + nu.block_index(tuple(blk))
+        typical += 1
+        for d in blk:
+            q, qp, dsum = d * q + qp, q, dsum + d
+    if why is None and len(blocks) < run_end:
+        why = "cut"
+    mass = Fraction(0) if why in ("off-support", "digit", "length") \
+        else nu.atom**typical
+    return PathState(mass != 0, mass, tuple(chain), label, typical,
+                     q, qp, dsum), why
+
+
+def psi_runs_lambda():
+    # psi(q) = q^-5/2 with runs of 1, 2 and 3 blocks
+    nu = nu_digits45()
+    sch = Schedule(i=(2, 5, 9), r=(1, 2, 3), p=1, sigma=nu.sigma,
+                   rule=AssignmentRule.psi_power(Fraction(5, 2)))
+    return build_lambda(nu, sch, 13)
+
+
+@pytest.mark.parametrize("make,depth", [
+    (lambda: toy_lambda(runs=(1, 2, 2, 2)), 13), (stage2_lambda, 98),
+    (psi_runs_lambda, 13),
+])
+def test_classify_matches_reference_on_mutated_paths(make, depth):
+    # every block of sampled paths, replaced by an off-support block, a
+    # block with a changed digit, one digit longer or one digit shorter,
+    # and every prefix of them
+    lm = make()
+    support = set(lm.nu.support)
+    seen = set()
+    for seed in range(4):
+        path = sample_path(lm, depth, seed)
+        paths = [path[:k] for k in range(depth + 1)]
+        for b, blk in enumerate(path):
+            off = tuple(d + 7 for d in blk)
+            assert off not in support
+            for bad in (off, blk[:-1] + (blk[-1] + 1,), blk + (1,), blk[1:]):
+                paths.append(path[:b] + [bad] + path[b + 1:])
+        for mutated in paths:
+            want, why = _reference_classify(lm, mutated)
+            assert classify(lm, mutated) == want
+            assert cylinder_mass(lm, mutated) == want.mass
+            seen.add(why)
+    assert seen == {None, "off-support", "digit", "length", "cut"}
+
+
 # ------------------------------------------------- sampler against reference
 
 
@@ -665,10 +754,9 @@ def cylinder_rows(lm, depth, labels=None):
 def sampled_rows(lm, samples, depth, seed):
     """(chain, pn, pp, q, qp) of each path of one shared-stream draw."""
     cols = _sample_columns(lm, samples, depth, seed)
-    chains = [cols.chains[k] for k in cols.chain_ids.tolist()]
-    rows = list(zip(cols.pn, cols.pp, cols.q, cols.qp))
-    return [(chain, *rows[k])
-            for chain, k in zip(chains, cols.inverse.tolist())]
+    rows = [(cols.chains[k], *row) for k, row in zip(
+        cols.chain_ids.tolist(), zip(cols.pn, cols.pp, cols.q, cols.qp))]
+    return [rows[k] for k in cols.inverse.tolist()]
 
 
 @pytest.mark.parametrize("make,depth", [

@@ -103,6 +103,25 @@ def test_nu_build_operational_errors(capsys, monkeypatch):
         "nu", "build", "--N", "5", "--p", "3",
         "--sigma-log", "5", "--eps", "1/4", "--budget", "10"])
     assert code == 2 and "budget" in err.lower()
+    # a zero denominator in any fraction argument, as any malformed number
+    nu = ["--N", "3", "--p", "1", "--sigma-log", "6", "--sigma-k", "2"]
+    scan = ["fourier", "scan", *nu, "--xi", "4"]
+    for argv in (
+            ["nu", "build", *nu, "--eps", "1/0"],
+            ["lambda", "mass", *LAMBDA_FLAGS, "--prefix", "4", "--eps", "1/0"],
+            ["lambda", "sample", *LAMBDA_FLAGS, "--depth", "2",
+             "--eps", "1/0"],
+            [*scan, "--eps", "1/0"],
+            ["fourier", "scan", *nu, "--xi", "4,1/0"],
+            [*scan, "--alpha", "1/0"],
+            ["schedule", "make", "--tau", "1/0", "--p", "2", "--sigma", "2.0",
+             "--i1", "4", "--r", "1,2"],
+            ["lambda", "mass", *LAMBDA_FLAGS, "--prefix", "4",
+             "--rule", "power:1/0"],
+            ["audit", "exponents", "--alpha", "1/0"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: zero denominator in '1/0'\n", argv
 
 
 def test_digit_budget_env_leaves_the_enumeration_cap_alone(capsys,
