@@ -158,6 +158,15 @@ def _window_ends(sigma: float, eps: Fraction,
     return (k_lo, k_hi) if k_lo <= k_hi else (1, 0)
 
 
+def _anchored_sigma(anchor: tuple[int, int]) -> float:
+    """sigma = log(m) / k of the anchor (m, k), once m >= 1 and k >= 1."""
+    m, k = anchor
+    if m < 1 or k < 1:
+        raise PreconditionViolated(
+            f"sigma anchor log({m})/{k} needs m >= 1 and k >= 1")
+    return math.log(m) / k
+
+
 def _continuant_grids(n_bound: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of shape (N,)*p holding K and K-minus-last for all tuples.
 
@@ -194,7 +203,7 @@ def build_nu(n_bound: int, p: int, sigma: Optional[float], eps_window,
     if not (0 < eps < 1):
         raise PreconditionViolated("eps_window must be in (0, 1)")
     if sigma_anchor is not None:
-        sigma = math.log(sigma_anchor[0]) / sigma_anchor[1]
+        sigma = _anchored_sigma(sigma_anchor)
     if sigma is None or sigma <= 0:
         raise PreconditionViolated("sigma must be positive")
     if n_bound**p > budget:

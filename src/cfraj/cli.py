@@ -26,7 +26,8 @@ from typing import Optional
 
 from . import __version__, config_hash
 from .audit import exponent_audit, format_audit
-from .blocks import NuMeasure, build_nu, median_log_continuant
+from .blocks import (NuMeasure, _anchored_sigma, build_nu,
+                     median_log_continuant)
 from .cascade import CYLINDER_BUDGET, build_lambda, classify, sample_path
 from .errors import CfrajError, PreconditionViolated
 from .fourier import decay_scan
@@ -267,7 +268,7 @@ def cmd_schedule_make(args) -> int:
     psi = PsiFamily.exponential() if args.exp \
         else PsiFamily.power(_fraction(args.tau))
     if args.sigma_log is not None:
-        sigma = math.log(args.sigma_log) / args.sigma_k
+        sigma = _anchored_sigma((args.sigma_log, args.sigma_k))
     elif args.sigma is not None:
         sigma = args.sigma
     else:

@@ -262,8 +262,15 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     in the tree's order gives widths.sum() bit for bit. Only the two
     factors (blocks._prefix_entries) are kept, for exact_mids, which
     forms a leaf's convergent entries (blocks._entry_rows).
+
+    mids is read-only. A set of at most _LEAF atoms is memoised on nu
+    per depth, outside its fields, and read once the budget admits it;
+    a larger one is formed afresh, so that scans hold no more memory.
     """
     n = len(nu.support)**depth
+    memo = nu.__dict__.setdefault("_atom_sets", {})
+    if n <= budget and depth in memo:
+        return memo[depth]
     prefix, base = _prefix_entries(nu, depth, budget)
     rows = _leaf_geometry(prefix, base)
     mids = np.empty(n, dtype=np.float64)
@@ -282,11 +289,15 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
     steps = (n - 1) + 5 + (depth + 2) + 2 + 4
     width_sum = _pairwise_combine(n, 1, _LEAF, width_sums)
-    return _Atoms(weight=weight, mids=mids, cascade=False,
-                  exact_mids=lambda lo, hi: _midpoints(
-                      _entry_rows(prefix, base, lo, hi)),
-                  mass_width=weight * float(width_sum) * _inflation(steps),
-                  **_nu_rounding(min(min_widths), weight, nu.atom**depth))
+    mids.flags.writeable = False
+    atoms = _Atoms(weight=weight, mids=mids, cascade=False,
+                   exact_mids=lambda lo, hi: _midpoints(
+                       _entry_rows(prefix, base, lo, hi)),
+                   mass_width=weight * float(width_sum) * _inflation(steps),
+                   **_nu_rounding(min(min_widths), weight, nu.atom**depth))
+    if n <= _LEAF:
+        memo[depth] = atoms
+    return atoms
 
 
 # roundings in a float midpoint when blocks._geometry's integers are not
@@ -544,10 +555,22 @@ def _inflation(steps: int) -> float:
     return math.nextafter(float(Fraction(2**53, 2**53 - steps)), math.inf)
 
 
-def _at_least(value: float, exact: Fraction) -> float:
-    """value, raised an ulp at a time until it is >= exact."""
-    while Fraction(value) < exact:
+def _at_least(value: float, exact: Union[int, Fraction]) -> float:
+    """value, raised an ulp at a time until it is >= exact, by an integer
+    test: with value = a / b and exact = p / q, b, q > 0, value >= exact
+    exactly when a q >= p b. No Fraction is formed; inf and NaN raise
+    OverflowError and ValueError, as Fraction(value) does."""
+    return _ratio_up(*exact.as_integer_ratio(), value)
+
+
+def _ratio_up(p: int, q: int, value: Optional[float] = None) -> float:
+    """value, by default p / q to nearest, raised as _at_least raises it
+    to p / q (ints, q > 0): by default the least float >= p / q."""
+    value = p / q if value is None else value
+    a, b = value.as_integer_ratio()
+    while a * q < p * b:
         value = math.nextafter(value, math.inf)
+        a, b = value.as_integer_ratio()
     return value
 
 

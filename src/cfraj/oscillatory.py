@@ -33,7 +33,6 @@ from .cascade import (
 from .errors import BudgetExceeded, CertificationFailed, PreconditionViolated
 from .fourier import (
     EXP_ULPS,
-    PI_UP,
     SQRT2_UP,
     TWO_PI,
     U,
@@ -44,6 +43,7 @@ from .fourier import (
     _inflation,
     _lambda_leaves,
     _mass_width,
+    _ratio_up,
     _up,
 )
 
@@ -51,8 +51,30 @@ GRID_POINTS = 4096
 
 Rat = Union[int, Fraction]
 
+# _TWO_PI_UP = 2 PI_UP, an exact float, as an integer ratio
+_TWO_PI_RATIO = _TWO_PI_UP.as_integer_ratio()
+
 
 # --------------------------------------------------------------- phases
+
+
+def _exact(c: Rat) -> Fraction:
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _per_interval(compute):
+    """compute(fn, interval), memoised in fn.__dict__ on the endpoints
+    themselves: int, Fraction and float endpoints of equal value hash
+    equal and share one entry, as compute reads only their values."""
+    @functools.wraps(compute)
+    def memoised(fn, interval):
+        memo = fn.__dict__.setdefault("_memo", {})
+        key = compute, interval[0], interval[1]
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute(fn, interval)
+        return value
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -64,8 +86,10 @@ class PhaseFunction:
     is what keeps every derived bound exact. Evaluation reads floats
     converted once at construction: the Horner coefficients, high
     degree first, and per trig term (is_sin, float(amp) * (2 pi)^k,
-    2 pi * float(freq)). derivative() is memoised, coeff_bound per exact
-    interval, outside the fields: ==, hash, repr and astuple miss both.
+    2 pi * float(freq)). Memoised outside the fields, so that ==, hash,
+    repr and astuple miss them: derivative(), and per interval (see
+    _per_interval) coeff_bound and the certified grid bounds
+    certified_sup_abs, certified_range and certified_inf_abs.
     """
 
     poly: tuple[Fraction, ...] = ()
@@ -75,13 +99,12 @@ class PhaseFunction:
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "poly", tuple(Fraction(c) for c in self.poly))
+        object.__setattr__(self, "poly", tuple(map(_exact, self.poly)))
         norm = []
         for kind, amp, freq, k in self.trig:
             if kind not in ("sin", "cos"):
                 raise PreconditionViolated(f"unknown trig kind {kind!r}")
-            norm.append((kind, Fraction(amp), Fraction(freq), int(k)))
+            norm.append((kind, _exact(amp), _exact(freq), int(k)))
         object.__setattr__(self, "trig", tuple(norm))
         object.__setattr__(
             self, "_horner", tuple(float(c) for c in reversed(self.poly)))
@@ -114,30 +137,31 @@ class PhaseFunction:
                 dtrig.append(("sin", -amp * freq, freq, k + 1))
         return PhaseFunction(poly=dpoly, trig=tuple(dtrig))
 
+    @_per_interval
     def coeff_bound(self, interval) -> float:
         """Sound sup-norm bound from coefficient norms alone.
 
-        The rational part is rounded up to the first float at or above
-        it, and its sum with the trig part is rounded up.
+        The rational part, one integer ratio, is rounded up to the first
+        float at or above it, and its sum with the trig part is rounded up.
         """
-        lo, hi = key = (Fraction(interval[0]), Fraction(interval[1]))
-        bounds = self.__dict__.setdefault("_bounds", {})
-        if key in bounds:
-            return bounds[key]
-        big = max(abs(lo), abs(hi))
-        total = sum((abs(c) * big**j for j, c in enumerate(self.poly)),
-                    Fraction(0))
+        big_n, big_d = max(abs(Fraction(interval[0])),
+                           abs(Fraction(interval[1]))).as_integer_ratio()
         # k = 0 terms stay rational; only a genuine pi power forces floats
-        total += sum((abs(amp) for _, amp, _, k in self.trig if k == 0),
-                     Fraction(0))
+        terms = [(abs(c.numerator) * big_n**j, c.denominator * big_d**j)
+                 for j, c in enumerate(self.poly)]
+        terms += [(abs(amp.numerator), amp.denominator)
+                  for _, amp, _, k in self.trig if k == 0]
+        num, den = 0, 1
+        for n, d in terms:
+            num, den = num * d + n * den, den * d
         trig_part = math.fsum(
             abs(float(amp)) * TWO_PI**k
             for _, amp, _, k in self.trig if k > 0
         )
-        bound = _at_least(float(total), total)
+        bound = _ratio_up(num, den)
         if trig_part:
             bound = math.nextafter(bound + trig_part * (1.0 + 1e-12), math.inf)
-        return bounds.setdefault(key, bound)
+        return bound
 
 
 def _grid(interval, points=GRID_POINTS):
@@ -155,6 +179,7 @@ def _linspace(lo: str, hi: str, points: int) -> np.ndarray:
     return xs
 
 
+@_per_interval
 def certified_sup_abs(fn: PhaseFunction, interval) -> float:
     """Rigorous upper bound for sup |fn| over the interval."""
     xs, h = _grid(interval)
@@ -162,6 +187,7 @@ def certified_sup_abs(fn: PhaseFunction, interval) -> float:
     return float(np.abs(fn(xs)).max()) + lip * h / 2
 
 
+@_per_interval
 def certified_range(fn: PhaseFunction, interval) -> tuple[float, float]:
     """Rigorous enclosure [lower, upper] of fn's signed range."""
     xs, h = _grid(interval)
@@ -170,6 +196,7 @@ def certified_range(fn: PhaseFunction, interval) -> tuple[float, float]:
     return float(vals.min()) - lip * h / 2, float(vals.max()) + lip * h / 2
 
 
+@_per_interval
 def certified_inf_abs(fn: PhaseFunction, interval) -> float:
     xs, h = _grid(interval)
     lip = fn.derivative().coeff_bound(interval)
@@ -307,17 +334,19 @@ class _Majorant:
 
     @classmethod
     def of(cls, f: PhaseFunction) -> "_Majorant":
-        def up(v: Fraction) -> float:
-            return _at_least(float(v), v)
-
-        two_pi = 2 * Fraction(PI_UP)
+        # each modulus is rounded up from its exact integer ratio, with
+        # 2 pi taken as 2 PI_UP
+        tp, tq = _TWO_PI_RATIO
         waves = []
         for _, amp, freq, k in f.trig:
-            w, om = abs(amp) * two_pi**k, two_pi * abs(freq)
-            waves.append((up(w), up(om), up(w * om)))
-        return cls(poly=tuple(up(abs(c)) for c in f.poly),
-                   dpoly=tuple(up(j * abs(c))
-                               for j, c in enumerate(f.poly))[1:],
+            wn, wd = abs(amp.numerator) * tp**k, amp.denominator * tq**k
+            on, od = tp * abs(freq.numerator), tq * freq.denominator
+            waves.append((_ratio_up(wn, wd), _ratio_up(on, od),
+                          _ratio_up(wn * on, wd * od)))
+        poly = [(abs(c.numerator), c.denominator) for c in f.poly]
+        return cls(poly=tuple(_ratio_up(n, d) for n, d in poly),
+                   dpoly=tuple(_ratio_up(j * n, d)
+                               for j, (n, d) in enumerate(poly) if j),
                    waves=tuple(waves),
                    kmax=max((k for *_, k in f.trig), default=0))
 
@@ -508,7 +537,8 @@ def _certified_integral(phase: PhaseFunction, interval, square: bool
     gamma_h (1 + u)))).
     """
     lo, hi = float(interval[0]), float(interval[1])
-    length = _at_least(hi - lo, Fraction(hi) - Fraction(lo))
+    (hn, hd), (ln, ld) = hi.as_integer_ratio(), lo.as_integer_ratio()
+    length = _ratio_up(hn * ld - ln * hd, hd * ld, hi - lo)
     maj = _Majorant.of(phase)
     panels = max(1, math.ceil(length * maj.dsup(max(abs(lo), abs(hi))) / 32))
     while True:

@@ -91,6 +91,10 @@ def test_build_rejects_bad_arguments():
         build_nu(3, 2, None, Fraction(1, 4))
     with pytest.raises(PreconditionViolated):
         build_nu(3, 2, -2.0, Fraction(1, 4))
+    # the anchor is checked before log(m) / k is formed
+    for anchor in ((6, 0), (0, 1)):
+        with pytest.raises(PreconditionViolated):
+            build_nu(3, 1, None, Fraction(1, 4), sigma_anchor=anchor)
 
 
 def test_build_empty_window():

@@ -103,6 +103,16 @@ def test_nu_build_operational_errors(capsys, monkeypatch):
         "nu", "build", "--N", "5", "--p", "3",
         "--sigma-log", "5", "--eps", "1/4", "--budget", "10"])
     assert code == 2 and "budget" in err.lower()
+    # an anchor log(m)/k is checked before the division
+    for argv in (
+            ["nu", "build", "--N", "3", "--p", "1", "--sigma-log", "6",
+             "--sigma-k", "0"],
+            ["schedule", "make", "--tau", "3", "--p", "2", "--sigma-log",
+             "6", "--sigma-k", "0", "--i1", "4", "--r", "1,2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: sigma anchor log(6)/0 needs m >= 1 and " \
+            "k >= 1\n", argv
     # a zero denominator in any fraction argument, as any malformed number
     nu = ["--N", "3", "--p", "1", "--sigma-log", "6", "--sigma-k", "2"]
     scan = ["fourier", "scan", *nu, "--xi", "4"]

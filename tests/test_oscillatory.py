@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +16,7 @@ from cfraj.blocks import (build_nu, product_convergent_matrices,
                           sliding_max_mass)
 from cfraj.errors import BudgetExceeded, CertificationFailed, \
     PreconditionViolated
+from cfraj.fourier import _LEAF, _at_least, _atoms, _ratio_up
 from cfraj.oscillatory import (
     GL_ORDER,
     NODE_ULPS,
@@ -180,14 +183,33 @@ def test_float_cache_is_not_part_of_identity():
         "PhaseFunction(poly=(Fraction(1, 1), Fraction(2, 1)), trig=())"
 
 
-def test_memos_are_invisible_and_shared_arrays_read_only():
+def test_memos_are_invisible_and_shared_arrays_read_only(monkeypatch):
     f = PhaseFunction(poly=(1, Fraction(-1, 3), 2),
                       trig=(("sin", Fraction(1, 2), 3, 0),))
     seen = (hash(f), repr(f), dataclasses.astuple(f))
     d = f.derivative()
     assert f.derivative() is d
-    assert f.coeff_bound((0, 1)) == f.coeff_bound((Fraction(0), Fraction(1)))
-    d.coeff_bound((0, 1))
+    # int, Fraction and float endpoints of equal value share one entry
+    intervals = ((0, 1), (Fraction(0), Fraction(1)), (0.0, 1.0))
+    bounds = [f.coeff_bound, d.coeff_bound,
+              *(functools.partial(bound, f) for bound in (
+                  certified_sup_abs, certified_range, certified_inf_abs))]
+    firsts = [bound(intervals[0]) for bound in bounds]
+    grids = []
+    call = PhaseFunction.__call__
+
+    def spy(fn, t):
+        grids.append(t)
+        return call(fn, t)
+
+    monkeypatch.setattr(PhaseFunction, "__call__", spy)
+    for interval in intervals:
+        for bound, first in zip(bounds, firsts):
+            assert bound(interval) is first
+    # a repeated certified bound evaluates no grid
+    assert grids == []
+    certified_range(f, (0, 2))
+    assert len(grids) == 1
     assert (hash(f), repr(f), dataclasses.astuple(f)) == seen
     assert f == PhaseFunction(poly=f.poly, trig=f.trig)
     xs, _ = _grid((0, 1))
@@ -195,6 +217,82 @@ def test_memos_are_invisible_and_shared_arrays_read_only():
     for a in (xs, *_gl_nodes((1, 4), 8)):
         with pytest.raises(ValueError):
             a[0] = 0.0
+    # a nu cylinder set of at most _LEAF atoms is formed once per depth
+    nu = nu23()
+    nu_seen = (hash(nu), nu.serialize())
+    atoms = _atoms(nu, 5)
+    assert _atoms(nu, 5) is atoms
+    with pytest.raises(ValueError):
+        atoms.mids[0] = 0.0
+    with pytest.raises(BudgetExceeded):
+        _atoms(nu, 5, budget=len(nu.support)**5 - 1)
+    # nu23 has two atoms: 2^15 = _LEAF of them are kept, 2^16 are not
+    assert len(nu.support) == 2 and _LEAF == 2**15
+    assert _atoms(nu, 15) is _atoms(nu, 15)
+    assert _atoms(nu, 16) is not _atoms(nu, 16)
+    assert nu == nu23() and (hash(nu), nu.serialize()) == nu_seen
+
+
+def at_least_reference(value, exact):
+    """The Fraction loop that _at_least's integer test replaced."""
+    while Fraction(value) < exact:
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+def ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+def outcome(fn, *args):
+    """fn(*args) as float.hex, or the type of what it raised."""
+    try:
+        return fn(*args).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+exact_values = st.one_of(
+    st.integers(-2**80, 2**80),
+    # exact hits, subnormals among them
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+    st.fractions(max_denominator=2**64),
+    # huge and tiny
+    st.builds(Fraction, st.integers(-2**1000, 2**1000),
+              st.integers(1, 2**1100)),
+)
+
+
+@settings(max_examples=500)
+@given(exact=exact_values, steps=st.integers(-3, 3))
+def test_at_least_and_ratio_up_equal_the_fraction_loop(exact, steps):
+    # from a few ulps either side of float(exact), one ulp below and
+    # past the largest float included
+    value = ulps(float(exact), steps)
+    assert outcome(_at_least, value, exact) == \
+        outcome(at_least_reference, value, exact)
+    p, q = exact.as_integer_ratio()
+    # unreduced ratios give the same float
+    for k in (1, 3):
+        assert outcome(_ratio_up, k * p, k * q) == \
+            outcome(at_least_reference, float(exact), exact)
+
+
+def test_at_least_raises_as_the_fraction_loop_did():
+    top = Fraction(sys.float_info.max)
+    for args in ((math.inf, 1), (-math.inf, Fraction(1, 3)), (math.nan, 1),
+                 (math.nan, Fraction(-1, 3)),
+                 # raised past the largest float
+                 (sys.float_info.max, top + 1)):
+        want = outcome(at_least_reference, *args)
+        assert want in (OverflowError, ValueError)
+        assert outcome(_at_least, *args) == want
+    # p / q past the float range, as float(Fraction(p, q))
+    huge = 2 * top + 1
+    assert outcome(_ratio_up, *huge.as_integer_ratio()) == \
+        outcome(float, huge) == OverflowError
 
 
 def test_coefficient_bound_dominates_dense_sampling():
@@ -676,6 +774,14 @@ def test_lemma_sweep_reports_are_pinned():
         "\n".join(sweep_report_lines(0)).encode()).hexdigest()
     assert digest == (
         "1108c7a8eddf9ede25a85a372f062eb5390ef788c7a28c66adaf7d5b5096a4a3")
+
+
+def test_lemma_sweep_seed_1_reports_are_pinned():
+    # the 600 reports of a seed-1 lemma-sweep round
+    digest = hashlib.sha256(
+        "\n".join(sweep_report_lines(1)).encode()).hexdigest()
+    assert digest == (
+        "08504fbdb1dc5a0db445c0abfda8e358d1dd2a3ebe896e6e1989972a52d63fe7")
 
 
 def test_sweep_determinism_and_errors():
