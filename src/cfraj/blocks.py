@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -496,10 +496,11 @@ def _prefix_entries(nu: NuMeasure, depth: int, budget: int,
 _STREAM_CHUNK = 1 << 15
 
 
-def _stream_bounds(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) of consecutive chunks of _STREAM_CHUNK rows out of n."""
+def _stream_bounds(n: int, first: int = 0) -> list[tuple[int, int]]:
+    """(lo, hi) of consecutive chunks of _STREAM_CHUNK rows, from row
+    first up to row n."""
     return [(lo, min(lo + _STREAM_CHUNK, n))
-            for lo in range(0, n, _STREAM_CHUNK)]
+            for lo in range(first, n, _STREAM_CHUNK)]
 
 
 def _entry_rows(prefix: tuple, base: tuple, lo: int, hi: int) -> tuple:
@@ -559,11 +560,11 @@ def _den_bound(prefix: tuple, coefficients: tuple) -> int:
     return q * q * u + 2 * q * qp * v + qp * qp * w
 
 
-def _leaf_geometry(prefix: tuple, base: tuple) -> Callable:
-    """rows(lo, hi, out, widths=True) for _prefix_entries' two factors:
-    writes the midpoints of the depth-level rows lo to hi to out and
-    returns their widths (None without widths), each equal to
-    _geometry(*_entry_rows(prefix, base, lo, hi)) bit for bit.
+class _LeafGeometry:
+    """The float midpoints and widths of _prefix_entries' depth-level
+    rows: rows(lo, hi, out, widths) for a range of rows, at(idx) for any
+    rows, each row equal to _geometry(*_entry_rows(prefix, base, ...))
+    bit for bit.
 
     Row a * s + b is the prefix [[Q, Q'], [P, P']] times the block
     [[a, b], [c, d]]. With the block's coefficients u, v, w
@@ -573,12 +574,13 @@ def _leaf_geometry(prefix: tuple, base: tuple) -> Callable:
         num = (P Q) u + (P Q' + P' Q) v + (P' Q') w,
         den = 2 q (q + q') = Q^2 u + (2 Q Q') v + Q'^2 w,
 
-    so the rows of a leaf come from two (k, 3) x (3, s) products, k the
-    prefixes the leaf spans, whose features are formed from the prefix
+    so the rows of a range come from two (k, 3) x (3, s) products, k the
+    prefixes the range spans, whose features are formed from the prefix
     slice; then mid = num / den and width = 2 / den. The products are
-    formed elementwise, each feature column broadcast against each
-    coefficient row: a BLAS matmul is faster here, but its first call
-    touches buffers that stay in the process's memory.
+    formed by np.einsum, which calls no BLAS: a BLAS matmul is faster
+    here, but its first call touches buffers that stay in the process's
+    memory. at gathers each row's prefix features and block
+    coefficients and forms the same integers row by row.
 
     Every feature, coefficient and term is a nonnegative integer;
     u, v, w >= 1, as a block's a and c are at least 1; and num <= den,
@@ -587,29 +589,57 @@ def _leaf_geometry(prefix: tuple, base: tuple) -> Callable:
     exact float, in any summation order, with or without FMA, and so
     are _geometry's integers: both divide the same two integers, each
     rounding once, and 2 / den = 1 / (q (q + q')) exactly. Otherwise
-    rows evaluates _geometry(*_entry_rows(...)).
+    both evaluate _geometry on the rows' convergent entries, which are
+    the same int64 integers however they are formed.
     """
-    s = len(base[0])
-    coefficients = _coefficients(base)
-    if _den_bound(prefix, coefficients) >= 2**53:
-        def rows(lo: int, hi: int, out: np.ndarray, widths: bool = True):
-            out[:], found = _geometry(*_entry_rows(prefix, base, lo, hi),
-                                      widths)
-            return found
-        return rows
-    u, v, w = np.array(coefficients, dtype=np.float64)
 
-    def rows(lo: int, hi: int, out: np.ndarray, widths: bool = True):
+    def __init__(self, prefix: tuple, base: tuple):
+        self.prefix, self.base = prefix, base
+        self.s = len(base[0])
+        coefficients = _coefficients(base)
+        self.exact = _den_bound(prefix, coefficients) < 2**53
+        self.coefficients = np.array(coefficients, dtype=np.float64)
+
+    def __call__(self, lo: int, hi: int, out: Optional[np.ndarray] = None,
+                 widths: bool = True) -> Optional[np.ndarray]:
+        """Writes the midpoints of rows lo to hi to out, unless out is
+        None, and returns their widths, or None without widths. Without
+        out, only the denominators are formed (within 2^53)."""
+        if not self.exact:
+            mids, found = _geometry(*_entry_rows(self.prefix, self.base,
+                                                 lo, hi), widths)
+            if out is not None:
+                out[:] = mids
+            return found
+        s = self.s
         first, last = lo // s, -(-hi // s)
         cut = slice(lo - first * s, hi - first * s)
-        q, qp, pn, pp = (e[first:last, None].astype(np.float64)
-                         for e in prefix)
-        den = (q * q) * u + (2 * q * qp) * v + (qp * qp) * w
-        num = (pn * q) * u + (pn * qp + pp * q) * v + (pp * qp) * w
-        den = den.reshape(-1)[cut]
-        np.divide(num.reshape(-1)[cut], den, out=out)
+        q, qp = (e[first:last].astype(np.float64) for e in self.prefix[:2])
+        den = self._products(cut, q * q, 2 * q * qp, qp * qp)
+        if out is not None:
+            pn, pp = (e[first:last].astype(np.float64)
+                      for e in self.prefix[2:])
+            np.divide(self._products(cut, pn * q, pn * qp + pp * q, pp * qp),
+                      den, out=out)
         return np.divide(2.0, den) if widths else None
-    return rows
+
+    def _products(self, cut: slice, *features: np.ndarray) -> np.ndarray:
+        """The (k, 3) x (3, s) product of the prefixes' three features
+        and the blocks' coefficients, flattened in row order and cut."""
+        return np.einsum("ai,ib->ab", np.stack(features, axis=1),
+                         self.coefficients).reshape(-1)[cut]
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """The midpoints of the rows idx, an int array."""
+        a, b = np.divmod(idx, self.s)
+        if not self.exact:
+            return _geometry(*_product(tuple(e[a] for e in self.prefix),
+                                       tuple(e[b] for e in self.base)),
+                             widths=False)[0]
+        u, v, w = self.coefficients[:, b]
+        q, qp, pn, pp = (e[a].astype(np.float64) for e in self.prefix)
+        num = (pn * q) * u + (pn * qp + pp * q) * v + (pp * qp) * w
+        return num / ((q * q) * u + (2 * q * qp) * v + (qp * qp) * w)
 
 
 # rows per slice of cylinder_geometry; bounds its float temporaries
@@ -686,30 +716,162 @@ def sliding_max_mass(mids_sorted: np.ndarray,
     return ordered_map(search, widths)
 
 
+# chunks of _STREAM_CHUNK rows a streamed Frostman scan forms per batch,
+# on every core, before the widths merge them
+_BATCH_CHUNKS = 4
+
+
+def _stride_refinement(rows: _LeafGeometry, n: int, u: float,
+                       right: np.ndarray, open_strides: np.ndarray) -> int:
+    """max of right(i) - i over the rows i of the open strides, where
+    right(i) counts the ascending midpoints M[j] <= M[i] + u and right[k]
+    is right(k * _WINDOW_STRIDE).
+
+    As M[i] + u is nondecreasing in i, right(i) for i in stride k lies
+    between right[k] and the next stride start's count (n after the
+    last stride): every row below right[k] is <= M[i] + u, and every row
+    from the next count on is above it. Each right(i) is bisected in
+    that range, M[j] <= M[i] + u sending it above j and M[j] > M[i] + u
+    to at most j, every query of a group of open strides (at most
+    _STREAM_CHUNK rows) at once, each step forming the midpoints it
+    tests by row index (rows.at).
+    """
+    ends = np.append(right[1:], n)
+    group = max(1, _STREAM_CHUNK // _WINDOW_STRIDE)
+    best = 0
+    for g in range(0, len(open_strides), group):
+        ks = open_strides[g:g + group]
+        first = ks * _WINDOW_STRIDE
+        lengths = np.minimum(first + _WINDOW_STRIDE, n) - first
+        idx = np.repeat(first - (np.cumsum(lengths) - lengths),
+                        lengths) + np.arange(lengths.sum())
+        queries = rows.at(idx) + u
+        lo, hi = np.repeat(right[ks], lengths), np.repeat(ends[ks], lengths)
+        live = np.flatnonzero(lo < hi)
+        while len(live):
+            mid = lo[live] + (hi[live] - lo[live]) // 2
+            below = rows.at(mid) <= queries[live]
+            lo[live[below]] = mid[below] + 1
+            hi[live[~below]] = mid[~below]
+            live = live[lo[live] < hi[live]]
+        best = max(best, int((lo - idx).max()))
+    return best
+
+
+def _fill_ascending(rows: _LeafGeometry, lo: int, out: np.ndarray) -> bool:
+    """Writes the midpoints of rows lo to lo + len(out) to out, a chunk
+    of _STREAM_CHUNK rows at a time on every core (pool.ordered_map),
+    and tells whether they are nondecreasing: each chunk checks its own
+    rows with one vectorised >= on its worker, and the caller the seams
+    between chunks."""
+    bounds = _stream_bounds(lo + len(out), lo)
+
+    def fill(bound: tuple[int, int]) -> bool:
+        chunk = out[bound[0] - lo:bound[1] - lo]
+        rows(*bound, chunk, widths=False)
+        return bool((chunk[1:] >= chunk[:-1]).all())
+
+    seams = np.array([a - lo for a, _ in bounds[1:]], dtype=np.intp)
+    return all(ordered_map(fill, bounds)) and bool(
+        (out[seams] >= out[seams - 1]).all())
+
+
+def _streamed_max_mass(rows: _LeafGeometry, n: int, atom: float,
+                       widths: Sequence[float]) -> Optional[list[float]]:
+    """sliding_max_mass(M, atom, widths) of the midpoints M that rows
+    forms in row order, streamed a batch of _BATCH_CHUNKS chunks at a
+    time (_fill_ascending); None, and no result, if M descends
+    anywhere, within a batch or across the seam of two.
+
+    With right(i) the count of midpoints <= M[i] + u, each width keeps
+    right(k * _WINDOW_STRIDE) for every stride start: the query
+    M[start] + u is made when its start passes, and the queries still
+    pending, which are nondecreasing, are searched (np.searchsorted)
+    into each batch as it passes, the widths in parallel
+    (pool.ordered_map). Every row before the batch is <= a pending
+    query, as the query is at least its start's midpoint and at least
+    the last row of every earlier batch that left it pending; so a
+    query below the batch's last row counts the batch's first row index
+    plus its position in the batch, and the rest stay pending; those
+    left at the end count n. These are the counts sliding_max_mass
+    takes by searchsorted over all of M at the stride starts. The caps
+    and open strides follow as there, and _stride_refinement finds the
+    best start in each open stride; so the maximum is the same integer,
+    multiplied by atom once.
+    """
+    k_all = -(-n // _WINDOW_STRIDE)
+    heads = np.empty(k_all, dtype=np.float64)
+    # counts up to n, in 4 bytes each while n fits
+    count = np.int32 if n < 2**31 else np.int64
+    right = [np.full(k_all, n, dtype=count) for _ in widths]
+    pending = [0] * len(widths)
+    step = _STREAM_CHUNK * _BATCH_CHUNKS
+    buffer = np.empty(min(step, n), dtype=np.float64)
+    last = -math.inf
+    for lo in range(0, n, step):
+        batch = buffer[:min(step, n - lo)]
+        if not (_fill_ascending(rows, lo, batch) and batch[0] >= last):
+            return None
+        hi = lo + len(batch)
+        k0, k1 = -(-lo // _WINDOW_STRIDE), -(-hi // _WINDOW_STRIDE)
+        heads[k0:k1] = batch[k0 * _WINDOW_STRIDE - lo::_WINDOW_STRIDE]
+        last = batch[-1]
+
+        def merge(j: int) -> None:
+            k = pending[j]
+            queries = heads[k:k1] + widths[j]
+            done = int(np.searchsorted(queries, last, side="left"))
+            right[j][k:k + done] = lo + np.searchsorted(
+                batch, queries[:done], side="right")
+            pending[j] = k + done
+
+        ordered_map(merge, range(len(widths)))
+
+    def best_mass(j: int) -> float:
+        starts = np.arange(0, n, _WINDOW_STRIDE, dtype=count)
+        gain = right[j] - starts
+        best = int(gain.max())
+        # the caps, in place: the next start's count minus the start
+        np.subtract(right[j][1:], starts[:-1], out=gain[:-1])
+        gain[-1] = n - starts[-1]
+        open_strides = np.flatnonzero(gain > best)
+        if len(open_strides):
+            best = max(best, _stride_refinement(rows, n, widths[j], right[j],
+                                                open_strides))
+        return float(best) * atom
+
+    return ordered_map(best_mass, range(len(widths)))
+
+
 def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
                   budget: int = DEFAULT_ENUM_BUDGET) -> FrostmanScan:
     """Ball-mass growth scan of the depth-level product pushforward.
 
-    Every width must be a finite float above 0. The cylinder midpoints
-    are streamed into one array, a chunk of _STREAM_CHUNK rows at a time
-    on every core (pool.ordered_map), each chunk from _leaf_geometry's
-    bilinear forms: two (k, 3) x (3, s) products of prefix features and
-    block coefficients, exact integers in floats while _den_bound is
-    below 2^53 (checked once), and _geometry of the convergent entries
-    past it. The cylinders are enumerated in ascending order along [0, 1]
-    (_prefix_entries with ascending, whose tables reverse the block
-    order at the levels where the prefix map is decreasing), so their
-    exact midpoints ascend. Each chunk checks its own float midpoints
-    with one vectorised >= on its worker, and the caller checks the
-    seams between chunks. Only if a check fails, which can happen only
-    once cylinder widths reach the float spacing (for the measure on
-    the digits {2, 3}, first at depth 16), are the midpoints sorted in
-    place. Each midpoint is cylinder_geometry's, bit for bit, as the
-    integers divided are the same, so the multiset of floats is that of
-    the C-order enumeration. A nondecreasing array is fixed by its
-    multiset, so the array searched equals
+    Every width must be a finite float above 0. The cylinders are
+    enumerated in ascending order along [0, 1] (_prefix_entries with
+    ascending, whose tables reverse the block order at the levels where
+    the prefix map is decreasing), so their exact midpoints ascend. Their
+    float midpoints come from _LeafGeometry's bilinear forms, a chunk of
+    _STREAM_CHUNK rows at a time on every core: two (k, 3) x (3, s)
+    products of prefix features and block coefficients, exact integers
+    in floats while _den_bound is below 2^53 (checked once), and
+    _geometry of the convergent entries past it. More cylinders than
+    one batch (_BATCH_CHUNKS chunks) are streamed through the search
+    (_streamed_max_mass), which holds no array of one float per
+    cylinder: per width, one count per _WINDOW_STRIDE-th cylinder. At
+    most one batch of cylinders is held in one array and searched
+    (sliding_max_mass).
+
+    Each midpoint is cylinder_geometry's, bit for bit, as the integers
+    divided are the same, so the multiset of floats is that of the
+    C-order enumeration, and a nondecreasing array is fixed by its
+    multiset: a stream that never descends is
     np.sort(cylinder_geometry(product_convergent_matrices(...))[0]) bit
-    for bit, whichever way it was ordered.
+    for bit, and either search returns sliding_max_mass of it. Only if
+    the stream descends, which can happen only once cylinder widths
+    reach the float spacing (for the measure on the digits {2, 3}, first
+    at depth 16), are the midpoints held in one array whatever their
+    number, sorted in place and searched; the sorted array is the same.
     """
     if depth < 1:
         raise PreconditionViolated("depth must be >= 1")
@@ -717,22 +879,17 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
     if not all(math.isfinite(u) and u > 0 for u in widths_f):
         raise PreconditionViolated("widths must be finite floats above 0")
     prefix, base = _prefix_entries(nu, depth, budget, ascending=True)
-    rows = _leaf_geometry(prefix, base)
-    mids = np.empty(len(prefix[0]) * len(base[0]), dtype=np.float64)
-
-    def fill(bound: tuple[int, int]) -> bool:
-        lo, hi = bound
-        chunk = mids[lo:hi]
-        rows(lo, hi, chunk, widths=False)
-        return bool((chunk[1:] >= chunk[:-1]).all())
-
-    bounds = _stream_bounds(len(mids))
-    seams = np.array([lo for lo, _ in bounds[1:]], dtype=np.intp)
-    if not (all(ordered_map(fill, bounds))
-            and (mids[seams] >= mids[seams - 1]).all()):
-        mids.sort()
+    rows = _LeafGeometry(prefix, base)
+    n = len(prefix[0]) * len(base[0])
     atom = 1.0 / float(len(nu.support)) ** depth
-    omega = sliding_max_mass(mids, atom, widths_f)
+    omega = None
+    if n > _STREAM_CHUNK * _BATCH_CHUNKS:
+        omega = _streamed_max_mass(rows, n, atom, widths_f)
+    if omega is None:
+        mids = np.empty(n, dtype=np.float64)
+        if not _fill_ascending(rows, 0, mids):
+            mids.sort()
+        omega = sliding_max_mass(mids, atom, widths_f)
     log_u = np.log(np.array(widths_f))
     log_o = np.log(np.array(omega))
     fitted = float(np.polyfit(log_u, log_o, 1)[0]) if len(widths_f) >= 2 else float("nan")

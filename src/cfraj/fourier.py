@@ -36,12 +36,13 @@ full-size buffer of terms, which is never allocated. A nu weight
 multiplies the combined sum, a cascade atom's weight its term in the
 leaf. The leaves are independent, so they run on any core
 (pool.ordered_map) and the bits do not depend on how many.
-The nu cylinders themselves are streamed the same way, and of their
-geometry only the float midpoints are held. Each cylinder is a prefix
-times a block, and its midpoint's numerator and denominator are two
-bilinear forms, three integer features of the prefix against three
+The nu cylinders themselves are streamed the same way: a set of more
+than _LEAF cylinders holds none of their geometry, and each leaf of the
+pass forms its own float midpoints (_Atoms.float_mids). Each cylinder is
+a prefix times a block, and its midpoint's numerator and denominator are
+two bilinear forms, three integer features of the prefix against three
 integer coefficients of the block, so a leaf's midpoints and widths come
-from two small matrix products (blocks._leaf_geometry). While a bound on
+from two small matrix products (blocks._LeafGeometry). While a bound on
 every denominator, formed once per scan from the largest entries, is
 below 2^53, each feature, product and partial sum is an exact integer
 in floats, in any summation order, and the floats equal those of
@@ -68,11 +69,11 @@ import numpy as np
 from . import __version__, config_hash
 from .blocks import (
     NuMeasure,
+    _LeafGeometry,
     _block_matrices,
     _entries,
     _entry_rows,
     _geometry,
-    _leaf_geometry,
     _prefix_entries,
     _product,
 )
@@ -173,17 +174,22 @@ def _midpoints(cols: tuple) -> tuple[list[int], list[int]]:
 class _Atoms:
     """The points an estimate sums over, from one of four sources.
 
-    weight is one float for nu sources and a float per atom for cascade
-    sources: the mass of a cylinder, or on samples, which hold each
-    distinct cylinder once, its count of samples over the sample count.
-    Midpoints are held as floats; exact_mids(lo, hi) gives rows lo to hi
-    exactly, as num / den in Python ints: sliced from cascade sources'
-    lists, converted from nu samples' int64 entries, and formed again
-    from the two factors of the enumeration on nu cylinders. Cascade
-    cylinders carry widths; nu cylinders carry only mass_width, a sound
-    upper bound on the sum of mass * width, as their widths are summed
-    while they are streamed; sample sources carry the sample count and
-    the width ceiling. Cascade sources carry their distinct label chains
+    len(atoms) is the atom count. weight is one float for nu sources and
+    a float per atom for cascade sources: the mass of a cylinder, or on
+    samples, which hold each distinct cylinder once, its count of
+    samples over the sample count. float_mids(lo, hi) gives the float
+    midpoints of rows lo to hi, the only way they are read: a view of
+    mids, the array that every source but a streamed nu cylinder set
+    holds, or, on a streamed set (stream, its atom count and its
+    blocks._LeafGeometry; mids None), formed anew from the two factors
+    of the enumeration. exact_mids(lo, hi) gives rows lo to hi exactly,
+    as num / den in Python ints: sliced from cascade sources' lists,
+    converted from nu samples' int64 entries, and formed again from the
+    two factors of the enumeration on nu cylinders. Cascade cylinders
+    carry widths; nu cylinders carry only mass_width, a sound upper
+    bound on the sum of mass * width, as their widths are summed while
+    they are streamed; sample sources carry the sample count and the
+    width ceiling. Cascade sources carry their distinct label chains
     in first-seen order, labels, and each atom's index into it,
     label_ids. Every source carries what its evaluation term needs:
     mid_steps, the roundings in one float midpoint, and weight_err, a
@@ -191,7 +197,7 @@ class _Atoms:
     """
 
     weight: Union[float, np.ndarray]
-    mids: np.ndarray
+    mids: Optional[np.ndarray]
     cascade: bool
     exact_mids: Callable[[int, int], tuple[list[int], list[int]]]
     widths: Optional[np.ndarray] = None
@@ -202,6 +208,18 @@ class _Atoms:
     mass_width: Optional[float] = None
     mid_steps: int = 0
     weight_err: float = 0.0
+    stream: Optional[tuple[int, _LeafGeometry]] = None
+
+    def __len__(self) -> int:
+        return len(self.mids) if self.stream is None else self.stream[0]
+
+    def float_mids(self, lo: int, hi: int) -> np.ndarray:
+        """The float midpoints of rows lo to hi."""
+        if self.stream is None:
+            return self.mids[lo:hi]
+        out = np.empty(hi - lo, dtype=np.float64)
+        self.stream[1](lo, hi, out, widths=False)
+        return out
 
     def typical_mask(self, split: TypExcSplit) -> np.ndarray:
         """keep mask of the cascade atoms whose label chain avoids
@@ -252,32 +270,38 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     """Every depth-level cylinder of nu, streamed leaf by leaf.
 
     Neither convergent matrices (32 B a cylinder) nor widths are kept:
-    each leaf's midpoints and widths come from blocks._leaf_geometry,
-    two (k, 3) x (3, s) products of prefix features and block
-    coefficients, exact integers in floats while blocks._den_bound is
-    below 2^53 (checked once), and blocks._geometry of the convergent
-    entries past it; either way they are _geometry's bit for bit. The
-    leaves are those of numpy's float64 pairwise tree over the widths,
-    each formed on any core (pool.ordered_map), so combining their sums
-    in the tree's order gives widths.sum() bit for bit. Only the two
-    factors (blocks._prefix_entries) are kept, for exact_mids, which
-    forms a leaf's convergent entries (blocks._entry_rows).
+    each leaf's widths, and its midpoints when they are held, come from
+    blocks._LeafGeometry, two (k, 3) x (3, s) products of prefix
+    features and block coefficients, exact integers in floats while
+    blocks._den_bound is below 2^53 (checked once), and blocks._geometry
+    of the convergent entries past it; either way they are _geometry's
+    bit for bit. The leaves are those of numpy's float64 pairwise tree
+    over the widths, each formed on any core (pool.ordered_map), so
+    combining their sums in the tree's order gives widths.sum() bit for
+    bit, and the smallest width is the smallest of the leaves'. Only the
+    two factors (blocks._prefix_entries) are kept, for exact_mids, which
+    forms a leaf's convergent entries (blocks._entry_rows), and for the
+    midpoints of a streamed set.
 
-    mids is read-only. A set of at most _LEAF atoms is memoised on nu
-    per depth, outside its fields, and read once the budget admits it;
-    a larger one is formed afresh, so that scans hold no more memory.
+    A set of at most _LEAF atoms holds its midpoints, read-only, and is
+    memoised on nu per depth, outside its fields, and read once the
+    budget admits it. A larger one holds no midpoints (stream): the
+    pass above forms only its widths, from the denominators alone, and
+    float_mids forms the midpoints of a range of rows when it is read,
+    each leaf's once in _leaf_values. It is formed afresh on every call,
+    so that scans hold no more memory.
     """
     n = len(nu.support)**depth
     memo = nu.__dict__.setdefault("_atom_sets", {})
     if n <= budget and depth in memo:
         return memo[depth]
     prefix, base = _prefix_entries(nu, depth, budget)
-    rows = _leaf_geometry(prefix, base)
-    mids = np.empty(n, dtype=np.float64)
+    rows = _LeafGeometry(prefix, base)
+    mids = np.empty(n, dtype=np.float64) if n <= _LEAF else None
 
     def leaf(bound: tuple[int, int]) -> tuple:
         lo, hi = bound
-        widths = rows(lo, hi, mids[lo:hi])
+        widths = rows(lo, hi, None if mids is None else mids[lo:hi])
         return widths.sum(), widths.min()
 
     width_sums, min_widths = zip(*ordered_map(
@@ -289,13 +313,14 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
     steps = (n - 1) + 5 + (depth + 2) + 2 + 4
     width_sum = _pairwise_combine(n, 1, _LEAF, width_sums)
-    mids.flags.writeable = False
     atoms = _Atoms(weight=weight, mids=mids, cascade=False,
                    exact_mids=lambda lo, hi: _midpoints(
                        _entry_rows(prefix, base, lo, hi)),
                    mass_width=weight * float(width_sum) * _inflation(steps),
+                   stream=None if mids is not None else (n, rows),
                    **_nu_rounding(min(min_widths), weight, nu.atom**depth))
-    if n <= _LEAF:
+    if mids is not None:
+        mids.flags.writeable = False
         memo[depth] = atoms
     return atoms
 
@@ -339,21 +364,23 @@ def _folds_exactly(atoms: _Atoms, xi) -> bool:
 def _fold(atoms: _Atoms, xi, leaf: Optional[tuple] = None) -> np.ndarray:
     """Fractional part of xi * midpoint for every atom of leaf, xi > 0.
 
-    leaf is (lo, hi, exact): the rows lo to hi and, when given,
-    atoms.exact_mids(lo, hi); None is every row. An int or Fraction
-    xi = a / b folds exactly on cascade atoms, and on nu atoms from
-    EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is one integer
-    reduction, and dividing by b den rounds once. Otherwise the fold is
-    a float product minus its floor: for a nonnegative float that
-    difference is exact, so it equals % 1.0 bit for bit.
+    leaf is (lo, hi, mids, exact): the rows lo to hi and, when given,
+    atoms.float_mids(lo, hi) and atoms.exact_mids(lo, hi); None is every
+    row. An int or Fraction xi = a / b folds exactly on cascade atoms,
+    and on nu atoms from EXACT_FOLD_THRESHOLD up: (a num) mod (b den) is
+    one integer reduction, and dividing by b den rounds once. Otherwise
+    the fold is a float product minus its floor: for a nonnegative float
+    that difference is exact, so it equals % 1.0 bit for bit.
     """
-    lo, hi, exact = leaf or (0, len(atoms.mids), None)
+    lo, hi, mids, exact = leaf or (0, len(atoms), None, None)
     if _folds_exactly(atoms, xi):
         a, b = xi.numerator, xi.denominator
         num, den = exact or atoms.exact_mids(lo, hi)
         return np.array([(a * n) % (b * d) / (b * d)
                          for n, d in zip(num, den)])
-    phases = atoms.mids[lo:hi] * float(xi)
+    if mids is None:
+        mids = atoms.float_mids(lo, hi)
+    phases = mids * float(xi)
     phases -= np.floor(phases)
     return phases
 
@@ -500,19 +527,22 @@ def _leaf_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
     atoms), the leaves on any core (pool.ordered_map): every row in turn
     folds and exponentiates the leaf's terms into the leaf's own buffer,
     or squares the terms the buffer holds from the row before, and
-    records the leaf's sums. If any row folds exactly, the leaf's exact
-    midpoints are formed once (atoms.exact_mids) and every exact row
-    folds them. A nu leaf sums its terms, and the scalar weight
-    multiplies the combined sum; a cascade leaf sums its terms times the
-    atoms' weights, elementwise, and a kept sum the same with the
-    weights its mask drops set to 0. Every step is elementwise, so each
-    term and product is the one a full-size buffer would hold, and the
-    leaf sums combine up the same tree, in its order (_pairwise_combine),
-    so each value is one numpy sum's bit for bit, on any number of cores.
+    records the leaf's sums. The leaf's float midpoints are read once
+    (atoms.float_mids) if any row folds them, and, if any row folds
+    exactly, its exact midpoints are formed once (atoms.exact_mids);
+    every row folds the ones it needs. A nu leaf sums its terms, and the
+    scalar weight multiplies the combined sum; a cascade leaf sums its
+    terms times the atoms' weights, elementwise, and a kept sum the same
+    with the weights its mask drops set to 0. Every step is elementwise,
+    so each term and product is the one a full-size buffer would hold,
+    and the leaf sums combine up the same tree, in its order
+    (_pairwise_combine), so each value is one numpy sum's bit for bit,
+    on any number of cores.
     """
     rows = _plan(atoms, xs)
-    n = len(atoms.mids)
-    exact = any(_folds_exactly(atoms, x) for x, _, _ in rows)
+    n = len(atoms)
+    direct = [_folds_exactly(atoms, x) for x, m, _ in rows if not m]
+    floats, exact = not all(direct), any(direct)
     # the weights each row's leaf sums take, None for the bare terms
     weight = atoms.weight if atoms.cascade else None
     columns = [[weight] if keep is None else [weight, weight * keep]
@@ -522,7 +552,8 @@ def _leaf_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
         lo, hi = bound
         terms = np.empty(hi - lo, dtype=np.complex128)
         products = np.empty_like(terms) if atoms.cascade else None
-        leaf = lo, hi, atoms.exact_mids(lo, hi) if exact else None
+        leaf = (lo, hi, atoms.float_mids(lo, hi) if floats else None,
+                atoms.exact_mids(lo, hi) if exact else None)
         sums = []
         for (x, m, _), weights in zip(rows, columns):
             if m:
@@ -617,7 +648,7 @@ def _squared_eps(eps: float) -> float:
 def _evaluation_term(atoms: _Atoms, eps: float) -> float:
     """|computed value - exact midpoint sum| from the per-term bound, on
     nu and cascade atoms alike (steps 5 and 6 of _error)."""
-    n = len(atoms.mids)
+    n = len(atoms)
     # numpy's pairwise sum: at most 20 additions inside a block of 64
     # terms, then one per halving
     adds = 20 + (n - 1).bit_length()

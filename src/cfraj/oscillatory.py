@@ -669,7 +669,7 @@ def check_integral_inequality(case: OscillatoryTestCase, measure,
     _certify_at_most(case.phase.derivative(), hull, m_big, "|f'|")
 
     atoms = _atoms(measure, depth, budget=budget)
-    mids = atoms.mids
+    mids = atoms.float_mids(0, len(atoms))
     masses = np.broadcast_to(atoms.weight, mids.shape)
     fvals = np.abs(case.phase(mids))
     lhs = float((masses * fvals).sum())

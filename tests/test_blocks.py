@@ -5,10 +5,11 @@ import json
 import math
 from fractions import Fraction
 from itertools import product as iter_product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfraj import blocks, fourier
 from cfraj.blocks import (
@@ -516,14 +517,14 @@ def test_streamed_geometry_equals_cylinder_geometry(monkeypatch, chunk):
 def leaf_rows(nu, depth, ascending):
     """The two factors of nu's depth-level enumeration, a cut list of
     row ranges (the stream's chunks and ragged ones inside a prefix's
-    blocks) and _leaf_geometry's rows."""
+    blocks) and their _LeafGeometry."""
     prefix, base = blocks._prefix_entries(nu, depth, 10**7, ascending)
     n, s = len(prefix[0]) * len(base[0]), len(base[0])
     cuts = sorted({c for c in (0, 1, 2, s + 3, 4 * s - 1, 4 * s + 1000)
                    if c <= n})
     bounds = blocks._stream_bounds(n) + list(zip(cuts, cuts[1:]))
     bounds.append((max(n - s - 3, 0), n))
-    return prefix, base, bounds, blocks._leaf_geometry(prefix, base)
+    return prefix, base, bounds, blocks._LeafGeometry(prefix, base)
 
 
 # (measure, depth, whether _den_bound is below 2^53): the reference at
@@ -541,10 +542,11 @@ REGIME_CASES = [
 def test_leaf_geometry_equals_the_entry_geometry(measure, depth, exact,
                                                  ascending):
     """The bilinear leaf kernel gives _geometry's floats bit for bit, in
-    C and in ascending order, on either side of 2^53."""
+    C and in ascending order, on either side of 2^53: over a range of
+    rows, widths alone, and gathered at any rows."""
     prefix, base, bounds, rows = leaf_rows(measure(), depth, ascending)
     bound = blocks._den_bound(prefix, blocks._coefficients(base))
-    assert (bound < 2**53) == exact
+    assert (bound < 2**53) == exact == rows.exact
     for lo, hi in bounds:
         want_mids, want_widths = blocks._geometry(
             *blocks._entry_rows(prefix, base, lo, hi))
@@ -554,6 +556,13 @@ def test_leaf_geometry_equals_the_entry_geometry(measure, depth, exact,
         assert widths.tobytes() == want_widths.tobytes()
         assert rows(lo, hi, mids, widths=False) is None
         assert mids.tobytes() == want_mids.tobytes()
+        assert rows(lo, hi).tobytes() == want_widths.tobytes()
+        assert rows.at(np.arange(lo, hi)).tobytes() == want_mids.tobytes()
+    n = len(prefix[0]) * len(base[0])
+    idx = np.random.default_rng(depth).integers(0, n, 500)
+    want = np.array([blocks._geometry(*blocks._entry_rows(
+        prefix, base, i, i + 1), widths=False)[0][0] for i in idx.tolist()])
+    assert rows.at(idx).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("measure,depth", [
@@ -694,6 +703,50 @@ def test_sliding_max_mass_equals_full_search(mids, kind, seed, widths):
         mids, atom, widths)
 
 
+class HeldRows:
+    """_LeafGeometry's two ways of forming midpoints, over a held array."""
+
+    def __init__(self, mids):
+        self.mids = mids
+
+    def __call__(self, lo, hi, out, widths=True):
+        out[:] = self.mids[lo:hi]
+
+    def at(self, idx):
+        return self.mids[idx]
+
+
+# a run of 100 equal midpoints that a stride start and a batch seam
+# (chunks of 5, batches of 20 rows) fall inside, at a width that adds
+# nothing to them
+@example(mids=np.concatenate([np.linspace(0.0, 0.4, 10), np.full(100, 0.5),
+                              np.linspace(0.6, 1.0, 50)]),
+         chunk=5, widths=[5e-324])
+@settings(max_examples=150, deadline=None)
+@given(mids=sorted_midpoints(),
+       chunk=st.sampled_from([5, 64, 100, 1000]),
+       widths=st.lists(st.one_of(st.sampled_from([5e-324, 1e-12, 3.0]),
+                                 st.floats(5e-324, 1.5)),
+                       min_size=1, max_size=6))
+def test_streamed_max_mass_equals_full_search(mids, chunk, widths):
+    """The streamed search returns the full search's bits on clustered
+    and repeated midpoints too, with batches shorter or longer than the
+    stride; a stream that descends, inside a chunk or across the seam of
+    two batches, gives None."""
+    n, atom = len(mids), 1.0 / len(mids)
+    with mock.patch.object(blocks, "_STREAM_CHUNK", chunk):
+        got = blocks._streamed_max_mass(HeldRows(mids), n, atom, widths)
+        assert got == full_search_max_mass(mids, atom, widths)
+        seam = chunk * blocks._BATCH_CHUNKS
+        descending = [mids[::-1]] if mids[0] < mids[-1] else []
+        if seam < n and mids[seam - 1] < mids[seam]:
+            descending.append(mids.copy())
+            descending[-1][[seam - 1, seam]] = mids[[seam, seam - 1]]
+        for down in descending:
+            assert blocks._streamed_max_mass(HeldRows(down), n, atom,
+                                             widths) is None
+
+
 def test_frostman_ceiling_of_reference_measure():
     sigma, anchor = median_log_continuant(100, 3, weighting="lebesgue")
     nu = build_nu(100, 3, None, Fraction(1, 4), sigma_anchor=anchor)
@@ -749,9 +802,10 @@ def test_frostman_scan_rejects_bad_widths_before_enumerating(monkeypatch,
 
 @pytest.fixture
 def scan_spy(monkeypatch):
-    """Records the midpoints every frostman_scan searches, and counts
-    the in-place sorts made on the array it fills."""
-    seen = {"sorts": 0, "mids": []}
+    """Records the size of every array blocks makes with np.empty, and
+    counts the in-place sorts made on them and the held searches
+    (sliding_max_mass) a frostman_scan makes."""
+    seen = {"sorts": 0, "searches": 0, "empty": []}
 
     class Midpoints(np.ndarray):
         def sort(self, *args, **kwargs):
@@ -766,10 +820,12 @@ def scan_spy(monkeypatch):
 
         @staticmethod
         def empty(*args, **kwargs):
-            return np.empty(*args, **kwargs).view(Midpoints)
+            made = np.empty(*args, **kwargs)
+            seen["empty"].append(made.size)
+            return made.view(Midpoints)
 
     def search(mids, atom, widths):
-        seen["mids"].append(np.array(mids))
+        seen["searches"] += 1
         return sliding_max_mass(mids, atom, widths)
 
     monkeypatch.setattr(blocks, "np", Numpy())
@@ -794,6 +850,10 @@ def descent_at(nu, depth):
     (small_nu, 6, 1000, 0),
     (small_p3_nu, 4, 1000, 0),
     (reference_nu, 2, 1000, 0),
+    # chunks, and so batches, shorter than the 64-row stride, over 5^5
+    # and 190^2 rows, neither a multiple of the stride
+    (small_nu, 5, 5, 0),
+    (reference_nu, 2, 48, 0),
     # widths at the float spacing: one adjacent pair descends, and the
     # midpoints are sorted, whether the pair is inside a chunk or
     # across the seam of two
@@ -804,31 +864,43 @@ def test_frostman_scan_equals_the_sorted_c_order_scan(monkeypatch, scan_spy,
                                                       measure, depth, chunk,
                                                       sorts):
     """p = 1 and p = 3 measures reverse every other level's blocks; the
-    p = 2 measure reverses none. The midpoints searched, the omegas and
-    the fit equal those from the sorted C-order midpoints bit for bit."""
+    p = 2 measure reverses none. The omegas and the fit equal those from
+    the sorted C-order midpoints bit for bit, at widths from above 1
+    (every window holds every atom) to below every gap between
+    midpoints. More rows than a batch are streamed, and unless the
+    stream descends no array is longer than a batch or the stride
+    starts; otherwise the rows are held and searched, and sorted only
+    if they descend."""
     nu = measure()
     if chunk == "seam":
         chunk = descent_at(nu, depth) + 1
     if chunk is not None:
         monkeypatch.setattr(blocks, "_STREAM_CHUNK", chunk)
-    widths = [2.0**-k for k in range(2, 50, 3)]
+    n = len(nu.support)**depth
+    widths = [3.0, 1.0] + [2.0**-k for k in range(2, 50, 3)] + [5e-324]
     # np.asarray: a plain array, whose sort the spy does not count
     mids = np.sort(np.asarray(
         cylinder_geometry(product_convergent_matrices(nu, depth))[0]))
     omega = sliding_max_mass(mids, 1.0 / float(len(nu.support))**depth,
                              widths)
     fit = float(np.polyfit(np.log(widths), np.log(omega), 1)[0])
+    scan_spy["empty"].clear()
     scan = frostman_scan(nu, depth, widths)
-    assert scan_spy["mids"][0].tobytes() == mids.tobytes()
     assert [w.hex() for w in scan.omega] == [w.hex() for w in omega]
     assert scan.fitted_exponent.hex() == fit.hex()
+    batch = blocks._STREAM_CHUNK * blocks._BATCH_CHUNKS
+    held = bool(sorts) or n <= batch
     assert scan_spy["sorts"] == sorts
+    assert scan_spy["searches"] == held
+    if not held:
+        assert max(scan_spy["empty"]) <= max(batch, -(-n // 64)) < n
 
 
 def test_reference_depth3_frostman_scan_sorts_nothing(scan_spy):
-    # the array itself is pinned by test_reference_frostman_scans_are_pinned
+    """The depth-3 stream never descends: nothing is sorted or searched
+    held, and no array blocks makes holds more than a batch. Its omegas
+    are pinned by test_reference_frostman_scans_are_pinned."""
     frostman_scan(reference_nu(), 3, [2.0**-k for k in range(2, 14)])
-    (mids,) = scan_spy["mids"]
-    assert len(mids) == 190**3
-    assert (mids[1:] >= mids[:-1]).all()
-    assert scan_spy["sorts"] == 0
+    assert scan_spy["sorts"] == scan_spy["searches"] == 0
+    assert max(scan_spy["empty"]) == blocks._STREAM_CHUNK \
+        * blocks._BATCH_CHUNKS < 190**3

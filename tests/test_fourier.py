@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -19,6 +20,7 @@ from cfraj.blocks import (
     NuMeasure,
     build_nu,
     cylinder_geometry,
+    frostman_scan,
     median_log_continuant,
     product_convergent_matrices,
 )
@@ -877,6 +879,27 @@ def test_reference_decay_scans_are_pinned(depth, digest_want):
     table = decay_scan(reference_nu(), [2**k for k in range(4, 19)],
                        "cylinder", depth, budget=10**7)
     assert digest(est_hex(r.full) for r in table.rows) == digest_want
+
+
+def test_reference_depth3_scans_hold_no_midpoint_array():
+    """The depth-3 reference scans stream their 190^3 cylinders: the
+    traced peak of each stays below a quarter of the n * 8 bytes that
+    one float midpoint per cylinder would take."""
+    nu, n = reference_nu(), 190**3
+    scans = {
+        "decay": lambda: decay_scan(nu, [2**k for k in range(4, 19)],
+                                    "cylinder", 3, budget=10**7),
+        "frostman": lambda: frostman_scan(
+            nu, 3, [2.0**-k for k in range(2, 14)], budget=10**7),
+    }
+    for name, scan in scans.items():
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8 / 4, (name, peak)
 
 
 def test_nu_scan_folds_huge_integers_exactly():

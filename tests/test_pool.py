@@ -40,7 +40,8 @@ def outputs() -> list:
     out = [(r.full.value.real.hex(), r.full.value.imag.hex(),
             r.full.err_bound.hex()) for r in rows]
     atoms = fourier._atoms(nu, depth)
-    out += [atoms.mids.tobytes(), atoms.mass_width.hex(), atoms.mid_steps]
+    out += [atoms.float_mids(0, len(atoms)).tobytes(), atoms.mass_width.hex(),
+            atoms.mid_steps]
     scan = frostman_scan(build_nu(3, 2, None, Fraction(3, 10),
                                   sigma_anchor=(5, 1)),
                          6, [2.0**-k for k in range(2, 14)])
