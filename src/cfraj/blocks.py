@@ -47,10 +47,13 @@ class NuMeasure:
 
     @property
     def atom(self) -> Fraction:
-        return Fraction(1, len(self.support))
+        return self._atom
 
     def __post_init__(self):
+        if not self.support:
+            raise PreconditionViolated("support must not be empty")
         object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.support)})
+        object.__setattr__(self, "_atom", Fraction(1, len(self.support)))
 
     def block_index(self, block: Block) -> int:
         idx = self._index.get(tuple(block))

@@ -273,6 +273,8 @@ def sample_path(lm: LambdaMeasure, depth: int, seed: int) -> list[Block]:
     random.Random(seed).randrange(len(lm.nu.support)) returns, one per
     typical block in path order; forced blocks draw nothing.
     """
+    if depth < 0:
+        raise PreconditionViolated("depth must be >= 0")
     indices = _draw_indices(random.Random(seed), len(lm.nu.support), depth)
     return _walk(lm, depth, indices.tolist())[1]
 
@@ -629,19 +631,22 @@ def _typical_blocks(cols: list, idx: np.ndarray, base: np.ndarray, g: int,
 def _forced_run(cols: list, run: int, p: int, rule: AssignmentRule) -> list:
     """cols (q, qp, pn, pp, digit sum) after a forced run of `run` blocks.
 
-    Each digit is rho_value of its path's word so far, which depends on
-    the path's (q, digit sum) only: it is computed once per distinct
-    pair in the call, as many paths share one. The columns move to
+    Each digit is rho_value of its path's word so far, which reads one
+    of the path's columns: the digit sum under the sum-of-previous rule,
+    q under a psi rule. It is computed once per distinct value of that
+    column in the call, as many paths share one. The columns move to
     Python ints before a digit that could take a value past
     _INT64_LIMIT, and each block guards its largest continuant.
     """
     q, qp, pn, pp, dsum = cols
-    rho: dict[tuple[int, int], int] = {}
+    by_sum = rule.kind == "sum-of-previous"
+    rho: dict[int, int] = {}
     for _ in range(run):
         for _ in range(p):
-            keys = zip(q.tolist(), dsum.tolist())
+            qs, sums = q.tolist(), dsum.tolist()
             d = [rho[k] if k in rho
-                 else rho.setdefault(k, rho_value(rule, *k)) for k in keys]
+                 else rho.setdefault(k, rho_value(rule, a, b))
+                 for k, a, b in zip(sums if by_sum else qs, qs, sums)]
             if q.dtype != object:
                 top = max(d)
                 if ((top + 1) * int(q.max()) >= _INT64_LIMIT

@@ -328,6 +328,8 @@ def cmd_lambda_mass(args) -> int:
 
 
 def cmd_lambda_sample(args) -> int:
+    if args.count < 0:
+        raise PreconditionViolated("count must be >= 0")
     lm, config = _lambda_from_args(args)
     paths = []
     for k in range(args.count):

@@ -240,22 +240,44 @@ def _cascade_atoms(cols: _Columns, weight: np.ndarray, **source) -> _Atoms:
 
 def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
            seed: int = 0, budget: int = CYLINDER_BUDGET) -> _Atoms:
-    """Every depth-level cylinder (samples None) or seeded sample paths."""
+    """Every depth-level cylinder (samples None) or seeded sample paths.
+
+    A cylinder set of at most _LEAF atoms, of nu or a cascade, is formed
+    once per measure and depth: it is memoised on the measure, outside
+    its fields, with read-only mids, weight and widths, and read only
+    within the budget (past it the fresh build raises BudgetExceeded).
+    A larger set is formed afresh on every call, so that scans hold no
+    more memory. Sample sets are never kept: each call draws again.
+    """
+    if depth < 1:
+        raise PreconditionViolated("depth must be >= 1")
     if samples is not None and samples < 1:
         raise PreconditionViolated("samples must be >= 1")
-    if isinstance(measure, LambdaMeasure):
-        if samples is None:
+    cascade = isinstance(measure, LambdaMeasure)
+    if samples is None:
+        memo = measure.__dict__.setdefault("_atom_sets", {})
+        hit = memo.get(depth)
+        if hit is not None and len(hit) <= budget:
+            return hit
+        if cascade:
             cols = _lambda_leaves(measure, depth, budget)
-            return _cascade_atoms(
+            atoms = _cascade_atoms(
                 cols, cols.weights(measure.nu.atom),
                 widths=np.array([1 / (q * (q + qp))
                                  for q, qp in zip(cols.q, cols.qp)]))
+        else:
+            atoms = _nu_cylinder_atoms(measure, depth, budget)
+        if len(atoms) <= _LEAF:
+            for held in (atoms.mids, atoms.weight, atoms.widths):
+                if isinstance(held, np.ndarray):
+                    held.flags.writeable = False
+            memo[depth] = atoms
+        return atoms
+    if cascade:
         cols = _sample_columns(measure, samples, depth, seed)
         return _cascade_atoms(
             cols, np.bincount(cols.inverse) / samples,
             samples=samples, width_ceiling=_width_ceiling(measure, depth))
-    if samples is None:
-        return _nu_cylinder_atoms(measure, depth, budget)
     cols = _nu_sample_entries(measure, samples, depth, seed)
     mids, widths = _geometry(*cols)
     weight = 1.0 / samples
@@ -283,18 +305,12 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     forms a leaf's convergent entries (blocks._entry_rows), and for the
     midpoints of a streamed set.
 
-    A set of at most _LEAF atoms holds its midpoints, read-only, and is
-    memoised on nu per depth, outside its fields, and read once the
-    budget admits it. A larger one holds no midpoints (stream): the
-    pass above forms only its widths, from the denominators alone, and
-    float_mids forms the midpoints of a range of rows when it is read,
-    each leaf's once in _leaf_values. It is formed afresh on every call,
-    so that scans hold no more memory.
+    A set of at most _LEAF atoms holds its midpoints. A larger one holds
+    none (stream): the pass above forms only its widths, from the
+    denominators alone, and float_mids forms the midpoints of a range of
+    rows when it is read, each leaf's once in _leaf_values.
     """
     n = len(nu.support)**depth
-    memo = nu.__dict__.setdefault("_atom_sets", {})
-    if n <= budget and depth in memo:
-        return memo[depth]
     prefix, base = _prefix_entries(nu, depth, budget)
     rows = _LeafGeometry(prefix, base)
     mids = np.empty(n, dtype=np.float64) if n <= _LEAF else None
@@ -313,16 +329,12 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
     steps = (n - 1) + 5 + (depth + 2) + 2 + 4
     width_sum = _pairwise_combine(n, 1, _LEAF, width_sums)
-    atoms = _Atoms(weight=weight, mids=mids, cascade=False,
-                   exact_mids=lambda lo, hi: _midpoints(
-                       _entry_rows(prefix, base, lo, hi)),
-                   mass_width=weight * float(width_sum) * _inflation(steps),
-                   stream=None if mids is not None else (n, rows),
-                   **_nu_rounding(min(min_widths), weight, nu.atom**depth))
-    if mids is not None:
-        mids.flags.writeable = False
-        memo[depth] = atoms
-    return atoms
+    return _Atoms(weight=weight, mids=mids, cascade=False,
+                  exact_mids=lambda lo, hi: _midpoints(
+                      _entry_rows(prefix, base, lo, hi)),
+                  mass_width=weight * float(width_sum) * _inflation(steps),
+                  stream=None if mids is not None else (n, rows),
+                  **_nu_rounding(min(min_widths), weight, nu.atom**depth))
 
 
 # roundings in a float midpoint when blocks._geometry's integers are not
@@ -376,8 +388,9 @@ def _fold(atoms: _Atoms, xi, leaf: Optional[tuple] = None) -> np.ndarray:
     if _folds_exactly(atoms, xi):
         a, b = xi.numerator, xi.denominator
         num, den = exact or atoms.exact_mids(lo, hi)
-        return np.array([(a * n) % (b * d) / (b * d)
-                         for n, d in zip(num, den)])
+        if b != 1:
+            den = [b * d for d in den]
+        return np.array([(a * n) % d / d for n, d in zip(num, den)])
     if mids is None:
         mids = atoms.float_mids(lo, hi)
     phases = mids * float(xi)

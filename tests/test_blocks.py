@@ -225,6 +225,16 @@ def test_verify_window_detects_tampering():
     assert not verify_window(bad)
 
 
+def test_measure_needs_a_support_and_forms_its_atom_once():
+    nu = small_nu()
+    assert nu.atom is nu.atom == Fraction(1, len(nu.support))
+    doc = json.loads(nu.serialize())
+    doc["support"] = []
+    with pytest.raises(PreconditionViolated,
+                       match="support must not be empty"):
+        NuMeasure.from_json_doc(doc)
+
+
 def test_serialization_round_trip():
     nu = small_nu()
     doc = json.loads(nu.serialize())

@@ -201,6 +201,9 @@ def test_sample_path_deterministic_and_forced():
         assert path[2] == forced_extension(lm.rule, w, 1).tail[-1:]
     with pytest.raises(DepthExceeded):
         sample_path(lm, 14, seed=0)
+    assert sample_path(lm, 0, seed=0) == []
+    with pytest.raises(PreconditionViolated, match="depth must be >= 0"):
+        sample_path(lm, -1, seed=0)
 
 
 STREAM_SIZES = [2, 3, 5, 190, 2**20 + 1, 2**31, 2**32 - 1]
@@ -446,20 +449,43 @@ def test_enumeration_checks_its_budget_before_any_arithmetic(monkeypatch):
         _lambda_leaves(lm, 13, budget=10)
 
 
-def test_forced_runs_compute_each_state_once(monkeypatch):
-    """A forced digit depends on its path's (q, digit sum) only, so the
-    enumeration computes it once per distinct pair in a run, not once
-    per path below the stage (3,840 calls here)."""
-    calls = []
+def spy_forced_digits(monkeypatch) -> list:
+    """The (q, digit sum) of each rho_value call, one list per
+    _forced_run call."""
+    runs = []
+    forced_run = cascade._forced_run
 
-    def spy(rule, q, dsum):
-        calls.append((q, dsum))
+    def run_spy(*args):
+        runs.append([])
+        return forced_run(*args)
+
+    def rho_spy(rule, q, dsum):
+        runs[-1].append((q, dsum))
         return rho_value(rule, q, dsum)
 
-    monkeypatch.setattr(cascade, "rho_value", spy)
+    monkeypatch.setattr(cascade, "_forced_run", run_spy)
+    monkeypatch.setattr(cascade, "rho_value", rho_spy)
+    return runs
+
+
+def test_forced_runs_compute_each_state_once(monkeypatch):
+    """Under the sum-of-previous rule a forced digit depends on its
+    path's digit sum only, so each run computes it once per distinct
+    digit sum: 40 calls, not one per distinct (q, digit sum) pair (168)
+    or per path below the stage (3,840)."""
+    runs = spy_forced_digits(monkeypatch)
     assert len(_lambda_leaves(toy_lambda(), 13)) == 1792
-    # one pair comes up in the runs of two different stages
-    assert len(set(calls)) == 167 and len(calls) <= 168
+    assert all(len({dsum for _, dsum in run}) == len(run) for run in runs)
+    assert sum(map(len, runs)) == 40
+
+
+def test_psi_forced_runs_key_on_the_continuant(monkeypatch):
+    """Under a psi rule a forced digit depends on q only: each run
+    computes it once per distinct q."""
+    runs = spy_forced_digits(monkeypatch)
+    assert len(_lambda_leaves(psi_gate_lambda(), 8)) == 64
+    assert all(len({q for q, _ in run}) == len(run) for run in runs)
+    assert sum(map(len, runs)) == 24
 
 
 def test_gap_condition_exhaustive_vs_certified():

@@ -248,6 +248,20 @@ def test_nu_build_judges_strict_feasibility_by_its_budget(capsys):
     assert docs[0]["config_hash"] != docs[1]["config_hash"]
 
 
+def test_lambda_sample_rejects_a_negative_count(capsys):
+    code, out, err = run_cli(capsys, [
+        "lambda", "sample", *LAMBDA_FLAGS, "--count", "-2", "--depth", "6"])
+    assert (code, out, err) == (2, "", "error: count must be >= 0\n")
+
+
+@pytest.mark.parametrize("measure", ["nu", "lambda"])
+def test_fourier_scan_rejects_depth_zero(capsys, measure):
+    code, out, err = run_cli(capsys, [
+        "fourier", "scan", *LAMBDA_FLAGS, "--measure", measure,
+        "--xi", "1,2", "--depth", "0"])
+    assert (code, out, err) == (2, "", "error: depth must be >= 1\n")
+
+
 def test_lambda_sample_seed_changes_the_config_hash(capsys):
     base = ["lambda", "sample", *LAMBDA_FLAGS, "--count", "3",
             "--depth", "6", "--seed"]

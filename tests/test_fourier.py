@@ -180,6 +180,22 @@ def test_cylinder_budgets():
         fourier_cylinder_sum(nu, 3, 12, budget=1000)
 
 
+@pytest.mark.parametrize("make", [nu_two_digit, toy_lambda],
+                         ids=["nu", "lambda"])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_every_method_rejects_depth_below_one(make, depth):
+    measure = make()
+    calls = (lambda: fourier_cylinder_sum(measure, 4, depth),
+             lambda: fourier_monte_carlo(measure, 4, 100, depth),
+             lambda: decay_scan(measure, [4], "cylinder", depth),
+             lambda: decay_scan(measure, [4], "montecarlo", depth,
+                                samples=100))
+    for call in calls:
+        with pytest.raises(PreconditionViolated,
+                           match="^depth must be >= 1$"):
+            call()
+
+
 def test_monte_carlo_overflow_guard():
     big = NuMeasure(
         n_bound=5000,

@@ -16,7 +16,9 @@ from cfraj.blocks import (build_nu, product_convergent_matrices,
                           sliding_max_mass)
 from cfraj.errors import BudgetExceeded, CertificationFailed, \
     PreconditionViolated
-from cfraj.fourier import _LEAF, _at_least, _atoms, _ratio_up
+from cfraj import fourier
+from cfraj.fourier import (_LEAF, _at_least, _atoms, _lambda_leaves,
+                           _ratio_up, decay_scan, fourier_cylinder_sum)
 from cfraj.oscillatory import (
     GL_ORDER,
     NODE_ULPS,
@@ -231,6 +233,31 @@ def test_memos_are_invisible_and_shared_arrays_read_only(monkeypatch):
     assert _atoms(nu, 15) is _atoms(nu, 15)
     assert _atoms(nu, 16) is not _atoms(nu, 16)
     assert nu == nu23() and (hash(nu), nu.serialize()) == nu_seen
+    # so is a cascade's; a sample set is drawn again on every call
+    lm = toy_lambda()
+    lm_seen = (hash(lm), lm.config_doc())
+    atoms = _atoms(lm, 13)
+    assert _atoms(lm, 13) is atoms and len(atoms) == 1792
+    for held in (atoms.mids, atoms.weight, atoms.widths):
+        with pytest.raises(ValueError):
+            held[0] = 0.0
+    with pytest.raises(BudgetExceeded, match="1792 cylinders"):
+        _atoms(lm, 13, budget=1791)
+    assert _atoms(lm, 13, 100) is not _atoms(lm, 13, 100)
+    assert lm == toy_lambda() and (hash(lm), lm.config_doc()) == lm_seen
+    # one enumeration serves a cylinder scan and six single sums
+    enumerations = []
+
+    def spy(*args):
+        enumerations.append(args)
+        return _lambda_leaves(*args)
+
+    monkeypatch.setattr(fourier, "_lambda_leaves", spy)
+    lm = toy_lambda()
+    decay_scan(lm, [1, 8, 2**11], "cylinder", 13)
+    for xi in (1, 8, 2**11, -1, -8, -2**11):
+        fourier_cylinder_sum(lm, xi, 13)
+    assert len(enumerations) == 1
 
 
 def at_least_reference(value, exact):
