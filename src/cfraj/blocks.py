@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -306,7 +305,6 @@ class TopHalfSplit:
     level: int
     count: int
     mass: Fraction
-    members: Optional[tuple[tuple[Block, ...], ...]]
     support_size: int
 
     def contains(self, blocks: Sequence[Block], nu: NuMeasure) -> bool:
@@ -341,16 +339,12 @@ def greedy_half(masses: Sequence[Fraction]) -> tuple[int, Fraction]:
     return len(masses), acc
 
 
-MATERIALIZE_LIMIT = 100_000
-
-
 def top_half_split(nu: NuMeasure, j: int) -> TopHalfSplit:
     """Deterministic near-half subset of the j-fold product support.
 
     Equal atoms collapse the greedy scan to a closed-form count
     ceil((s^j - 1)/2), evaluated in exact big-integer arithmetic, so
     the split is available at levels where s^j is astronomically large.
-    Members are materialized only for small products.
     """
     if j < 1:
         raise PreconditionViolated("level must be >= 1")
@@ -360,14 +354,7 @@ def top_half_split(nu: NuMeasure, j: int) -> TopHalfSplit:
     total = s**j
     count = (total - 1) // 2 + (1 if (total - 1) % 2 else 0)
     mass = Fraction(count, total)
-    members = None
-    if total <= MATERIALIZE_LIMIT:
-        members = tuple(
-            tup for _, tup in zip(range(count), iter_product(nu.support, repeat=j))
-        )
-    return TopHalfSplit(
-        level=j, count=count, mass=mass, members=members, support_size=s
-    )
+    return TopHalfSplit(level=j, count=count, mass=mass, support_size=s)
 
 
 def product_mass(nu: NuMeasure, blocks: Sequence[Block]) -> Fraction:

@@ -632,14 +632,14 @@ def _forced_run(cols: list, run: int, p: int, rule: AssignmentRule) -> list:
     """cols (q, qp, pn, pp, digit sum) after a forced run of `run` blocks.
 
     Each digit is rho_value of its path's word so far, which reads one
-    of the path's columns: the digit sum under the sum-of-previous rule,
-    q under a psi rule. It is computed once per distinct value of that
-    column in the call, as many paths share one. The columns move to
-    Python ints before a digit that could take a value past
-    _INT64_LIMIT, and each block guards its largest continuant.
+    of the path's columns: the digit sum when rule.reads_digit_sum, q
+    otherwise. It is computed once per distinct value of that column in
+    the call, as many paths share one. The columns move to Python ints
+    before a digit that could take a value past _INT64_LIMIT, and each
+    block guards its largest continuant.
     """
     q, qp, pn, pp, dsum = cols
-    by_sum = rule.kind == "sum-of-previous"
+    by_sum = rule.reads_digit_sum
     rho: dict[int, int] = {}
     for _ in range(run):
         for _ in range(p):

@@ -909,16 +909,18 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
     the evaluation term. For a plain product measure there is no
     exceptional part: n_index = 0 and exc_tv = 0 on every row. Every
     |xi| must be below 2^1020 (_check_frequency), as for the
-    single-frequency methods, and alpha must be positive. Both are
-    checked, and every cascade row's split (split_typ_exc) is made,
-    before any cylinder or sample is formed, so a row past the cascade's
-    horizon raises OutOfRange at once.
+    single-frequency methods, alpha must be positive, and the list must
+    not be empty. All three are checked, and every cascade row's split
+    (split_typ_exc) is made, before any cylinder or sample is formed, so
+    a row past the cascade's horizon raises OutOfRange at once.
     """
     if method not in ("cylinder", "montecarlo"):
         raise PreconditionViolated(f"unknown method {method!r}")
     if Fraction(alpha) <= 0:
         raise PreconditionViolated("alpha must be positive")
     xs = list(xi_list)
+    if not xs:
+        raise PreconditionViolated("xi_list must not be empty")
     for xi in xs:
         _check_frequency(xi)
     if any(xs[k] >= xs[k + 1] for k in range(len(xs) - 1)):

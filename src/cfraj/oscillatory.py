@@ -1,4 +1,4 @@
-"""Oscillatory-integral inequality checkers and the L2 pair expansion.
+"""Oscillatory-integral inequality checkers.
 
 Phases are exact objects: polynomials with rational coefficients plus
 trigonometric terms amp * (2 pi)^k * sin/cos(2 pi freq t) whose
@@ -24,12 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .blocks import NuMeasure, sliding_max_mass
-from .cascade import (
-    ALPHA_DEFAULT,
-    CYLINDER_BUDGET,
-    LambdaMeasure,
-    scale_index,
-)
+from .cascade import CYLINDER_BUDGET
 from .errors import BudgetExceeded, CertificationFailed, PreconditionViolated
 from .fourier import (
     EXP_ULPS,
@@ -41,7 +36,6 @@ from .fourier import (
     _atoms,
     _gamma,
     _inflation,
-    _lambda_leaves,
     _mass_width,
     _ratio_up,
     _up,
@@ -300,11 +294,10 @@ def _leggauss() -> tuple[np.ndarray, np.ndarray]:
 def _gl_nodes(interval, panels: int):
     """Composite Gauss-Legendre nodes and weights on equal panels, and
     the panels' half-widths, shared and read-only: 15 sets of at most
-    QUAD_MAX_NODES nodes (15.3 MiB) are kept."""
+    QUAD_MAX_NODES nodes (15.3 MiB) are kept, as _certified_integral
+    raises BudgetExceeded before it asks for more."""
     lo, hi = float(interval[0]), float(interval[1])
-    build = (_nodes if panels * GL_ORDER <= QUAD_MAX_NODES
-             else _nodes.__wrapped__)
-    return build(lo.hex(), hi.hex(), panels)
+    return _nodes(lo.hex(), hi.hex(), panels)
 
 
 @functools.lru_cache(maxsize=15)
@@ -761,7 +754,10 @@ def integral_sweep_case(rng: random.Random) -> OscillatoryTestCase:
 def run_sweep(lemma: str, count: int = 200, seed: int = 20260823,
               measure: Optional[NuMeasure] = None,
               depth: int = 5) -> SweepReport:
-    """Seeded randomized sweep; returns the indices of any violations."""
+    """Seeded randomized sweep of count >= 1 cases; returns the indices
+    of any violations."""
+    if count < 1:
+        raise PreconditionViolated("a sweep needs at least one case")
     rng = random.Random(seed)
     violations = []
     worst = math.inf
@@ -783,70 +779,3 @@ def run_sweep(lemma: str, count: int = 200, seed: int = 20260823,
             violations.append(k)
     return SweepReport(lemma=lemma, cases=count,
                        violations=tuple(violations), worst_margin=worst)
-
-
-# -------------------------------------------------------- L2 expansion
-
-
-@dataclass(frozen=True)
-class M2Report:
-    """L2 pair expansion split by denominator coincidence class."""
-
-    m2: float
-    shared_q: float
-    distinct_q: float
-    diagonal: float
-    quad_error: float
-    depth: int
-    prefix_count: int
-    sum_sq_mass: float
-
-
-def _pair_sums(cols, m: np.ndarray, xi: float, ts, ws):
-    pn, pp, qn, qp = (np.array(c, dtype=float)
-                      for c in (cols.pn, cols.pp, cols.q, cols.qp))
-    vals = (pn[:, None] * ts + pp[:, None]) / (qn[:, None] * ts + qp[:, None])
-    ph = np.exp(2j * math.pi * xi * vals)
-    wm = m[:, None] * ph
-
-    def l2(rows) -> float:
-        f = wm[rows].sum(axis=0)
-        return float((ws * (f.real**2 + f.imag**2)).sum())
-
-    total = l2(slice(None))
-    by_q, by_qq = {}, {}
-    for idx, (q, q_prev) in enumerate(zip(cols.q, cols.qp)):
-        by_q.setdefault(q, []).append(idx)
-        by_qq.setdefault((q, q_prev), []).append(idx)
-    same_q = sum(l2(rows) for rows in by_q.values())
-    diag = sum(l2(rows) for rows in by_qq.values())
-    return total, same_q - diag, total - same_q, diag
-
-
-def m2_empirical(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT, *,
-                 budget: int = 4096, panels: Optional[int] = None) -> M2Report:
-    """Pair expansion of the L2 mass at the scale of xi.
-
-    The prefix family is the cylinder set at depth i(|xi|^alpha); the
-    double sum over prefix pairs is evaluated through group L2 norms on
-    Gauss-Legendre panels and split by denominator coincidence:
-    shared_q (q equal, q' differs), distinct_q (q differs), diagonal
-    (q and q' both equal, true diagonal included). Quadrature error is
-    estimated by panel doubling.
-    """
-    i_val, _ = scale_index(lm, xi, alpha)
-    depth = max(i_val, 1)
-    cols = _lambda_leaves(lm, depth, budget)
-    m = cols.weights(lm.nu.atom)
-    interval = (1, lm.nu.n_bound + 1)
-    xf = abs(float(xi))
-    if panels is None:
-        panels = max(4, min(256, int(xf) + 4))
-    coarse = _pair_sums(cols, m, xf, *_gl_nodes(interval, panels)[:2])
-    fine = _pair_sums(cols, m, xf, *_gl_nodes(interval, 2 * panels)[:2])
-    err = max(abs(c - f) for c, f in zip(coarse, fine))
-    total, shared, distinct, diag = fine
-    ssq = math.fsum(w**2 for w in m.tolist())
-    return M2Report(m2=total, shared_q=shared, distinct_q=distinct,
-                    diagonal=diag, quad_error=err, depth=depth,
-                    prefix_count=len(cols), sum_sq_mass=ssq)

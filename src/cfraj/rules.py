@@ -105,6 +105,12 @@ class AssignmentRule:
         elif self.kind != "sum-of-previous":
             raise PreconditionViolated(f"unknown rule kind {self.kind!r}")
 
+    @property
+    def reads_digit_sum(self) -> bool:
+        """Whether rho reads the word's digit sum (the sum-of-previous
+        rule) rather than its continuant q (a psi rule)."""
+        return self.kind == "sum-of-previous"
+
     @classmethod
     def psi_power(cls, tau) -> "AssignmentRule":
         return cls("psi-power", PsiFamily.power(tau))
@@ -167,7 +173,7 @@ def rho_value(rule: AssignmentRule, q: int, digit_sum: int) -> int:
     Lets long walks maintain (q, digit_sum) incrementally instead of
     recomputing the continuant from scratch at every forced digit.
     """
-    if rule.kind == "sum-of-previous":
+    if rule.reads_digit_sum:
         return max(1, digit_sum)
     return max(1, _psi_threshold_ceil(rule.psi, q))
 
@@ -181,7 +187,7 @@ def membership(rule: AssignmentRule, w: Word, m: int) -> bool:
     """Whether digit m is admissible after the word."""
     if m < 1:
         return False
-    if rule.kind == "sum-of-previous":
+    if rule.reads_digit_sum:
         s = sum(w.digits())
         return s >= 1 and m == s
     q = continuant_pair(w).q

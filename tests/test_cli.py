@@ -262,6 +262,15 @@ def test_fourier_scan_rejects_depth_zero(capsys, measure):
     assert (code, out, err) == (2, "", "error: depth must be >= 1\n")
 
 
+@pytest.mark.parametrize("xi", [["--xi", ""], ["--xi", " , "],
+                                ["--xi-dyadic", "5:3"]])
+def test_fourier_scan_refuses_an_empty_frequency_list(capsys, xi):
+    code, out, err = run_cli(capsys, [
+        "fourier", "scan", *LAMBDA_FLAGS, "--measure", "nu", *xi,
+        "--depth", "3"])
+    assert (code, out, err) == (2, "", "error: xi_list must not be empty\n")
+
+
 def test_lambda_sample_seed_changes_the_config_hash(capsys):
     base = ["lambda", "sample", *LAMBDA_FLAGS, "--count", "3",
             "--depth", "6", "--seed"]
@@ -362,6 +371,13 @@ def test_verify_suites(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 64
+
+
+def test_verify_refuses_a_sweep_with_no_cases(capsys):
+    code, out, err = run_cli(capsys, [
+        "verify", "--suite", "lemmas", "--cases", "0"])
+    assert (code, out, err) == (
+        2, "", "error: a sweep needs at least one case\n")
 
 
 def test_verify_corrupted_measure_file(capsys, tmp_path):

@@ -336,6 +336,18 @@ def test_decay_scan_checks_alpha_and_horizon_before_enumerating(monkeypatch):
         decay_scan(lm, [2**235], "montecarlo", 9, samples=100)
 
 
+def test_decay_scan_refuses_an_empty_frequency_list(monkeypatch):
+    nu, lm = nu_two_digit(), toy_lambda()
+    monkeypatch.setattr(fourier, "_atoms", no_atoms)
+    for measure, depth in ((nu, 4), (lm, 9)):
+        for method in ("cylinder", "montecarlo"):
+            # range(5, 4): the dyadic exponents of a reversed 5:3
+            for xs in ([], range(5, 4)):
+                with pytest.raises(PreconditionViolated,
+                                   match="^xi_list must not be empty$"):
+                    decay_scan(measure, xs, method, depth)
+
+
 def test_scan_config_records_exact_frequencies():
     nu, lm = nu_two_digit(), toy_lambda()
     # float(2^60 + 1) == 2^60, yet the exact fold tells them apart

@@ -26,7 +26,6 @@ from cfraj.oscillatory import (
     QUAD_TARGET,
     TWO_PI,
     WEIGHT_ULPS,
-    M2Report,
     OscillatoryTestCase,
     PhaseFunction,
     _certified_integral,
@@ -43,13 +42,12 @@ from cfraj.oscillatory import (
     check_nonstationary,
     check_stationary,
     integral_sweep_case,
-    m2_empirical,
     nonstationary_sweep_case,
     run_sweep,
     stationary_case,
     stationary_sweep_case,
 )
-from test_cascade import cylinder_rows, nu_digits45, toy_lambda
+from test_cascade import cylinder_rows, toy_lambda
 
 
 def nu23():
@@ -693,74 +691,6 @@ def test_quadrature_node_cap_raises_budget_exceeded():
                         square=False)
 
 
-# --------------------------------------------------------- L2 expansion
-
-
-def sigma45():
-    return nu_digits45().sigma
-
-
-def test_m2_depth_two_all_classes():
-    lm = toy_lambda()
-    xi = math.exp(2.5 * sigma45() / 2)  # scale index 2 at alpha = 2
-    rep = m2_empirical(lm, xi, alpha=2)
-    assert rep.depth == 2
-    assert rep.prefix_count == 4
-    # words (4,5) and (5,4) share q = 21 with distinct q'; everything
-    # else has distinct q; (q, q') pairs are unique per word
-    assert rep.shared_q != 0.0
-    assert rep.diagonal == pytest.approx(5 * rep.sum_sq_mass, abs=1e-10)
-    assert rep.m2 == pytest.approx(
-        rep.shared_q + rep.distinct_q + rep.diagonal, abs=1e-10)
-    assert 0.0 <= rep.m2 <= 5.0
-    assert rep.quad_error <= 1e-8
-
-
-def test_m2_depth_one_distinct_denominators():
-    lm = toy_lambda()
-    xi = math.exp(0.5 * sigma45() / 2)  # scale index 0 -> depth 1
-    rep = m2_empirical(lm, xi, alpha=2)
-    assert rep.depth == 1
-    assert rep.prefix_count == 2
-    assert rep.shared_q == 0.0
-    assert rep.diagonal == pytest.approx(5 * rep.sum_sq_mass, abs=1e-10)
-    assert rep.diagonal <= 2 * 5 * rep.sum_sq_mass
-
-
-def test_m2_deeper_prefixes_stay_positive():
-    lm = toy_lambda()
-    xi = math.exp(7.25 * sigma45() / 2)
-    rep = m2_empirical(lm, xi, alpha=2, panels=48)
-    assert rep.depth == 7
-    assert 0.0 <= rep.m2 <= 5.0
-    assert rep.diagonal <= 2 * 5 * rep.sum_sq_mass + 1e-12
-    assert rep.quad_error <= 1e-8 * max(1.0, rep.m2)
-
-
-def test_m2_budget_and_range_errors():
-    lm = toy_lambda()
-    with pytest.raises(BudgetExceeded):
-        m2_empirical(lm, math.exp(2.5 * sigma45() / 2), alpha=2, budget=2)
-    from cfraj.errors import OutOfRange
-    with pytest.raises(OutOfRange):
-        m2_empirical(lm, math.exp(20.5 * sigma45() / 2), alpha=2)
-
-
-def test_m2_reports_are_pinned():
-    # every field of five reports on the cylinders the earlier recursive
-    # walk listed, floats as float.hex
-    lm = toy_lambda()
-    lines = []
-    for scale, panels in ((0.5, None), (2.5, None), (5.25, 24), (7.25, 48),
-                          (9.5, 16)):
-        rep = m2_empirical(lm, math.exp(scale * sigma45() / 2), alpha=2,
-                           panels=panels)
-        lines.append(",".join(v.hex() if isinstance(v, float) else str(v)
-                              for v in dataclasses.astuple(rep)))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "e4a3cf42823ecfbe0042d41c176078f38dbde0b18f645b4116f091f4d3c7ccdc")
-
-
 # --------------------------------------------------------------- sweeps
 
 
@@ -819,3 +749,10 @@ def test_sweep_determinism_and_errors():
         run_sweep("integral", count=5, seed=1)
     with pytest.raises(PreconditionViolated):
         run_sweep("no-such-lemma", count=5, seed=1)
+    # a sweep with no cases would pass with worst margin inf
+    for lemma, extra in (("nonstationary", {}), ("stationary", {}),
+                         ("integral", {"measure": nu23(), "depth": 5})):
+        for count in (0, -1):
+            with pytest.raises(PreconditionViolated,
+                               match="^a sweep needs at least one case$"):
+                run_sweep(lemma, count=count, **extra)
