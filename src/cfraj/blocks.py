@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -706,8 +706,7 @@ def sliding_max_mass(mids_sorted: np.ndarray,
     return ordered_map(search, widths)
 
 
-# chunks of _STREAM_CHUNK rows a streamed Frostman scan forms per batch,
-# on every core, before the widths merge them
+# chunks of _STREAM_CHUNK rows in one batch of a streamed Frostman scan
 _BATCH_CHUNKS = 4
 
 
@@ -748,12 +747,14 @@ def _stride_refinement(rows: _LeafGeometry, n: int, u: float,
     return best
 
 
-def _fill_ascending(rows: _LeafGeometry, lo: int, out: np.ndarray) -> bool:
+def _fill_ascending(rows: _LeafGeometry, lo: int, out: np.ndarray,
+                    apply: Callable) -> bool:
     """Writes the midpoints of rows lo to lo + len(out) to out, a chunk
-    of _STREAM_CHUNK rows at a time on every core (pool.ordered_map),
-    and tells whether they are nondecreasing: each chunk checks its own
-    rows with one vectorised >= on its worker, and the caller the seams
-    between chunks."""
+    of _STREAM_CHUNK rows at a time, and tells whether they are
+    nondecreasing: each chunk checks its own rows with one vectorised >=,
+    and the caller the seams between chunks. The chunks go through
+    apply: pool.ordered_map forms them on every core, and map in turn
+    on the calling thread, stopping at the first chunk that descends."""
     bounds = _stream_bounds(lo + len(out), lo)
 
     def fill(bound: tuple[int, int]) -> bool:
@@ -762,60 +763,77 @@ def _fill_ascending(rows: _LeafGeometry, lo: int, out: np.ndarray) -> bool:
         return bool((chunk[1:] >= chunk[:-1]).all())
 
     seams = np.array([a - lo for a, _ in bounds[1:]], dtype=np.intp)
-    return all(ordered_map(fill, bounds)) and bool(
+    return all(apply(fill, bounds)) and bool(
         (out[seams] >= out[seams - 1]).all())
 
 
 def _streamed_max_mass(rows: _LeafGeometry, n: int, atom: float,
                        widths: Sequence[float]) -> Optional[list[float]]:
     """sliding_max_mass(M, atom, widths) of the midpoints M that rows
-    forms in row order, streamed a batch of _BATCH_CHUNKS chunks at a
-    time (_fill_ascending); None, and no result, if M descends
-    anywhere, within a batch or across the seam of two.
+    forms in row order, streamed in batches of _BATCH_CHUNKS chunks, each
+    batch on any core (pool.ordered_map); None, and no result, if M
+    descends anywhere, within a batch or across the seam of two.
 
     With right(i) the count of midpoints <= M[i] + u, each width keeps
-    right(k * _WINDOW_STRIDE) for every stride start: the query
-    M[start] + u is made when its start passes, and the queries still
-    pending, which are nondecreasing, are searched (np.searchsorted)
-    into each batch as it passes, the widths in parallel
-    (pool.ordered_map). Every row before the batch is <= a pending
-    query, as the query is at least its start's midpoint and at least
-    the last row of every earlier batch that left it pending; so a
-    query below the batch's last row counts the batch's first row index
-    plus its position in the batch, and the rest stay pending; those
-    left at the end count n. These are the counts sliding_max_mass
-    takes by searchsorted over all of M at the stride starts. The caps
-    and open strides follow as there, and _stride_refinement finds the
-    best start in each open stride; so the maximum is the same integer,
-    multiplied by atom once.
+    right(k * _WINDOW_STRIDE) for every stride start. The stride starts'
+    midpoints (the heads) and each batch's last midpoint are formed
+    first, by row index (rows.at), bit for bit the rows the batches
+    form. At width u the query of start k is heads[k] + u, and batch b
+    settles the queries k in [cut[b - 1], cut[b]), where cut[b] counts
+    the queries below batch b's last midpoint (np.searchsorted) and
+    cut[-1] = 0. Each batch fills its rows, a chunk at a time on its
+    own thread (_fill_ascending with map: no map inside a map), checks
+    that they ascend and that its first is at least the last midpoint
+    of the batch before, and writes, per width, the counts of the
+    queries it settles into their slice of right: its first row index
+    plus each query's position in the batch. The batches' slices are
+    disjoint, so they need no lock.
+
+    If M never descends, the heads and queries ascend, and each count is
+    right(start): every row before batch b is at most batch b - 1's last
+    midpoint, which is at most a query it settles, and every row after
+    it is at least its own last midpoint, which is above the query. The
+    queries left from the last cut on, at least the last midpoint, count
+    n. These are the counts sliding_max_mass takes by searchsorted over
+    all of M at the stride starts. The caps and open strides follow as
+    there, and _stride_refinement finds the best start in each open
+    stride (the widths on any core); so the maximum is the same integer,
+    multiplied by atom once. If M descends, the cuts may fall in any
+    order: a slice whose end is below its start is empty, and a batch
+    that starts after one has found the descent is skipped.
     """
     k_all = -(-n // _WINDOW_STRIDE)
     heads = np.empty(k_all, dtype=np.float64)
+    # _STREAM_CHUNK heads at a time, which bounds rows.at's temporaries
+    for lo, hi in _stream_bounds(k_all):
+        heads[lo:hi] = rows.at(np.arange(lo, hi) * _WINDOW_STRIDE)
+    step = _STREAM_CHUNK * _BATCH_CHUNKS
+    batches = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    lasts = rows.at(np.array([hi - 1 for _, hi in batches]))
+    cuts = [np.concatenate(([0], np.searchsorted(heads + u, lasts)))
+            for u in widths]
     # counts up to n, in 4 bytes each while n fits
     count = np.int32 if n < 2**31 else np.int64
     right = [np.full(k_all, n, dtype=count) for _ in widths]
-    pending = [0] * len(widths)
-    step = _STREAM_CHUNK * _BATCH_CHUNKS
-    buffer = np.empty(min(step, n), dtype=np.float64)
-    last = -math.inf
-    for lo in range(0, n, step):
-        batch = buffer[:min(step, n - lo)]
-        if not (_fill_ascending(rows, lo, batch) and batch[0] >= last):
-            return None
-        hi = lo + len(batch)
-        k0, k1 = -(-lo // _WINDOW_STRIDE), -(-hi // _WINDOW_STRIDE)
-        heads[k0:k1] = batch[k0 * _WINDOW_STRIDE - lo::_WINDOW_STRIDE]
-        last = batch[-1]
+    descended = []
 
-        def merge(j: int) -> None:
-            k = pending[j]
-            queries = heads[k:k1] + widths[j]
-            done = int(np.searchsorted(queries, last, side="left"))
-            right[j][k:k + done] = lo + np.searchsorted(
-                batch, queries[:done], side="right")
-            pending[j] = k + done
+    def settle(b: int) -> None:
+        if descended:
+            return
+        lo, hi = batches[b]
+        batch = np.empty(hi - lo, dtype=np.float64)
+        if not (_fill_ascending(rows, lo, batch, map)
+                and (b == 0 or batch[0] >= lasts[b - 1])):
+            descended.append(b)
+            return
+        for j, u in enumerate(widths):
+            k0, k1 = cuts[j][b:b + 2]
+            right[j][k0:k1] = lo + np.searchsorted(batch, heads[k0:k1] + u,
+                                                   side="right")
 
-        ordered_map(merge, range(len(widths)))
+    ordered_map(settle, range(len(batches)))
+    if descended:
+        return None
 
     def best_mass(j: int) -> float:
         starts = np.arange(0, n, _WINDOW_STRIDE, dtype=count)
@@ -842,14 +860,15 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
     ascending, whose tables reverse the block order at the levels where
     the prefix map is decreasing), so their exact midpoints ascend. Their
     float midpoints come from _LeafGeometry's bilinear forms, a chunk of
-    _STREAM_CHUNK rows at a time on every core: two (k, 3) x (3, s)
-    products of prefix features and block coefficients, exact integers
-    in floats while _den_bound is below 2^53 (checked once), and
-    _geometry of the convergent entries past it. More cylinders than
-    one batch (_BATCH_CHUNKS chunks) are streamed through the search
-    (_streamed_max_mass), which holds no array of one float per
-    cylinder: per width, one count per _WINDOW_STRIDE-th cylinder. At
-    most one batch of cylinders is held in one array and searched
+    _STREAM_CHUNK rows at a time: two (k, 3) x (3, s) products of
+    prefix features and block coefficients, exact integers in floats
+    while _den_bound is below 2^53 (checked once), and _geometry of the
+    convergent entries past it. More cylinders than one batch
+    (_BATCH_CHUNKS chunks) are streamed through the search
+    (_streamed_max_mass), a batch on each core, which holds no array of
+    one float per cylinder: per width, one count per _WINDOW_STRIDE-th
+    cylinder, and one batch per core. At most one batch of cylinders is
+    held in one array, its chunks formed on every core, and searched
     (sliding_max_mass).
 
     Each midpoint is cylinder_geometry's, bit for bit, as the integers
@@ -877,7 +896,7 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
         omega = _streamed_max_mass(rows, n, atom, widths_f)
     if omega is None:
         mids = np.empty(n, dtype=np.float64)
-        if not _fill_ascending(rows, 0, mids):
+        if not _fill_ascending(rows, 0, mids, ordered_map):
             mids.sort()
         omega = sliding_max_mass(mids, atom, widths_f)
     log_u = np.log(np.array(widths_f))

@@ -62,6 +62,16 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _parse_dyadic(text: str) -> tuple[int, int]:
+    """LO and HI of --xi-dyadic LO:HI, two integers."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:  # a bad integer, or not two of them
+        raise PreconditionViolated(
+            f"--xi-dyadic takes LO:HI, two integers, not {text!r}") from None
+    return lo, hi
+
+
 def _parse_xi_token(tok: str):
     try:
         return int(tok)
@@ -346,7 +356,7 @@ def cmd_fourier_scan(args) -> int:
         xi_list = [_parse_xi_token(t)
                    for t in args.xi.replace(",", " ").split()]
     else:
-        lo, hi = (int(x) for x in args.xi_dyadic.split(":"))
+        lo, hi = _parse_dyadic(args.xi_dyadic)
         xi_list = [2**k for k in range(lo, hi + 1)]
     method = "montecarlo" if args.method == "mc" else args.method
     if args.measure == "lambda":

@@ -38,7 +38,8 @@ leaf. The leaves are independent, so they run on any core
 (pool.ordered_map) and the bits do not depend on how many.
 The nu cylinders themselves are streamed the same way: a set of more
 than _LEAF cylinders holds none of their geometry, and each leaf of the
-pass forms its own float midpoints (_Atoms.float_mids). Each cylinder is
+pass forms its own float midpoints (_Atoms.float_mids), and with them
+the widths that the error bound sums (_leaf_widths). Each cylinder is
 a prefix times a block, and its midpoint's numerator and denominator are
 two bilinear forms, three integer features of the prefix against three
 integer coefficients of the block, so a leaf's midpoints and widths come
@@ -58,6 +59,7 @@ holds each distinct cylinder once, weighted by its share of the samples.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -187,10 +189,13 @@ class _Atoms:
     converted from nu samples' int64 entries, and formed again from the
     two factors of the enumeration on nu cylinders. Cascade cylinders
     carry widths; nu cylinders carry only mass_width, a sound upper
-    bound on the sum of mass * width, as their widths are summed while
-    they are streamed; sample sources carry the sample count and the
-    width ceiling. Cascade sources carry their distinct label chains
-    in first-seen order, labels, and each atom's index into it,
+    bound on the sum of mass * width, from the float sum of their
+    widths, width_sum, and the roundings it may lose, width_steps: the
+    widths are summed while they are streamed, and on a streamed set
+    whose denominators are all below 2^53 by the first pass that forms
+    them (see _nu_cylinder_atoms). Sample sources carry the sample count
+    and the width ceiling. Cascade sources carry their distinct label
+    chains in first-seen order, labels, and each atom's index into it,
     label_ids. Every source carries what its evaluation term needs:
     mid_steps, the roundings in one float midpoint, and weight_err, a
     bound on |weight - exact weight| / exact weight, atom by atom.
@@ -205,13 +210,26 @@ class _Atoms:
     width_ceiling: Optional[Fraction] = None
     labels: Optional[list[tuple[int, ...]]] = None
     label_ids: Optional[np.ndarray] = None
-    mass_width: Optional[float] = None
+    width_sum: Optional[np.float64] = None
+    width_steps: Optional[int] = None
     mid_steps: int = 0
     weight_err: float = 0.0
     stream: Optional[tuple[int, _LeafGeometry]] = None
 
     def __len__(self) -> int:
         return len(self.mids) if self.stream is None else self.stream[0]
+
+    @property
+    def mass_width(self) -> Optional[float]:
+        """On nu cylinders, weight * width_sum raised by width_steps
+        roundings; None on other sources. A streamed set whose widths no
+        pass has summed yet sums them here, once (_width_sums)."""
+        if self.width_steps is None:
+            return None
+        if self.width_sum is None:
+            self.width_sum = _width_sums(self.stream[1], len(self))[0]
+        return (self.weight * float(self.width_sum)
+                * _inflation(self.width_steps))
 
     def float_mids(self, lo: int, hi: int) -> np.ndarray:
         """The float midpoints of rows lo to hi."""
@@ -285,7 +303,8 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
                   exact_mids=lambda lo, hi: _midpoints(
                       tuple(c[lo:hi] for c in cols)),
                   width_ceiling=_width_ceiling(measure, depth),
-                  **_nu_rounding(widths.min(), weight, Fraction(1, samples)))
+                  mid_steps=_nu_rounding(widths.min()),
+                  weight_err=_weight_err(weight, Fraction(1, samples)))
 
 
 def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
@@ -297,44 +316,62 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
     features and block coefficients, exact integers in floats while
     blocks._den_bound is below 2^53 (checked once), and blocks._geometry
     of the convergent entries past it; either way they are _geometry's
-    bit for bit. The leaves are those of numpy's float64 pairwise tree
-    over the widths, each formed on any core (pool.ordered_map), so
-    combining their sums in the tree's order gives widths.sum() bit for
-    bit, and the smallest width is the smallest of the leaves'. Only the
-    two factors (blocks._prefix_entries) are kept, for exact_mids, which
-    forms a leaf's convergent entries (blocks._entry_rows), and for the
-    midpoints of a streamed set.
+    bit for bit. The widths are summed leaf by leaf of numpy's float64
+    pairwise tree (_width_sums), so combining the leaf sums in the
+    tree's order gives widths.sum() bit for bit. Only the two factors
+    (blocks._prefix_entries) are kept, for exact_mids, which forms a
+    leaf's convergent entries (blocks._entry_rows), and for the
+    midpoints and widths of a streamed set.
 
-    A set of at most _LEAF atoms holds its midpoints. A larger one holds
-    none (stream): the pass above forms only its widths, from the
-    denominators alone, and float_mids forms the midpoints of a range of
-    rows when it is read, each leaf's once in _leaf_values.
+    A set of at most _LEAF atoms holds its midpoints, formed with its
+    widths in one pass (_width_sums) on any core. A larger one holds
+    none (stream): float_mids forms the midpoints of a range of rows
+    when it is read, each leaf's once in _leaf_values. While every
+    denominator is below 2^53 (_LeafGeometry.exact), every midpoint
+    rounds once, so mid_steps is 1 with no pass over the rows, and the
+    widths are summed by the first pass that forms them: _leaf_values'
+    leaves form them with their midpoints, or mass_width's first read.
+    This mid_steps is the one _nu_rounding gives: den < 2^53 is even, so
+    2 / den >= 1 / (2^52 - 1) rounds above 2^-52. Past 2^53 the widths
+    are summed, and their smallest found, when the set is formed.
     """
     n = len(nu.support)**depth
     prefix, base = _prefix_entries(nu, depth, budget)
     rows = _LeafGeometry(prefix, base)
     mids = np.empty(n, dtype=np.float64) if n <= _LEAF else None
-
-    def leaf(bound: tuple[int, int]) -> tuple:
-        lo, hi = bound
-        widths = rows(lo, hi, None if mids is None else mids[lo:hi])
-        return widths.sum(), widths.min()
-
-    width_sums, min_widths = zip(*ordered_map(
-        leaf, _pairwise_leaves(n, 1, _LEAF)))
     weight = float(nu.atom)**depth
     # roundings between the float terms and the true bound
     # pi |xi| sum s^-depth / (q (q + q')), each worth at most a
     # factor 1 / (1 - u): n - 1 in the sum, 5 within any one width,
     # depth + 2 in the weight, 1 each in pi and float(xi), 4 products
     steps = (n - 1) + 5 + (depth + 2) + 2 + 4
-    width_sum = _pairwise_combine(n, 1, _LEAF, width_sums)
-    return _Atoms(weight=weight, mids=mids, cascade=False,
-                  exact_mids=lambda lo, hi: _midpoints(
-                      _entry_rows(prefix, base, lo, hi)),
-                  mass_width=weight * float(width_sum) * _inflation(steps),
-                  stream=None if mids is not None else (n, rows),
-                  **_nu_rounding(min(min_widths), weight, nu.atom**depth))
+    atoms = _Atoms(weight=weight, mids=mids, cascade=False,
+                   exact_mids=lambda lo, hi: _midpoints(
+                       _entry_rows(prefix, base, lo, hi)),
+                   width_steps=steps,
+                   stream=None if mids is not None else (n, rows),
+                   mid_steps=1,
+                   weight_err=_weight_err(weight, nu.atom**depth))
+    if mids is not None or not rows.exact:
+        atoms.width_sum, min_width = _width_sums(rows, n, mids)
+        atoms.mid_steps = _nu_rounding(min_width)
+    return atoms
+
+
+def _width_sums(rows: _LeafGeometry, n: int,
+                mids: Optional[np.ndarray] = None) -> tuple:
+    """(widths.sum(), widths.min()) over the n rows of rows, bit for
+    bit, formed leaf by leaf of numpy's float64 pairwise tree
+    (_pairwise_leaves), the leaves on any core (pool.ordered_map), and
+    the leaf sums combined in the tree's order (_pairwise_combine). With
+    mids, each leaf writes its midpoints there too."""
+    def leaf(bound: tuple[int, int]) -> tuple:
+        lo, hi = bound
+        widths = rows(lo, hi, None if mids is None else mids[lo:hi])
+        return widths.sum(), widths.min()
+
+    sums, minima = zip(*ordered_map(leaf, _pairwise_leaves(n, 1, _LEAF)))
+    return _pairwise_combine(n, 1, _LEAF, sums), min(minima)
 
 
 # roundings in a float midpoint when blocks._geometry's integers are not
@@ -343,19 +380,41 @@ def _nu_cylinder_atoms(nu: NuMeasure, depth: int, budget: int) -> _Atoms:
 _MID_STEPS_INEXACT = 10
 
 
-def _nu_rounding(min_width: float, weight: float,
-                 exact_weight: Fraction) -> dict:
-    """mid_steps and weight_err of a nu atom set whose smallest float
-    width is min_width.
+def _leaf_widths(rows: _LeafGeometry, lo: int, hi: int, owned: list,
+                 floats: bool) -> tuple:
+    """(midpoints or None, width sums) of rows lo to hi of a streamed
+    set: the midpoints if floats, and the sum of the widths of each leaf
+    (a, b) of owned, leaves of numpy's float64 pairwise tree.
+
+    The widths of rows lo to hi come from the same denominators as their
+    midpoints (blocks._LeafGeometry); a leaf of owned takes the ones it
+    shares with them and forms its rows outside [lo, hi) anew, so each
+    sum is that of the leaf's widths in order, as _width_sums forms it.
+    """
+    mids = np.empty(hi - lo, dtype=np.float64) if floats else None
+    widths = rows(lo, hi, mids)
+    sums = []
+    for a, b in owned:
+        parts = [widths[max(a, lo) - lo:min(b, hi) - lo]]
+        if a < lo:
+            parts.insert(0, rows(a, lo))
+        if b > hi:
+            parts.append(rows(hi, b))
+        sums.append((parts[0] if len(parts) == 1
+                     else np.concatenate(parts)).sum())
+    return mids, sums
+
+
+def _nu_rounding(min_width: float) -> int:
+    """mid_steps of a nu atom set whose smallest float width is
+    min_width.
 
     A width above 2^-52 means q (q + q') < 2^52, since rounding is
     monotone. If every row has one, the numerator and denominator of
     every midpoint, 2 p q + p q' + p' q <= 2 q (q + q') < 2^53, are
     exact integers in floats, and fl(N / D) rounds once.
     """
-    mid_steps = 1 if min_width > 2.0**-52 else _MID_STEPS_INEXACT
-    return {"mid_steps": mid_steps,
-            "weight_err": _weight_err(weight, exact_weight)}
+    return 1 if min_width > 2.0**-52 else _MID_STEPS_INEXACT
 
 
 @functools.lru_cache(maxsize=256)
@@ -551,6 +610,12 @@ def _leaf_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
     and the leaf sums combine up the same tree, in its order
     (_pairwise_combine), so each value is one numpy sum's bit for bit,
     on any number of cores.
+
+    On a streamed set whose widths no pass has summed, each leaf also
+    sums the widths of the leaves of numpy's float64 tree whose centre
+    row it holds (_leaf_widths). The two trees split a few rows apart,
+    so each float64 leaf lies almost wholly in the leaf that holds its
+    centre. Those sums, combined up the float64 tree, give width_sum.
     """
     rows = _plan(atoms, xs)
     n = len(atoms)
@@ -561,12 +626,26 @@ def _leaf_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
     columns = [[weight] if keep is None else [weight, weight * keep]
                for keep in keeps]
 
-    def leaf_sums(bound: tuple[int, int]) -> list:
+    # a streamed set whose widths no pass has summed: the float64 tree's
+    # leaves, each summed by the leaf of this pass that holds its centre
+    width_leaves = (list(_pairwise_leaves(n, 1, _LEAF))
+                    if atoms.width_steps is not None
+                    and atoms.width_sum is None else [])
+    centres = [(a + b) // 2 for a, b in width_leaves]
+
+    def leaf_sums(bound: tuple[int, int]) -> tuple[list, list]:
         lo, hi = bound
+        owned = width_leaves[bisect.bisect_left(centres, lo):
+                             bisect.bisect_left(centres, hi)]
+        if owned:
+            mids, width_sums = _leaf_widths(atoms.stream[1], lo, hi, owned,
+                                            floats)
+        else:
+            mids = atoms.float_mids(lo, hi) if floats else None
+            width_sums = []
         terms = np.empty(hi - lo, dtype=np.complex128)
         products = np.empty_like(terms) if atoms.cascade else None
-        leaf = (lo, hi, atoms.float_mids(lo, hi) if floats else None,
-                atoms.exact_mids(lo, hi) if exact else None)
+        leaf = (lo, hi, mids, atoms.exact_mids(lo, hi) if exact else None)
         sums = []
         for (x, m, _), weights in zip(rows, columns):
             if m:
@@ -576,14 +655,19 @@ def _leaf_values(atoms: _Atoms, xs: Sequence, keeps: Sequence) -> list:
                 _direct_terms(atoms, x, terms, leaf)
             sums.append([terms.sum() if w is None else np.multiply(
                 terms, w[lo:hi], out=products).sum() for w in weights])
-        return sums
+        return sums, width_sums
 
     def combine(sums) -> complex:
         total = _pairwise_combine(n, 2, _LEAF, sums)
         return complex(total if atoms.cascade else atoms.weight * total)
 
-    by_leaf = ordered_map(leaf_sums, _pairwise_leaves(n, 2, _LEAF)) \
-        if rows else []
+    if not rows:
+        return []
+    by_leaf, width_sums = zip(*ordered_map(leaf_sums,
+                                           _pairwise_leaves(n, 2, _LEAF)))
+    if width_leaves:
+        atoms.width_sum = _pairwise_combine(
+            n, 1, _LEAF, [s for sums in width_sums for s in sums])
     out = [[(combine(sums), eps) for sums in zip(*row)]
            for (_, _, eps), row in zip(rows, zip(*by_leaf))]
     return [(full, kept[0] if kept else None) for full, *kept in out]
@@ -673,15 +757,17 @@ def _evaluation_term(atoms: _Atoms, eps: float) -> float:
 def _mass_width(atoms: _Atoms, keep: Optional[np.ndarray] = None) -> float:
     """Upper bound on the sum of mass * width over cylinder atoms.
 
-    Nu cylinders carry it, already inflated. On cascade cylinders
-    (optionally the keep subset) summing mass * width as exact rationals
-    is quadratic in the leaf count (denominators share no structure), so
-    the float sum is inflated instead: 1 rounding each in float(mass),
-    the width division, their product and fsum, and room for 5 more in
-    the caller (pi, float(xi) and 3 products in _error).
+    Nu cylinders carry it, already inflated (_Atoms.mass_width). On
+    cascade cylinders (optionally the keep subset) summing mass * width
+    as exact rationals is quadratic in the leaf count (denominators
+    share no structure), so the float sum is inflated instead: 1
+    rounding each in float(mass), the width division, their product and
+    fsum, and room for 5 more in the caller (pi, float(xi) and 3
+    products in _error).
     """
-    if atoms.mass_width is not None:
-        return atoms.mass_width
+    bound = atoms.mass_width
+    if bound is not None:
+        return bound
     weight, widths = atoms.weight, atoms.widths
     if keep is not None:
         weight, widths = weight[keep], widths[keep]

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cfraj import blocks, fourier
 from cfraj.blocks import (
@@ -761,6 +761,42 @@ def test_streamed_max_mass_equals_full_search(mids, chunk, widths):
         for down in descending:
             assert blocks._streamed_max_mass(HeldRows(down), n, atom,
                                              widths) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(mids=sorted_midpoints(), data=st.data(),
+       order=st.sampled_from(["reversed", "batches reversed", "shuffled",
+                              "shuffled at a seam"]),
+       seed=st.integers(0, 2**32 - 1),
+       widths=st.lists(st.one_of(st.sampled_from([5e-324, 1e-12, 3.0]),
+                                 st.floats(5e-324, 1.5)),
+                       min_size=1, max_size=6))
+def test_streamed_max_mass_refuses_a_stream_out_of_order(mids, data, order,
+                                                         seed, widths):
+    """Each batch settles the queries between its cuts, which ascend
+    only on an ascending stream: a stream that descends across batch
+    seams gives None, and no slice write on reversed cuts raises."""
+    n = len(mids)
+    assume(n > blocks._BATCH_CHUNKS)
+    chunk = data.draw(st.integers(1, (n - 1) // blocks._BATCH_CHUNKS))
+    seam = chunk * blocks._BATCH_CHUNKS
+    rng = np.random.default_rng(seed)
+    if order == "reversed":
+        down = mids[::-1].copy()
+    elif order == "batches reversed":
+        down = np.concatenate([mids[lo:lo + seam]
+                               for lo in range(0, n, seam)][::-1])
+    elif order == "shuffled":
+        down = rng.permutation(mids)
+    else:
+        down = mids.copy()
+        at = seam * int(rng.integers(1, -(-n // seam)))
+        window = slice(max(0, at - seam), at + seam)
+        down[window] = rng.permutation(down[window])
+    assume(bool((down[1:] < down[:-1]).any()))
+    with mock.patch.object(blocks, "_STREAM_CHUNK", chunk):
+        assert blocks._streamed_max_mass(HeldRows(down), n, 1.0 / n,
+                                         widths) is None
 
 
 def test_frostman_ceiling_of_reference_measure():

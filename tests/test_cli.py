@@ -271,6 +271,15 @@ def test_fourier_scan_refuses_an_empty_frequency_list(capsys, xi):
     assert (code, out, err) == (2, "", "error: xi_list must not be empty\n")
 
 
+@pytest.mark.parametrize("span", ["5", "3:5:7", "a:b"])
+def test_fourier_scan_refuses_a_malformed_dyadic_range(capsys, span):
+    code, out, err = run_cli(capsys, [
+        "fourier", "scan", *LAMBDA_FLAGS, "--measure", "nu",
+        "--xi-dyadic", span, "--depth", "3"])
+    assert (code, out, err) == (
+        2, "", f"error: --xi-dyadic takes LO:HI, two integers, not '{span}'\n")
+
+
 def test_lambda_sample_seed_changes_the_config_hash(capsys):
     base = ["lambda", "sample", *LAMBDA_FLAGS, "--count", "3",
             "--depth", "6", "--seed"]

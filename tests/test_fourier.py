@@ -26,7 +26,7 @@ from cfraj.blocks import (
 )
 from cfraj.cascade import _sample_columns, build_lambda, split_typ_exc, xn_mass
 from cfraj.errors import BudgetExceeded, OutOfRange, PreconditionViolated
-from cfraj import fourier
+from cfraj import blocks, fourier
 from cfraj.fourier import (
     EXP_ULPS,
     SQRT5_UP,
@@ -907,6 +907,68 @@ def test_reference_decay_scans_are_pinned(depth, digest_want):
     table = decay_scan(reference_nu(), [2**k for k in range(4, 19)],
                        "cylinder", depth, budget=10**7)
     assert digest(est_hex(r.full) for r in table.rows) == digest_want
+
+
+@pytest.mark.parametrize("measure,depth,leaf", [
+    (nu_two_digit(), 12, 7),
+    (reference_nu(), 2, 1000),
+])
+def test_streamed_mass_width_is_the_full_float_sum(monkeypatch, measure,
+                                                   depth, leaf):
+    """A streamed set whose denominators are all below 2^53 sums its
+    widths in the scan's own pass, or on a bare read of mass_width; both
+    give the bound from the sum of every width in one numpy sum, bit for
+    bit, where the float64 tree's leaves are not the pass's."""
+    monkeypatch.setattr(fourier, "_LEAF", leaf)
+    n = len(measure.support)**depth
+    assert (list(fourier._pairwise_leaves(n, 1, leaf))
+            != list(fourier._pairwise_leaves(n, 2, leaf)))
+    widths = cylinder_geometry(product_convergent_matrices(measure, depth))[1]
+    weight = float(measure.atom)**depth
+    want = (weight * float(widths.sum())
+            * fourier._inflation((n - 1) + 5 + (depth + 2) + 2 + 4))
+    made = []
+
+    def atoms(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        assert made[-1].width_sum is None
+        return made[-1]
+
+    real = fourier._atoms
+    monkeypatch.setattr(fourier, "_atoms", atoms)
+    decay_scan(measure, [2**k for k in range(4, 12)], "cylinder", depth)
+    assert made[-1].mass_width.hex() == want.hex()
+    bare = real(measure, depth)
+    assert bare.width_sum is None and bare.mid_steps == 1
+    assert fourier._mass_width(bare).hex() == want.hex()
+
+
+def test_streamed_scans_map_once_per_pass(monkeypatch):
+    """A depth-3 reference decay scan forms its atoms and its rows in one
+    map over the leaves of its pass; a streamed Frostman scan maps once
+    over its batches and once over its widths."""
+    calls = []
+
+    def spy(real):
+        def counted(fn, items):
+            items = list(items)
+            calls.append((fn.__name__, len(items)))
+            return real(fn, items)
+        return counted
+
+    monkeypatch.setattr(fourier, "ordered_map", spy(fourier.ordered_map))
+    monkeypatch.setattr(blocks, "ordered_map", spy(blocks.ordered_map))
+    nu, n = reference_nu(), 190**3
+    decay_scan(nu, [2**k for k in range(4, 19)], "cylinder", 3,
+               budget=10**7)
+    assert calls == [("leaf_sums",
+                      len(list(fourier._pairwise_leaves(n, 2,
+                                                        fourier._LEAF))))]
+    calls.clear()
+    widths = [2.0**-k for k in range(2, 14)]
+    frostman_scan(nu, 3, widths, budget=10**7)
+    batch = blocks._STREAM_CHUNK * blocks._BATCH_CHUNKS
+    assert calls == [("settle", -(-n // batch)), ("best_mass", len(widths))]
 
 
 def test_reference_depth3_scans_hold_no_midpoint_array():
