@@ -1,6 +1,14 @@
 """Exact continued-fraction measures and rigorous Fourier decay experiments."""
 
+from fractions import Fraction
+
 __version__ = "0.1.0"
+
+# Defaults shared by the cascade, the scans, the lemmas and the CLI. They
+# live here, not in cascade, so that a run on nu alone, and the CLI's
+# parser, read them without loading cascade or numpy.
+ALPHA_DEFAULT = Fraction(50, 358)
+CYLINDER_BUDGET = 10**6
 
 
 def config_hash(doc: dict) -> str:

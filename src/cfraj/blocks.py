@@ -855,7 +855,8 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
                   budget: int = DEFAULT_ENUM_BUDGET) -> FrostmanScan:
     """Ball-mass growth scan of the depth-level product pushforward.
 
-    Every width must be a finite float above 0. The cylinders are
+    There must be at least one width, each a finite float above 0, and
+    both are checked before any cylinder is formed. The cylinders are
     enumerated in ascending order along [0, 1] (_prefix_entries with
     ascending, whose tables reverse the block order at the levels where
     the prefix map is decreasing), so their exact midpoints ascend. Their
@@ -885,6 +886,8 @@ def frostman_scan(nu: NuMeasure, depth: int, widths: Sequence[float],
     if depth < 1:
         raise PreconditionViolated("depth must be >= 1")
     widths_f = tuple(float(u) for u in widths)
+    if not widths_f:
+        raise PreconditionViolated("widths must not be empty")
     if not all(math.isfinite(u) and u > 0 for u in widths_f):
         raise PreconditionViolated("widths must be finite floats above 0")
     prefix, base = _prefix_entries(nu, depth, budget, ascending=True)

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import ALPHA_DEFAULT, CYLINDER_BUDGET
 from .blocks import Block, NuMeasure, TopHalfSplit, top_half_split
 from .errors import (
     BudgetExceeded,
@@ -38,9 +39,6 @@ from .numeric import guard_int, ln_fraction, ln_int
 from .profiles import Profile, get_profile
 from .rules import AssignmentRule, rho_value
 from .schedule import Schedule, weight
-
-ALPHA_DEFAULT = Fraction(50, 358)
-CYLINDER_BUDGET = 10**6
 
 
 @dataclass(frozen=True)

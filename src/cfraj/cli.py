@@ -22,19 +22,18 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import __version__, config_hash
+# building the parser loads neither numpy nor cascade: each command
+# imports the modules it runs
+from . import CYLINDER_BUDGET, __version__, config_hash
 from .audit import exponent_audit, format_audit
-from .blocks import (NuMeasure, _anchored_sigma, build_nu,
-                     median_log_continuant)
-from .cascade import CYLINDER_BUDGET, build_lambda, classify, sample_path
 from .errors import CfrajError, PreconditionViolated
-from .fourier import decay_scan
-from .profiles import get_profile, strict_feasibility
-from .rules import AssignmentRule, PsiFamily
-from .schedule import Schedule, make_schedule_psi
 from .verify import SUITE_NAMES, format_reports, run_suites
+
+if TYPE_CHECKING:
+    from .blocks import NuMeasure
+    from .rules import AssignmentRule
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -59,7 +58,8 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        # not a ValueError, which _parse_list would report as a bad field
+        raise PreconditionViolated(f"zero denominator in {text!r}") from None
 
 
 def _parse_dyadic(text: str) -> tuple[int, int]:
@@ -82,11 +82,22 @@ def _parse_xi_token(tok: str):
     return float(tok)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _parse_list(text: str, flag: str, parse=int,
+                kind: str = "integers") -> list:
+    """The comma-separated fields of flag's text, each read by parse.
+    Text with no field at all, such as "", is the empty list. An empty
+    field (1,,3 or 1,) or one that parse refuses names the flag."""
+    if not text.replace(",", " ").split():
+        return []
+    try:
+        return [parse(field) for field in text.split(",")]
+    except ValueError:
+        raise PreconditionViolated(
+            f"{flag} takes comma-separated {kind}, not {text!r}") from None
 
 
 def _parse_rule(text: str) -> AssignmentRule:
+    from .rules import AssignmentRule
     if text == "sum":
         return AssignmentRule.sum_of_previous()
     if text == "exp":
@@ -230,6 +241,7 @@ def build_parser() -> _Parser:
 def _resolve_sigma(args) -> tuple[Optional[float],
                                   Optional[tuple[int, int]]]:
     if getattr(args, "sigma_median", False):
+        from .blocks import median_log_continuant
         _, anchor = median_log_continuant(args.n_bound, args.p,
                                           budget=args.budget)
         return None, anchor
@@ -239,6 +251,7 @@ def _resolve_sigma(args) -> tuple[Optional[float],
 
 
 def _nu_from_args(args) -> tuple[NuMeasure, dict]:
+    from .blocks import build_nu
     sigma, anchor = _resolve_sigma(args)
     eps = _fraction(args.eps)
     nu = build_nu(args.n_bound, args.p, sigma, eps, sigma_anchor=anchor,
@@ -252,6 +265,7 @@ def _nu_from_args(args) -> tuple[NuMeasure, dict]:
 
 
 def cmd_nu_build(args) -> int:
+    from .profiles import get_profile, strict_feasibility
     nu, config = _nu_from_args(args)
     prof = get_profile(args.profile)
     strict = strict_feasibility(nu.n_bound, nu.p, args.budget)
@@ -273,6 +287,9 @@ def cmd_nu_build(args) -> int:
 
 
 def cmd_schedule_make(args) -> int:
+    from .blocks import _anchored_sigma
+    from .rules import PsiFamily
+    from .schedule import make_schedule_psi
     if args.exp == (args.tau is not None):
         raise PreconditionViolated("pick exactly one of --tau and --exp")
     psi = PsiFamily.exponential() if args.exp \
@@ -283,7 +300,7 @@ def cmd_schedule_make(args) -> int:
         sigma = args.sigma
     else:
         raise PreconditionViolated("need --sigma or --sigma-log")
-    r_list = _parse_int_list(args.r)
+    r_list = _parse_list(args.r, "--r")
     depth = args.depth if args.depth is not None else len(r_list)
     carrier = SimpleNamespace(p=args.p, sigma=sigma)
     sch = make_schedule_psi(psi, carrier, r_list, args.i1, depth,
@@ -300,14 +317,16 @@ def cmd_schedule_make(args) -> int:
 
 
 def _lambda_from_args(args):
+    from .cascade import build_lambda
+    from .schedule import Schedule
     nu, config = _nu_from_args(args)
     if args.schedule_i is None or args.schedule_r is None:
         raise PreconditionViolated(
             "lambda commands need --schedule-i and --schedule-r")
     rule = _parse_rule(args.rule)
     sch = Schedule(
-        i=tuple(_parse_int_list(args.schedule_i)),
-        r=tuple(_parse_int_list(args.schedule_r)),
+        i=tuple(_parse_list(args.schedule_i, "--schedule-i")),
+        r=tuple(_parse_list(args.schedule_r, "--schedule-r")),
         p=nu.p, sigma=nu.sigma, rule=rule,
     )
     horizon = args.horizon if args.horizon is not None \
@@ -319,8 +338,9 @@ def _lambda_from_args(args):
 
 
 def cmd_lambda_mass(args) -> int:
+    from .cascade import classify
     lm, config = _lambda_from_args(args)
-    digits = _parse_int_list(args.prefix)
+    digits = _parse_list(args.prefix, "--prefix")
     p = lm.nu.p
     if len(digits) % p:
         raise PreconditionViolated(
@@ -338,6 +358,7 @@ def cmd_lambda_mass(args) -> int:
 
 
 def cmd_lambda_sample(args) -> int:
+    from .cascade import sample_path
     if args.count < 0:
         raise PreconditionViolated("count must be >= 0")
     lm, config = _lambda_from_args(args)
@@ -352,9 +373,10 @@ def cmd_lambda_sample(args) -> int:
 
 
 def cmd_fourier_scan(args) -> int:
+    from .fourier import decay_scan
     if args.xi is not None:
-        xi_list = [_parse_xi_token(t)
-                   for t in args.xi.replace(",", " ").split()]
+        xi_list = _parse_list(args.xi, "--xi", _parse_xi_token,
+                              "frequencies")
     else:
         lo, hi = _parse_dyadic(args.xi_dyadic)
         xi_list = [2**k for k in range(lo, hi + 1)]
@@ -380,6 +402,7 @@ def cmd_fourier_scan(args) -> int:
 def cmd_verify(args) -> int:
     measure = None
     if args.measure_file:
+        from .blocks import NuMeasure
         with open(args.measure_file) as fh:
             doc = json.load(fh)
         measure = NuMeasure.from_json_doc(

@@ -55,6 +55,8 @@ Cascade cylinders (cascade._lambda_leaves) and sample sets
 (cascade._sample_columns) come from the cascade's one columnar engine. A
 sample set is drawn path for path as the per-path walk draws it, and
 holds each distinct cylinder once, weighted by its share of the samples.
+A measure that is not a NuMeasure is a cascade, and cascade is loaded on
+its first use there, so a run on nu alone never imports it.
 """
 
 from __future__ import annotations
@@ -64,11 +66,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__, config_hash
+from . import ALPHA_DEFAULT, CYLINDER_BUDGET, __version__, config_hash
 from .blocks import (
     NuMeasure,
     _LeafGeometry,
@@ -79,21 +81,24 @@ from .blocks import (
     _prefix_entries,
     _product,
 )
-from .cascade import (
-    ALPHA_DEFAULT,
-    CYLINDER_BUDGET,
-    LambdaMeasure,
-    TypExcSplit,
-    _Columns,
-    _lambda_leaves,
-    _sample_columns,
-    split_typ_exc,
-)
 from .errors import PreconditionViolated
 from .pool import ordered_map
 from .words import continuant
 
-Measure = Union[NuMeasure, LambdaMeasure]
+if TYPE_CHECKING:
+    from .cascade import LambdaMeasure, TypExcSplit, _Columns
+    Measure = Union[NuMeasure, LambdaMeasure]
+
+
+def __getattr__(name: str):
+    """cascade._lambda_leaves, loaded on first access, under the name
+    perfbench/cascade_mc.py imports from here. Any other missing name
+    raises AttributeError."""
+    if name == "_lambda_leaves":
+        from .cascade import _lambda_leaves
+        return _lambda_leaves
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # above this, float(xi) * float(mid) has absolute error comparable to 1
 EXACT_FOLD_THRESHOLD = 2**40
@@ -134,10 +139,10 @@ def _width_ceiling(measure: Measure, depth: int) -> Fraction:
     (min block continuant)^(number of typical blocks); forced blocks
     only count for >= 1.
     """
-    if isinstance(measure, LambdaMeasure):
-        nu, typical = measure.nu, max(depth - sum(measure.schedule.r), 0)
-    else:
+    if isinstance(measure, NuMeasure):
         nu, typical = measure, depth
+    else:
+        nu, typical = measure.nu, max(depth - sum(measure.schedule.r), 0)
     qmin = min(continuant(b) for b in nu.support)**typical
     return Fraction(1, qmin * qmin)
 
@@ -271,13 +276,14 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         raise PreconditionViolated("depth must be >= 1")
     if samples is not None and samples < 1:
         raise PreconditionViolated("samples must be >= 1")
-    cascade = isinstance(measure, LambdaMeasure)
+    cascade = not isinstance(measure, NuMeasure)
     if samples is None:
         memo = measure.__dict__.setdefault("_atom_sets", {})
         hit = memo.get(depth)
         if hit is not None and len(hit) <= budget:
             return hit
         if cascade:
+            from .cascade import _lambda_leaves
             cols = _lambda_leaves(measure, depth, budget)
             atoms = _cascade_atoms(
                 cols, cols.weights(measure.nu.atom),
@@ -292,6 +298,7 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
             memo[depth] = atoms
         return atoms
     if cascade:
+        from .cascade import _sample_columns
         cols = _sample_columns(measure, samples, depth, seed)
         return _cascade_atoms(
             cols, np.bincount(cols.inverse) / samples,
@@ -963,10 +970,10 @@ class DecayTable:
 
 def _scan_config(measure: Measure, xi_list, method, depth, samples, seed,
                  alpha) -> dict:
-    if isinstance(measure, LambdaMeasure):
-        mdoc = measure.config_doc()
-    else:
+    if isinstance(measure, NuMeasure):
         mdoc = measure.to_json_doc()
+    else:
+        mdoc = measure.config_doc()
     return {
         "measure": mdoc,
         "method": method,
@@ -1011,9 +1018,12 @@ def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
         _check_frequency(xi)
     if any(xs[k] >= xs[k + 1] for k in range(len(xs) - 1)):
         raise PreconditionViolated("xi_list must be strictly ascending")
-    splits = [split_typ_exc(measure, abs(xi), alpha)
-              if isinstance(measure, LambdaMeasure) and abs(xi) > 1 else None
-              for xi in xs]
+    if isinstance(measure, NuMeasure):
+        splits = [None] * len(xs)
+    else:
+        from .cascade import split_typ_exc
+        splits = [split_typ_exc(measure, abs(xi), alpha) if abs(xi) > 1
+                  else None for xi in xs]
 
     atoms = _atoms(measure, depth,
                    samples if method == "montecarlo" else None, seed, budget)

@@ -23,8 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import CYLINDER_BUDGET
 from .blocks import NuMeasure, sliding_max_mass
-from .cascade import CYLINDER_BUDGET
 from .errors import BudgetExceeded, CertificationFailed, PreconditionViolated
 from .fourier import (
     EXP_ULPS,

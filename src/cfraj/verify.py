@@ -2,7 +2,9 @@
 
 Each suite is a fast spot check of one module's contracts, returning a
 SuiteReport of named pass/fail lines. The audit suite never fails on a
-flagged discrepancy; surfacing it is the point.
+flagged discrepancy; surfacing it is the point. Each suite imports the
+modules it checks, so loading this module (the CLI's parser reads
+SUITE_NAMES) loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .audit import exponent_audit, format_audit
-from .blocks import build_nu, top_half_split, verify_window
-from .cascade import build_lambda, split_typ_exc, weight_ratio_bound, xn_mass
 from .errors import PreconditionViolated
-from .fourier import decay_scan, fourier_cylinder_sum, fourier_monte_carlo
-from .oscillatory import run_sweep
-from .profiles import get_profile, strict_feasibility
-from .rules import AssignmentRule
-from .schedule import Schedule, weight
 from .words import Word, continuant_identity_check, continuant_pair, \
     cylinder_interval, evaluate, joining_defect
 
@@ -45,10 +40,15 @@ class SuiteReport:
 
 
 def _desk_nu():
+    from .blocks import build_nu
     return build_nu(3, 1, None, Fraction(1, 4), sigma_anchor=(6, 2))
 
 
 def _toy_lambda():
+    from .blocks import build_nu
+    from .cascade import build_lambda
+    from .rules import AssignmentRule
+    from .schedule import Schedule
     nu = build_nu(5, 1, None, Fraction(3, 10), sigma_anchor=(5, 1))
     sch = Schedule(i=(2, 4, 7, 11), r=(1, 1, 1, 1), p=1, sigma=nu.sigma,
                    rule=AssignmentRule.sum_of_previous())
@@ -88,6 +88,8 @@ def suite_cf() -> SuiteReport:
 
 
 def suite_nu(measure=None, profile: str = "desk") -> SuiteReport:
+    from .blocks import top_half_split, verify_window
+    from .profiles import get_profile, strict_feasibility
     checks = []
     nu = measure if measure is not None else _desk_nu()
     checks.append(CheckResult(
@@ -121,6 +123,7 @@ def suite_nu(measure=None, profile: str = "desk") -> SuiteReport:
 
 
 def suite_lambda() -> SuiteReport:
+    from .cascade import split_typ_exc, weight_ratio_bound, xn_mass
     checks = []
     lm = _toy_lambda()
     root_ok = xn_mass(lm, 2) + xn_mass(lm, 3) == 1
@@ -144,6 +147,7 @@ def suite_lambda() -> SuiteReport:
 
 
 def suite_fourier() -> SuiteReport:
+    from .fourier import decay_scan, fourier_cylinder_sum, fourier_monte_carlo
     checks = []
     nu = _desk_nu()
     est0 = fourier_cylinder_sum(nu, 0, 4)
@@ -178,6 +182,7 @@ def suite_fourier() -> SuiteReport:
 
 
 def suite_lemmas(cases: int = 60, seed: int = 20260823) -> SuiteReport:
+    from .oscillatory import run_sweep
     checks = []
     for lemma in ("nonstationary", "stationary", "integral"):
         kwargs = {"measure": _desk_nu(), "depth": 5} \

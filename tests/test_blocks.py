@@ -852,6 +852,20 @@ def test_frostman_scan_rejects_bad_widths_before_enumerating(monkeypatch,
         frostman_scan(small_nu(), 4, widths)
 
 
+def test_frostman_scan_refuses_an_empty_width_list(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return prefix_entries(*args, **kwargs)
+
+    prefix_entries = blocks._prefix_entries
+    monkeypatch.setattr(blocks, "_prefix_entries", spy)
+    with pytest.raises(PreconditionViolated, match="^widths must not be empty$"):
+        frostman_scan(small_nu(), 3, [])
+    assert calls == []
+
+
 @pytest.fixture
 def scan_spy(monkeypatch):
     """Records the size of every array blocks makes with np.empty, and

@@ -17,6 +17,7 @@ from cfraj.cascade import (
     LambdaMeasure,
     PathState,
     _draw_indices,
+    _lambda_leaves,
     _sample_columns,
     build_lambda,
     classify,
@@ -36,7 +37,6 @@ from cfraj.errors import (
     Overflow,
     PreconditionViolated,
 )
-from cfraj.fourier import _lambda_leaves
 from cfraj.numeric import guard_int
 from cfraj.rules import AssignmentRule, PsiFamily, forced_extension, rho_value
 from cfraj.schedule import Schedule, check_gap_condition, weight

@@ -38,6 +38,21 @@ def test_cli_import_leaves_scipy_out():
                    for path in (src / "cfraj").glob("*.py"))
 
 
+@pytest.mark.parametrize("argv", [["audit", "exponents"], ["--help"]],
+                         ids=["audit-exponents", "help"])
+def test_cli_parser_and_audit_load_no_numpy(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\nfrom cfraj.cli import main\ntry:\n"
+            f"    main({argv!r})\nexcept SystemExit:\n    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'numpy' or m in ('cfraj.blocks', 'cfraj.cascade')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_import_and_single_leaf_sets_start_no_thread():
     """The leaf pool is made on the first map of two or more leaves:
     importing the CLI starts no thread and loads no concurrent.futures,
@@ -278,6 +293,37 @@ def test_fourier_scan_refuses_a_malformed_dyadic_range(capsys, span):
         "--xi-dyadic", span, "--depth", "3"])
     assert (code, out, err) == (
         2, "", f"error: --xi-dyadic takes LO:HI, two integers, not '{span}'\n")
+
+
+LIST_COMMANDS = {
+    "--r": ["schedule", "make", "--tau", "3", "--p", "2", "--sigma", "2.0",
+            "--i1", "4"],
+    "--schedule-i": ["lambda", "mass", *LAMBDA_FLAGS, "--prefix", "4"],
+    "--schedule-r": ["lambda", "mass", *LAMBDA_FLAGS, "--prefix", "4"],
+    "--prefix": ["lambda", "mass", *LAMBDA_FLAGS],
+    "--xi": ["fourier", "scan", *LAMBDA_FLAGS, "--measure", "nu",
+             "--depth", "3"],
+}
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--r", "1,,3"), ("--r", "1,"), ("--r", ",1"), ("--r", "1,x"),
+    ("--r", "1 2"), ("--schedule-i", "2,,4"), ("--schedule-r", "1,"),
+    ("--prefix", "4,,4"), ("--prefix", "4,a"), ("--xi", "4,,8"),
+    ("--xi", "4,"), ("--xi", "4,x")])
+def test_comma_lists_refuse_an_empty_or_bad_field(capsys, flag, text):
+    code, out, err = run_cli(capsys, LIST_COMMANDS[flag] + [flag, text])
+    kind = "frequencies" if flag == "--xi" else "integers"
+    assert (code, out, err) == (
+        2, "", f"error: {flag} takes comma-separated {kind}, not '{text}'\n")
+
+
+def test_lambda_mass_reads_an_empty_prefix(capsys):
+    code, out, err = run_cli(capsys, LIST_COMMANDS["--prefix"]
+                             + ["--prefix", ""])
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (doc["prefix"], doc["valid"], doc["mass"]) == ([], True, "1/1")
 
 
 def test_lambda_sample_seed_changes_the_config_hash(capsys):

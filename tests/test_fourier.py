@@ -4,10 +4,14 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,7 +28,8 @@ from cfraj.blocks import (
     median_log_continuant,
     product_convergent_matrices,
 )
-from cfraj.cascade import _sample_columns, build_lambda, split_typ_exc, xn_mass
+from cfraj.cascade import (_lambda_leaves, _sample_columns, build_lambda,
+                           split_typ_exc, xn_mass)
 from cfraj.errors import BudgetExceeded, OutOfRange, PreconditionViolated
 from cfraj import blocks, fourier
 from cfraj.fourier import (
@@ -37,7 +42,6 @@ from cfraj.fourier import (
     _estimate,
     _evaluation_term,
     _fold,
-    _lambda_leaves,
     _values,
     _width_ceiling,
     decay_scan,
@@ -1088,3 +1092,54 @@ def test_csv_format():
     assert float(row[1]) == est.value.real
     assert float(row[2]) == est.value.imag
     assert len(table.config_hash) == 16
+
+
+def fresh_modules(code: str) -> list[str]:
+    """The modules a fresh interpreter, with src on PYTHONPATH, holds
+    after running code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+NU_SCAN = """
+from fractions import Fraction
+from cfraj.blocks import build_nu
+from cfraj.fourier import decay_scan
+nu = build_nu(3, 2, None, Fraction(3, 10), sigma_anchor=(5, 1))
+decay_scan(nu, [-3, 0, 1, 8, 2**41], "cylinder", 2)
+"""
+
+
+@pytest.mark.parametrize("code", [
+    "import cfraj.fourier", "import cfraj.oscillatory", "import cfraj.blocks",
+    NU_SCAN], ids=["fourier", "oscillatory", "blocks", "nu-decay-scan"])
+def test_nu_paths_load_no_cascade(code):
+    loaded = set(fresh_modules(code))
+    assert "cfraj.blocks" in loaded
+    assert not loaded & {"cfraj.cascade", "cfraj.rules", "cfraj.schedule",
+                         "cfraj.profiles"}
+
+
+def test_fourier_serves_lambda_leaves_from_cascade():
+    code = """
+import sys
+from cfraj import fourier
+print("cfraj.cascade" in sys.modules)
+from cfraj.fourier import _lambda_leaves
+from cfraj import cascade
+print(_lambda_leaves is cascade._lambda_leaves)
+try:
+    from cfraj.fourier import _no_such_name
+except ImportError as exc:
+    print(type(exc).__name__, exc.name)
+print(hasattr(fourier, "_no_such_name"))
+"""
+    assert fresh_modules(code)[:5] == [
+        "False", "True", "ImportError", "cfraj.fourier", "False"]

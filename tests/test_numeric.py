@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 from cfraj import numeric
-from cfraj.cascade import _sample_columns, max_phi_over_stage
+from cfraj.cascade import _lambda_leaves, _sample_columns, max_phi_over_stage
 from cfraj.errors import Overflow
-from cfraj.fourier import _lambda_leaves
 from cfraj.numeric import digit_budget, guard_int, ipow, ipow_ceil
 from cfraj.rules import AssignmentRule, rho_value
 from cfraj.words import Word, joining_defect

@@ -16,9 +16,10 @@ from cfraj.blocks import (build_nu, product_convergent_matrices,
                           sliding_max_mass)
 from cfraj.errors import BudgetExceeded, CertificationFailed, \
     PreconditionViolated
-from cfraj import fourier
-from cfraj.fourier import (_LEAF, _at_least, _atoms, _lambda_leaves,
-                           _ratio_up, decay_scan, fourier_cylinder_sum)
+from cfraj import cascade
+from cfraj.cascade import _lambda_leaves
+from cfraj.fourier import (_LEAF, _at_least, _atoms, _ratio_up, decay_scan,
+                           fourier_cylinder_sum)
 from cfraj.oscillatory import (
     GL_ORDER,
     NODE_ULPS,
@@ -250,7 +251,7 @@ def test_memos_are_invisible_and_shared_arrays_read_only(monkeypatch):
         enumerations.append(args)
         return _lambda_leaves(*args)
 
-    monkeypatch.setattr(fourier, "_lambda_leaves", spy)
+    monkeypatch.setattr(cascade, "_lambda_leaves", spy)
     lm = toy_lambda()
     decay_scan(lm, [1, 8, 2**11], "cylinder", 13)
     for xi in (1, 8, 2**11, -1, -8, -2**11):
