@@ -9,6 +9,9 @@ __version__ = "0.1.0"
 # parser, read them without loading cascade or numpy.
 ALPHA_DEFAULT = Fraction(50, 358)
 CYLINDER_BUDGET = 10**6
+MC_SAMPLES = 20000
+SWEEP_SEED = 20260823  # of the lemma sweeps
+VERIFY_CASES = 60  # cases of each sweep cfraj verify runs
 
 
 def config_hash(doc: dict) -> str:

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import ALPHA_DEFAULT
 from .errors import PreconditionViolated
 
 Rat = Union[int, Fraction]
 
 #: alpha at which the recorded column applies
-REFERENCE_ALPHA = Fraction(50, 358)
+REFERENCE_ALPHA = ALPHA_DEFAULT
 
 # recorded exponents at alpha = 50/358 (source derivation's own table)
 _RECORDED = {

@@ -169,6 +169,14 @@ def _anchored_sigma(anchor: tuple[int, int]) -> float:
     return math.log(m) / k
 
 
+def check_sigma(sigma: Optional[float]) -> None:
+    """Refuse a missing, nonpositive, infinite or NaN sigma."""
+    if sigma is None or sigma <= 0:
+        raise PreconditionViolated("sigma must be positive")
+    if not math.isfinite(sigma):
+        raise PreconditionViolated(f"sigma must be finite, got {sigma}")
+
+
 def _continuant_grids(n_bound: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of shape (N,)*p holding K and K-minus-last for all tuples.
 
@@ -206,8 +214,7 @@ def build_nu(n_bound: int, p: int, sigma: Optional[float], eps_window,
         raise PreconditionViolated("eps_window must be in (0, 1)")
     if sigma_anchor is not None:
         sigma = _anchored_sigma(sigma_anchor)
-    if sigma is None or sigma <= 0:
-        raise PreconditionViolated("sigma must be positive")
+    check_sigma(sigma)
     if n_bound**p > budget:
         raise BudgetExceeded(
             f"N^p = {n_bound}^{p} exceeds the enumeration budget {budget}"
@@ -305,38 +312,6 @@ class TopHalfSplit:
     level: int
     count: int
     mass: Fraction
-    support_size: int
-
-    def contains(self, blocks: Sequence[Block], nu: NuMeasure) -> bool:
-        """Lexicographic rank test against the greedy cutoff."""
-        if len(blocks) != self.level:
-            raise PreconditionViolated(
-                f"expected {self.level} blocks, got {len(blocks)}"
-            )
-        rank = 0
-        for b in blocks:
-            rank = rank * self.support_size + nu.block_index(b)
-        return rank < self.count
-
-
-def greedy_half(masses: Sequence[Fraction]) -> tuple[int, Fraction]:
-    """Accumulate in the given order until mass >= 1/2 - max_atom/2.
-
-    The stopping rule guarantees |mass - 1/2| <= max_atom / 2.
-    """
-    masses = [Fraction(m) for m in masses]
-    if not masses:
-        raise PreconditionViolated("no atoms")
-    max_atom = max(masses)
-    if max_atom > Fraction(1, 2):
-        raise AtomTooHeavy(f"atom {max_atom} exceeds 1/2")
-    threshold = Fraction(1, 2) - max_atom / 2
-    acc = Fraction(0)
-    for i, m in enumerate(masses):
-        acc += m
-        if acc >= threshold:
-            return i + 1, acc
-    return len(masses), acc
 
 
 def top_half_split(nu: NuMeasure, j: int) -> TopHalfSplit:
@@ -354,7 +329,7 @@ def top_half_split(nu: NuMeasure, j: int) -> TopHalfSplit:
     total = s**j
     count = (total - 1) // 2 + (1 if (total - 1) % 2 else 0)
     mass = Fraction(count, total)
-    return TopHalfSplit(level=j, count=count, mass=mass, support_size=s)
+    return TopHalfSplit(level=j, count=count, mass=mass)
 
 
 def product_mass(nu: NuMeasure, blocks: Sequence[Block]) -> Fraction:
@@ -435,6 +410,24 @@ def _entries(mats: np.ndarray) -> tuple:
     return tuple(mats.reshape(-1, 4).T)
 
 
+# rows per block of _midpoints; bounds its Python-int temporaries
+_INT_BLOCK = 1 << 12
+
+
+def _midpoints(cols: tuple) -> tuple[list[int], list[int]]:
+    """Exact midpoints num / den in Python ints from entry columns (q, q',
+    p, p'), int64 or object arrays, read _INT_BLOCK rows at a time: the
+    cylinder of [[q, q'], [p, p']] runs from p / q to (p + p') / (q + q'),
+    so its midpoint is (2 p q + p q' + p' q) / (2 q (q + q'))."""
+    num, den = [], []
+    for lo in range(0, len(cols[0]), _INT_BLOCK):
+        q, qp, pn, pp = (c[lo:lo + _INT_BLOCK].tolist() for c in cols)
+        num += [2 * a * c + a * d + b * c
+                for a, b, c, d in zip(pn, pp, q, qp)]
+        den += [2 * c * (c + d) for c, d in zip(q, qp)]
+    return num, den
+
+
 def _ascending_tables(nu: NuMeasure, mats: np.ndarray, depth: int) -> list:
     """Per-level block tables whose C-order product lists the depth-level
     cylinders in ascending order along [0, 1].
@@ -447,11 +440,10 @@ def _ascending_tables(nu: NuMeasure, mats: np.ndarray, depth: int) -> list:
     j - 1 blocks ascend with b_j when level j lists the blocks in the
     order of the I_b along [0, 1] if p (j - 1) is even, and in the
     reverse order if it is odd. The I_b are ordered by their exact
-    Fraction midpoints, so the order never depends on rounding.
+    midpoints (_midpoints), so the order never depends on rounding.
     """
-    mids = [Fraction(2 * pn * q + pn * qp + pp * q, 2 * q * (q + qp))
-            for q, qp, pn, pp in mats.reshape(-1, 4).tolist()]
-    order = sorted(range(len(mids)), key=mids.__getitem__)
+    num, den = _midpoints(_entries(mats))
+    order = sorted(range(len(num)), key=lambda k: Fraction(num[k], den[k]))
     up = _entries(mats[order])
     down = _entries(mats[order[::-1]])
     return [down if nu.p * j % 2 else up for j in range(depth)]

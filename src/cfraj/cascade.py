@@ -69,10 +69,6 @@ class LambdaMeasure:
     def rule(self) -> AssignmentRule:
         return self.schedule.rule
 
-    def segment_length(self, n: int) -> int:
-        """Typical blocks accumulated by a label-n path before stage n."""
-        return self.stage_split(n).level
-
     def stage_split(self, n: int) -> TopHalfSplit:
         s = self._splits.get(n)
         if s is None:
@@ -109,6 +105,13 @@ def build_lambda(nu: NuMeasure, schedule: Schedule, horizon: int) -> LambdaMeasu
 # maxima) label by label, on the tree _label_tree builds from _segment.
 
 
+def _line(label: int) -> tuple[int, ...]:
+    """The labels a path carrying label passed through, root first: each
+    stage sends label n to 2n or 2n + 1, so they are label's binary
+    prefixes, and a path's last label is its whole label history."""
+    return tuple(label >> k for k in range(label.bit_length() - 1, -1, -1))
+
+
 def _segment(lm: LambdaMeasure, depth: int, label: int, b: int) -> tuple:
     """(g, run, kids) of a label-`label` path from block b on a
     depth-block path: its typical segment of g blocks; for a label tested
@@ -138,9 +141,9 @@ def _walk(lm: LambdaMeasure, depth: int,
     with the state of the blocks before it. A path ending at a stage's
     block index keeps its label unrefined.
 
-    Returns (valid, blocks, chain, label, typical, q, qp, dsum): the
-    blocks walked, the label chain and last label, the typical block
-    count, the continuants q, q' and the digit sum.
+    Returns (valid, blocks, label, typical, q, qp, dsum): the blocks
+    walked, the last label (its chain is _line(label)), the typical
+    block count, the continuants q, q' and the digit sum.
     """
     if depth > lm.horizon:
         raise DepthExceeded(f"depth {depth} beyond horizon {lm.horizon}")
@@ -149,7 +152,7 @@ def _walk(lm: LambdaMeasure, depth: int,
     s = len(support)
 
     out: list[Block] = []
-    label, chain = 1, [1]
+    label = 1
     q, qp, dsum, typical, b = 1, 0, 0, 0, 0
     valid = True
     while valid:
@@ -178,7 +181,6 @@ def _walk(lm: LambdaMeasure, depth: int,
         for idx in idxs:
             rank = rank * s + idx
         label = kids[rank >= lm._splits[label].count]
-        chain.append(label)
         for _ in range(run):
             want = None if given is None else given[b]
             if want is not None and len(want) != p:
@@ -199,12 +201,12 @@ def _walk(lm: LambdaMeasure, depth: int,
             guard_int(q, "forced-run continuant")
             out.append(tuple(digits))
             b += 1
-    return valid, out, tuple(chain), label, typical, q, qp, dsum
+    return valid, out, label, typical, q, qp, dsum
 
 
 @dataclass(frozen=True)
 class PathState:
-    """Walker verdict for a block prefix."""
+    """Walker verdict for a block prefix; chain is _line(label)."""
 
     valid: bool
     mass: Fraction
@@ -232,15 +234,10 @@ def classify(lm: LambdaMeasure, blocks: Sequence[Block]) -> PathState:
     """
     if len(blocks) > lm.horizon:
         raise DepthExceeded(f"prefix length {len(blocks)} beyond horizon {lm.horizon}")
-    valid, _, chain, label, typical, q, qp, dsum = _walk(
+    valid, _, label, typical, q, qp, dsum = _walk(
         lm, len(blocks), given=blocks)
     mass = lm.nu.atom**typical if valid else Fraction(0)
-    return PathState(valid, mass, chain, label, typical, q, qp, dsum)
-
-
-def cylinder_mass(lm: LambdaMeasure, prefix: Sequence[Block]) -> Fraction:
-    """Exact mass of the cylinder of paths extending the prefix."""
-    return classify(lm, prefix).mass
+    return PathState(valid, mass, _line(label), label, typical, q, qp, dsum)
 
 
 def xn_mass(lm: LambdaMeasure, n: int) -> Fraction:
@@ -255,12 +252,10 @@ def xn_mass(lm: LambdaMeasure, n: int) -> Fraction:
         raise PreconditionViolated("labels start at 1")
     if n > 2 * depth + 1:
         raise DepthExceeded(f"label {n} needs a stage beyond depth {depth}")
-    mass = Fraction(1)
-    a = 1
-    for bit in bin(n)[3:]:
+    mass, line = Fraction(1), _line(n)
+    for a, child in zip(line, line[1:]):
         t = lm.stage_fraction(a)
-        mass *= t if bit == "0" else 1 - t
-        a = 2 * a + (1 if bit == "1" else 0)
+        mass *= t if child == 2 * a else 1 - t
     return mass
 
 
@@ -321,15 +316,15 @@ class _Columns:
     """Paths as columns: each distinct path's convergent entries q, qp,
     pn, pp (object arrays of Python ints) and typical block count;
     inverse, each path's distinct one (None when all are distinct);
-    chain_ids, each distinct path's index into the distinct label
-    chains, in first-seen order."""
+    label_ids, each distinct path's index into labels, the distinct last
+    labels in first-seen order (a label's chain is _line(label))."""
 
     q: np.ndarray
     qp: np.ndarray
     pn: np.ndarray
     pp: np.ndarray
-    chains: list[tuple[int, ...]]
-    chain_ids: np.ndarray
+    labels: list[int]
+    label_ids: np.ndarray
     typical: np.ndarray
     inverse: Optional[np.ndarray] = None
 
@@ -428,10 +423,8 @@ def _columns(lm: LambdaMeasure, depth: int, tree: dict, starts: np.ndarray,
             raise first from None
         raise
     ids: dict[int, int] = {}
-    chain_ids = np.array([ids.setdefault(f, len(ids)) for f in finals], int)
-    chains = [tuple(f >> k for k in range(f.bit_length() - 1, -1, -1))
-              for f in ids]
-    return _Columns(*out, chains, chain_ids, typical, inverse)
+    label_ids = np.array([ids.setdefault(f, len(ids)) for f in finals], int)
+    return _Columns(*out, list(ids), label_ids, typical, inverse)
 
 
 def _label_tree(lm: LambdaMeasure, depth: int) -> dict:
@@ -685,7 +678,8 @@ def scale_index(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TypExcSplit:
-    """Exceptional-label set near a scale, with its exact total mass."""
+    """Exceptional-label set near a scale, with its exact total mass; a
+    path whose last label's _line meets exc_labels is exceptional."""
 
     n_index: int
     i_value: int
@@ -693,21 +687,8 @@ class TypExcSplit:
     exc_mass: Fraction
     typ_mass: Fraction
 
-    def is_exceptional(self, chain: Sequence[int]) -> bool:
-        return bool(self.exc_labels.intersection(chain))
-
-
-def _drop_dominated(labels: set[int]) -> set[int]:
-    """Remove labels having a strict ancestor in the set (their paths
-    are already counted by the ancestor)."""
-    keep = set()
-    for m in labels:
-        a = m >> 1
-        while a >= 1 and a not in labels:
-            a >>= 1
-        if a < 1:
-            keep.add(m)
-    return keep
+    def is_exceptional(self, label: int) -> bool:
+        return not self.exc_labels.isdisjoint(_line(label))
 
 
 def split_typ_exc(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT) -> TypExcSplit:
@@ -715,12 +696,13 @@ def split_typ_exc(lm: LambdaMeasure, xi, alpha=ALPHA_DEFAULT) -> TypExcSplit:
     exceptional; everything else is the typical remainder."""
     i_val, n = scale_index(lm, xi, alpha)
     raw = {m for m in (n - 1, n, n + 1) if m >= 1}
-    labels = _drop_dominated(raw)
+    # a label with a strict ancestor in raw is counted by the ancestor
+    labels = frozenset(m for m in raw if raw.isdisjoint(_line(m)[:-1]))
     exc = sum((xn_mass(lm, m) for m in labels), Fraction(0))
     return TypExcSplit(
         n_index=n,
         i_value=i_val,
-        exc_labels=frozenset(labels),
+        exc_labels=labels,
         exc_mass=exc,
         typ_mass=1 - exc,
     )
@@ -786,7 +768,7 @@ def max_phi_over_stage(nu: NuMeasure, sch: Schedule, rule: AssignmentRule,
     """
     if not 1 <= n <= sch.depth:
         raise PreconditionViolated(f"stage {n} outside schedule depth {sch.depth}")
-    ancestors = {n >> k for k in range(n.bit_length())}
+    ancestors = set(_line(n))
     i_n = sch.i[n - 1]
     lm = LambdaMeasure(nu=nu, schedule=replace(sch, rule=rule),
                        horizon=i_n + sch.r[n - 1])

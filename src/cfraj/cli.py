@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Optional
 
 # building the parser loads neither numpy nor cascade: each command
 # imports the modules it runs
-from . import CYLINDER_BUDGET, __version__, config_hash
+from . import (ALPHA_DEFAULT, CYLINDER_BUDGET, MC_SAMPLES, SWEEP_SEED,
+               VERIFY_CASES, __version__, config_hash)
 from .audit import exponent_audit, format_audit
 from .errors import CfrajError, PreconditionViolated
 from .verify import SUITE_NAMES, format_reports, run_suites
@@ -167,8 +168,9 @@ def build_parser() -> _Parser:
     sm.add_argument("--exp", action="store_true",
                     help="use the exponential psi family")
     sm.add_argument("--p", type=int, required=True)
-    sm.add_argument("--sigma", type=float)
-    sm.add_argument("--sigma-log", dest="sigma_log", type=int)
+    sig = sm.add_mutually_exclusive_group(required=True)
+    sig.add_argument("--sigma", type=float)
+    sig.add_argument("--sigma-log", dest="sigma_log", type=int)
     sm.add_argument("--sigma-k", dest="sigma_k", type=int, default=1)
     sm.add_argument("--i1", type=int, required=True)
     sm.add_argument("--r", required=True,
@@ -209,9 +211,9 @@ def build_parser() -> _Parser:
     fs.add_argument("--method", choices=("cylinder", "mc", "montecarlo"),
                     default="cylinder")
     fs.add_argument("--depth", type=int, default=4)
-    fs.add_argument("--samples", type=int, default=20000)
+    fs.add_argument("--samples", type=int, default=MC_SAMPLES)
     fs.add_argument("--seed", type=int, default=0)
-    fs.add_argument("--alpha", default="50/358")
+    fs.add_argument("--alpha", default=ALPHA_DEFAULT)
     fs.add_argument("--out")
     fs.set_defaults(func=cmd_fourier_scan)
 
@@ -220,8 +222,8 @@ def build_parser() -> _Parser:
                      choices=SUITE_NAMES + ("all",))
     ver.add_argument("--profile", choices=("desk", "strict"),
                      default="desk")
-    ver.add_argument("--cases", type=int, default=60)
-    ver.add_argument("--seed", type=int, default=20260823)
+    ver.add_argument("--cases", type=int, default=VERIFY_CASES)
+    ver.add_argument("--seed", type=int, default=SWEEP_SEED)
     ver.add_argument("--measure-file", dest="measure_file")
     ver.set_defaults(func=cmd_verify)
 
@@ -229,7 +231,7 @@ def build_parser() -> _Parser:
     audsub = aud.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
     ae = audsub.add_parser("exponents", help="recorded vs recomputed table")
-    ae.add_argument("--alpha", default="50/358")
+    ae.add_argument("--alpha", default=ALPHA_DEFAULT)
     ae.set_defaults(func=cmd_audit_exponents)
 
     return root
@@ -294,12 +296,9 @@ def cmd_schedule_make(args) -> int:
         raise PreconditionViolated("pick exactly one of --tau and --exp")
     psi = PsiFamily.exponential() if args.exp \
         else PsiFamily.power(_fraction(args.tau))
-    if args.sigma_log is not None:
-        sigma = _anchored_sigma((args.sigma_log, args.sigma_k))
-    elif args.sigma is not None:
-        sigma = args.sigma
-    else:
-        raise PreconditionViolated("need --sigma or --sigma-log")
+    sigma, anchor = _resolve_sigma(args)
+    if anchor:
+        sigma = _anchored_sigma(anchor)
     r_list = _parse_list(args.r, "--r")
     depth = args.depth if args.depth is not None else len(r_list)
     carrier = SimpleNamespace(p=args.p, sigma=sigma)

@@ -70,7 +70,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import ALPHA_DEFAULT, CYLINDER_BUDGET, __version__, config_hash
+from . import (ALPHA_DEFAULT, CYLINDER_BUDGET, MC_SAMPLES, __version__,
+               config_hash)
 from .blocks import (
     NuMeasure,
     _LeafGeometry,
@@ -78,6 +79,7 @@ from .blocks import (
     _entries,
     _entry_rows,
     _geometry,
+    _midpoints,
     _prefix_entries,
     _product,
 )
@@ -161,22 +163,6 @@ def _nu_sample_entries(nu: NuMeasure, samples: int, depth: int,
 # ---------------------------------------------------------------- atoms
 
 
-# rows per block of _midpoints; bounds its Python-int temporaries
-_INT_BLOCK = 1 << 12
-
-
-def _midpoints(cols: tuple) -> tuple[list[int], list[int]]:
-    """Exact midpoints num / den in Python ints from entry columns (q, q',
-    p, p'), int64 or object arrays, read _INT_BLOCK rows at a time."""
-    num, den = [], []
-    for lo in range(0, len(cols[0]), _INT_BLOCK):
-        q, qp, pn, pp = (c[lo:lo + _INT_BLOCK].tolist() for c in cols)
-        num += [2 * a * c + a * d + b * c
-                for a, b, c, d in zip(pn, pp, q, qp)]
-        den += [2 * c * (c + d) for c, d in zip(q, qp)]
-    return num, den
-
-
 @dataclass
 class _Atoms:
     """The points an estimate sums over, from one of four sources.
@@ -193,17 +179,18 @@ class _Atoms:
     as num / den in Python ints: sliced from cascade sources' lists,
     converted from nu samples' int64 entries, and formed again from the
     two factors of the enumeration on nu cylinders. Cascade cylinders
-    carry widths; nu cylinders carry only mass_width, a sound upper
-    bound on the sum of mass * width, from the float sum of their
-    widths, width_sum, and the roundings it may lose, width_steps: the
-    widths are summed while they are streamed, and on a streamed set
-    whose denominators are all below 2^53 by the first pass that forms
-    them (see _nu_cylinder_atoms). Sample sources carry the sample count
-    and the width ceiling. Cascade sources carry their distinct label
-    chains in first-seen order, labels, and each atom's index into it,
-    label_ids. Every source carries what its evaluation term needs:
-    mid_steps, the roundings in one float midpoint, and weight_err, a
-    bound on |weight - exact weight| / exact weight, atom by atom.
+    carry widths, 2 / den of their exact midpoints; nu cylinders carry
+    only mass_width, a sound upper bound on the sum of mass * width,
+    from the float sum of their widths, width_sum, and the roundings it
+    may lose, width_steps: the widths are summed while they are
+    streamed, and on a streamed set whose denominators are all below
+    2^53 by the first pass that forms them (see _nu_cylinder_atoms).
+    Sample sources carry the sample count and the width ceiling.
+    Cascade sources carry their distinct last labels in first-seen
+    order, labels, and each atom's index into it, label_ids. Every
+    source carries what its evaluation term needs: mid_steps, the
+    roundings in one float midpoint, and weight_err, a bound on
+    |weight - exact weight| / exact weight, atom by atom.
     """
 
     weight: Union[float, np.ndarray]
@@ -213,7 +200,7 @@ class _Atoms:
     widths: Optional[np.ndarray] = None
     samples: Optional[int] = None
     width_ceiling: Optional[Fraction] = None
-    labels: Optional[list[tuple[int, ...]]] = None
+    labels: Optional[list[int]] = None
     label_ids: Optional[np.ndarray] = None
     width_sum: Optional[np.float64] = None
     width_steps: Optional[int] = None
@@ -246,18 +233,22 @@ class _Atoms:
 
     def typical_mask(self, split: TypExcSplit) -> np.ndarray:
         """keep mask of the cascade atoms whose label chain avoids
-        split's exceptional labels, tested once per distinct chain."""
-        typical = [not split.is_exceptional(c) for c in self.labels]
+        split's exceptional labels, tested once per distinct last
+        label."""
+        typical = [not split.is_exceptional(f) for f in self.labels]
         return np.array(typical)[self.label_ids]
 
 
-def _cascade_atoms(cols: _Columns, weight: np.ndarray, **source) -> _Atoms:
-    # each float midpoint, n / d of Python ints, and weight round once
+def _cascade_atoms(cols: _Columns, weight: np.ndarray, widths: bool = False,
+                   **source) -> _Atoms:
+    # each float midpoint, n / d of Python ints, and weight round once;
+    # so does each width 1 / (q (q + q')), formed as 2 / den
     num, den = _midpoints((cols.q, cols.qp, cols.pn, cols.pp))
     return _Atoms(weight=weight,
                   mids=np.array([n / d for n, d in zip(num, den)]),
-                  cascade=True, labels=cols.chains, label_ids=cols.chain_ids,
+                  cascade=True, labels=cols.labels, label_ids=cols.label_ids,
                   exact_mids=lambda lo, hi: (num[lo:hi], den[lo:hi]),
+                  widths=np.array([2 / d for d in den]) if widths else None,
                   mid_steps=1, weight_err=U, **source)
 
 
@@ -285,10 +276,8 @@ def _atoms(measure: Measure, depth: int, samples: Optional[int] = None,
         if cascade:
             from .cascade import _lambda_leaves
             cols = _lambda_leaves(measure, depth, budget)
-            atoms = _cascade_atoms(
-                cols, cols.weights(measure.nu.atom),
-                widths=np.array([1 / (q * (q + qp))
-                                 for q, qp in zip(cols.q, cols.qp)]))
+            atoms = _cascade_atoms(cols, cols.weights(measure.nu.atom),
+                                   widths=True)
         else:
             atoms = _nu_cylinder_atoms(measure, depth, budget)
         if len(atoms) <= _LEAF:
@@ -987,7 +976,7 @@ def _scan_config(measure: Measure, xi_list, method, depth, samples, seed,
 
 
 def decay_scan(measure: Measure, xi_list: Sequence, method: str, depth: int,
-               *, samples: int = 20000, seed: int = 0,
+               *, samples: int = MC_SAMPLES, seed: int = 0,
                alpha=ALPHA_DEFAULT,
                budget: int = CYLINDER_BUDGET) -> DecayTable:
     """Per-frequency estimates with the typical/exceptional decomposition.

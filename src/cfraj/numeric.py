@@ -195,21 +195,23 @@ def cert_ln_ge(n: int, bound: Fraction, max_prec: int = 1 << 14) -> bool:
     return not _ln_below(n, bound, max_prec)
 
 
-def ceil_exp_over_square(q: int, max_prec: int = 1 << 16) -> int:
-    """ceil(e**q / q**2) for integer q >= 1, certified via intervals."""
+def ceil_exp_over_square(q: int) -> int:
+    """ceil(e**q / q**2) for integer q >= 1: the c with ln(c q^2) >= q >
+    ln((c - 1) q^2), e^q / q^2 being irrational. An mpmath candidate is
+    stepped until cert_ln_ge certifies both, at up to four times the
+    bits of the digit budget, which c q^2 never passes."""
     if q < 1:
         raise ValueError("needs q >= 1")
     if q * 0.4343 > digit_budget():
         raise Overflow(
             "exp(q) exceeds the digit budget", log_magnitude=float(q)
         )
-    prec = max(64, int(q * 1.5) + 32)
-    while prec <= max_prec:
-        with _interval_precision(prec) as mp:
-            val = mp.iv.exp(mp.iv.mpf(q)) / mp.iv.mpf(q * q)
-            cl = int(mp.ceil(mp.mpf(val.a)))
-            ch = int(mp.ceil(mp.mpf(val.b)))
-        if cl == ch:
-            return cl
-        prec *= 2
-    raise CertificationFailed(f"ceil(e^{q}/{q}^2) undecided at precision {max_prec}")
+    max_prec = 4 * (int(digit_budget() * LN10 / LN2) + 64)
+    with _interval_precision(64) as mp, mp.workprec(int(q * 1.45) + 64):
+        c = int(mp.ceil(mp.exp(q) / (q * q)))
+    square, bound = q * q, Fraction(q)
+    while not cert_ln_ge(c * square, bound, max_prec):
+        c += 1
+    while cert_ln_ge((c - 1) * square, bound, max_prec):
+        c -= 1
+    return c

@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import CYLINDER_BUDGET
+from . import CYLINDER_BUDGET, SWEEP_SEED
 from .blocks import NuMeasure, sliding_max_mass
 from .errors import BudgetExceeded, CertificationFailed, PreconditionViolated
 from .fourier import (
@@ -175,10 +175,11 @@ def _linspace(lo: str, hi: str, points: int) -> np.ndarray:
 
 @_per_interval
 def certified_sup_abs(fn: PhaseFunction, interval) -> float:
-    """Rigorous upper bound for sup |fn| over the interval."""
-    xs, h = _grid(interval)
-    lip = fn.derivative().coeff_bound(interval)
-    return float(np.abs(fn(xs)).max()) + lip * h / 2
+    """Rigorous upper bound for sup |fn| over the interval, from
+    certified_range: max |v| = max(max v, -min v), and rounding is
+    symmetric in sign, so this is max |v| + lip h / 2 bit for bit."""
+    low, high = certified_range(fn, interval)
+    return max(high, -low)
 
 
 @_per_interval
@@ -751,7 +752,7 @@ def integral_sweep_case(rng: random.Random) -> OscillatoryTestCase:
     return OscillatoryTestCase(phase=f, interval=(1, 4), m_bound=m_bound)
 
 
-def run_sweep(lemma: str, count: int = 200, seed: int = 20260823,
+def run_sweep(lemma: str, count: int = 200, seed: int = SWEEP_SEED,
               measure: Optional[NuMeasure] = None,
               depth: int = 5) -> SweepReport:
     """Seeded randomized sweep of count >= 1 cases; returns the indices

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .blocks import DEFAULT_ENUM_BUDGET
@@ -12,7 +12,6 @@ from .blocks import DEFAULT_ENUM_BUDGET
 @dataclass(frozen=True)
 class Profile:
     name: str
-    eps_window: Fraction
     beta_prime: Fraction
     lemma_eps: Fraction
     lemma_beta_offset: Fraction
@@ -25,7 +24,6 @@ class Profile:
 
 DESK = Profile(
     name="desk",
-    eps_window=Fraction(1, 4),
     beta_prime=Fraction(3, 2),
     lemma_eps=Fraction(1, 4),
     lemma_beta_offset=Fraction(2, 100),
@@ -37,7 +35,6 @@ DESK = Profile(
 # would demand; at enumerable sizes it is not attainable.
 STRICT = Profile(
     name="strict",
-    eps_window=Fraction(1, 10_000),
     beta_prime=Fraction(198, 100),
     lemma_eps=Fraction(1, 100),
     lemma_beta_offset=Fraction(2, 100),
@@ -45,18 +42,10 @@ STRICT = Profile(
 )
 
 
-def get_profile(name: str, beta_prime=None, eps_window=None) -> Profile:
+def get_profile(name: str, beta_prime=None) -> Profile:
     base = {"desk": DESK, "strict": STRICT}[name]
-    if beta_prime is None and eps_window is None:
-        return base
-    return Profile(
-        name=base.name,
-        eps_window=Fraction(eps_window) if eps_window is not None else base.eps_window,
-        beta_prime=Fraction(beta_prime) if beta_prime is not None else base.beta_prime,
-        lemma_eps=base.lemma_eps,
-        lemma_beta_offset=base.lemma_beta_offset,
-        gap_factor=base.gap_factor,
-    )
+    return base if beta_prime is None else replace(
+        base, beta_prime=Fraction(beta_prime))
 
 
 def strict_feasibility(n_bound: int, p: int,

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blocks import check_sigma
 from .errors import Overflow, PreconditionViolated
 from .numeric import LN2
 from .profiles import get_profile
@@ -78,8 +79,9 @@ class Schedule:
                     f"need i_{n + 2} > i_{n + 1} + r_{n + 1}: "
                     f"{self.i[n + 1]} <= {self.i[n]} + {self.r[n]}"
                 )
-        if self.p < 1 or self.sigma <= 0:
-            raise PreconditionViolated("need p >= 1 and sigma > 0")
+        if self.p < 1:
+            raise PreconditionViolated("need p >= 1")
+        check_sigma(self.sigma)
         if self.profile not in ("strict", "desk"):
             raise PreconditionViolated(f"unknown profile {self.profile!r}")
 
@@ -144,6 +146,7 @@ def make_schedule_psi(psi: PsiFamily, nu, r_list: Sequence[int], i1: int,
         raise PreconditionViolated("run lengths must be nondecreasing")
     p = nu.p
     sigma = nu.sigma
+    check_sigma(sigma)
     sigma_frac = Fraction(sigma)
 
     i: list[int] = [int(i1)]

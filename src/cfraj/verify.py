@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
+from . import SWEEP_SEED, VERIFY_CASES
 from .audit import exponent_audit, format_audit
 from .errors import PreconditionViolated
 from .words import Word, continuant_identity_check, continuant_pair, \
@@ -181,7 +182,8 @@ def suite_fourier() -> SuiteReport:
     return SuiteReport("fourier", tuple(checks))
 
 
-def suite_lemmas(cases: int = 60, seed: int = 20260823) -> SuiteReport:
+def suite_lemmas(cases: int = VERIFY_CASES,
+                 seed: int = SWEEP_SEED) -> SuiteReport:
     from .oscillatory import run_sweep
     checks = []
     for lemma in ("nonstationary", "stationary", "integral"):
@@ -209,7 +211,8 @@ def suite_audit() -> SuiteReport:
 
 
 def run_suites(names, profile: str = "desk", measure=None,
-               cases: int = 60, seed: int = 20260823) -> list[SuiteReport]:
+               cases: int = VERIFY_CASES,
+               seed: int = SWEEP_SEED) -> list[SuiteReport]:
     wanted = list(SUITE_NAMES) if "all" in names else list(names)
     for name in wanted:
         if name not in SUITE_NAMES:

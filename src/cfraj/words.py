@@ -20,10 +20,7 @@ from .numeric import guard_int, ln_int
 
 def continuant(entries: Sequence[int]) -> int:
     """K(entries): K() = 1, K(x) = x, K_i = a_i K_{i-1} + K_{i-2}."""
-    prev, cur = 0, 1
-    for a in entries:
-        prev, cur = cur, a * cur + prev
-    return cur
+    return continuant_pair_of(entries)[0]
 
 
 def continuant_pair_of(entries: Sequence[int]) -> tuple[int, int]:

@@ -18,10 +18,10 @@ from cfraj.cascade import (
     PathState,
     _draw_indices,
     _lambda_leaves,
+    _line,
     _sample_columns,
     build_lambda,
     classify,
-    cylinder_mass,
     lemma2_check,
     max_phi_over_stage,
     sample_path,
@@ -112,7 +112,7 @@ def test_walker_matches_trie_oracle():
         assert state.valid
         assert state.mass == mass
         assert state.chain == chain
-        assert cylinder_mass(lm, blocks) == mass
+        assert classify(lm, blocks).mass == mass
 
 
 def test_xn_mass_matches_oracle_aggregates():
@@ -156,16 +156,16 @@ def test_children_sum_to_parent():
     lm = toy_lambda()
     # typical position
     prefix = [(4,)]
-    total = sum(cylinder_mass(lm, prefix + [b]) for b in lm.nu.support)
-    assert total == cylinder_mass(lm, prefix)
+    total = sum(classify(lm, prefix + [b]).mass for b in lm.nu.support)
+    assert total == classify(lm, prefix).mass
     # stage boundary: only the forced digit carries the mass
     at_stage = [(4,), (5,)]
-    parent = cylinder_mass(lm, at_stage)
+    parent = classify(lm, at_stage).mass
     assert parent == Fraction(1, 4)
     forced = [(9,)]  # 4 + 5
-    assert cylinder_mass(lm, at_stage + forced) == parent
-    assert cylinder_mass(lm, at_stage + [(4,)]) == 0
-    assert cylinder_mass(lm, at_stage + [(5,)]) == 0
+    assert classify(lm, at_stage + forced).mass == parent
+    assert classify(lm, at_stage + [(4,)]).mass == 0
+    assert classify(lm, at_stage + [(5,)]).mass == 0
 
 
 def test_classify_labels_at_exact_stage_length():
@@ -183,7 +183,7 @@ def test_classify_labels_at_exact_stage_length():
 
 def test_invalid_prefixes_have_zero_mass():
     lm = toy_lambda()
-    assert cylinder_mass(lm, [(2,)]) == 0  # off-support digit
+    assert classify(lm, [(2,)]).mass == 0  # off-support digit
     st = classify(lm, [(4,), (4,), (7,)])  # forced digit is 8
     assert not st.valid and st.mass == 0
 
@@ -302,7 +302,7 @@ def _reference_walk(lm, depth, rng):
 def test_sampler_frequency_matches_mass():
     lm = toy_lambda()
     target = [(4,), (5,), (9,)]
-    p = cylinder_mass(lm, target)
+    p = classify(lm, target).mass
     assert p == Fraction(1, 4)
     trials = 20000
     hits = sum(
@@ -388,9 +388,9 @@ def test_split_nontrivial_mass_and_bound():
     assert split.exc_mass <= Fraction(6, n - 1)
     assert split.exc_mass <= 2 * (weight(n - 1) + weight(n) + weight(n + 1))
     # the typ handle: chains through 4 are exceptional, through 7 are not
-    assert split.is_exceptional((1, 2, 4))
-    assert split.is_exceptional((1, 3, 6, 12))
-    assert not split.is_exceptional((1, 3, 7, 14))
+    assert split.is_exceptional(4)
+    assert split.is_exceptional(12)
+    assert not split.is_exceptional(14)
 
 
 # ------------------------------------------------------------ stage maxima
@@ -610,8 +610,8 @@ def stage2_lambda():
 
 def test_two_stage_fractions_exact():
     lm = stage2_lambda()
-    assert lm.segment_length(1) == 4
-    assert lm.segment_length(2) == 91
+    assert lm.stage_split(1).level == 4
+    assert lm.stage_split(2).level == 91
     assert lm.stage_fraction(1) == Fraction(312, 625)
     assert lm.stage_fraction(2) == Fraction(1, 2) - Fraction(1, 2 * 5**91)
     assert xn_mass(lm, 2) == Fraction(312, 625)
@@ -626,13 +626,13 @@ def test_two_stage_fractions_exact():
 def test_two_stage_forced_block_matches_rule():
     lm = stage2_lambda()
     prefix = [(1, 3), (2, 2), (3, 1), (2, 3)]
-    parent = cylinder_mass(lm, prefix)
+    parent = classify(lm, prefix).mass
     assert parent == Fraction(1, 625)
     w = Word(0, tuple(d for blk in prefix for d in blk))
     ext = forced_extension(lm.rule, w, 2)
     forced_block = ext.tail[-2:]
-    assert cylinder_mass(lm, prefix + [forced_block]) == parent
-    assert cylinder_mass(lm, prefix + [(2, 2)]) == 0
+    assert classify(lm, prefix + [forced_block]).mass == parent
+    assert classify(lm, prefix + [(2, 2)]).mass == 0
     st = classify(lm, prefix + [forced_block])
     assert st.chain in ((1, 2), (1, 3))
 
@@ -753,7 +753,7 @@ def test_classify_matches_reference_on_mutated_paths(make, depth):
         for mutated in paths:
             want, why = _reference_classify(lm, mutated)
             assert classify(lm, mutated) == want
-            assert cylinder_mass(lm, mutated) == want.mass
+            assert classify(lm, mutated).mass == want.mass
             seen.add(why)
     assert seen == {None, "off-support", "digit", "length", "cut"}
 
@@ -772,7 +772,7 @@ def cylinder_rows(lm, depth, labels=None):
     """(chain, pn, pp, q, qp, mass) of every cylinder, in enumeration
     order."""
     cols = _lambda_leaves(lm, depth, labels=labels)
-    chains = [cols.chains[k] for k in cols.chain_ids.tolist()]
+    chains = [_line(cols.labels[k]) for k in cols.label_ids.tolist()]
     masses = [lm.nu.atom**k for k in cols.typical.tolist()]
     return list(zip(chains, cols.pn, cols.pp, cols.q, cols.qp, masses))
 
@@ -780,8 +780,8 @@ def cylinder_rows(lm, depth, labels=None):
 def sampled_rows(lm, samples, depth, seed):
     """(chain, pn, pp, q, qp) of each path of one shared-stream draw."""
     cols = _sample_columns(lm, samples, depth, seed)
-    rows = [(cols.chains[k], *row) for k, row in zip(
-        cols.chain_ids.tolist(), zip(cols.pn, cols.pp, cols.q, cols.qp))]
+    rows = [(_line(cols.labels[k]), *row) for k, row in zip(
+        cols.label_ids.tolist(), zip(cols.pn, cols.pp, cols.q, cols.qp))]
     return [rows[k] for k in cols.inverse.tolist()]
 
 

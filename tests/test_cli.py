@@ -193,6 +193,43 @@ def test_schedule_make_needs_exactly_one_family(capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["nu", "build", "--N", "3", "--p", "2", "--sigma", "inf"],
+     "error: sigma must be finite, got inf\n"),
+    (["nu", "build", "--N", "3", "--p", "2", "--sigma", "nan"],
+     "error: sigma must be finite, got nan\n"),
+    (["schedule", "make", "--tau", "3", "--p", "2", "--sigma", "inf",
+      "--i1", "4", "--r", "1,2,3"],
+     "error: sigma must be finite, got inf\n"),
+    (["schedule", "make", "--exp", "--p", "2", "--sigma", "nan",
+      "--i1", "4", "--r", "1,2,3"],
+     "error: sigma must be finite, got nan\n"),
+    (["schedule", "make", "--tau", "3", "--p", "2", "--sigma", "0",
+      "--i1", "4", "--r", "1,2,3"],
+     "error: sigma must be positive\n"),
+    (["lambda", "mass", "--N", "5", "--p", "1", "--sigma", "inf",
+      "--schedule-i", "2", "--schedule-r", "1", "--prefix", "4"],
+     "error: sigma must be finite, got inf\n"),
+], ids=["nu-inf", "nu-nan", "schedule-inf", "schedule-nan", "schedule-zero",
+        "lambda-inf"])
+def test_a_non_finite_sigma_is_an_operational_error(capsys, argv, err):
+    assert run_cli(capsys, argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("sigmas, err", [
+    (["--sigma", "2.0", "--sigma-log", "5"],
+     "argument --sigma-log: not allowed with argument --sigma"),
+    ([], "one of the arguments --sigma --sigma-log is required"),
+], ids=["both", "neither"])
+def test_schedule_make_takes_one_sigma(capsys, sigmas, err):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "make", "--tau", "3", "--p", "2", *sigmas,
+              "--i1", "4", "--r", "1,2,3"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.endswith(
+        f"cfraj schedule make: error: {err}\n")
+
+
 def test_lambda_mass_exact(capsys):
     base = ["lambda", "mass", "--N", "5", "--p", "1", "--sigma-log", "5",
             "--eps", "3/10", "--schedule-i", "2,4,7,11",
@@ -223,6 +260,18 @@ def test_lambda_sample_forced_positions(capsys):
         assert digits[2] == digits[0] + digits[1]
     code, out2, _ = run_cli(capsys, base)
     assert json.loads(out2)["paths"] == doc["paths"]
+
+
+def test_lambda_sample_exp_rule_forces_the_true_digit(capsys):
+    # typical digits 5, 5, 4 give q = 109, and the forced digit is
+    # ceil(e^109 / 109^2), past 53 bits
+    code, out, _ = run_cli(capsys, [
+        "lambda", "sample", "--N", "5", "--p", "1", "--sigma-log", "5",
+        "--eps", "0.3", "--schedule-i", "3,6", "--schedule-r", "1,1",
+        "--rule", "exp", "--depth", "4", "--seed", "0"])
+    assert code == 0
+    assert json.loads(out)["paths"] == [
+        [[5], [5], [4], [18333506276651970672114631187557297305642391]]]
 
 
 LAMBDA_FLAGS = ["--N", "5", "--p", "1", "--sigma-log", "5", "--eps", "0.3",

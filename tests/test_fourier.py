@@ -425,7 +425,7 @@ def test_scan_rows_equal_single_frequency_estimates(source):
                 assert row.typ is row.full
                 continue
             split = split_typ_exc(measure, abs(xi))
-            keep = np.array([not split.is_exceptional(chain)
+            keep = np.array([not split.is_exceptional(chain[-1])
                              for chain in chains])
             assert not keep.all()
             (_, kept), = _values(atoms, [xi], [keep])

@@ -2,16 +2,21 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from cfraj import numeric
-from cfraj.cascade import _lambda_leaves, _sample_columns, max_phi_over_stage
+from cfraj.blocks import build_nu
+from cfraj.cascade import (_lambda_leaves, _sample_columns, build_lambda,
+                           classify, max_phi_over_stage)
 from cfraj.errors import Overflow
-from cfraj.numeric import digit_budget, guard_int, ipow, ipow_ceil
+from cfraj.numeric import (ceil_exp_over_square, digit_budget, guard_int,
+                           ipow, ipow_ceil)
 from cfraj.rules import AssignmentRule, rho_value
-from cfraj.words import Word, joining_defect
+from cfraj.schedule import Schedule
+from cfraj.words import Word, continuant, joining_defect
 
 from test_blocks import SmallPowers
 from test_cascade import toy_lambda
@@ -171,3 +176,36 @@ def test_mpmath_is_imported_on_the_first_interval_comparison():
         "undecided 77 False",
         "undecided 77 True",
     ]
+
+
+def exp_ceiling_oracle(q):
+    """ceil(e^q / q^2) from mpmath at 400 digits."""
+    import mpmath
+    with mpmath.workdps(400):
+        return int(mpmath.ceil(mpmath.exp(q) / (q * q)))
+
+
+def test_ceil_exp_over_square_matches_the_oracle():
+    # from q = 44 the value passes 53 bits
+    assert [ceil_exp_over_square(q) for q in range(1, 301)] == [
+        exp_ceiling_oracle(q) for q in range(1, 301)]
+    assert ceil_exp_over_square(44) == 6638223199565759
+
+
+def test_exp_rule_cascade_forces_the_oracle_digit():
+    """Under psi(q) = e^-q each forced digit is ceil(e^q / q^2): the
+    walk accepts exactly that digit, and the columnar engine's forced
+    run takes it too. Every typical word here has q >= 72."""
+    nu = build_nu(5, 1, None, Fraction(3, 10), sigma_anchor=(5, 1))
+    sch = Schedule(i=(3, 6), r=(1, 1), p=1, sigma=nu.sigma,
+                   rule=AssignmentRule.psi_exp())
+    lm = build_lambda(nu, sch, 8)
+    want = set()
+    for typical in product(nu.support, repeat=3):
+        digits = [d for (d,) in typical]
+        forced = exp_ceiling_oracle(continuant(digits))
+        assert forced.bit_length() > 53
+        assert classify(lm, [*typical, (forced,)]).valid
+        assert not classify(lm, [*typical, (forced - 1,)]).valid
+        want.add(continuant(digits + [forced]))
+    assert set(_lambda_leaves(lm, 4).q) == want
