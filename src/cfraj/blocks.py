@@ -54,12 +54,6 @@ class NuMeasure:
         object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.support)})
         object.__setattr__(self, "_atom", Fraction(1, len(self.support)))
 
-    def block_index(self, block: Block) -> int:
-        idx = self._index.get(tuple(block))
-        if idx is None:
-            raise NotInSupport(f"block {block} not in support", index=-1)
-        return idx
-
     def __contains__(self, block) -> bool:
         return tuple(block) in self._index
 

@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .numeric import guard_int, ln_fraction, ln_int
-from .profiles import Profile, get_profile
+from .profiles import get_profile
 from .rules import AssignmentRule, rho_value
 from .schedule import Schedule, weight
 
@@ -741,9 +741,7 @@ def lemma2_check(lm: LambdaMeasure, prefix: Sequence[Block],
             raise PreconditionViolated(
                 f"prefix lies in the stage-{m} exceptional set"
             )
-    prof = profile if isinstance(profile, Profile) else get_profile(
-        profile, beta_prime=beta_prime
-    )
+    prof = get_profile(profile, beta_prime=beta_prime)
     target = length * sigma
     window_margin = float(prof.lemma_eps) * target - abs(ln_int(state.q) - target)
     mass_margin = -float(prof.lemma_beta) * target - ln_fraction(state.mass)

@@ -116,18 +116,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _add_nu_flags(p: argparse.ArgumentParser, required: bool = True):
-    p.add_argument("--N", dest="n_bound", type=int, required=required)
-    p.add_argument("--p", dest="p", type=int, required=required)
+def _add_nu_flags(p: argparse.ArgumentParser):
+    p.add_argument("--N", dest="n_bound", type=int, required=True)
+    p.add_argument("--p", dest="p", type=int, required=True)
     p.add_argument("--eps", default="1/4")
-    sig = p.add_mutually_exclusive_group(required=required)
+    sig = p.add_mutually_exclusive_group(required=True)
     sig.add_argument("--sigma-log", dest="sigma_log", type=int,
                      help="anchor sigma = log(M)/k symbolically")
     sig.add_argument("--sigma", dest="sigma", type=float)
     sig.add_argument("--sigma-median", dest="sigma_median",
                      action="store_true",
                      help="sigma = median log-continuant of the level")
-    p.add_argument("--sigma-k", dest="sigma_k", type=int, default=1)
+    p.add_argument("--sigma-k", dest="sigma_k", type=int)
+    p.set_defaults(sigma_parser=p)
     p.add_argument("--budget", type=int, default=CYLINDER_BUDGET,
                    help="enumeration cap: the N^p block tuples, and in "
                         "a cylinder scan also the cylinders or cascade "
@@ -171,7 +172,8 @@ def build_parser() -> _Parser:
     sig = sm.add_mutually_exclusive_group(required=True)
     sig.add_argument("--sigma", type=float)
     sig.add_argument("--sigma-log", dest="sigma_log", type=int)
-    sm.add_argument("--sigma-k", dest="sigma_k", type=int, default=1)
+    sm.add_argument("--sigma-k", dest="sigma_k", type=int)
+    sm.set_defaults(sigma_parser=sm)
     sm.add_argument("--i1", type=int, required=True)
     sm.add_argument("--r", required=True,
                     help="comma-separated run lengths, e.g. 1,2,3")
@@ -248,7 +250,8 @@ def _resolve_sigma(args) -> tuple[Optional[float],
                                           budget=args.budget)
         return None, anchor
     if args.sigma_log is not None:
-        return None, (args.sigma_log, args.sigma_k)
+        return None, (args.sigma_log,
+                      1 if args.sigma_k is None else args.sigma_k)
     return args.sigma, None
 
 
@@ -421,6 +424,12 @@ def cmd_audit_exponents(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --sigma-k is the k of --sigma-log's log(M)/k
+    if getattr(args, "sigma_k", None) is not None and args.sigma_log is None:
+        other = "--sigma-median" if getattr(args, "sigma_median", False) \
+            else "--sigma"
+        args.sigma_parser.error(f"argument --sigma-k: not allowed with "
+                                f"argument {other}, only with --sigma-log")
     try:
         return args.func(args)
     except CfrajError as exc:

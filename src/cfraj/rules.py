@@ -3,8 +3,8 @@
 A rule assigns to every word a set of admissible next partial quotients.
 For approximation-function rules the set is every integer at or above a
 denominator-driven threshold; the sum rule admits exactly the running
-digit sum. `rho` is the least admissible digit, `rho_r`/`phi_r` iterate
-the forced extension, and `Phi_iter` composes the one-step denominator
+digit sum. `rho` is the least admissible digit, `phi_r` iterates the
+forced extension, and `Phi_iter` composes the one-step denominator
 growth map q -> 1/(q psi(q)) in the log domain.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import Overflow, OutOfRange, PreconditionViolated
+from .errors import Overflow, PreconditionViolated
 from .numeric import ceil_exp_over_square, digit_budget, ipow_ceil, ln_int
 from .words import Word, continuant_pair
 
@@ -26,24 +26,15 @@ class PsiFamily:
 
     form "power": psi(q) = q**(-tau) with tau > 2 (tau exact Fraction).
     form "exp": psi(q) = e**(-q).
-    form "table": piecewise-constant, right-continuous, no extrapolation
-    outside [first q, last q].
     """
 
     form: str
     tau: Optional[Fraction] = None
-    points: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
         if self.form == "power":
             if self.tau is None or self.tau <= 2:
                 raise PreconditionViolated("power form needs tau > 2")
-        elif self.form == "table":
-            if not self.points:
-                raise PreconditionViolated("table form needs points")
-            qs = [p[0] for p in self.points]
-            if qs != sorted(qs) or len(set(qs)) != len(qs):
-                raise PreconditionViolated("table q values must be strictly increasing")
         elif self.form != "exp":
             raise PreconditionViolated(f"unknown psi form {self.form!r}")
 
@@ -60,36 +51,16 @@ class PsiFamily:
     def exponential(cls) -> "PsiFamily":
         return cls("exp")
 
-    @classmethod
-    def table(cls, points) -> "PsiFamily":
-        pts = tuple((Fraction(q), Fraction(v)) for q, v in points)
-        return cls("table", points=pts)
-
-    def table_value(self, q) -> Fraction:
-        qf = Fraction(q)
-        if qf < self.points[0][0] or qf > self.points[-1][0]:
-            raise OutOfRange(f"q={q} outside table range")
-        val = self.points[0][1]
-        for pq, pv in self.points:
-            if pq <= qf:
-                val = pv
-            else:
-                break
-        return val
-
 
 def check_q2psi_nonincreasing(psi: PsiFamily, probes: Sequence[int]) -> bool:
-    """q^2 psi(q) nonincreasing across the probe points (exact where possible)."""
+    """q^2 psi(q) nonincreasing across the probe points, compared as
+    logs: (2 - tau) log q for the power form, 2 log q - q for exp."""
     vals = []
     for q in sorted(probes):
         if psi.form == "power":
-            # q^2 psi(q) = q^(2 - tau); compare via logs of exact powers
             vals.append((2 - psi.tau) * Fraction(ln_int(q)))
-        elif psi.form == "exp":
-            vals.append(Fraction(2 * ln_int(q) - q))
         else:
-            v = q * q * psi.table_value(q)
-            vals.append(Fraction(math.log(v.numerator) - math.log(v.denominator)))
+            vals.append(Fraction(2 * ln_int(q) - q))
     return all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -99,7 +70,7 @@ class AssignmentRule:
     psi: Optional[PsiFamily] = None
 
     def __post_init__(self):
-        if self.kind in ("psi-power", "psi-exp", "user-table"):
+        if self.kind in ("psi-power", "psi-exp"):
             if self.psi is None:
                 raise PreconditionViolated(f"{self.kind} rule needs a psi family")
         elif self.kind != "sum-of-previous":
@@ -123,21 +94,10 @@ class AssignmentRule:
     def sum_of_previous(cls) -> "AssignmentRule":
         return cls("sum-of-previous")
 
-    @classmethod
-    def user_table(cls, points) -> "AssignmentRule":
-        return cls("user-table", PsiFamily.table(points))
-
     def to_json(self) -> dict:
         if self.kind == "psi-power":
             return {"kind": "psi-power", "tau": str(self.psi.tau)}
-        if self.kind == "psi-exp":
-            return {"kind": "psi-exp"}
-        if self.kind == "sum-of-previous":
-            return {"kind": "sum-of-previous"}
-        return {
-            "kind": "user-table",
-            "points": [[str(q), str(v)] for q, v in self.psi.points],
-        }
+        return {"kind": self.kind}
 
     @classmethod
     def from_json(cls, doc: dict) -> "AssignmentRule":
@@ -148,10 +108,6 @@ class AssignmentRule:
             return cls.psi_exp()
         if kind == "sum-of-previous":
             return cls.sum_of_previous()
-        if kind == "user-table":
-            return cls.user_table(
-                [(Fraction(q), Fraction(v)) for q, v in doc["points"]]
-            )
         raise PreconditionViolated(f"unknown rule kind {kind!r}")
 
 
@@ -161,10 +117,7 @@ def _psi_threshold_ceil(psi: PsiFamily, q: int) -> int:
         # 1/(q^2 psi) = q^(tau - 2)
         e = psi.tau - 2
         return ipow_ceil(q, e.numerator, e.denominator, "forced digit")
-    if psi.form == "exp":
-        return ceil_exp_over_square(q)
-    v = Fraction(1, 1) / (Fraction(q) ** 2 * psi.table_value(q))
-    return -((-v.numerator) // v.denominator)
+    return ceil_exp_over_square(q)
 
 
 def rho_value(rule: AssignmentRule, q: int, digit_sum: int) -> int:
@@ -204,13 +157,6 @@ def forced_extension(rule: AssignmentRule, w: Word, r: int) -> Word:
     return cur
 
 
-def rho_r(rule: AssignmentRule, w: Word, r: int) -> int:
-    if r < 1:
-        raise PreconditionViolated("r must be >= 1")
-    cur = forced_extension(rule, w, r - 1)
-    return rho(rule, cur)
-
-
 def phi_r(rule: AssignmentRule, w: Word, r: int) -> int:
     """Denominator after r forced extensions."""
     if r < 1:
@@ -221,16 +167,11 @@ def phi_r(rule: AssignmentRule, w: Word, r: int) -> int:
 def _phi_log(psi: PsiFamily, ln_q: float) -> float:
     if psi.form == "power":
         return float(psi.tau - 1) * ln_q
-    if psi.form == "exp":
-        if ln_q > 700.0:
-            raise Overflow(
-                "growth-map iterate left float range", log_magnitude=ln_q
-            )
-        q = math.exp(ln_q)
-        return q - ln_q
-    q = math.exp(ln_q)
-    v = psi.table_value(Fraction(q).limit_denominator(10**12))
-    return -ln_q - (math.log(v.numerator) - math.log(v.denominator))
+    if ln_q > 700.0:
+        raise Overflow(
+            "growth-map iterate left float range", log_magnitude=ln_q
+        )
+    return math.exp(ln_q) - ln_q
 
 
 def Phi_iter(psi: PsiFamily, q: int, r: int) -> float:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .blocks import check_sigma
 from .errors import Overflow, PreconditionViolated
 from .numeric import LN2
@@ -28,29 +26,6 @@ def weight(n: int) -> Fraction:
     if n < 1:
         raise PreconditionViolated("weights are defined for n >= 1")
     return Fraction(1, 1 << (n.bit_length() - 1))
-
-
-def weight_law_check(limit: int = 10**6) -> bool:
-    """Vectorized sandwich check 1/(2n) <= w_n <= 2/n up to the limit.
-
-    Also confirms w_n <= 1/n exactly at powers of two and that each
-    dyadic block of weights sums to 1.
-    """
-    n = np.arange(1, limit + 1, dtype=np.int64)
-    powers = 2 ** np.arange(0, int(limit).bit_length() + 1, dtype=np.int64)
-    t = np.searchsorted(powers, n, side="right") - 1
-    w = np.ldexp(1.0, -t)
-    prod = n * w  # exact: n < 2^53 scaled by a power of two
-    if not ((prod >= 1.0).all() and (prod < 2.0).all()):
-        return False
-    at_power = prod == 1.0
-    if not (at_power == (n == powers[t])).all():
-        return False
-    # block sums: 2^t members, each 2^-t
-    full = powers[:-1][2 * powers[:-1] <= limit + 1]
-    return all(
-        w[(n >= lo) & (n < 2 * lo)].sum() == 1.0 for lo in full
-    )
 
 
 @dataclass(frozen=True)
@@ -89,12 +64,6 @@ class Schedule:
     def depth(self) -> int:
         return len(self.i)
 
-    def stage(self, n: int) -> tuple[int, int]:
-        """(i_n, r_n), 1-based."""
-        if not 1 <= n <= self.depth:
-            raise PreconditionViolated(f"stage {n} outside 1..{self.depth}")
-        return self.i[n - 1], self.r[n - 1]
-
     def to_json_doc(self) -> dict:
         return {"i": list(self.i), "r": list(self.r)}
 
@@ -127,13 +96,16 @@ def growth_log_bound(psi: PsiFamily, p: int, r_n: int, sigma: float,
 
 def make_schedule_psi(psi: PsiFamily, nu, r_list: Sequence[int], i1: int,
                       depth: int, profile: str = "desk") -> Schedule:
-    """Grow a schedule meeting the gap condition for the given psi family.
+    """Grow a schedule for the given psi family from i_1 = i1.
 
-    Power families use the closed form
-        i_{n+1} = ceil(3 (tau-1)^(p r_n) sigma i_n)
-    in exact rational arithmetic; every family is additionally floored
-    at the smallest integer covering the composed-Phi growth bound and
-    at i_n + r_n + 1 so the schedule invariants hold.
+    Each i_{n+1} is the least integer that is at least
+    - the growth bound over sigma, growth_log_bound(psi, p, r_n, sigma,
+      i_n) / sigma;
+    - i_n + r_n + 1, so the schedule invariants hold;
+    - for power families, the closed form
+      ceil(3 (tau-1)^(p r_n) sigma i_n), in exact rational arithmetic.
+    Nothing here tests the gap condition, and the result can fail it;
+    check_gap_condition decides that.
     """
     if i1 < 1:
         raise PreconditionViolated("i1 must be >= 1")
@@ -170,12 +142,8 @@ def make_schedule_psi(psi: PsiFamily, nu, r_list: Sequence[int], i1: int,
             nxt = max(nxt, closed)
         i.append(nxt)
 
-    if psi.form == "power":
-        rule = AssignmentRule.psi_power(psi.tau)
-    elif psi.form == "exp":
-        rule = AssignmentRule.psi_exp()
-    else:
-        rule = AssignmentRule.user_table(psi.points)
+    rule = AssignmentRule.psi_power(psi.tau) if psi.form == "power" \
+        else AssignmentRule.psi_exp()
     return Schedule(i=tuple(i), r=r, p=p, sigma=sigma, rule=rule, profile=profile)
 
 
@@ -219,7 +187,7 @@ class GapReport:
         return self.ok
 
 
-def check_gap_condition(s: Schedule, nu, rule: Optional[AssignmentRule] = None,
+def check_gap_condition(s: Schedule, nu,
                         mode: str = "certified") -> GapReport:
     """Verify i_{n+2} - i_{n+1} >= (factor/sigma) log max phi over stage n.
 
@@ -227,7 +195,7 @@ def check_gap_condition(s: Schedule, nu, rule: Optional[AssignmentRule] = None,
     psi-family rule). exhaustive: the stage-n prefix set is enumerated
     and the max taken literally (tiny configurations only).
     """
-    rule = rule if rule is not None else s.rule
+    rule = s.rule
     prof = get_profile(s.profile)
     factor = float(prof.gap_factor)
     sigma = s.sigma

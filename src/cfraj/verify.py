@@ -2,17 +2,20 @@
 
 Each suite is a fast spot check of one module's contracts, returning a
 SuiteReport of named pass/fail lines. The audit suite never fails on a
-flagged discrepancy; surfacing it is the point. Each suite imports the
-modules it checks, so loading this module (the CLI's parser reads
-SUITE_NAMES) loads no numpy.
+flagged discrepancy; surfacing it is the point. A lemma check whose
+hypotheses the fixed configuration does not meet is a "reported" line:
+it prints its margins, names what is unmet and always passes. Each
+suite imports the modules it checks, so loading this module (the CLI's
+parser reads SUITE_NAMES) loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
+from types import SimpleNamespace
 
 from . import SWEEP_SEED, VERIFY_CASES
 from .audit import exponent_audit, format_audit
@@ -89,7 +92,8 @@ def suite_cf() -> SuiteReport:
 
 
 def suite_nu(measure=None, profile: str = "desk") -> SuiteReport:
-    from .blocks import top_half_split, verify_window
+    from .blocks import (frostman_ceiling, qnu_exponent_check,
+                         top_half_split, verify_window)
     from .profiles import get_profile, strict_feasibility
     checks = []
     nu = measure if measure is not None else _desk_nu()
@@ -119,12 +123,31 @@ def suite_nu(measure=None, profile: str = "desk") -> SuiteReport:
         checks.append(CheckResult(
             "strict-profile feasibility reported", True,
             f"feasible={feas['feasible']} "
-            f"required_p={feas['required_p']}"))
+            f"required_p={feas['required_block_length']}"))
+    beta = float(prof.beta_prime)
+    ratio = qnu_exponent_check(nu, list(nu.support) * 3)
+    unmet = f"; unmet: beta_achieved={nu.beta_achieved:.4f} < beta'" \
+        if nu.beta_achieved < beta else ""
+    checks.append(CheckResult(
+        "q_nu exponent reported", True,
+        f"log mass/log q={ratio:.4f} on the support 3 times "
+        f"vs -beta'={-beta:.4f}{unmet}"))
+    worst, mean = frostman_ceiling(nu)
+    checks.append(CheckResult(
+        "Frostman ceiling reported", True,
+        f"log s/(2 log q_max)={worst:.4f} "
+        f"log s/(2 mean log q)={mean:.4f}"))
     return SuiteReport("nu", tuple(checks))
 
 
 def suite_lambda() -> SuiteReport:
-    from .cascade import split_typ_exc, weight_ratio_bound, xn_mass
+    from .cascade import (build_lambda, classify, lemma2_check, sample_path,
+                          split_typ_exc, weight_ratio_bound, xn_mass)
+    from .rules import (AssignmentRule, PsiFamily,
+                        check_q2psi_nonincreasing, count_k_runs,
+                        phir_bound_check)
+    from .schedule import (check_gap_condition, check_superlacunary,
+                           make_schedule_psi)
     checks = []
     lm = _toy_lambda()
     root_ok = xn_mass(lm, 2) + xn_mass(lm, 3) == 1
@@ -144,6 +167,67 @@ def suite_lambda() -> SuiteReport:
     checks.append(CheckResult(
         "exceptional mass under 6/(n-1)", tv_ok,
         f"n={split.n_index} exc={split.exc_mass}"))
+
+    # the toy cascade's stages moved apart, for typical prefixes
+    wide = build_lambda(lm.nu, replace(lm.schedule, i=(8, 12, 16, 48)), 52)
+    beta_prime, reps = Fraction(7, 20), []
+    for seed in range(16):
+        try:
+            reps.append(lemma2_check(wide, sample_path(wide, 52, seed),
+                                     beta_prime=beta_prime))
+        except PreconditionViolated:
+            pass  # in a stage set: not a typical prefix
+    checks.append(CheckResult(
+        "lemma 2 window and mass margins", bool(reps) and all(reps),
+        f"beta'={beta_prime} < beta_achieved={lm.nu.beta_achieved:.4f}, "
+        f"{len(reps)} of 16 length-52 paths typical, min window "
+        f"{min((r.window_margin for r in reps), default=math.nan):.2f} "
+        f"min mass {min((r.mass_margin for r in reps), default=math.nan):.2f}"))
+
+    word = Word(0, (2,))
+    held = {r: phir_bound_check(AssignmentRule.psi_power(4), word, r)
+            for r in (1, 2, 3)}
+    checks.append(CheckResult(
+        "phi_r bound from r = 2", held[2] and held[3],
+        f"tau=4 word 0,2: r=2 {held[2]} r=3 {held[3]}; r=1 {held[1]} "
+        f"reported, the bound is stated for r >= 2"))
+
+    probes = range(2, 65)
+    checks.append(CheckResult(
+        "q^2 psi(q) nonincreasing",
+        check_q2psi_nonincreasing(PsiFamily.power(3), probes)
+        and check_q2psi_nonincreasing(PsiFamily.exponential(), probes),
+        "tau=3 and e^-q, q = 2..64"))
+
+    # each label of a path's chain but its last took a forced run; from
+    # block 3 on, the digit sum (>= 8) exceeds every support digit (<= 5),
+    # so only a forced digit equals it and is admissible
+    sch, runs_ok, seen = lm.schedule, True, set()
+    for seed in range(8):
+        path = sample_path(lm, 13, seed)
+        forced = tuple(sch.i[n - 1] + j + 1
+                       for n in classify(lm, path).chain[:-1]
+                       for j in range(sch.r[n - 1]))
+        word = Word(0, tuple(d for blk in path for d in blk))
+        runs = tuple(i for i in count_k_runs(lm.rule, word, 1).positions
+                     if i > 2)
+        runs_ok, seen = runs_ok and runs == forced, seen | {runs}
+    checks.append(CheckResult(
+        "admissible runs past block 2 are the forced blocks", runs_ok,
+        f"seeds 0-7, depth 13: {' '.join(map(str, sorted(seen)))}"))
+
+    readme = make_schedule_psi(PsiFamily.power(3),
+                               SimpleNamespace(p=2, sigma=2.0),
+                               (1, 2, 3), i1=4, depth=3)
+    lac = check_superlacunary(readme, 10)
+    checks.append(CheckResult(
+        "schedule superlacunary at R = 10", lac.ok,
+        f"i={readme.i} ratios "
+        f"{' '.join(f'{float(q):.2f}' for q in lac.ratios)} n0={lac.n0}"))
+    gap = check_gap_condition(readme, None)
+    checks.append(CheckResult(
+        "gap condition (certified)", gap.ok,
+        f"margins {' '.join(f'{m:.1f}' for m in gap.margins)}"))
     return SuiteReport("lambda", tuple(checks))
 
 

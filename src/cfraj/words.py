@@ -113,10 +113,6 @@ class CylinderInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def continuant_pair(w: Word) -> ContinuantPair:
     q, q_prev = continuant_pair_of(w.tail)

@@ -286,7 +286,7 @@ def _reference_walk(lm, depth, rng):
             continue
         blk = nu.support[rng.randrange(s)]
         out.append(blk)
-        seg_rank = seg_rank * s + nu.block_index(blk)
+        seg_rank = seg_rank * s + nu.support.index(blk)
         for d in blk:
             q, qp = d * q + qp, q
             dsum += d
@@ -711,7 +711,7 @@ def _reference_classify(lm, blocks):
         if tuple(blk) not in nu.support:
             why = "off-support"
             break
-        seg_rank = seg_rank * s + nu.block_index(tuple(blk))
+        seg_rank = seg_rank * s + nu.support.index(tuple(blk))
         typical += 1
         for d in blk:
             q, qp, dsum = d * q + qp, q, dsum + d

@@ -230,6 +230,24 @@ def test_schedule_make_takes_one_sigma(capsys, sigmas, err):
         f"cfraj schedule make: error: {err}\n")
 
 
+@pytest.mark.parametrize("argv, other", [
+    (["schedule", "make", "--tau", "3", "--p", "2", "--sigma", "2.0",
+      "--sigma-k", "7", "--i1", "4", "--r", "1,2,3"], "--sigma"),
+    (["nu", "build", "--N", "3", "--p", "2", "--sigma-median",
+      "--sigma-k", "7"], "--sigma-median"),
+], ids=["schedule-sigma", "nu-median"])
+def test_sigma_k_needs_sigma_log(capsys, argv, other):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    prog = f"cfraj {argv[0]} {argv[1]}"
+    assert err.startswith(f"usage: {prog} ")
+    assert err.splitlines()[-1] == (
+        f"{prog}: error: argument --sigma-k: not allowed with argument "
+        f"{other}, only with --sigma-log")
+
+
 def test_lambda_mass_exact(capsys):
     base = ["lambda", "mass", "--N", "5", "--p", "1", "--sigma-log", "5",
             "--eps", "3/10", "--schedule-i", "2,4,7,11",
@@ -475,6 +493,33 @@ def test_verify_suites(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 64
+
+
+def test_verify_runs_each_lemma_check(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "nu"])
+    assert code == 0
+    assert "  pass  q_nu exponent reported  (log mass/log q=-0.6851 on the " \
+           "support 3 times vs -beta'=-1.5000; unmet: " \
+           "beta_achieved=0.7737 < beta')" in out
+    assert "  pass  Frostman ceiling reported  (log s/(2 log q_max)=0.3155 " \
+           "log s/(2 mean log q)=0.3869)" in out
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "nu",
+                                    "--profile", "strict"])
+    assert code == 0
+    assert "  pass  strict-profile feasibility reported  (feasible=False " \
+           "required_p=" in out
+    assert "vs -beta'=-1.9800; unmet: beta_achieved=0.7737 < beta')" in out
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "lambda"])
+    assert code == 0 and "FAIL" not in out
+    for line in ("lemma 2 window and mass margins  (beta'=7/20 < ",
+                 "phi_r bound from r = 2  (tau=4 word 0,2: r=2 True r=3 "
+                 "True; r=1 False reported",
+                 "q^2 psi(q) nonincreasing",
+                 "admissible runs past block 2 are the forced blocks",
+                 "schedule superlacunary at R = 10  (i=(4, 96, 9216) "
+                 "ratios 19.20 94.04 n0=1)",
+                 "gap condition (certified)  (margins 8786.1)"):
+        assert f"  pass  {line}" in out
 
 
 def test_verify_refuses_a_sweep_with_no_cases(capsys):

